@@ -87,7 +87,9 @@ def fixed_point_residuals(state, costs, prox, triple, mu):
     r_primal checks Z = W - mu grad(W) - S (the C term vanishes at
     consensus), r_dual checks B^2 Z = 0, and r_prox checks
     W = prox(A_bar Z).  All are Frobenius norms over the K x M stack,
-    normalized by sqrt(KM).
+    normalized by sqrt(KM).  grad(W), B^2 Z and A_bar Z are read from the
+    state where its step carried them, so ``triple`` must be the one the
+    state was stepped with; they are recomputed for a state without them.
     """
     W, Z, S = state.W, state.Z, state.S
     if Z is None:
@@ -96,10 +98,12 @@ def fixed_point_residuals(state, costs, prox, triple, mu):
         S = np.zeros_like(W)
     K, M = W.shape
     scale = np.sqrt(K * M)
-    G = costs.grad_stack(W)
+    G = state.G if state.G is not None else costs.grad_stack(W)
+    B_sq_Z = state.B_sq_Z if state.B_sq_Z is not None else triple.B_sq @ Z
+    A_bar_Z = state.A_bar_Z if state.A_bar_Z is not None else triple.A_bar @ Z
     r_primal = np.linalg.norm(Z - (W - mu * G - S)) / scale
-    r_dual = np.linalg.norm(triple.B_sq @ Z) / scale
-    P = prox.apply_stack(triple.A_bar @ Z, mu) if prox is not None else triple.A_bar @ Z
+    r_dual = np.linalg.norm(B_sq_Z) / scale
+    P = prox.apply_stack(A_bar_Z, mu) if prox is not None else A_bar_Z
     r_prox = np.linalg.norm(W - P) / scale
     return float(r_primal), float(r_dual), float(r_prox)
 

@@ -1,4 +1,9 @@
-"""Per-agent smooth costs, curvature constants, and data handling."""
+"""Per-agent smooth costs, curvature constants, and data handling.
+
+Each cost family builds one stacked gradient at construction, so the
+engine's one gradient per iteration is a single vectorised kernel over
+the K x M stack; the per-agent ``grad``/``eval`` stay as the reference.
+"""
 
 import hashlib
 from dataclasses import dataclass
@@ -58,14 +63,19 @@ class SmoothCostSet:
 
     Each agent cost is strongly convex with modulus ``nu`` and has
     ``delta``-Lipschitz gradients.  ``eval``/``grad`` address one agent;
-    ``grad_stack`` evaluates all agents on a K x M iterate stack.
+    ``grad_stack`` evaluates all agents on a K x M iterate stack through
+    ``stack_grad``, the family's vectorised gradient, which equals the
+    stack of per-agent gradients.  The engine evaluates ``grad_stack``
+    once per iteration, at the new iterate, and carries the result in its
+    state.
     """
 
-    def __init__(self, evals, grads, nu, delta, family, M):
+    def __init__(self, evals, grads, stack_grad, nu, delta, family, M):
         if not (0 < nu <= delta):
             raise ValueError(f"need 0 < nu <= delta, got nu={nu}, delta={delta}")
         self._evals = evals
         self._grads = grads
+        self._stack_grad = stack_grad
         self.nu = float(nu)
         self.delta = float(delta)
         self.family = family
@@ -79,11 +89,7 @@ class SmoothCostSet:
         return self._grads[k](np.asarray(w, dtype=float))
 
     def grad_stack(self, W):
-        W = np.asarray(W, dtype=float)
-        return np.stack([self._grads[k](W[k]) for k in range(self.K)])
-
-    def average_eval(self, w):
-        return sum(self.eval(k, w) for k in range(self.K)) / self.K
+        return self._stack_grad(np.asarray(W, dtype=float))
 
     def average_grad(self, w):
         w = np.asarray(w, dtype=float)
@@ -116,6 +122,7 @@ def quadratic_cost(eta, K, M, targets=None):
     pairs = [make(k) for k in range(K)]
     return SmoothCostSet(
         [p[0] for p in pairs], [p[1] for p in pairs],
+        lambda W: eta * (W - targets),
         nu=eta, delta=eta, family="quadratic", M=M,
     )
 
@@ -144,8 +151,10 @@ def random_quadratic_cost(K, M, seed=0, nu_min=0.5, delta_max=2.0):
         )
 
     pairs = [make(H, b) for H, b in zip(Hs, bs)]
+    H_stack, b_stack = np.stack(Hs), np.stack(bs)
     return SmoothCostSet(
         [p[0] for p in pairs], [p[1] for p in pairs],
+        lambda W: np.matmul(H_stack, W[:, :, None])[:, :, 0] + b_stack,
         nu=nu_min, delta=delta_max, family="random_quadratic", M=M,
     )
 
@@ -179,13 +188,40 @@ def logistic_cost(shards, lam):
 
     pairs = [make(d) for d in shards]
     nu, delta = _logistic_constants(shards, lam)
-    cs = SmoothCostSet(
+    return SmoothCostSet(
         [p[0] for p in pairs], [p[1] for p in pairs],
+        _stacked_logistic_grad(shards, lam),
         nu=nu, delta=delta, family="logistic", M=M,
     )
-    cs._shards = shards
-    cs._lam = lam
-    return cs
+
+
+def _stacked_logistic_grad(shards, lam):
+    """All agents' logistic gradients from one block-diagonal design matrix.
+
+    Row block k of the N x (K M) matrix holds shard k's features in
+    columns k M .. (k+1) M - 1, entry order kept, so each margin and each
+    gradient entry sums the same products in the same order as the
+    per-agent gradient and the two agree bit for bit.
+    """
+    K, M = len(shards), shards[0].M
+    Xs = [sp.csr_matrix(d.features) for d in shards]
+    row_nnz = np.concatenate([np.diff(X.indptr) for X in Xs])
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    indices = np.concatenate([X.indices + k * M for k, X in enumerate(Xs)])
+    data = np.concatenate([X.data for X in Xs])
+    Xb = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, K * M))
+    XbT = Xb.T.tocsr()
+    y = np.concatenate([d.labels for d in shards])
+    # Each sample's shard size: the per-agent code divides by it, and a
+    # multiply by its reciprocal would not round the same way.
+    L = np.repeat([float(len(d)) for d in shards], [len(d) for d in shards])
+
+    def stack_grad(W):
+        margins = -y * (Xb @ W.ravel())
+        coef = -y * expit(margins) / L
+        return (XbT @ coef).reshape(K, M) + lam * W
+
+    return stack_grad
 
 
 def _logistic_constants(shards, lam):

@@ -5,6 +5,11 @@ order fixed) followed by a combine phase (K x K matrix product applied
 blockwise to the K x M stack).  The dual variable is carried through the
 surrogate S = B y, so only B^2 is ever needed and no matrix square root
 is computed; with y_{-1} = 0 the surrogate starts at S = 0.
+
+Every iteration evaluates exactly one gradient, at the new iterate, and
+carries it in the state: a step reads grad(W) (and grad(W_prev), where
+its recursion needs it) from the state it is given, and computes them
+only for a state that carries none, such as one from ``initial_state``.
 """
 
 import time
@@ -59,7 +64,11 @@ class BlockIterate:
 
     W is the newest iterate, W_prev the one before it; S is the dual
     surrogate B y; Z, X and Psi_prev hold the auxiliary/tracking buffers
-    used by the specific recursion in play.
+    used by the specific recursion in play.  G and G_prev are the
+    gradients at W and W_prev; A_bar_Z and B_sq_Z are the primal-dual
+    step's products A_bar Z and B^2 Z, kept for the fixed-point
+    residuals.  Any of these may be None, and is then recomputed where
+    it is needed.
     """
 
     W: np.ndarray
@@ -68,11 +77,18 @@ class BlockIterate:
     Z: np.ndarray = None
     X: np.ndarray = None
     Psi_prev: np.ndarray = None
+    G: np.ndarray = None
+    G_prev: np.ndarray = None
+    A_bar_Z: np.ndarray = None
+    B_sq_Z: np.ndarray = None
     iter: int = 0
 
     def check_finite(self):
-        if not np.all(np.isfinite(self.W)):
-            raise DivergenceError("non-finite iterate", self.iter)
+        # The carried gradient is checked by the step that consumes it.
+        for name in ("W", "S", "X"):
+            buf = getattr(self, name)
+            if buf is not None and not np.all(np.isfinite(buf)):
+                raise DivergenceError(f"non-finite iterate ({name})", self.iter)
 
 
 @dataclass
@@ -116,10 +132,6 @@ class RunRecord:
     note: str = ""
     final_state: BlockIterate = None
 
-    def as_arrays(self):
-        return (np.asarray(self.iterations), np.asarray(self.comm_rounds),
-                np.asarray(self.errors))
-
 
 def initial_state(K, M, init=None, seed=None):
     """Starting iterate w_{-1}: zeros by default, or a seeded random stack."""
@@ -142,19 +154,46 @@ def _apply_prox(prox, X, mu):
     return prox.apply_stack(X, mu)
 
 
+def _grad(state, costs):
+    """grad(W): carried by the state, or computed for one that has none."""
+    G = state.G if state.G is not None else costs.grad_stack(state.W)
+    if not np.all(np.isfinite(G)):
+        raise DivergenceError("non-finite gradient", state.iter)
+    return G
+
+
+def _grad_prev(state, costs):
+    """grad(W_prev): carried by the state, or computed for one that has none."""
+    if state.G_prev is not None:
+        return state.G_prev
+    return costs.grad_stack(state.W_prev)
+
+
+def _advance(state, G, W_new, costs, G_new=None, **buffers):
+    """The state after a step that used G = grad(W): W_new with its
+    gradient, which is the one gradient the step evaluates."""
+    if G_new is None:
+        G_new = costs.grad_stack(W_new)
+    return BlockIterate(W=W_new, W_prev=state.W, G=G_new, G_prev=G,
+                        iter=state.iter + 1, **buffers)
+
+
 def puda_step(state, triple, costs, prox, mu):
     """One step of the general proximal primal-dual recursion:
 
     Z <- (I - C) W - mu grad(W) - S;  S <- S + B^2 Z;  W <- prox(A_bar Z).
     """
     W = state.W
-    G = costs.grad_stack(W)
-    if not np.all(np.isfinite(G)):
-        raise DivergenceError("non-finite gradient", state.iter)
-    Z = W - triple.C @ W - mu * G - state.S
-    S = state.S + triple.B_sq @ Z
-    W_new = _apply_prox(prox, triple.A_bar @ Z, mu)
-    return BlockIterate(W=W_new, W_prev=W, S=S, Z=Z, iter=state.iter + 1)
+    G = _grad(state, costs)
+    if triple.C_is_zero:
+        Z = W - mu * G - state.S
+    else:
+        Z = W - triple.C @ W - mu * G - state.S
+    B_sq_Z = triple.B_sq @ Z
+    A_bar_Z = triple.A_bar @ Z
+    W_new = _apply_prox(prox, A_bar_Z, mu)
+    return _advance(state, G, W_new, costs, S=state.S + B_sq_Z, Z=Z,
+                    A_bar_Z=A_bar_Z, B_sq_Z=B_sq_Z)
 
 
 def agent_form_step(variant, state, costs, prox, A, mu):
@@ -165,9 +204,7 @@ def agent_form_step(variant, state, costs, prox, A, mu):
     primal-dual form with zero dual start.
     """
     W, W_prev = state.W, state.W_prev
-    G = costs.grad_stack(W)
-    if not np.all(np.isfinite(G)):
-        raise DivergenceError("non-finite gradient", state.iter)
+    G = _grad(state, costs)
 
     if variant == "ProxED":
         A_bar = 0.5 * (np.eye(A.shape[0]) + A)
@@ -175,8 +212,7 @@ def agent_form_step(variant, state, costs, prox, A, mu):
         Z = psi if state.iter == 0 else state.X + psi - state.Psi_prev
         X = A_bar @ Z
         W_new = _apply_prox(prox, X, mu)
-        return BlockIterate(W=W_new, W_prev=W, Z=Z, X=X, Psi_prev=psi,
-                            iter=state.iter + 1)
+        return _advance(state, G, W_new, costs, Z=Z, X=X, Psi_prev=psi)
 
     if variant == "ProxATC1":
         psi = W - mu * G
@@ -186,19 +222,17 @@ def agent_form_step(variant, state, costs, prox, A, mu):
             Z = 2.0 * state.X - A @ (state.X - psi + state.Psi_prev)
         X = A @ Z
         W_new = _apply_prox(prox, X, mu)
-        return BlockIterate(W=W_new, W_prev=W, Z=Z, X=X, Psi_prev=psi,
-                            iter=state.iter + 1)
+        return _advance(state, G, W_new, costs, Z=Z, X=X, Psi_prev=psi)
 
     if variant == "ProxATC2":
         if state.iter == 0:
             Z = A @ W - mu * G
         else:
-            G_prev = costs.grad_stack(W_prev)
-            psi = 2.0 * state.X - mu * (G - G_prev)
+            psi = 2.0 * state.X - mu * (G - _grad_prev(state, costs))
             Z = psi - A @ (state.X - W + W_prev)
         X = A @ Z
         W_new = _apply_prox(prox, X, mu)
-        return BlockIterate(W=W_new, W_prev=W, Z=Z, X=X, iter=state.iter + 1)
+        return _advance(state, G, W_new, costs, Z=Z, X=X)
 
     raise ValueError(f"unknown agent form: {variant!r}")
 
@@ -212,9 +246,7 @@ def eliminated_step(variant, state, costs, mu, A=None, triple=None):
     behind the same interface.
     """
     W, W_prev = state.W, state.W_prev
-    G = costs.grad_stack(W)
-    if not np.all(np.isfinite(G)):
-        raise DivergenceError("non-finite gradient", state.iter)
+    G = _grad(state, costs)
     boot = state.iter == 0
     I = np.eye(A.shape[0]) if A is not None else None
 
@@ -223,21 +255,21 @@ def eliminated_step(variant, state, costs, mu, A=None, triple=None):
         if boot:
             W_new = A_bar @ (W - mu * G)
         else:
-            dG = G - costs.grad_stack(W_prev)
+            dG = G - _grad_prev(state, costs)
             W_new = A_bar @ (2.0 * W - W_prev - mu * dG)
 
     elif variant == "AugDGM":
         if boot:
             W_new = A @ (A @ (W - mu * G))
         else:
-            dG = G - costs.grad_stack(W_prev)
+            dG = G - _grad_prev(state, costs)
             W_new = A @ (2.0 * W - A @ W_prev - mu * (A @ dG))
 
     elif variant == "ATCTracking":
         if boot:
             W_new = A @ (A @ W - mu * G)
         else:
-            dG = G - costs.grad_stack(W_prev)
+            dG = G - _grad_prev(state, costs)
             W_new = A @ (2.0 * W - A @ W_prev - mu * dG)
 
     elif variant == "NonATC":
@@ -245,34 +277,34 @@ def eliminated_step(variant, state, costs, mu, A=None, triple=None):
         if boot:
             W_new = W - C @ W - mu * G
         else:
-            dG = G - costs.grad_stack(W_prev)
+            dG = G - _grad_prev(state, costs)
             W_new = (2.0 * W - C @ W - B_sq @ W) - (W_prev - C @ W_prev) - mu * dG
 
     elif variant == "AugDGM2var":
         if boot:
             # Tracking init chosen so that w_0 matches the primal-dual start.
             X = (W - A @ W) / mu + A @ G
-            W_new = A @ (W - mu * X)
-            X = A @ (X + costs.grad_stack(W_new) - G)
         else:
-            W_new = A @ (W - mu * state.X)
-            X = A @ (state.X + costs.grad_stack(W_new) - G)
-        return BlockIterate(W=W_new, W_prev=W, X=X, iter=state.iter + 1)
+            X = state.X
+        W_new = A @ (W - mu * X)
+        G_new = costs.grad_stack(W_new)
+        X = A @ (X + G_new - G)
+        return _advance(state, G, W_new, costs, G_new=G_new, X=X)
 
     elif variant == "ATCTracking2var":
         if boot:
             X = (W - A @ W) / mu + G
-            W_new = A @ (W - mu * X)
-            X = A @ X + costs.grad_stack(W_new) - G
         else:
-            W_new = A @ (W - mu * state.X)
-            X = A @ state.X + costs.grad_stack(W_new) - G
-        return BlockIterate(W=W_new, W_prev=W, X=X, iter=state.iter + 1)
+            X = state.X
+        W_new = A @ (W - mu * X)
+        G_new = costs.grad_stack(W_new)
+        X = A @ X + G_new - G
+        return _advance(state, G, W_new, costs, G_new=G_new, X=X)
 
     else:
         raise ValueError(f"unknown eliminated variant: {variant!r}")
 
-    return BlockIterate(W=W_new, W_prev=W, iter=state.iter + 1)
+    return _advance(state, G, W_new, costs)
 
 
 def separate_prox_step(variant, state, costs, prox_list, mu, A=None,
@@ -286,9 +318,7 @@ def separate_prox_step(variant, state, costs, prox_list, mu, A=None,
     K = W.shape[0]
     if len(prox_list) != K:
         raise ValueError(f"need {K} prox operators, got {len(prox_list)}")
-    G = costs.grad_stack(W)
-    if not np.all(np.isfinite(G)):
-        raise DivergenceError("non-finite gradient", state.iter)
+    G = _grad(state, costs)
 
     def prox_rows(X):
         return np.stack([prox_list[k].apply(X[k], mu) for k in range(K)])
@@ -298,18 +328,17 @@ def separate_prox_step(variant, state, costs, prox_list, mu, A=None,
         if state.iter == 0:
             X = A @ W - mu * G
         else:
-            G_prev = costs.grad_stack(state.W_prev)
+            G_prev = _grad_prev(state, costs)
             X = A @ W + state.X - W_tilde @ state.W_prev - mu * (G - G_prev)
         W_new = prox_rows(X)
-        return BlockIterate(W=W_new, W_prev=W, X=X, iter=state.iter + 1)
+        return _advance(state, G, W_new, costs, X=X)
 
     if variant == "DLADMM":
         if c is None or laplacian is None:
             raise ValueError("DLADMM requires c and a Laplacian")
         cL = c * laplacian
         W_new = prox_rows(W - mu * (G + cL @ W + state.S))
-        S = state.S + cL @ W_new
-        return BlockIterate(W=W_new, W_prev=W, S=S, iter=state.iter + 1)
+        return _advance(state, G, W_new, costs, S=state.S + cL @ W_new)
 
     raise ValueError(f"unknown separate-prox variant: {variant!r}")
 

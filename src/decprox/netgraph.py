@@ -6,6 +6,7 @@ the Kronecker-expanded KM x KM versions are never materialized.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,13 @@ class ConsensusTriple:
     @property
     def K(self):
         return self.A_bar.shape[0]
+
+    @cached_property
+    def C_is_zero(self):
+        """Whether C is the zero matrix, so that the engine can skip the
+        product C W.  Decided once per triple; the matrices are not to be
+        modified after construction."""
+        return not self.C.any()
 
 
 @dataclass(frozen=True)

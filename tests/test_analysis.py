@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,22 @@ class TestFixedPointResiduals:
         st = self._converged_state()
         r = fixed_point_residuals(st, self.costs, self.prox, self.triple, self.mu)
         assert max(r) <= 1e-9
+
+    @pytest.mark.parametrize("aid", ["ExactDiffusion", "ATCTracking"])
+    def test_carried_buffers_match_recomputed(self, aid):
+        # The step's own grad(W), A_bar Z and B^2 Z give the same residuals,
+        # bit for bit, as recomputing them from a state without them.
+        shards = partition_data(synthetic_classification(60, 4, seed=2), 5)
+        costs = logistic_cost(shards, 0.01)
+        triple = table1_matrices(aid, self.A)
+        spec = AlgorithmSpec(family="PUDA_general", mu=self.mu,
+                             triple=triple, prox=self.prox)
+        st = run(spec, costs, np.zeros(4), 25, seed=3).final_state
+        bare = dataclasses.replace(st, G=None, A_bar_Z=None, B_sq_Z=None)
+        full = fixed_point_residuals(st, costs, self.prox, triple, self.mu)
+        assert full == fixed_point_residuals(bare, costs, self.prox, triple,
+                                             self.mu)
+        assert max(full) > 0.0
 
     def test_random_state_not_fixed(self):
         rng = np.random.default_rng(0)

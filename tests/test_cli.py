@@ -6,6 +6,7 @@ import pytest
 from decprox import cli
 from decprox.analysis import theoretical_rate
 from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
+from decprox.costs import SmoothCostSet
 
 
 def write_config(tmp_path, overrides=None, **kwargs):
@@ -122,6 +123,19 @@ class TestRunExperiment:
                                   problem.costs.delta, report.sigma_max_C,
                                   report.sigma_min_Bsq)
         assert by_name["ProxED"]["theoretical_gamma"] == pytest.approx(expect.gamma)
+
+    def test_one_gradient_per_iteration(self, tmp_path, monkeypatch):
+        # With the residual callback recording every row, each algorithm
+        # evaluates iters + 1 gradients: one at the start, one per step.
+        calls = []
+        grad_stack = SmoothCostSet.grad_stack
+        monkeypatch.setattr(SmoothCostSet, "grad_stack",
+                            lambda self, W: calls.append(1) or grad_stack(self, W))
+        path = write_config(tmp_path,
+                            overrides={"algorithms": ["ProxED", "ProxATC2"],
+                                       "iters": 40})
+        run_experiment(parse_config(path))
+        assert len(calls) == 2 * (40 + 1)
 
     def test_csv_layout_and_comm_accounting(self, tmp_path):
         path = write_config(tmp_path,

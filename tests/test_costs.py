@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from decprox.costs import (
     Dataset,
@@ -109,6 +110,58 @@ class TestLogistic:
         empty = Dataset(sp.csr_matrix((0, 8)), np.zeros(0))
         with pytest.raises(ValueError):
             logistic_cost([empty], lam=0.1)
+
+
+def per_agent_stack(costs, W):
+    return np.stack([costs.grad(k, W[k]) for k in range(costs.K)])
+
+
+@st.composite
+def logistic_problem(draw):
+    """Unequal shards of sparse data with an all-zero feature column, and
+    an iterate stack at one of three scales."""
+    K = draw(st.integers(2, 6))
+    M = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=K, max_size=K,
+                          unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = sum(sizes)
+    X = rng.standard_normal((N, M)) * (rng.random((N, M)) < 0.6)
+    X[:, draw(st.integers(0, M - 1))] = 0.0
+    d = Dataset(sp.csr_matrix(X), rng.choice([-1.0, 1.0], size=N))
+    ends = np.cumsum(sizes)
+    shards = [d.subset(np.arange(e - n, e)) for n, e in zip(sizes, ends)]
+    W = rng.standard_normal((K, M)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+    return shards, W
+
+
+class TestStackedGradient:
+    """grad_stack, one vectorised kernel per family, against the stack of
+    per-agent gradients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(logistic_problem(), st.sampled_from([1e-4, 0.01, 1.0]))
+    def test_logistic_bit_identical(self, problem, lam):
+        shards, W = problem
+        costs = logistic_cost(shards, lam)
+        assert np.array_equal(costs.grad_stack(W), per_agent_stack(costs, W))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.floats(0.1, 10.0))
+    def test_quadratic_bit_identical(self, K, M, seed, eta):
+        rng = np.random.default_rng(seed)
+        costs = quadratic_cost(eta, K, M, targets=rng.standard_normal((K, M)))
+        W = rng.standard_normal((K, M))
+        assert np.array_equal(costs.grad_stack(W), per_agent_stack(costs, W))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_random_quadratic_matches(self, K, M, seed):
+        costs = random_quadratic_cost(K, M, seed=seed)
+        W = np.random.default_rng(seed).standard_normal((K, M))
+        G, ref = costs.grad_stack(W), per_agent_stack(costs, W)
+        assert np.abs(G - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
 class TestEstimateConstants:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from decprox import engine
+from decprox.analysis import fixed_point_residuals
 from decprox.costs import quadratic_cost, random_quadratic_cost
 from decprox.engine import (
     AlgorithmSpec,
@@ -88,6 +91,41 @@ class TestPudaStep:
         st = BlockIterate(W=bad, W_prev=bad, S=np.zeros((2, 2)))
         with pytest.raises(DivergenceError):
             engine.puda_step(st, t, costs, None, 0.1)
+
+    def test_nonfinite_carried_gradient_raises_at_its_consumer(self):
+        costs = random_quadratic_cost(2, 2, seed=0)
+        t = table1_matrices("ExactDiffusion", np.full((2, 2), 0.5))
+        w = np.ones((2, 2))
+        st = BlockIterate(W=w, W_prev=w, S=np.zeros((2, 2)),
+                          G=np.full((2, 2), np.inf), iter=7)
+        st.check_finite()  # the gradient is not the iterate's to check
+        with pytest.raises(DivergenceError) as info:
+            engine.puda_step(st, t, costs, None, 0.1)
+        assert info.value.iteration == 7
+
+    @pytest.mark.parametrize("aid, zero", [
+        ("ExactDiffusion", True), ("NIDS", True), ("AugDGM", True),
+        ("ATCTracking", False), ("DIGing", False), ("EXTRA", False)])
+    def test_c_is_zero(self, aid, zero):
+        A, _ = make_network()
+        assert table1_matrices(aid, shift_positive(A), c=0.5).C_is_zero is zero
+
+    @pytest.mark.parametrize("aid", ["ExactDiffusion", "ATCTracking"])
+    def test_step_matches_recursion_bit_for_bit(self, aid):
+        # Skipping the zero C, and computing only grad(W_new), change no bit.
+        A, _ = make_network()
+        costs = random_quadratic_cost(6, 4, seed=1)
+        t = table1_matrices(aid, shift_positive(A))
+        prox, mu = L1Prox(0.05), 0.3
+        st = initial_state(6, 4, seed=2)
+        W, S = st.W, st.S
+        for _ in range(20):
+            Z = W - t.C @ W - mu * costs.grad_stack(W) - S
+            S = S + t.B_sq @ Z
+            W = prox.apply_stack(t.A_bar @ Z, mu)
+            st = engine.puda_step(st, t, costs, prox, mu)
+            assert np.array_equal(st.W, W) and np.array_equal(st.S, S)
+            assert np.array_equal(st.G, costs.grad_stack(W))
 
 
 class TestEquivalenceWeb:
@@ -293,6 +331,51 @@ class TestRun:
         assert rel_sq_error(W, w_star) == pytest.approx(2.0 / 2.0)
         # Absolute error when the reference is zero.
         assert rel_sq_error(W, np.zeros(2)) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("family, variant", [
+        ("PUDA_general", None), ("ProxED", None), ("ProxATC1", None),
+        ("ProxATC2", None), ("EliminatedUDA", "NIDS"),
+        ("EliminatedUDA", "AugDGM2var"), ("EliminatedUDA", "ATCTracking2var"),
+        ("NonATC", None), ("PGEXTRA", None), ("DLADMM", None)])
+    def test_one_gradient_per_iteration(self, family, variant, monkeypatch):
+        A, L = make_network(K=5, seed=2)
+        A = shift_positive(A)
+        costs = random_quadratic_cost(5, 3, seed=0)
+        triple = table1_matrices("NIDS" if variant else "ATCTracking", A, c=0.5)
+        prox = ([ZeroProx()] * 5 if family in ("PGEXTRA", "DLADMM")
+                else L1Prox(0.05))
+        spec = AlgorithmSpec(family=family, mu=0.2, prox=prox, triple=triple,
+                             A=A, laplacian=L, c=0.5, variant=variant)
+        residual_fn = None
+        if family == "PUDA_general":
+            residual_fn = lambda st: fixed_point_residuals(
+                st, costs, prox, triple, spec.mu)
+        calls = []
+        grad_stack = costs.grad_stack
+        monkeypatch.setattr(costs, "grad_stack",
+                            lambda W: calls.append(1) or grad_stack(W))
+        run(spec, costs, np.zeros(3), 30, residual_fn=residual_fn)
+        assert len(calls) == 30 + 1
+
+    def test_carried_gradients_match_a_fresh_evaluation(self):
+        A, _ = make_network(K=5, seed=2)
+        costs = random_quadratic_cost(5, 3, seed=0)
+        spec = AlgorithmSpec(family="ProxATC2", mu=0.2, A=shift_positive(A))
+        st = run(spec, costs, np.zeros(3), 10).final_state
+        assert np.array_equal(st.G, costs.grad_stack(st.W))
+        assert np.array_equal(st.G_prev, costs.grad_stack(st.W_prev))
+        bare = dataclasses.replace(st, G=None, G_prev=None)
+        step = engine._make_step(spec, costs)
+        assert np.array_equal(step(st).W, step(bare).W)
+
+    @pytest.mark.parametrize("buffer", ["S", "X"])
+    def test_check_finite_covers_dual_and_tracking(self, buffer):
+        w = np.ones((2, 2))
+        st = BlockIterate(W=w, W_prev=w, **{buffer: np.array(
+            [[1.0, np.nan], [0.0, 0.0]])}, iter=4)
+        with pytest.raises(DivergenceError) as info:
+            st.check_finite()
+        assert info.value.iteration == 4
 
     def test_initial_state_validation(self):
         with pytest.raises(ValueError):
