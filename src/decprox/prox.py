@@ -1,5 +1,6 @@
 """Proximal operators: l1 soft-thresholding, pairwise-difference chain
-regularizers with closed-form proxes, and a brute-force oracle."""
+regularizers with closed-form proxes, an exact direct prox of their sum,
+and a brute-force oracle."""
 
 from dataclasses import dataclass, field
 
@@ -16,9 +17,14 @@ __all__ = [
     "prox_l1",
     "build_counterexample",
     "prox_counterexample",
+    "prox_anchored_chain",
     "brute_force_prox",
     "OracleFailure",
 ]
+
+
+# sqrt(2) |w[0] - _ANCHOR| is the anchor term |sqrt(2) w[0] - 1| of R1.
+_ANCHOR = 1.0 / np.sqrt(2.0)
 
 
 class OracleFailure(RuntimeError):
@@ -192,66 +198,108 @@ class CounterexampleProx(ProxOperator):
         return self.pair.R1(x) if self.which == "R1" else self.pair.R2(x)
 
 
+def prox_anchored_chain(x, t, anchor, anchor_t):
+    """Exact prox of a 1-D total-variation chain with an anchored first node:
+
+        argmin_z  (1/2) ||z - x||^2 + anchor_t |z[0] - anchor|
+                  + t sum_i |z[i] - z[i+1]|.
+
+    Johnson's dynamic programme (JCGS 2013), with the anchor as a virtual
+    node pinned at ``anchor``.  The forward pass keeps the derivative of
+    each message, a nondecreasing piecewise-linear function, as knots
+    (position, slope jump, value jump) in arrays used as a deque; clipping
+    it at -t and +t records lo[k] and hi[k], the range z[k] takes given
+    z[k+1].  The backward pass sets z[k] = clip(z[k+1], lo[k], hi[k]).
+    Each step pushes two knots and pops each at most once, so the cost is
+    O(M).
+    """
+    if t <= 0 or anchor_t < 0:
+        raise ValueError(f"need t > 0 and anchor_t >= 0, got {t}, {anchor_t}")
+    xs = np.asarray(x, dtype=float).tolist()
+    n = len(xs)
+    lo, hi = [0.0] * n, [0.0] * n
+    # Knots live in pos/da/db[l..r]; the deque grows by one slot at each
+    # end per step.  The first message derivative is anchor_t sign(z - anchor).
+    pos, da, db = [0.0] * (2 * n + 1), [0.0] * (2 * n + 1), [0.0] * (2 * n + 1)
+    l = r = n
+    pos[n], db[n] = anchor, 2.0 * anchor_t
+    c = anchor_t  # the message derivative is -c left of every knot, +c right
+    inf = float("inf")
+    for k in range(n):
+        # f'(z) = z - x[k] + message'(z): scan from the left for f' = -t
+        # (f' = 0 at the last node), then from the right for f' = +t.  A knot
+        # at the position just popped bounds a zero-width piece: pop it too.
+        lim = -t if k < n - 1 else 0.0
+        a, b, p = 1.0, -xs[k] - c, -inf
+        while l <= r:
+            q = pos[l]
+            if a * q + b > lim and q > p:
+                break
+            a += da[l]
+            b += db[l]
+            p = q
+            l += 1
+        left = (lim - b) / a
+        if left < p:  # f' jumps across lim at the knot p
+            left = p
+        if k == n - 1:
+            lo[k] = left
+            break
+        la, lb = a, b
+        a, b, p = 1.0, c - xs[k], inf
+        while r >= l:
+            q = pos[r]
+            if a * q + b < t and q < p:
+                break
+            a -= da[r]
+            b -= db[r]
+            p = q
+            r -= 1
+        right = (t - b) / a
+        if right > p:
+            right = p
+        if right < left:  # a jump wider than 2t: both clips at one point
+            right = left
+        l -= 1
+        pos[l], da[l], db[l] = left, la, lb + t
+        r += 1
+        pos[r], da[r], db[r] = right, -a, t - b
+        lo[k], hi[k] = left, right
+        c = t
+    z = lo  # z[n-1] = lo[n-1]; fill in the rest back to front
+    for k in range(n - 2, -1, -1):
+        v = z[k + 1]
+        z[k] = lo[k] if v < lo[k] else hi[k] if v > hi[k] else v
+    return np.array(z)
+
+
 class ChainSumProx(ProxOperator):
     """Prox of weight * (R1 + R2): the full difference chain plus anchor.
 
-    The sum has no single closed form, but R1 + R2 = ||D z - b||_1 with
-    D = [D1; D2] square and full rank, so the prox is computed through
-    its Fenchel dual
-
-        min_{|u| <= 1}  (t/2) ||D' u||^2 - u'(D x - b),   z = x - t D' u,
-
-    a smooth box-constrained QP solved by L-BFGS-B with an analytic
-    gradient, warm-started across calls (the engine evaluates the prox
-    at slowly moving points).
+    R1 + R2 = sqrt(2) |w[0] - 1/sqrt(2)| + sum_i |w[i] - w[i+1]|, a 1-D
+    total-variation chain whose first node is tied to a virtual node at
+    1/sqrt(2); its prox is exact and O(M) (:func:`prox_anchored_chain`).
+    The operator holds no state, so equal rows give bit-equal results.
     """
 
-    def __init__(self, pair, weight=1.0, tol=1e-12, max_iter=20000):
+    def __init__(self, pair, weight=1.0):
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
         self.pair = pair
         self.weight = float(weight)
-        self.tol = tol
-        self.max_iter = max_iter
         self.name = f"chain-sum(M={pair.M}, weight={weight:g})"
-        self._D = sp.vstack([pair.D1, pair.D2]).tocsr()
-        self._DT = self._D.T.tocsr()
-        self._b = np.concatenate([pair.b1, np.zeros(pair.M // 2)])
-        self._warm = {}  # row index -> dual point
 
     def value(self, x):
         return self.weight * (self.pair.R1(x) + self.pair.R2(x))
 
     def apply(self, x, mu):
-        return self._solve(np.asarray(x, dtype=float), mu, row=0)
-
-    def apply_stack(self, X, mu):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([self._solve(X[r], mu, row=r) for r in range(X.shape[0])])
-
-    def _solve(self, x, mu, row):
-        from scipy.optimize import minimize
-
         if mu <= 0:
             raise ValueError(f"mu must be positive, got {mu}")
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.pair.M,):
+            raise ValueError(f"expected shape ({self.pair.M},), got {x.shape}")
         t = mu * self.weight
-        D, DT = self._D, self._DT
-        c = D @ x - self._b
-
-        def q(u):
-            w = DT @ u
-            return 0.5 * t * float(w @ w) - float(u @ c), t * (D @ w) - c
-
-        u0 = self._warm.get(row)
-        if u0 is None or u0.shape != x.shape:
-            u0 = np.clip(c / max(t, 1e-12), -1.0, 1.0)
-        res = minimize(q, u0, jac=True, method="L-BFGS-B",
-                       bounds=[(-1.0, 1.0)] * x.size,
-                       options={"maxiter": self.max_iter, "maxfun": 10 * self.max_iter,
-                                "ftol": 1e-18, "gtol": self.tol})
-        u = np.clip(res.x, -1.0, 1.0)
-        self._warm[row] = u
-        return x - t * (DT @ u)
+        return prox_anchored_chain(x, t, _ANCHOR, np.sqrt(2.0) * t)
 
 
 class FunctionProx(ProxOperator):

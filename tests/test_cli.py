@@ -202,6 +202,22 @@ class TestRunExperiment:
         assert meta["graph"]["K"] == 6
         assert meta["iters"] == 200
 
+    def test_counterexample_output_independent_of_algorithm_order(self, tmp_path):
+        # The common prox holds no state, so ProxATC1's trajectory does not
+        # depend on whether ProxED ran first in the same experiment.
+        def run_in_order(names, sub):
+            (tmp_path / sub).mkdir()
+            path = write_config(tmp_path / sub, overrides={
+                "problem": "counterexample",
+                "graph": {"kind": "complete", "K": 2},
+                "M": 200, "iters": 50, "algorithms": names, "c": 1.0,
+                "output_dir": str(tmp_path / sub / "out")})
+            run_experiment(parse_config(path))
+            return (tmp_path / sub / "out" / "ProxATC1.csv").read_bytes()
+
+        assert (run_in_order(["ProxED", "ProxATC1"], "a")
+                == run_in_order(["ProxATC1", "ProxED"], "b"))
+
 
 class TestMain:
     def test_run_exit_codes(self, tmp_path):

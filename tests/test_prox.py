@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import spsolve
 
+from decprox.analysis import centralized_reference
+from decprox.costs import quadratic_cost
 from decprox.prox import (
     ChainSumProx,
     CounterexampleProx,
@@ -9,9 +14,25 @@ from decprox.prox import (
     ZeroProx,
     brute_force_prox,
     build_counterexample,
+    prox_anchored_chain,
     prox_counterexample,
     prox_l1,
 )
+
+
+def chain_certificate(pair, x, z, t, tol=1e-10):
+    """Check z = prox of t (R1 + R2) at x through the dual, apart from the
+    prox code: with D = [D1; D2] square and invertible, the multiplier u
+    solving D'u = (x - z)/t must have |u|_inf <= 1 and u_j = sign(r_j)
+    wherever r = D z - b is nonzero.  Returns (excess of |u|_inf over 1,
+    number of multipliers off sign(r))."""
+    D = sp.vstack([pair.D1, pair.D2]).tocsc()
+    b = np.concatenate([pair.b1, np.zeros(pair.M // 2)])
+    u = spsolve(D.T.tocsc(), (x - z) / t)
+    r = D @ z - b
+    active = np.abs(r) > tol
+    off = np.abs(u[active] - np.sign(r[active])) > tol
+    return np.abs(u).max() - 1.0, int(off.sum())
 
 
 class TestL1:
@@ -166,6 +187,93 @@ class TestChainSum:
         a = op.apply(x, 0.25)
         b = op.apply(x, 0.25)
         assert np.abs(a - b).max() <= 1e-10
+
+
+class TestExactChainProx:
+    """The direct O(M) prox of the anchored chain: exact, and stateless."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 10.0), st.floats(0.01, 100.0))
+    def test_dual_certificate(self, half, seed, scale, t):
+        pair = build_counterexample(2 * half)
+        x = scale * np.random.default_rng(seed).standard_normal(2 * half)
+        z = ChainSumProx(pair).apply(x, t)
+        excess, off = chain_certificate(pair, x, z, t)
+        assert excess <= 1e-10 and off == 0
+
+    @pytest.mark.parametrize("M", [200, 2000])
+    def test_reference_passes_certificate(self, M):
+        # Unit quadratics: one prox-gradient step from 0 lands on w* =
+        # prox of 0.5 (R1 + R2) at 0.
+        pair = build_counterexample(M)
+        w = centralized_reference(quadratic_cost(1.0, 2, M),
+                                  ChainSumProx(pair, weight=0.5))
+        excess, off = chain_certificate(pair, np.zeros(M), w, 0.5)
+        assert excess <= 1e-10 and off == 0
+
+    def test_anchor_jump_spans_both_clips(self):
+        # |x[0] - 1/sqrt(2)| < (sqrt(2) - 1) mu: the anchor's jump in the
+        # first message crosses -mu and +mu at one point, which leaves two
+        # knots there.  z[0] stays anchored, z[1] is pulled down by both of
+        # its edges, and z[2] = z[3] fuse.
+        pair = build_counterexample(4)
+        x = np.array([0.57374277, 1.82201136, -1.32043097, -0.66152802])
+        mu = 0.48
+        expected = [1 / np.sqrt(2), x[1] - 2 * mu,
+                    (x[2] + x[3] + mu) / 2, (x[2] + x[3] + mu) / 2]
+        z = ChainSumProx(pair).apply(x, mu)
+        assert np.allclose(z, expected, rtol=0, atol=1e-15)
+        bf = brute_force_prox(lambda w: pair.R1(w) + pair.R2(w), x, mu)
+        assert np.abs(z - bf).max() <= 1e-6
+
+    def test_against_brute_force_m8(self):
+        pair = build_counterexample(8)
+        op = ChainSumProx(pair)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            x = rng.standard_normal(8)
+            mu = float(rng.uniform(0.05, 0.6))
+            bf = brute_force_prox(lambda z: pair.R1(z) + pair.R2(z), x, mu)
+            assert np.abs(op.apply(x, mu) - bf).max() <= 1e-6
+
+    def test_plain_chain_closed_form(self):
+        # Without an anchor, two nodes move t toward each other and fuse
+        # at their mean once t reaches half the gap.
+        z = prox_anchored_chain(np.array([1.0, 0.0]), 0.6, 0.0, 0.0)
+        assert np.array_equal(z, [0.5, 0.5])
+        z = prox_anchored_chain(np.array([1.0, 0.0]), 0.25, 0.0, 0.0)
+        assert np.array_equal(z, [0.75, 0.25])
+
+    def test_identical_rows_bit_identical(self):
+        # Also after the two rows were called at different points, as the
+        # two agents' rows are on the iterations before they agree.
+        pair = build_counterexample(200)
+        op = ChainSumProx(pair, weight=0.5)
+        x, y = np.random.default_rng(5).standard_normal((2, 200))
+        op.apply_stack(np.stack([x, y]), 0.05)
+        x = x + 0.01 * y
+        out = op.apply_stack(np.stack([x, x]), 0.05)
+        assert np.array_equal(out[0], out[1])
+
+    def test_apply_leaves_no_state(self):
+        op = ChainSumProx(build_counterexample(10))
+        before = dict(vars(op))
+        x = np.random.default_rng(6).standard_normal(10)
+        first = op.apply(x, 0.3)
+        op.apply_stack(np.stack([x, -x]), 0.1)
+        assert vars(op).keys() == before.keys()
+        assert all(vars(op)[k] is v for k, v in before.items())
+        assert np.array_equal(op.apply(x, 0.3), first)
+
+    def test_bad_step_rejected(self):
+        op = ChainSumProx(build_counterexample(4))
+        with pytest.raises(ValueError):
+            op.apply(np.zeros(4), 0.0)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="expected shape"):
+            ChainSumProx(build_counterexample(4)).apply(np.zeros(6), 0.3)
 
 
 class TestNonexpansiveness:
