@@ -90,6 +90,8 @@ def fixed_point_residuals(state, costs, prox, triple, mu):
     normalized by sqrt(KM).  grad(W), B^2 Z and A_bar Z are read from the
     state where its step carried them, so ``triple`` must be the one the
     state was stepped with; they are recomputed for a state without them.
+    A state that carries A_bar Z got W = prox(A_bar Z) from that step, and
+    the prox is deterministic, so its r_prox is 0 without a second prox.
     """
     W, Z, S = state.W, state.Z, state.S
     if Z is None:
@@ -100,11 +102,14 @@ def fixed_point_residuals(state, costs, prox, triple, mu):
     scale = np.sqrt(K * M)
     G = state.G if state.G is not None else costs.grad_stack(W)
     B_sq_Z = state.B_sq_Z if state.B_sq_Z is not None else triple.B_sq @ Z
-    A_bar_Z = state.A_bar_Z if state.A_bar_Z is not None else triple.A_bar @ Z
     r_primal = np.linalg.norm(Z - (W - mu * G - S)) / scale
     r_dual = np.linalg.norm(B_sq_Z) / scale
-    P = prox.apply_stack(A_bar_Z, mu) if prox is not None else A_bar_Z
-    r_prox = np.linalg.norm(W - P) / scale
+    if state.A_bar_Z is not None:
+        r_prox = 0.0
+    else:
+        A_bar_Z = triple.A_bar @ Z
+        P = prox.apply_stack(A_bar_Z, mu) if prox is not None else A_bar_Z
+        r_prox = np.linalg.norm(W - P) / scale
     return float(r_primal), float(r_dual), float(r_prox)
 
 

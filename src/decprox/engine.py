@@ -6,6 +6,12 @@ blockwise to the K x M stack).  The dual variable is carried through the
 surrogate S = B y, so only B^2 is ever needed and no matrix square root
 is computed; with y_{-1} = 0 the surrogate starts at S = 0.
 
+The primal-dual step multiplies by the triple's ``A_bar_op``, ``B_sq_op``
+and ``C_op``: a CSR copy of a sparse matrix (a large sparse graph's
+combine costs O(nnz M) instead of O(K^2 M)), the dense matrix itself for
+a dense one, where a CSR product would be slower.  The other recursions
+keep dense products; no workload runs them at large K.
+
 Every iteration evaluates exactly one gradient, at the new iterate, and
 carries it in the state: a step reads grad(W) (and grad(W_prev), where
 its recursion needs it) from the state it is given, and computes them
@@ -188,9 +194,9 @@ def puda_step(state, triple, costs, prox, mu):
     if triple.C_is_zero:
         Z = W - mu * G - state.S
     else:
-        Z = W - triple.C @ W - mu * G - state.S
-    B_sq_Z = triple.B_sq @ Z
-    A_bar_Z = triple.A_bar @ Z
+        Z = W - triple.C_op @ W - mu * G - state.S
+    B_sq_Z = triple.B_sq_op @ Z
+    A_bar_Z = triple.A_bar_op @ Z
     W_new = _apply_prox(prox, A_bar_Z, mu)
     return _advance(state, G, W_new, costs, S=state.S + B_sq_Z, Z=Z,
                     A_bar_Z=A_bar_Z, B_sq_Z=B_sq_Z)

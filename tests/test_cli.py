@@ -7,6 +7,7 @@ from decprox import cli
 from decprox.analysis import theoretical_rate
 from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
 from decprox.costs import SmoothCostSet
+from decprox.prox import L1Prox, ProxOperator
 
 
 def write_config(tmp_path, overrides=None, **kwargs):
@@ -136,6 +137,26 @@ class TestRunExperiment:
                                        "iters": 40})
         run_experiment(parse_config(path))
         assert len(calls) == 2 * (40 + 1)
+
+    @pytest.mark.parametrize("problem, algorithms", [
+        ("lasso_quadratic", ["ProxED", "ProxATC2"]),
+        ("counterexample", ["ProxED", "ProxATC1"])])
+    def test_one_prox_per_iteration(self, tmp_path, monkeypatch, problem,
+                                    algorithms):
+        # r_prox is read off the step's own prox, so with every row
+        # recorded each primal-dual run applies the prox once per step.
+        calls = []
+        for cls in (ProxOperator, L1Prox):
+            apply_stack = cls.__dict__["apply_stack"]
+            monkeypatch.setattr(
+                cls, "apply_stack",
+                lambda self, X, mu, f=apply_stack: calls.append(1) or f(self, X, mu))
+        overrides = {"algorithms": algorithms, "iters": 40}
+        if problem == "counterexample":
+            overrides.update(problem=problem, M=20, c=1.0,
+                             graph={"kind": "complete", "K": 2})
+        run_experiment(parse_config(write_config(tmp_path, overrides=overrides)))
+        assert len(calls) == 2 * 40
 
     def test_csv_layout_and_comm_accounting(self, tmp_path):
         path = write_config(tmp_path,

@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from decprox import engine
+from decprox import engine, netgraph
 from decprox.analysis import fixed_point_residuals
 from decprox.costs import quadratic_cost, random_quadratic_cost
 from decprox.engine import (
@@ -15,6 +16,7 @@ from decprox.engine import (
     run,
 )
 from decprox.netgraph import (
+    AlgorithmId,
     ConsensusTriple,
     build_graph,
     laplacian_matrix,
@@ -126,6 +128,32 @@ class TestPudaStep:
             st = engine.puda_step(st, t, costs, prox, mu)
             assert np.array_equal(st.W, W) and np.array_equal(st.S, S)
             assert np.array_equal(st.G, costs.grad_stack(W))
+
+
+class TestCsrCombine:
+    @pytest.mark.parametrize("aid", list(AlgorithmId))
+    def test_csr_and_dense_products_agree(self, aid, monkeypatch):
+        K, M = 300, 5
+        A, L = make_network(K=K, seed=3, extra=0.005)
+        t = table1_matrices(aid, shift_positive(A), c=0.5, mu=0.05, L=L)
+        costs = quadratic_cost(1.0, K, M, targets=np.random.default_rng(0)
+                               .standard_normal((K, M)))
+        prox, mu = L1Prox(0.05), 0.3
+        st = initial_state(K, M, seed=1)
+        for _ in range(10):
+            st = engine.puda_step(st, t, costs, prox, mu)
+        assert sp.issparse(t.A_bar_op) and sp.issparse(t.B_sq_op)
+        assert t.C_is_zero or sp.issparse(t.C_op)
+
+        monkeypatch.setattr(netgraph, "CSR_DENSITY", 0.0)
+        dense = ConsensusTriple(t.A_bar, t.B_sq, t.C)
+        ref = initial_state(K, M, seed=1)
+        for _ in range(10):
+            ref = engine.puda_step(ref, dense, costs, prox, mu)
+        assert dense.A_bar_op is dense.A_bar and dense.B_sq_op is dense.B_sq
+        for name in ("W", "S", "Z", "A_bar_Z", "B_sq_Z"):
+            np.testing.assert_allclose(getattr(st, name), getattr(ref, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestEquivalenceWeb:

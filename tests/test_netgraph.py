@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from decprox import netgraph
 from decprox.netgraph import (
     AlgorithmId,
     Graph,
@@ -13,6 +18,24 @@ from decprox.netgraph import (
     table1_matrices,
     validate_assumptions,
 )
+
+
+def per_pair_random_connected(K, seed, p):
+    """The edge sampler as first written, one draw per node pair in
+    row-major order: the reference for build_graph's sampler."""
+    rng = np.random.default_rng(seed)
+    edges = set(netgraph._prufer_tree(K, rng))
+    for s in range(K):
+        for k in range(s + 1, K):
+            if (s, k) not in edges and rng.random() < p:
+                edges.add((s, k))
+    return frozenset(edges)
+
+
+@pytest.fixture(scope="module")
+def benchmark_graph():
+    """The 2000-agent graph of the sparse benchmark workload."""
+    return build_graph("random_connected", 2000, seed=7, extra_edge_prob=0.0005)
 
 
 def random_graphs(n=20):
@@ -40,6 +63,22 @@ class TestGraphs:
         a = build_graph("random_connected", 15, seed=4, extra_edge_prob=0.3)
         b = build_graph("random_connected", 15, seed=4, extra_edge_prob=0.3)
         assert a.edges == b.edges
+
+    @pytest.mark.parametrize("K", [2, 3, 15, 30, 200])
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_random_connected_matches_per_pair_sampler(self, K, p, seed):
+        g = build_graph("random_connected", K, seed=seed, extra_edge_prob=p)
+        assert g.edges == per_pair_random_connected(K, seed, p)
+
+    def test_benchmark_graph_pinned(self, benchmark_graph):
+        # Edge count and checksum of the sorted edge list, as the per-pair
+        # sampler drew them.
+        edges = sorted(benchmark_graph.edges)
+        text = "".join(f"{s} {k}\n" for s, k in edges)
+        assert len(edges) == 3014
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "09682ba7010d49c37404088630decdcd92f4c20bdb6557a34f0424510eb4327d")
 
     def test_tree_when_no_extra_edges(self):
         g = build_graph("random_connected", 30, seed=2, extra_edge_prob=0.0)
@@ -227,3 +266,82 @@ class TestAssumptions:
         assert r.lambda2_A == pytest.approx(eig_A[-2], abs=1e-12)
         nonzero = [x for x in np.linalg.eigvalsh(t.B_sq) if x > 1e-10]
         assert r.sigma_min_Bsq == pytest.approx(min(nonzero), abs=1e-12)
+
+
+def reference_report(t):
+    """The report from five eigendecompositions of the triple's matrices."""
+    return validate_assumptions(dataclasses.replace(t, spectrum=None))
+
+
+def assert_reports_agree(r, ref):
+    assert r.assumption2_ok == ref.assumption2_ok
+    assert r.assumption4_ok == ref.assumption4_ok
+    for name in ("sigma_max_C", "sigma_min_Bsq", "lambda2_A"):
+        assert abs(getattr(r, name) - getattr(ref, name)) <= 1e-12, name
+    assert r.diagnostics.keys() == ref.diagnostics.keys()
+    for key, value in r.diagnostics.items():
+        np.testing.assert_allclose(value, ref.diagnostics[key], rtol=0,
+                                   atol=1e-12, err_msg=key)
+
+
+class TestJointSpectrum:
+    GRAPHS = {
+        "ring": lambda: build_graph("ring", 12),
+        "grid": lambda: build_graph("grid", 12),
+        "random": lambda: build_graph("random_connected", 12, seed=5,
+                                      extra_edge_prob=0.3),
+        "complete": lambda: build_graph("complete", 12),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("aid", list(AlgorithmId))
+    def test_spectrum_matches_eigendecompositions(self, aid, shifted, kind):
+        g = self.GRAPHS[kind]()
+        A, L = metropolis_matrix(g), laplacian_matrix(g)
+        if shifted:
+            A = shift_positive(A)
+        sL = np.linalg.eigvalsh(L)[-1]
+        t = table1_matrices(aid, A, c=0.3, mu=1.0 / sL, L=L)
+        assert t.spectrum is not None
+        assert_reports_agree(validate_assumptions(t), reference_report(t))
+
+    def test_asymmetric_base_gets_no_spectrum(self):
+        A = metropolis_matrix(build_graph("ring", 5))
+        A[0, 1] += 1e-6
+        t = table1_matrices("ExactDiffusion", A)
+        assert t.spectrum is None
+        with pytest.raises(ValueError, match="not symmetric"):
+            validate_assumptions(t)
+
+    @pytest.mark.parametrize("bump, symmetric", [
+        (0.9e-12, True), (1.1e-12, False), (np.nan, False)])
+    def test_symmetry_tolerance(self, bump, symmetric):
+        # max |X - X^T| <= 1e-12 passes, anything larger or NaN fails,
+        # on either side of the diagonal and in any tile.
+        for (i, j) in ((0, 1), (1, 0), (299, 3), (3, 299)):
+            X = np.eye(300)
+            X[i, j] += bump
+            assert netgraph._is_symmetric(X) is symmetric, (i, j)
+
+
+class TestCombineOperators:
+    @staticmethod
+    def triples(g):
+        A = metropolis_matrix(g)
+        return [table1_matrices("ExactDiffusion", A),
+                table1_matrices("AugDGM", shift_positive(A))]
+
+    @pytest.mark.parametrize("g", [
+        build_graph("random_connected", 20, seed=7, extra_edge_prob=0.2),
+        build_graph("complete", 2)], ids=["K20", "K2"])
+    def test_dense_graphs_keep_dense_products(self, g):
+        for t in self.triples(g):
+            assert t.A_bar_op is t.A_bar and t.B_sq_op is t.B_sq
+
+    def test_benchmark_graph_goes_through_csr(self, benchmark_graph):
+        for t in self.triples(benchmark_graph):
+            for op, X in ((t.A_bar_op, t.A_bar), (t.B_sq_op, t.B_sq)):
+                assert sp.issparse(op)
+                assert isinstance(X, np.ndarray)
+                assert op.nnz == np.count_nonzero(X)
