@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from decprox import (
-    AlgorithmSpec,
+    ALGORITHMS,
     ChainSumProx,
     CounterexampleProx,
     build_counterexample,
@@ -51,26 +51,23 @@ common_half = ChainSumProx(pair, weight=0.5)
 w_star = centralized_reference(costs, common_half, tol=1e-13)
 print(f"reference solved; ||w*|| = {np.linalg.norm(w_star):.6f}\n")
 
-runs = [
-    ("PGEXTRA", SEP_ITERS,
-     AlgorithmSpec(family="PGEXTRA", mu=MU, A=A, prox=proxes)),
-    ("DLADMM", SEP_ITERS,
-     AlgorithmSpec(family="DLADMM", mu=MU, A=A, c=C, prox=proxes,
-                   laplacian=np.array([[1.0, -1.0], [-1.0, 1.0]]))),
-    ("ProxED", COMMON_ITERS,
-     AlgorithmSpec(family="PUDA_general", mu=MU,
-                   triple=table1_matrices("ExactDiffusion", A),
-                   prox=common_half, label="ProxED")),
-]
+L = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 print(f"{'algorithm':>10s} {'prox':>9s} {'iters':>6s} {'final error':>12s} "
       f"{'tail ratio':>10s}  verdict")
-for name, iters, spec in runs:
-    record = run(spec, costs, w_star, iters)
+for name in ("PGEXTRA", "DLADMM", "ProxED"):
+    # An entry without a Table I row applies each agent's own prox.
+    algo = ALGORITHMS[name]
+    separate = algo.row is None
+    triple = None if separate else table1_matrices(algo.row, A)
+    step = algo.step(costs, proxes if separate else common_half, MU,
+                     triple=triple, A=A, c=C, laplacian=L)
+    iters = SEP_ITERS if separate else COMMON_ITERS
+    record = run(algo, step, costs, w_star, iters)
     verdict = classify_decay(record)
     tail = verdict.geometric_ratio_windows[-1] \
         if verdict.geometric_ratio_windows else float("nan")
-    kind = "separate" if name in ("PGEXTRA", "DLADMM") else "averaged"
+    kind = "separate" if separate else "averaged"
     print(f"{name:>10s} {kind:>9s} {iters:6d} {record.errors[-1]:12.3e} "
           f"{tail:10.6f}  {verdict.classification}")
 

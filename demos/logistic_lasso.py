@@ -11,7 +11,7 @@ Run:  python3 demos/logistic_lasso.py
 import numpy as np
 
 from decprox import (
-    AlgorithmSpec,
+    ALGORITHMS,
     L1Prox,
     build_graph,
     centralized_reference,
@@ -21,12 +21,12 @@ from decprox import (
     partition_data,
     run,
     shift_positive,
+    step_bound,
     synthetic_classification,
     table1_matrices,
     theoretical_rate,
     validate_assumptions,
 )
-from decprox.engine import COMM_ROUNDS
 
 K, N, M = 20, 500, 30
 LAM, RHO = 1e-2, 2e-3
@@ -44,26 +44,20 @@ prox = L1Prox(RHO)
 w_star = centralized_reference(costs, prox)
 print(f"centralized reference: {np.count_nonzero(w_star)}/{M} nonzeros\n")
 
-# The two gradient-tracking methods need combination-matrix eigenvalues
-# in [0, 1], which the half-shift guarantees.
-suites = [
-    ("ProxED", "ExactDiffusion", A),
-    ("ProxATC1", "AugDGM", shift_positive(A)),
-    ("ProxATC2", "ATCTracking", shift_positive(A)),
-]
-
+# The registry gives each method's Table I row and theorem, and whether it
+# runs on the half-shift 0.5 (I + A): the two gradient-tracking methods need
+# combination-matrix eigenvalues in [0, 1], which the shift guarantees.
 print(f"{'algorithm':>10s} {'mu':>8s} {'gamma':>8s} {'iters':>6s} "
       f"{'rounds':>6s} {'final error':>12s}  verdict")
-for name, triple_id, Am in suites:
-    triple = table1_matrices(triple_id, Am)
+for name in ("ProxED", "ProxATC1", "ProxATC2"):
+    algo = ALGORITHMS[name]
+    triple = table1_matrices(algo.row, shift_positive(A) if algo.shifted else A)
     report = validate_assumptions(triple)
-    mu = 0.9 * (2.0 - report.sigma_max_C) / costs.delta
-    rate = theoretical_rate("Thm1", mu, costs.nu, costs.delta,
+    mu = 0.9 * step_bound(algo.theorem, report.sigma_max_C, costs.delta)
+    rate = theoretical_rate(algo.theorem, mu, costs.nu, costs.delta,
                             report.sigma_max_C, report.sigma_min_Bsq)
-    spec = AlgorithmSpec(family="PUDA_general", mu=mu, triple=triple,
-                         prox=prox, label=name,
-                         comm_rounds_per_iter=COMM_ROUNDS[name])
-    record = run(spec, costs, w_star, 2000)
+    step = algo.step(costs, prox, mu, triple=triple)
+    record = run(algo, step, costs, w_star, 2000)
     verdict = classify_decay(record).classification
     print(f"{name:>10s} {mu:8.4f} {rate.gamma:8.4f} "
           f"{record.iterations[-1]:6d} {record.comm_rounds[-1]:6d} "

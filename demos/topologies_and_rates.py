@@ -12,10 +12,12 @@ Run:  python3 demos/topologies_and_rates.py
 import numpy as np
 
 from decprox import (
+    ALGORITHMS,
     build_graph,
     metropolis_matrix,
     random_quadratic_cost,
     shift_positive,
+    step_bound,
     table1_matrices,
     theoretical_rate,
     validate_assumptions,
@@ -32,31 +34,29 @@ GRAPHS = [
     ("random_connected", {"seed": 1, "extra_edge_prob": 0.25}),
     ("complete", {}),
 ]
-ALGOS = [("ExactDiffusion", {}), ("NIDS", {"c": 0.5}), ("EXTRA", {}),
-         ("AugDGM", {}), ("DIGing", {})]
-SHIFTED = {"AugDGM", "DIGing"}  # need eigenvalues of A in [0, 1]
+# Each registry entry names its Table I row, whether it runs on the
+# half-shift 0.5 (I + A), and the theorem whose step bound it obeys.
+ALGOS = ["ExactDiffusion", "NIDS", "EXTRA", "AugDGM", "DIGing"]
 
 print(f"{'graph':>17s} {'algorithm':>15s} {'sC':>6s} {'sB2':>6s} "
-      f"{'mu_max':>7s} {'gamma':>7s}  assumptions")
+      f"{'mu_max':>7s} {'gamma':>7s}  theorem")
 for kind, kw in GRAPHS:
     A = metropolis_matrix(build_graph(kind, K, **kw))
-    for algo, akw in ALGOS:
-        Am = shift_positive(A) if algo in SHIFTED else A
-        triple = table1_matrices(algo, Am, **akw)
-        rep = validate_assumptions(triple)
-        ok = "1+2" if rep.assumption2_ok else ("1+4" if rep.assumption4_ok
-                                               else "fail")
-        if ok == "fail":
-            print(f"{kind:>17s} {algo:>15s} {rep.sigma_max_C:6.3f} "
-                  f"{rep.sigma_min_Bsq:6.3f} {'-':>7s} {'-':>7s}  {ok}")
+    for name in ALGOS:
+        algo = ALGORITHMS[name]
+        Am = shift_positive(A) if algo.shifted else A
+        rep = validate_assumptions(table1_matrices(algo.row, Am, c=0.5))
+        holds = rep.assumption2_ok if algo.theorem == "Thm1" else rep.assumption4_ok
+        if not holds:
+            print(f"{kind:>17s} {name:>15s} {rep.sigma_max_C:6.3f} "
+                  f"{rep.sigma_min_Bsq:6.3f} {'-':>7s} {'-':>7s}  fails")
             continue
-        thm = "Thm1" if rep.assumption2_ok else "Thm4"
-        bound = ((2.0 - rep.sigma_max_C) / costs.delta if thm == "Thm1"
-                 else 2.0 * (1.0 - rep.sigma_max_C) / costs.delta)
-        rate = theoretical_rate(thm, 0.9 * bound, costs.nu, costs.delta,
-                                rep.sigma_max_C, rep.sigma_min_Bsq)
-        print(f"{kind:>17s} {algo:>15s} {rep.sigma_max_C:6.3f} "
-              f"{rep.sigma_min_Bsq:6.3f} {bound:7.3f} {rate.gamma:7.4f}  {ok}")
+        bound = step_bound(algo.theorem, rep.sigma_max_C, costs.delta)
+        rate = theoretical_rate(algo.theorem, 0.9 * bound, costs.nu,
+                                costs.delta, rep.sigma_max_C, rep.sigma_min_Bsq)
+        print(f"{kind:>17s} {name:>15s} {rep.sigma_max_C:6.3f} "
+              f"{rep.sigma_min_Bsq:6.3f} {bound:7.3f} {rate.gamma:7.4f}  "
+              f"{algo.theorem}")
     print()
 
 print("sC = sigma_max(C) shrinks the admissible step; sB2 = smallest")

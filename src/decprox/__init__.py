@@ -5,7 +5,7 @@ Modules
 netgraph : graphs, combination matrices, consensus triples, assumptions
 costs    : per-agent smooth costs (quadratic, logistic) and data handling
 prox     : proximal operators, incl. the pairwise-difference counterexample
-engine   : synchronous multi-agent iterations and equivalence forms
+engine   : the algorithm registry, synchronous iterations, equivalence forms
 analysis : rate theory, fixed-point residuals, decay classification
 cli      : JSON-config experiment runner (`decprox` console script)
 """
@@ -27,7 +27,6 @@ from .netgraph import (
 from .costs import (
     Dataset,
     SmoothCostSet,
-    estimate_constants,
     logistic_cost,
     partition_data,
     quadratic_cost,
@@ -40,16 +39,14 @@ from .prox import (
     CounterexamplePair,
     CounterexampleProx,
     L1Prox,
-    OracleFailure,
     ProxOperator,
     ZeroProx,
-    brute_force_prox,
     build_counterexample,
     prox_counterexample,
     prox_l1,
 )
 from .engine import (
-    AlgorithmSpec,
+    ALGORITHMS,
     BlockIterate,
     DivergenceError,
     RunRecord,
@@ -63,6 +60,7 @@ from .analysis import (
     centralized_reference,
     classify_decay,
     fixed_point_residuals,
+    step_bound,
     theoretical_rate,
 )
 

@@ -8,6 +8,7 @@ import numpy as np
 __all__ = [
     "RateReport",
     "FitVerdict",
+    "step_bound",
     "theoretical_rate",
     "fixed_point_residuals",
     "centralized_reference",
@@ -40,14 +41,24 @@ class FitVerdict:
     truncated: bool = False
 
 
+def step_bound(theorem, sigma_max_C, delta):
+    """The theorem's strict upper bound on the step size: (2 -
+    sigma_max(C))/delta under Theorem 1, 2 (1 - sigma_max(C))/delta under
+    Theorem 4."""
+    if theorem == "Thm1":
+        return (2.0 - sigma_max_C) / delta
+    if theorem == "Thm4":
+        return 2.0 * (1.0 - sigma_max_C) / delta
+    raise ValueError(f"theorem must be 'Thm1' or 'Thm4', got {theorem!r}")
+
+
 def theoretical_rate(theorem, mu, nu, delta, sigma_max_C, sigma_min_Bsq):
     """Contraction factor gamma and step-size bound.
 
     The primary form gives gamma_primal = 1 - mu nu (2 - sigma_max(C) -
-    mu delta) with bound mu < (2 - sigma_max(C))/delta; the non-ATC form
-    gives gamma_primal = 1 - mu nu (2 - mu delta/(1 - sigma_max(C)))
-    with bound mu < 2(1 - sigma_max(C))/delta.  In both cases
-    gamma = max(gamma_primal, 1 - min-nonzero-eig(B^2)).
+    mu delta); the non-ATC form gives gamma_primal = 1 - mu nu (2 - mu
+    delta/(1 - sigma_max(C))).  Each holds below its :func:`step_bound`.
+    In both cases gamma = max(gamma_primal, 1 - min-nonzero-eig(B^2)).
     """
     if not (0 < nu <= delta):
         raise ValueError(f"need 0 < nu <= delta, got nu={nu}, delta={delta}")
@@ -56,18 +67,14 @@ def theoretical_rate(theorem, mu, nu, delta, sigma_max_C, sigma_min_Bsq):
     if not (0 < sigma_min_Bsq <= 1):
         raise ValueError(f"sigma_min_Bsq must be in (0,1], got {sigma_min_Bsq}")
 
+    mu_bound = step_bound(theorem, sigma_max_C, delta)
+    # sigma_max(C) must lie in [0, 2) (Thm1) or [0, 1) (Thm4): a positive bound.
+    if not (sigma_max_C >= 0 and mu_bound > 0):
+        raise ValueError(f"sigma_max_C out of range for {theorem}: {sigma_max_C}")
     if theorem == "Thm1":
-        if not (0 <= sigma_max_C < 2):
-            raise ValueError(f"sigma_max_C must be in [0,2), got {sigma_max_C}")
-        mu_bound = (2.0 - sigma_max_C) / delta
         gamma_primal = 1.0 - mu * nu * (2.0 - sigma_max_C - mu * delta)
-    elif theorem == "Thm4":
-        if not (0 <= sigma_max_C < 1):
-            raise ValueError(f"sigma_max_C must be in [0,1), got {sigma_max_C}")
-        mu_bound = 2.0 * (1.0 - sigma_max_C) / delta
-        gamma_primal = 1.0 - mu * nu * (2.0 - mu * delta / (1.0 - sigma_max_C))
     else:
-        raise ValueError(f"theorem must be 'Thm1' or 'Thm4', got {theorem!r}")
+        gamma_primal = 1.0 - mu * nu * (2.0 - mu * delta / (1.0 - sigma_max_C))
 
     gamma_dual = 1.0 - sigma_min_Bsq
     return RateReport(
@@ -113,8 +120,7 @@ def fixed_point_residuals(state, costs, prox, triple, mu):
     return float(r_primal), float(r_dual), float(r_prox)
 
 
-def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000,
-                          w0=None):
+def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     """Solve min (1/K) sum_k J_k(w) + R(w) by proximal gradient descent.
 
     Runs with step 1/delta until the prox-gradient mapping norm drops
@@ -124,7 +130,7 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000,
     if tol <= 0:
         raise ValueError("tol must be positive")
     mu = 1.0 / costs.delta
-    w = np.zeros(costs.M) if w0 is None else np.array(w0, dtype=float)
+    w = np.zeros(costs.M)
     for _ in range(max_iter):
         g = costs.average_grad(w)
         w_next = (prox_common.apply(w - mu * g, mu)

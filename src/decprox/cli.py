@@ -4,6 +4,11 @@ Commands: ``run`` (full experiment), ``validate`` (spectral/assumption
 report), ``rates`` (theoretical rate reports), ``counterexample`` (the
 two-agent separate-regularizer preset).  Configs are JSON with strict
 key checking; trajectories are written as deterministic CSV.
+
+A config names algorithms of ``engine.ALGORITHMS``; each entry gives the
+row to build and the theorem whose bound sets the ``"auto"`` step (0.9 of
+it).  A and the Laplacian are each decomposed at most once per experiment,
+on first need, for every row on that base.
 """
 
 import argparse
@@ -15,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, costs as costs_mod, engine, netgraph, prox as prox_mod
-from .costs import read_libsvm  # re-exported: part of the CLI surface
 
-__all__ = ["ExperimentConfig", "parse_config", "run_experiment", "read_libsvm", "main"]
+__all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
 
 
 class ConfigError(ValueError):
@@ -25,25 +29,6 @@ class ConfigError(ValueError):
 
 
 PROBLEMS = ("lasso_quadratic", "logistic_l1", "counterexample")
-
-# Algorithms runnable from a config.  Triple-backed names run through the
-# primal-dual engine; PGEXTRA/DLADMM use per-agent regularizers.
-TRIPLE_ALGOS = {
-    "ProxED": "ExactDiffusion",
-    "ProxATC1": "AugDGM",
-    "ProxATC2": "ATCTracking",
-    "ExactDiffusion": "ExactDiffusion",
-    "NIDS": "NIDS",
-    "AugDGM": "AugDGM",
-    "ATCTracking": "ATCTracking",
-    "DIGing": "DIGing",
-    "EXTRA": "EXTRA",
-    "DLM": "DLM",
-}
-SEPARATE_ALGOS = ("PGEXTRA", "DLADMM")
-# Algorithms whose assumption check needs eigenvalues of A in [0,1];
-# their combination matrix is redefined as 0.5(I + A).
-NEEDS_SHIFT = {"ProxATC1", "ProxATC2", "AugDGM", "ATCTracking", "DIGing"}
 
 CSV_HEADER = "iter,comm_rounds,rel_sq_error,r_primal,r_dual,r_prox"
 
@@ -144,7 +129,7 @@ def parse_config(path):
             entry = {"name": entry}
         _reject_unknown(entry, {"name", "mu"}, "algorithm entry")
         name = entry.get("name")
-        if name not in TRIPLE_ALGOS and name not in SEPARATE_ALGOS:
+        if name not in engine.ALGORITHMS:
             raise ConfigError(f"unknown algorithm: {name!r}")
         mu = entry.get("mu", "auto")
         if mu != "auto" and (not isinstance(mu, (int, float)) or mu <= 0):
@@ -184,8 +169,8 @@ def _check_domains(cfg):
         if cfg.M < 2 or cfg.M % 2:
             raise ConfigError(f"M must be even and >= 2, got {cfg.M}")
         if cfg.graph.K != 2:
-            cfg.graph = GraphConfig(kind="complete", K=2, seed=0,
-                                    extra_edge_prob=0.0)
+            raise ConfigError("the counterexample is a two-agent problem: "
+                              f"graph K must be 2, got {cfg.graph.K}")
     if not (0 <= cfg.data.flip_prob <= 1):
         raise ConfigError("data.flip_prob must be in [0,1]")
     if cfg.data.source not in ("synthetic", "libsvm"):
@@ -203,9 +188,18 @@ class Problem:
     common_prox: object
     per_agent_prox: list
     w_star: np.ndarray
-    graph: object
     A: np.ndarray
     laplacian: np.ndarray
+    _eig: dict = field(default_factory=dict, init=False)
+
+    def eigvals(self, row, shifted):
+        """Eigenvalues of the row's base, L, A or 0.5 (I + A), from one
+        decomposition of L or A per problem, made on first need."""
+        base = "L" if row.on_laplacian else "A"
+        if base not in self._eig:
+            X = self.laplacian if row.on_laplacian else self.A
+            self._eig[base] = np.linalg.eigvalsh(X)
+        return 0.5 * (1.0 + self._eig[base]) if shifted else self._eig[base]
 
 
 def build_problem(cfg):
@@ -214,15 +208,15 @@ def build_problem(cfg):
     A = netgraph.metropolis_matrix(g)
     L = netgraph.laplacian_matrix(g)
     K = g.K
+    common = prox_mod.L1Prox(cfg.rho)
+    per_agent = [common] * K
 
     if cfg.problem == "lasso_quadratic":
         M = cfg.data.dim
         rng = np.random.default_rng(cfg.data.seed)
         targets = rng.standard_normal((K, M))
         costs = costs_mod.quadratic_cost(cfg.eta, K, M, targets=targets)
-        common = prox_mod.L1Prox(cfg.rho)
         w_star = prox_mod.prox_l1(targets.mean(axis=0), cfg.rho / cfg.eta)
-        per_agent = [common] * K
 
     elif cfg.problem == "logistic_l1":
         if cfg.data.source == "synthetic":
@@ -230,13 +224,12 @@ def build_problem(cfg):
                 cfg.data.n_samples, cfg.data.dim, seed=cfg.data.seed,
                 flip_prob=cfg.data.flip_prob)
         else:
-            dataset = read_libsvm(cfg.data.path, normalize=cfg.data.normalize,
-                                  label_map=cfg.data.label_map)
+            dataset = costs_mod.read_libsvm(
+                cfg.data.path, normalize=cfg.data.normalize,
+                label_map=cfg.data.label_map)
         shards = costs_mod.partition_data(dataset, K, seed=cfg.partition_seed)
         costs = costs_mod.logistic_cost(shards, cfg.lam)
-        common = prox_mod.L1Prox(cfg.rho)
         w_star = analysis.centralized_reference(costs, common)
-        per_agent = [common] * K
 
     else:  # counterexample
         pair = prox_mod.build_counterexample(cfg.M)
@@ -250,67 +243,64 @@ def build_problem(cfg):
         w_star = analysis.centralized_reference(costs, common)
 
     return Problem(costs=costs, common_prox=common, per_agent_prox=per_agent,
-                   w_star=w_star, graph=g, A=A, laplacian=L)
+                   w_star=w_star, A=A, laplacian=L)
+
+
+@dataclass(frozen=True)
+class Resolved:
+    """One configured algorithm, ready to run (a triple, report and rate
+    only for a Table I row)."""
+
+    algorithm: engine.Algorithm
+    mu: float
+    step: object
+    triple: netgraph.ConsensusTriple = None
+    report: netgraph.SpectralReport = None
+    rate: analysis.RateReport = None
+
+
+def _auto_step(algo, row, problem, c):
+    """0.9 of the step bound of the entry's theorem, with sigma_max(C)
+    from its row (for PGEXTRA and DLADMM, the row each runs when R_k = 0)."""
+    delta = problem.costs.delta
+    eig_C = netgraph.table1_spectrum(row, problem.eigvals(row, algo.shifted),
+                                     c=c, mu=1.0)[2]
+    sigma = float(eig_C.max())
+    if row.on_laplacian:  # C = c mu L: mu = 0.9 step_bound(Thm4, mu sigma, delta)
+        return 1.8 / (delta + 1.8 * sigma)
+    # The bound goes as 1/delta; dividing last rounds as 0.9 (2 - sigma)/delta.
+    return 0.9 * analysis.step_bound(algo.theorem, sigma, 1.0) / delta
 
 
 def resolve_algorithm(acfg, cfg, problem):
-    """Build the engine spec plus the spectral/rate context for one algorithm."""
-    name = acfg.name
-    A = netgraph.shift_positive(problem.A) if name in NEEDS_SHIFT else problem.A
-    nu, delta = problem.costs.nu, problem.costs.delta
-
-    if name in TRIPLE_ALGOS:
-        triple_id = TRIPLE_ALGOS[name]
-        if triple_id == "DLM":
-            mu = acfg.mu
-            if mu == "auto":
-                # sigma_max(C) = c mu sigma_max(L) depends on mu itself;
-                # solving mu = 0.9 (2 - c mu sL)/delta for mu:
-                sL = float(np.linalg.eigvalsh(problem.laplacian)[-1])
-                mu = 2.0 / (delta / 0.9 + cfg.c * sL)
-            triple = netgraph.table1_matrices(
-                "DLM", A, c=cfg.c, mu=mu, L=problem.laplacian)
-            report = netgraph.validate_assumptions(triple)
-        else:
-            triple = netgraph.table1_matrices(triple_id, A, c=cfg.c)
-            report = netgraph.validate_assumptions(triple)
-            mu = acfg.mu
-            if mu == "auto":
-                mu = 0.9 * (2.0 - report.sigma_max_C) / delta
-        spec = engine.AlgorithmSpec(
-            family="PUDA_general", mu=mu, prox=problem.common_prox,
-            triple=triple, label=name,
-            comm_rounds_per_iter=engine.COMM_ROUNDS.get(name, 1))
-        rate = None
-        if report.sigma_min_Bsq > 0:
-            try:
-                if report.assumption2_ok:
-                    rate = analysis.theoretical_rate(
-                        "Thm1", mu, nu, delta,
-                        report.sigma_max_C, report.sigma_min_Bsq)
-                elif report.assumption4_ok:
-                    rate = analysis.theoretical_rate(
-                        "Thm4", mu, nu, delta,
-                        report.sigma_max_C, report.sigma_min_Bsq)
-            except ValueError:
-                rate = None
-        return spec, report, rate
-
-    if name == "PGEXTRA":
-        mu = acfg.mu if acfg.mu != "auto" else 0.9 / delta
-        spec = engine.AlgorithmSpec(
-            family="PGEXTRA", mu=mu, prox=problem.per_agent_prox, A=A,
-            label=name)
-        return spec, None, None
-
-    if name == "DLADMM":
-        mu = acfg.mu if acfg.mu != "auto" else 0.9 / delta
-        spec = engine.AlgorithmSpec(
-            family="DLADMM", mu=mu, prox=problem.per_agent_prox,
-            laplacian=problem.laplacian, c=cfg.c, label=name)
-        return spec, None, None
-
-    raise ConfigError(f"unknown algorithm: {name!r}")
+    """Build one algorithm's step, with the spectral/rate context of its row."""
+    algo = engine.ALGORITHMS[acfg.name]
+    row = netgraph.AlgorithmId(algo.row or algo.reduces_to)
+    A = netgraph.shift_positive(problem.A) if algo.shifted else problem.A
+    mu = acfg.mu
+    if mu == "auto":
+        mu = _auto_step(algo, row, problem, cfg.c)
+    triple = report = rate = None
+    prox = problem.per_agent_prox
+    if algo.row is not None:
+        triple = netgraph.table1_matrices(
+            row, A, c=cfg.c, mu=mu, L=problem.laplacian,
+            eigvals=problem.eigvals(row, algo.shifted))
+        report = netgraph.validate_assumptions(triple)
+        # Theorem 1 rests on Assumption 2, Theorem 4 on Assumption 4.
+        holds = (report.assumption2_ok if algo.theorem == "Thm1"
+                 else report.assumption4_ok)
+        try:
+            if holds and report.sigma_min_Bsq > 0:
+                rate = analysis.theoretical_rate(
+                    algo.theorem, mu, problem.costs.nu, problem.costs.delta,
+                    report.sigma_max_C, report.sigma_min_Bsq)
+        except ValueError:
+            rate = None
+        prox = problem.common_prox
+    step = algo.step(problem.costs, prox, mu, triple=triple, A=A, c=cfg.c,
+                     laplacian=problem.laplacian)
+    return Resolved(algo, mu, step, triple, report, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +347,13 @@ def run_experiment(cfg):
     any_diverged = False
 
     for acfg in cfg.algorithms:
-        spec, report, rate = resolve_algorithm(acfg, cfg, problem)
+        r = resolve_algorithm(acfg, cfg, problem)
         residual_fn = None
-        if spec.family == "PUDA_general":
-            residual_fn = lambda st, s=spec: analysis.fixed_point_residuals(
-                st, problem.costs, s.prox, s.triple, s.mu)
-        record = engine.run(spec, problem.costs, problem.w_star, cfg.iters,
-                            record_every=cfg.record_every,
+        if r.triple is not None:
+            residual_fn = lambda st, r=r: analysis.fixed_point_residuals(
+                st, problem.costs, problem.common_prox, r.triple, r.mu)
+        record = engine.run(r.algorithm, r.step, problem.costs, problem.w_star,
+                            cfg.iters, record_every=cfg.record_every,
                             seed=cfg.init_seed, residual_fn=residual_fn)
         any_diverged |= record.diverged
 
@@ -379,8 +369,8 @@ def run_experiment(cfg):
                 empirical_ratio = _fmt(fv.geometric_ratio_windows[-1])
         summary.append({
             "algorithm": acfg.name,
-            "mu": spec.mu,
-            "theoretical_gamma": rate.gamma if rate else None,
+            "mu": r.mu,
+            "theoretical_gamma": r.rate.gamma if r.rate else None,
             "empirical_ratio": empirical_ratio,
             "final_error": record.errors[-1] if record.errors else None,
             "comm_rounds": record.comm_rounds[-1] if record.comm_rounds else 0,
@@ -422,7 +412,7 @@ def _cmd_validate(args):
     cfg = parse_config(args.config)
     problem = build_problem(cfg)
     for acfg in cfg.algorithms:
-        spec, report, rate = resolve_algorithm(acfg, cfg, problem)
+        report = resolve_algorithm(acfg, cfg, problem).report
         if report is None:
             print(f"{acfg.name:>14s}  (no consensus triple; separate-prox method)")
             continue
@@ -438,7 +428,7 @@ def _cmd_rates(args):
     cfg = parse_config(args.config)
     problem = build_problem(cfg)
     for acfg in cfg.algorithms:
-        spec, report, rate = resolve_algorithm(acfg, cfg, problem)
+        rate = resolve_algorithm(acfg, cfg, problem).rate
         if rate is None:
             print(f"{acfg.name:>14s}  (no applicable rate theorem)")
         else:
@@ -452,15 +442,12 @@ def _cmd_counterexample(args):
     cfg = ExperimentConfig(
         problem="counterexample",
         graph=GraphConfig(kind="complete", K=2, seed=0, extra_edge_prob=0.0),
-        algorithms=[AlgorithmConfig("PGEXTRA", 0.005),
-                    AlgorithmConfig("DLADMM", 0.005),
-                    AlgorithmConfig("ProxED", 0.005)],
+        algorithms=[AlgorithmConfig(name, 0.005)
+                    for name in ("PGEXTRA", "DLADMM", "ProxED")],
         eta=1.0, c=1.0, M=args.M, iters=args.iters,
         output_dir=args.out,
     )
-    if cfg.M < 2 or cfg.M % 2:
-        print(f"M must be even and >= 2, got {cfg.M}", file=sys.stderr)
-        return 2
+    _check_domains(cfg)
     summary, diverged = run_experiment(cfg)
     for row in summary:
         print(f"{row['algorithm']:>14s}  final={_fmt(row['final_error'])}"

@@ -5,7 +5,6 @@ engine's one gradient per iteration is a single vectorised kernel over
 the K x M stack; the per-agent ``grad``/``eval`` stay as the reference.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ __all__ = [
     "quadratic_cost",
     "random_quadratic_cost",
     "logistic_cost",
-    "estimate_constants",
     "partition_data",
     "synthetic_classification",
     "read_libsvm",
@@ -51,12 +49,6 @@ class Dataset:
     def subset(self, idx):
         return Dataset(self.features[idx], self.labels[idx])
 
-    def content_hash(self):
-        h = hashlib.sha256()
-        h.update(self.features.toarray().tobytes())
-        h.update(np.asarray(self.labels, dtype=np.int64).tobytes())
-        return h.hexdigest()
-
 
 class SmoothCostSet:
     """K per-agent differentiable costs with shared curvature constants.
@@ -70,7 +62,7 @@ class SmoothCostSet:
     state.
     """
 
-    def __init__(self, evals, grads, stack_grad, nu, delta, family, M):
+    def __init__(self, evals, grads, stack_grad, nu, delta, M):
         if not (0 < nu <= delta):
             raise ValueError(f"need 0 < nu <= delta, got nu={nu}, delta={delta}")
         self._evals = evals
@@ -78,7 +70,6 @@ class SmoothCostSet:
         self._stack_grad = stack_grad
         self.nu = float(nu)
         self.delta = float(delta)
-        self.family = family
         self.K = len(evals)
         self.M = M
 
@@ -123,7 +114,7 @@ def quadratic_cost(eta, K, M, targets=None):
     return SmoothCostSet(
         [p[0] for p in pairs], [p[1] for p in pairs],
         lambda W: eta * (W - targets),
-        nu=eta, delta=eta, family="quadratic", M=M,
+        nu=eta, delta=eta, M=M,
     )
 
 
@@ -155,7 +146,7 @@ def random_quadratic_cost(K, M, seed=0, nu_min=0.5, delta_max=2.0):
     return SmoothCostSet(
         [p[0] for p in pairs], [p[1] for p in pairs],
         lambda W: np.matmul(H_stack, W[:, :, None])[:, :, 0] + b_stack,
-        nu=nu_min, delta=delta_max, family="random_quadratic", M=M,
+        nu=nu_min, delta=delta_max, M=M,
     )
 
 
@@ -191,7 +182,7 @@ def logistic_cost(shards, lam):
     return SmoothCostSet(
         [p[0] for p in pairs], [p[1] for p in pairs],
         _stacked_logistic_grad(shards, lam),
-        nu=nu, delta=delta, family="logistic", M=M,
+        nu=nu, delta=delta, M=M,
     )
 
 
@@ -232,13 +223,6 @@ def _logistic_constants(shards, lam):
         gram = (X.T @ X).toarray() if sp.issparse(X) else X.T @ X
         worst = max(worst, np.linalg.norm(gram, ord=2) / (4.0 * len(d)))
     return lam, lam + worst
-
-
-def estimate_constants(costs):
-    """Return (nu, delta) for a quadratic or logistic cost family."""
-    if costs.family in ("quadratic", "logistic"):
-        return costs.nu, costs.delta
-    raise ValueError(f"unsupported cost family: {costs.family}")
 
 
 def partition_data(d, K, seed=0):

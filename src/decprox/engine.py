@@ -6,6 +6,16 @@ blockwise to the K x M stack).  The dual variable is carried through the
 surrogate S = B y, so only B^2 is ever needed and no matrix square root
 is computed; with y_{-1} = 0 the surrogate starts at S = 0.
 
+``ALGORITHMS`` is the one table of the algorithms a config may name: an
+entry gives the name's Table I row (none for PGEXTRA and DLADMM, whose
+regularizers differ by agent), whether it runs on 0.5 (I + A), its
+communication rounds per iteration, its rate theorem and its step
+factory.  A step factory does once what is fixed over a run and returns
+the step, state -> next state, which ``run`` iterates.  The Appendix B/C
+forms (per-agent listings, eliminated, two-variable and non-ATC
+recursions) are step factories too, for the tests, but not entries: the
+eliminated forms drop the prox.
+
 The primal-dual step multiplies by the triple's ``A_bar_op``, ``B_sq_op``
 and ``C_op``: a CSR copy of a sparse matrix (a large sparse graph's
 combine costs O(nnz M) instead of O(K^2 M)), the dense matrix itself for
@@ -23,39 +33,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgraph import ConsensusTriple
-
 __all__ = [
+    "ALGORITHMS",
+    "Algorithm",
     "BlockIterate",
-    "AlgorithmSpec",
     "RunRecord",
     "DivergenceError",
     "initial_state",
     "puda_step",
-    "agent_form_step",
-    "eliminated_step",
-    "separate_prox_step",
+    "primal_dual",
+    "pg_extra",
+    "dl_admm",
     "run",
-    "COMM_ROUNDS",
 ]
 
 DIVERGENCE_LIMIT = 1e12
-
-# Rounds of neighbor communication per iteration, by algorithm.
-COMM_ROUNDS = {
-    "ExactDiffusion": 1,
-    "NIDS": 1,
-    "EXTRA": 1,
-    "DLM": 1,
-    "ProxED": 1,
-    "PGEXTRA": 1,
-    "DLADMM": 1,
-    "AugDGM": 2,
-    "ATCTracking": 2,
-    "DIGing": 2,
-    "ProxATC1": 2,
-    "ProxATC2": 2,
-}
 
 
 class DivergenceError(RuntimeError):
@@ -95,32 +87,6 @@ class BlockIterate:
             buf = getattr(self, name)
             if buf is not None and not np.all(np.isfinite(buf)):
                 raise DivergenceError(f"non-finite iterate ({name})", self.iter)
-
-
-@dataclass
-class AlgorithmSpec:
-    """Which recursion to run and with what parameters."""
-
-    family: str
-    mu: float
-    prox: object = None           # ProxOperator, or list for separate terms
-    triple: ConsensusTriple = None
-    A: np.ndarray = None
-    laplacian: np.ndarray = None
-    c: float = None
-    variant: str = None           # eliminated/two-variable sub-form
-    comm_rounds_per_iter: int = None
-    label: str = None
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.label is None:
-            self.label = self.variant or self.family
-        if self.comm_rounds_per_iter is None:
-            key = self.variant or (self.triple.algorithm_id if self.triple else None)
-            self.comm_rounds_per_iter = COMM_ROUNDS.get(
-                key, COMM_ROUNDS.get(self.family, 1))
 
 
 @dataclass
@@ -202,170 +168,216 @@ def puda_step(state, triple, costs, prox, mu):
                     A_bar_Z=A_bar_Z, B_sq_Z=B_sq_Z)
 
 
-def agent_form_step(variant, state, costs, prox, A, mu):
-    """One step of the per-agent listings (Prox-ED, Prox-ATC I/II).
+# ---------------------------------------------------------------------------
+# the entries' step factories; each takes what it needs of the keywords
+# triple, A, c and laplacian, so that all are called alike.
 
-    The combination steps are neighbor-weighted sums, written here as
-    blockwise products with A.  Iteration 0 is bootstrapped from the
-    primal-dual form with zero dual start.
-    """
-    W, W_prev = state.W, state.W_prev
-    G = _grad(state, costs)
-
-    if variant == "ProxED":
-        A_bar = 0.5 * (np.eye(A.shape[0]) + A)
-        psi = W - mu * G
-        Z = psi if state.iter == 0 else state.X + psi - state.Psi_prev
-        X = A_bar @ Z
-        W_new = _apply_prox(prox, X, mu)
-        return _advance(state, G, W_new, costs, Z=Z, X=X, Psi_prev=psi)
-
-    if variant == "ProxATC1":
-        psi = W - mu * G
-        if state.iter == 0:
-            Z = A @ psi
-        else:
-            Z = 2.0 * state.X - A @ (state.X - psi + state.Psi_prev)
-        X = A @ Z
-        W_new = _apply_prox(prox, X, mu)
-        return _advance(state, G, W_new, costs, Z=Z, X=X, Psi_prev=psi)
-
-    if variant == "ProxATC2":
-        if state.iter == 0:
-            Z = A @ W - mu * G
-        else:
-            psi = 2.0 * state.X - mu * (G - _grad_prev(state, costs))
-            Z = psi - A @ (state.X - W + W_prev)
-        X = A @ Z
-        W_new = _apply_prox(prox, X, mu)
-        return _advance(state, G, W_new, costs, Z=Z, X=X)
-
-    raise ValueError(f"unknown agent form: {variant!r}")
+def primal_dual(costs, prox, mu, triple, **_):
+    """The primal-dual recursion (:func:`puda_step`) on a consensus triple."""
+    return lambda state: puda_step(state, triple, costs, prox, mu)
 
 
-def eliminated_step(variant, state, costs, mu, A=None, triple=None):
-    """One step of the dual-free two-step recursions (smooth case, R = 0).
-
-    Iteration 0 is computed from the primal-dual form with zero dual
-    start; afterwards only (W, W_prev) are propagated.  ``AugDGM2var``
-    and ``ATCTracking2var`` run the tracking-variable implementations
-    behind the same interface.
-    """
-    W, W_prev = state.W, state.W_prev
-    G = _grad(state, costs)
-    boot = state.iter == 0
-    I = np.eye(A.shape[0]) if A is not None else None
-
-    if variant in ("ExactDiffusion", "NIDS"):
-        A_bar = 0.5 * (I + A) if variant == "ExactDiffusion" else triple.A_bar
-        if boot:
-            W_new = A_bar @ (W - mu * G)
-        else:
-            dG = G - _grad_prev(state, costs)
-            W_new = A_bar @ (2.0 * W - W_prev - mu * dG)
-
-    elif variant == "AugDGM":
-        if boot:
-            W_new = A @ (A @ (W - mu * G))
-        else:
-            dG = G - _grad_prev(state, costs)
-            W_new = A @ (2.0 * W - A @ W_prev - mu * (A @ dG))
-
-    elif variant == "ATCTracking":
-        if boot:
-            W_new = A @ (A @ W - mu * G)
-        else:
-            dG = G - _grad_prev(state, costs)
-            W_new = A @ (2.0 * W - A @ W_prev - mu * dG)
-
-    elif variant == "NonATC":
-        C, B_sq = triple.C, triple.B_sq
-        if boot:
-            W_new = W - C @ W - mu * G
-        else:
-            dG = G - _grad_prev(state, costs)
-            W_new = (2.0 * W - C @ W - B_sq @ W) - (W_prev - C @ W_prev) - mu * dG
-
-    elif variant == "AugDGM2var":
-        if boot:
-            # Tracking init chosen so that w_0 matches the primal-dual start.
-            X = (W - A @ W) / mu + A @ G
-        else:
-            X = state.X
-        W_new = A @ (W - mu * X)
-        G_new = costs.grad_stack(W_new)
-        X = A @ (X + G_new - G)
-        return _advance(state, G, W_new, costs, G_new=G_new, X=X)
-
-    elif variant == "ATCTracking2var":
-        if boot:
-            X = (W - A @ W) / mu + G
-        else:
-            X = state.X
-        W_new = A @ (W - mu * X)
-        G_new = costs.grad_stack(W_new)
-        X = A @ X + G_new - G
-        return _advance(state, G, W_new, costs, G_new=G_new, X=X)
-
-    else:
-        raise ValueError(f"unknown eliminated variant: {variant!r}")
-
-    return _advance(state, G, W_new, costs)
-
-
-def separate_prox_step(variant, state, costs, prox_list, mu, A=None,
-                       c=None, laplacian=None):
-    """One step of the agent-specific-regularizer algorithms.
-
-    PGEXTRA keeps the running half-iterate in X; DLADMM keeps the scaled
-    dual in S.  ``prox_list`` holds one operator per agent.
-    """
-    W = state.W
-    K = W.shape[0]
+def _per_agent_prox(prox_list, K, mu):
+    """X -> the stack of prox_list[k] applied to row k."""
     if len(prox_list) != K:
         raise ValueError(f"need {K} prox operators, got {len(prox_list)}")
-    G = _grad(state, costs)
+    return lambda X: np.stack([prox_list[k].apply(X[k], mu) for k in range(K)])
 
-    def prox_rows(X):
-        return np.stack([prox_list[k].apply(X[k], mu) for k in range(K)])
 
-    if variant == "PGEXTRA":
-        W_tilde = 0.5 * (np.eye(K) + A)
+def pg_extra(costs, prox, mu, A, **_):
+    """PG-EXTRA, one prox operator per agent in ``prox``: X <- A W + X -
+    W~ W_prev - mu (grad(W) - grad(W_prev)), W <- prox_k(X_k), with W~ =
+    0.5 (I + A).  With every R_k = 0 it is EXTRA."""
+    prox_rows = _per_agent_prox(prox, costs.K, mu)
+    W_tilde = 0.5 * (np.eye(A.shape[0]) + A)
+
+    def step(state):
+        W = state.W
+        G = _grad(state, costs)
         if state.iter == 0:
             X = A @ W - mu * G
         else:
             G_prev = _grad_prev(state, costs)
             X = A @ W + state.X - W_tilde @ state.W_prev - mu * (G - G_prev)
-        W_new = prox_rows(X)
-        return _advance(state, G, W_new, costs, X=X)
+        return _advance(state, G, prox_rows(X), costs, X=X)
 
-    if variant == "DLADMM":
-        if c is None or laplacian is None:
-            raise ValueError("DLADMM requires c and a Laplacian")
-        cL = c * laplacian
-        W_new = prox_rows(W - mu * (G + cL @ W + state.S))
+    return step
+
+
+def dl_admm(costs, prox, mu, c, laplacian, **_):
+    """DLADMM, one prox operator per agent in ``prox``: W <- prox_k((W -
+    mu (grad(W) + c L W + S))_k), S <- S + c L W with S the scaled dual.
+    With every R_k = 0 it is DLM."""
+    if c is None or laplacian is None:
+        raise ValueError("DLADMM requires c and a Laplacian")
+    prox_rows = _per_agent_prox(prox, costs.K, mu)
+    cL = c * laplacian
+
+    def step(state):
+        G = _grad(state, costs)
+        W_new = prox_rows(state.W - mu * (G + cL @ state.W + state.S))
         return _advance(state, G, W_new, costs, S=state.S + cL @ W_new)
 
-    raise ValueError(f"unknown separate-prox variant: {variant!r}")
+    return step
 
 
-def _make_step(spec, costs):
-    fam = spec.family
-    if fam == "PUDA_general":
-        return lambda st: puda_step(st, spec.triple, costs, spec.prox, spec.mu)
-    if fam in ("ProxED", "ProxATC1", "ProxATC2"):
-        return lambda st: agent_form_step(fam, st, costs, spec.prox, spec.A, spec.mu)
-    if fam in ("EliminatedUDA", "NonATC"):
-        variant = spec.variant or ("NonATC" if fam == "NonATC" else None)
-        if variant is None:
-            raise ValueError("EliminatedUDA needs a variant")
-        return lambda st: eliminated_step(variant, st, costs, spec.mu,
-                                          A=spec.A, triple=spec.triple)
-    if fam in ("PGEXTRA", "DLADMM"):
-        return lambda st: separate_prox_step(
-            fam, st, costs, spec.prox, spec.mu,
-            A=spec.A, c=spec.c, laplacian=spec.laplacian)
-    raise ValueError(f"unknown algorithm family: {fam!r}")
+@dataclass(frozen=True)
+class Algorithm:
+    """What the engine, CLI and rate theory need to know of an algorithm."""
+
+    name: str
+    row: str        # its Table I row (an AlgorithmId); None: per-agent prox
+    shifted: bool   # runs on 0.5 (I + A), whose eigenvalues lie in [0, 1]
+    rounds: int     # neighbor communication rounds per iteration
+    theorem: str    # "Thm1" or "Thm4": its rate theorem and step bound
+    step: object    # step factory
+    reduces_to: str = None  # per-agent prox: its Table I row when R_k = 0
+
+
+ALGORITHMS = {a.name: a for a in (
+    #         name              row               shifted rounds theorem
+    Algorithm("ProxED",         "ExactDiffusion", False, 1, "Thm1", primal_dual),
+    Algorithm("ProxATC1",       "AugDGM",         True,  2, "Thm1", primal_dual),
+    Algorithm("ProxATC2",       "ATCTracking",    True,  2, "Thm1", primal_dual),
+    Algorithm("ExactDiffusion", "ExactDiffusion", False, 1, "Thm1", primal_dual),
+    Algorithm("NIDS",           "NIDS",           False, 1, "Thm1", primal_dual),
+    Algorithm("AugDGM",         "AugDGM",         True,  2, "Thm1", primal_dual),
+    Algorithm("ATCTracking",    "ATCTracking",    True,  2, "Thm1", primal_dual),
+    Algorithm("DIGing",         "DIGing",         True,  2, "Thm4", primal_dual),
+    Algorithm("EXTRA",          "EXTRA",          False, 1, "Thm4", primal_dual),
+    Algorithm("DLM",            "DLM",            False, 1, "Thm4", primal_dual),
+    Algorithm("PGEXTRA",        None,             False, 1, "Thm4", pg_extra,
+              reduces_to="EXTRA"),
+    Algorithm("DLADMM",         None,             False, 1, "Thm4", dl_admm,
+              reduces_to="DLM"),
+)}
+
+
+# ---------------------------------------------------------------------------
+# Appendix B/C forms.  Iteration 0 is the primal-dual step from S = 0.
+
+def _adapt_combine(costs, prox, mu, M, first_Z, next_Z):
+    """A listing that adapts psi = W - mu grad(W), corrects it to Z (Z =
+    first_Z(psi), then next_Z(X, psi, psi_prev)) and combines X = M Z."""
+
+    def step(state):
+        G = _grad(state, costs)
+        psi = state.W - mu * G
+        Z = (first_Z(psi) if state.iter == 0
+             else next_Z(state.X, psi, state.Psi_prev))
+        X = M @ Z
+        return _advance(state, G, _apply_prox(prox, X, mu), costs,
+                        Z=Z, X=X, Psi_prev=psi)
+
+    return step
+
+
+def agent_prox_ed(costs, prox, mu, A):
+    """The per-agent Prox-ED listing, combining with 0.5 (I + A)."""
+    return _adapt_combine(costs, prox, mu, 0.5 * (np.eye(A.shape[0]) + A),
+                          lambda psi: psi,
+                          lambda X, psi, psi_prev: X + psi - psi_prev)
+
+
+def agent_prox_atc1(costs, prox, mu, A):
+    """The per-agent Prox-ATC I listing (AugDGM's row)."""
+    return _adapt_combine(
+        costs, prox, mu, A, lambda psi: A @ psi,
+        lambda X, psi, psi_prev: 2.0 * X - A @ (X - psi + psi_prev))
+
+
+def agent_prox_atc2(costs, prox, mu, A):
+    """The per-agent Prox-ATC II listing (ATCTracking's row)."""
+
+    def step(state):
+        W = state.W
+        G = _grad(state, costs)
+        if state.iter == 0:
+            Z = A @ W - mu * G
+        else:
+            psi = 2.0 * state.X - mu * (G - _grad_prev(state, costs))
+            Z = psi - A @ (state.X - W + state.W_prev)
+        X = A @ Z
+        return _advance(state, G, _apply_prox(prox, X, mu), costs, Z=Z, X=X)
+
+    return step
+
+
+def _two_step(costs, first, recursion):
+    """A dual-free two-step recursion (smooth case, R = 0) in (W, W_prev):
+    W_0 = first(W, grad(W)), then recursion(W, W_prev, grad difference)."""
+
+    def step(state):
+        G = _grad(state, costs)
+        if state.iter == 0:
+            W_new = first(state.W, G)
+        else:
+            W_new = recursion(state.W, state.W_prev,
+                              G - _grad_prev(state, costs))
+        return _advance(state, G, W_new, costs)
+
+    return step
+
+
+def eliminated_diffusion(costs, mu, A_bar):
+    """Exact Diffusion (A_bar = 0.5 (I + A)) or NIDS (its row's A_bar)
+    with the dual eliminated."""
+    return _two_step(
+        costs, lambda W, G: A_bar @ (W - mu * G),
+        lambda W, W_prev, dG: A_bar @ (2.0 * W - W_prev - mu * dG))
+
+
+def eliminated_aug_dgm(costs, mu, A):
+    """AugDGM with the dual eliminated."""
+    return _two_step(
+        costs, lambda W, G: A @ (A @ (W - mu * G)),
+        lambda W, W_prev, dG: A @ (2.0 * W - A @ W_prev - mu * (A @ dG)))
+
+
+def eliminated_atc_tracking(costs, mu, A):
+    """ATC tracking with the dual eliminated."""
+    return _two_step(
+        costs, lambda W, G: A @ (A @ W - mu * G),
+        lambda W, W_prev, dG: A @ (2.0 * W - A @ W_prev - mu * dG))
+
+
+def non_atc(costs, mu, triple):
+    """The non-ATC rows (EXTRA, DIGing, DLM) with the dual eliminated."""
+    C, B_sq = triple.C, triple.B_sq
+    return _two_step(
+        costs, lambda W, G: W - C @ W - mu * G,
+        lambda W, W_prev, dG: ((2.0 * W - C @ W - B_sq @ W)
+                               - (W_prev - C @ W_prev) - mu * dG))
+
+
+def _tracking(costs, mu, A, first_X, next_X):
+    """W <- A (W - mu X) with X tracking the gradient: X <- next_X(X,
+    grad(W_new), grad(W)), from X = first_X(W, grad(W))."""
+
+    def step(state):
+        W = state.W
+        G = _grad(state, costs)
+        X = first_X(W, G) if state.iter == 0 else state.X
+        W_new = A @ (W - mu * X)
+        G_new = costs.grad_stack(W_new)
+        return _advance(state, G, W_new, costs, G_new=G_new,
+                        X=next_X(X, G_new, G))
+
+    return step
+
+
+# Each tracking init makes w_0 match the primal-dual start.
+
+def aug_dgm_two_variable(costs, mu, A):
+    """AugDGM as its tracking-variable implementation."""
+    return _tracking(costs, mu, A, lambda W, G: (W - A @ W) / mu + A @ G,
+                     lambda X, G_new, G: A @ (X + G_new - G))
+
+
+def atc_tracking_two_variable(costs, mu, A):
+    """ATC tracking as its tracking-variable implementation."""
+    return _tracking(costs, mu, A, lambda W, G: (W - A @ W) / mu + G,
+                     lambda X, G_new, G: A @ X + G_new - G)
 
 
 def rel_sq_error(W, w_star):
@@ -376,13 +388,17 @@ def rel_sq_error(W, w_star):
     return total / denom if denom > 0 else total
 
 
-def run(spec, costs, w_star, iters, record_every=1, init=None, seed=None,
-        residual_fn=None, target_error=None):
-    """Iterate an algorithm spec and record the error trajectory.
+def run(algorithm, step, costs, w_star, iters, record_every=1, init=None,
+        seed=None, residual_fn=None, target_error=None):
+    """Iterate a step and record the error trajectory.
 
     Parameters
     ----------
-    spec : AlgorithmSpec
+    algorithm : Algorithm
+        The entry the step executes: it names the record and sets the
+        communication rounds per iteration.
+    step : callable
+        state -> next state, from a step factory.
     costs : SmoothCostSet
     w_star : ndarray
         Reference solution for the relative squared error.
@@ -400,10 +416,8 @@ def run(spec, costs, w_star, iters, record_every=1, init=None, seed=None,
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    step = _make_step(spec, costs)
     state = initial_state(costs.K, costs.M, init=init, seed=seed)
-    record = RunRecord(algorithm=spec.label, seed=seed)
-    rounds_per_iter = spec.comm_rounds_per_iter
+    record = RunRecord(algorithm=algorithm.name, seed=seed)
     t0 = time.perf_counter()
 
     for i in range(1, iters + 1):
@@ -421,7 +435,7 @@ def run(spec, costs, w_star, iters, record_every=1, init=None, seed=None,
             break
         if i % record_every == 0 or i == 1 or i == iters:
             record.iterations.append(i)
-            record.comm_rounds.append(i * rounds_per_iter)
+            record.comm_rounds.append(i * algorithm.rounds)
             record.errors.append(err)
             record.residuals.append(residual_fn(state) if residual_fn else None)
         if target_error is not None and err <= target_error:

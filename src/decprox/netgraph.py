@@ -11,8 +11,9 @@ each ``ConsensusTriple`` hands the engine a CSR copy of every matrix whose
 share of nonzeros is below ``CSR_DENSITY`` (``A_bar_op``, ``B_sq_op``,
 ``C_op``).  Every row of the table is a polynomial in one symmetric base
 matrix (A, or the Laplacian for DLM), so ``table1_matrices`` also applies
-the row's formulas to the base's eigenvalues, and ``validate_assumptions``
-reads the triple's joint spectrum from that one eigendecomposition.
+the row's formulas (``table1_spectrum``) to the base's eigenvalues, given
+by the caller or from one eigendecomposition, and ``validate_assumptions``
+reads the triple's joint spectrum from them.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ __all__ = [
     "shift_positive",
     "laplacian_matrix",
     "table1_matrices",
+    "table1_spectrum",
     "validate_assumptions",
     "save_edge_list",
     "load_edge_list",
@@ -60,6 +62,11 @@ class AlgorithmId(str, Enum):
     DIGING = "DIGing"
     EXTRA = "EXTRA"
     DLM = "DLM"
+
+    @property
+    def on_laplacian(self):
+        """Whether the row is built on the Laplacian (DLM: C = c mu L)."""
+        return self is AlgorithmId.DLM
 
 
 @dataclass(frozen=True)
@@ -346,7 +353,14 @@ def _matrix_product(P, Q):
     return _combine_operator(P) @ Q
 
 
-def table1_matrices(algorithm_id, A, c=None, mu=None, L=None):
+def table1_spectrum(algorithm_id, eigvals, c=None, mu=None):
+    """Eigenvalues of a row's (A_bar, B^2, C), paired, from the eigenvalues
+    ``eigvals`` of its base (A, or the Laplacian for DLM)."""
+    return _table1_row(AlgorithmId(algorithm_id), eigvals,
+                       np.ones(len(eigvals)), np.multiply, c, mu)
+
+
+def table1_matrices(algorithm_id, A, c=None, mu=None, L=None, eigvals=None):
     """Consensus triple (A_bar, B^2, C) for a named algorithm.
 
     Parameters
@@ -360,11 +374,13 @@ def table1_matrices(algorithm_id, A, c=None, mu=None, L=None):
         Step-size, required by DLM.
     L : ndarray, optional
         Graph Laplacian, required by DLM.
+    eigvals : ndarray, optional
+        Eigenvalues of the row's base (A, or L for DLM); computed if omitted.
     """
     algorithm_id = AlgorithmId(algorithm_id)
     if algorithm_id in (AlgorithmId.NIDS, AlgorithmId.DLM) and (c is None or c <= 0):
         raise ValueError(f"{algorithm_id.value} requires c > 0")
-    if algorithm_id is AlgorithmId.DLM:
+    if algorithm_id.on_laplacian:
         if mu is None or mu <= 0 or L is None:
             raise ValueError("DLM requires mu > 0 and a Laplacian")
         base = L
@@ -375,8 +391,9 @@ def table1_matrices(algorithm_id, A, c=None, mu=None, L=None):
     matrices = _table1_row(algorithm_id, base, np.eye(K), _matrix_product, c, mu)
     spectrum = None
     if _is_symmetric(base):
-        spectrum = _table1_row(algorithm_id, np.linalg.eigvalsh(base),
-                               np.ones(K), np.multiply, c, mu)
+        if eigvals is None:
+            eigvals = np.linalg.eigvalsh(base)
+        spectrum = table1_spectrum(algorithm_id, eigvals, c, mu)
     return ConsensusTriple(*matrices, algorithm_id=algorithm_id.value,
                            spectrum=spectrum)
 

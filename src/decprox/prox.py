@@ -1,6 +1,6 @@
 """Proximal operators: l1 soft-thresholding, pairwise-difference chain
-regularizers with closed-form proxes, an exact direct prox of their sum,
-and a brute-force oracle."""
+regularizers with closed-form proxes, and an exact direct prox of their
+sum."""
 
 from dataclasses import dataclass, field
 
@@ -18,17 +18,11 @@ __all__ = [
     "build_counterexample",
     "prox_counterexample",
     "prox_anchored_chain",
-    "brute_force_prox",
-    "OracleFailure",
 ]
 
 
 # sqrt(2) |w[0] - _ANCHOR| is the anchor term |sqrt(2) w[0] - 1| of R1.
 _ANCHOR = 1.0 / np.sqrt(2.0)
-
-
-class OracleFailure(RuntimeError):
-    """Raised when the brute-force prox oracle cannot certify its answer."""
 
 
 def prox_l1(x, kappa):
@@ -41,8 +35,6 @@ def prox_l1(x, kappa):
 
 class ProxOperator:
     """Evaluates prox of mu * R at a point; subclasses define apply()."""
-
-    name = "prox"
 
     def apply(self, x, mu):
         raise NotImplementedError
@@ -59,8 +51,6 @@ class ProxOperator:
 
 class ZeroProx(ProxOperator):
     """R = 0; prox is the identity."""
-
-    name = "zero"
 
     def apply(self, x, mu):
         return np.asarray(x, dtype=float).copy()
@@ -79,7 +69,6 @@ class L1Prox(ProxOperator):
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
         self.weight = float(weight)
-        self.name = f"l1(weight={weight:g})"
 
     def apply(self, x, mu):
         return prox_l1(x, mu * self.weight)
@@ -189,7 +178,6 @@ class CounterexampleProx(ProxOperator):
             raise ValueError(f"which must be 'R1' or 'R2', got {which!r}")
         self.which = which
         self.pair = pair
-        self.name = f"counterexample-{which}(M={pair.M})"
 
     def apply(self, x, mu):
         return prox_counterexample(self.which, self.pair, x, mu)
@@ -287,7 +275,6 @@ class ChainSumProx(ProxOperator):
             raise ValueError(f"weight must be positive, got {weight}")
         self.pair = pair
         self.weight = float(weight)
-        self.name = f"chain-sum(M={pair.M}, weight={weight:g})"
 
     def value(self, x):
         return self.weight * (self.pair.R1(x) + self.pair.R2(x))
@@ -300,102 +287,3 @@ class ChainSumProx(ProxOperator):
             raise ValueError(f"expected shape ({self.pair.M},), got {x.shape}")
         t = mu * self.weight
         return prox_anchored_chain(x, t, _ANCHOR, np.sqrt(2.0) * t)
-
-
-class FunctionProx(ProxOperator):
-    """Wrap a plain convex function R; prox evaluated by the brute-force
-    oracle.  Test-only helper for small dimensions."""
-
-    def __init__(self, fn, name="function", iters=4000):
-        self._fn = fn
-        self.name = name
-        self.iters = iters
-
-    def value(self, x):
-        return float(self._fn(np.asarray(x, dtype=float)))
-
-    def apply(self, x, mu):
-        return brute_force_prox(self._fn, x, mu, iters=self.iters)
-
-
-def brute_force_prox(R, x, mu, iters=4000, polish=True):
-    """Minimize R(z) + ||z - x||^2 / (2 mu) without using any closed form.
-
-    Subgradient descent with weighted averaging (numerical subgradients of
-    R via central differences) localizes the minimizer; a derivative-free
-    polish then tightens it.  A coordinate probe certifies near-optimality
-    and raises :class:`OracleFailure` otherwise.  Intended for M <= 8.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size > 8:
-        raise ValueError("brute-force oracle is restricted to M <= 8")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-
-    def h(z):
-        d = z - x
-        return float(R(z)) + 0.5 * float(d @ d) / mu
-
-    def num_subgrad(z, eps=1e-7):
-        g = np.empty_like(z)
-        for j in range(z.size):
-            zp, zm = z.copy(), z.copy()
-            zp[j] += eps
-            zm[j] -= eps
-            g[j] = (R(zp) - R(zm)) / (2.0 * eps)
-        return g + (z - x) / mu
-
-    sigma = 1.0 / mu
-    z = x.copy()
-    zbar = np.zeros_like(z)
-    wsum = 0.0
-    for t in range(1, iters + 1):
-        g = num_subgrad(z)
-        z = z - (2.0 / (sigma * (t + 1))) * g
-        zbar += t * z
-        wsum += t
-    zbar /= wsum
-    best = zbar if h(zbar) <= h(z) else z
-
-    # Direction set for the pattern search: coordinate axes plus every
-    # contiguous-block indicator.  Kink valleys of separable and
-    # chain-difference regularizers are spanned by these directions, where
-    # axis-aligned methods stall.
-    n = best.size
-    directions = [np.zeros(n) for _ in range(n * (n + 1) // 2)]
-    d_idx = 0
-    for i in range(n):
-        for j in range(i, n):
-            directions[d_idx][i : j + 1] = 1.0
-            directions[d_idx] /= np.sqrt(j - i + 1.0)
-            d_idx += 1
-
-    if polish:
-        from scipy.optimize import minimize, minimize_scalar
-
-        res = minimize(h, best, method="Powell",
-                       options={"xtol": 1e-10, "ftol": 1e-14, "maxiter": 20000})
-        if h(res.x) <= h(best):
-            best = np.asarray(res.x, dtype=float)
-        for _ in range(50):
-            improved = False
-            for d in directions:
-                res = minimize_scalar(lambda t: h(best + t * d),
-                                      bracket=(-1e-3, 1e-3),
-                                      options={"xtol": 1e-13})
-                if res.fun < h(best) - 1e-16:
-                    best = best + res.x * d
-                    improved = True
-            if not improved:
-                break
-
-    # Certificate: a small move along any search direction must not
-    # improve the value beyond curvature noise near the optimum.
-    h0 = h(best)
-    step = 1e-5
-    for j, d in enumerate(directions):
-        for s in (step, -step):
-            if h(best + s * d) < h0 - 5e-9 * max(1.0, abs(h0)):
-                raise OracleFailure(
-                    f"prox oracle not converged: direction {j} still descends")
-    return best

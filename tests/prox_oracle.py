@@ -1,0 +1,91 @@
+"""A brute-force prox oracle that the tests compare closed-form proxes
+against: it uses no closed form, only the function's values."""
+
+import numpy as np
+
+
+class OracleFailure(RuntimeError):
+    """Raised when the brute-force prox oracle cannot certify its answer."""
+
+
+def brute_force_prox(R, x, mu, iters=4000, polish=True):
+    """Minimize R(z) + ||z - x||^2 / (2 mu) without using any closed form.
+
+    Subgradient descent with weighted averaging (numerical subgradients of
+    R via central differences) localizes the minimizer; a derivative-free
+    polish then tightens it.  A coordinate probe certifies near-optimality
+    and raises :class:`OracleFailure` otherwise.  Intended for M <= 8.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size > 8:
+        raise ValueError("brute-force oracle is restricted to M <= 8")
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+
+    def h(z):
+        d = z - x
+        return float(R(z)) + 0.5 * float(d @ d) / mu
+
+    def num_subgrad(z, eps=1e-7):
+        g = np.empty_like(z)
+        for j in range(z.size):
+            zp, zm = z.copy(), z.copy()
+            zp[j] += eps
+            zm[j] -= eps
+            g[j] = (R(zp) - R(zm)) / (2.0 * eps)
+        return g + (z - x) / mu
+
+    sigma = 1.0 / mu
+    z = x.copy()
+    zbar = np.zeros_like(z)
+    wsum = 0.0
+    for t in range(1, iters + 1):
+        g = num_subgrad(z)
+        z = z - (2.0 / (sigma * (t + 1))) * g
+        zbar += t * z
+        wsum += t
+    zbar /= wsum
+    best = zbar if h(zbar) <= h(z) else z
+
+    # Direction set for the pattern search: coordinate axes plus every
+    # contiguous-block indicator.  Kink valleys of separable and
+    # chain-difference regularizers are spanned by these directions, where
+    # axis-aligned methods stall.
+    n = best.size
+    directions = [np.zeros(n) for _ in range(n * (n + 1) // 2)]
+    d_idx = 0
+    for i in range(n):
+        for j in range(i, n):
+            directions[d_idx][i : j + 1] = 1.0
+            directions[d_idx] /= np.sqrt(j - i + 1.0)
+            d_idx += 1
+
+    if polish:
+        from scipy.optimize import minimize, minimize_scalar
+
+        res = minimize(h, best, method="Powell",
+                       options={"xtol": 1e-10, "ftol": 1e-14, "maxiter": 20000})
+        if h(res.x) <= h(best):
+            best = np.asarray(res.x, dtype=float)
+        for _ in range(50):
+            improved = False
+            for d in directions:
+                res = minimize_scalar(lambda t: h(best + t * d),
+                                      bracket=(-1e-3, 1e-3),
+                                      options={"xtol": 1e-13})
+                if res.fun < h(best) - 1e-16:
+                    best = best + res.x * d
+                    improved = True
+            if not improved:
+                break
+
+    # Certificate: a small move along any search direction must not
+    # improve the value beyond curvature noise near the optimum.
+    h0 = h(best)
+    step = 1e-5
+    for j, d in enumerate(directions):
+        for s in (step, -step):
+            if h(best + s * d) < h0 - 5e-9 * max(1.0, abs(h0)):
+                raise OracleFailure(
+                    f"prox oracle not converged: direction {j} still descends")
+    return best

@@ -24,7 +24,7 @@ from decprox.costs import (
     random_quadratic_cost,
     synthetic_classification,
 )
-from decprox.engine import AlgorithmSpec, initial_state, run
+from decprox.engine import ALGORITHMS, initial_state, run
 from decprox.netgraph import (
     ConsensusTriple,
     build_graph,
@@ -39,10 +39,10 @@ from decprox.prox import (
     CounterexampleProx,
     L1Prox,
     ZeroProx,
-    brute_force_prox,
     build_counterexample,
     prox_counterexample,
 )
+from prox_oracle import brute_force_prox
 
 
 def window_ratios_after_burn_in(record, burn_in=20, n_windows=5):
@@ -71,8 +71,7 @@ def test_criterion_1_equivalence_web():
     mu = 0.2
     init = np.random.default_rng(5).standard_normal((K, M))
 
-    def traj(spec):
-        step = engine._make_step(spec, costs)
+    def traj(step):
         st = initial_state(K, M, init=init)
         out = []
         for _ in range(iters):
@@ -83,44 +82,39 @@ def test_criterion_1_equivalence_web():
     def forms(name):
         if name == "ExactDiffusion":
             t = table1_matrices(name, A_raw)
-            return t, [AlgorithmSpec(family="ProxED", mu=mu, A=A_raw),
-                       AlgorithmSpec(family="EliminatedUDA", mu=mu, A=A_raw,
-                                     variant="ExactDiffusion")]
+            return t, [engine.agent_prox_ed(costs, None, mu, A_raw),
+                       engine.eliminated_diffusion(costs, mu,
+                                                   shift_positive(A_raw))]
         if name == "NIDS":
             t = table1_matrices(name, A_raw, c=0.3)
-            return t, [AlgorithmSpec(family="EliminatedUDA", mu=mu, A=A_raw,
-                                     triple=t, variant="NIDS")]
+            return t, [engine.eliminated_diffusion(costs, mu, t.A_bar)]
         if name == "AugDGM":
             t = table1_matrices(name, A)
-            return t, [AlgorithmSpec(family="ProxATC1", mu=mu, A=A),
-                       AlgorithmSpec(family="EliminatedUDA", mu=mu, A=A,
-                                     variant="AugDGM"),
-                       AlgorithmSpec(family="EliminatedUDA", mu=mu, A=A,
-                                     variant="AugDGM2var")]
+            return t, [engine.agent_prox_atc1(costs, None, mu, A),
+                       engine.eliminated_aug_dgm(costs, mu, A),
+                       engine.aug_dgm_two_variable(costs, mu, A)]
         if name == "ATCTracking":
             t = table1_matrices(name, A)
-            return t, [AlgorithmSpec(family="ProxATC2", mu=mu, A=A),
-                       AlgorithmSpec(family="EliminatedUDA", mu=mu, A=A,
-                                     variant="ATCTracking"),
-                       AlgorithmSpec(family="EliminatedUDA", mu=mu, A=A,
-                                     variant="ATCTracking2var")]
+            return t, [engine.agent_prox_atc2(costs, None, mu, A),
+                       engine.eliminated_atc_tracking(costs, mu, A),
+                       engine.atc_tracking_two_variable(costs, mu, A)]
         if name in ("DIGing", "EXTRA"):
             t = table1_matrices(name, A)
-            return t, [AlgorithmSpec(family="NonATC", mu=mu, triple=t)]
+            return t, [engine.non_atc(costs, mu, t)]
         t = table1_matrices("DLM", A_raw, c=0.3, mu=mu, L=L)
-        return t, [AlgorithmSpec(family="NonATC", mu=mu, triple=t)]
+        return t, [engine.non_atc(costs, mu, t)]
 
     worst = 0.0
     for name in ("ExactDiffusion", "NIDS", "AugDGM", "ATCTracking",
                  "DIGing", "EXTRA", "DLM"):
         triple, others = forms(name)
-        ref = traj(AlgorithmSpec(family="PUDA_general", mu=mu, triple=triple))
+        ref = traj(engine.primal_dual(costs, None, mu, triple))
         scale = max(max(np.abs(x).max() for x in ref), 1.0)
-        for spec in others:
-            alt = traj(spec)
+        for step in others:
+            alt = traj(step)
             dev = max(np.abs(x - y).max() for x, y in zip(ref, alt)) / scale
             worst = max(worst, dev)
-            assert dev <= 1e-8, (name, spec.label, dev)
+            assert dev <= 1e-8, (name, step.__qualname__, dev)
 
     elapsed = time.time() - t0
     assert elapsed < 5.0
@@ -159,12 +153,10 @@ def criterion2_runs(logistic_instance):
         mu = 0.9 * (2.0 - report.sigma_max_C) / costs.delta
         rate = theoretical_rate("Thm1", mu, costs.nu, costs.delta,
                                 report.sigma_max_C, report.sigma_min_Bsq)
-        spec = AlgorithmSpec(family="PUDA_general", mu=mu, triple=triple,
-                             prox=prox, label=name,
-                             comm_rounds_per_iter=engine.COMM_ROUNDS[name])
-        record = run(spec, costs, inst["w_star"], 8000,
-                     target_error=1e-24)
-        out[name] = {"record": record, "rate": rate, "spec": spec,
+        record = run(ALGORITHMS[name],
+                     engine.primal_dual(costs, prox, mu, triple),
+                     costs, inst["w_star"], 8000, target_error=1e-24)
+        out[name] = {"record": record, "rate": rate, "mu": mu,
                      "triple": triple}
     out["elapsed"] = time.time() - t0
     return out
@@ -192,10 +184,10 @@ def test_criterion_4_lemma1_residuals(criterion2_runs, logistic_instance):
     worst = 0.0
     for name in ("ProxED", "ProxATC1", "ProxATC2"):
         rec = criterion2_runs[name]["record"]
-        spec = criterion2_runs[name]["spec"]
         triple = criterion2_runs[name]["triple"]
         r = fixed_point_residuals(rec.final_state, inst["costs"],
-                                  inst["prox"], triple, spec.mu)
+                                  inst["prox"], triple,
+                                  criterion2_runs[name]["mu"])
         worst = max(worst, max(r))
         assert max(r) <= 1e-9, (name, r)
     print(f"criterion 4: PASS (Lemma 1 residuals, worst {worst:.2e})")
@@ -240,13 +232,11 @@ def test_criterion_5_counterexample():
     w_star_sep = centralized_reference(costs, ChainSumProx(pair, weight=0.5))
 
     verdicts = {}
-    for name, spec in (
-        ("PGEXTRA", AlgorithmSpec(family="PGEXTRA", mu=mu, prox=per_agent,
-                                  A=A)),
-        ("DLADMM", AlgorithmSpec(family="DLADMM", mu=mu, prox=per_agent,
-                                 c=1.0, laplacian=L)),
+    for name, step in (
+        ("PGEXTRA", engine.pg_extra(costs, per_agent, mu, A)),
+        ("DLADMM", engine.dl_admm(costs, per_agent, mu, c=1.0, laplacian=L)),
     ):
-        record = run(spec, costs, w_star_sep, 20000)
+        record = run(ALGORITHMS[name], step, costs, w_star_sep, 20000)
         v = classify_decay(record)
         assert v.classification == "sublinear", (name, v)
         assert v.geometric_ratio_windows[-1] >= 0.999
@@ -256,9 +246,9 @@ def test_criterion_5_counterexample():
     # Same problem with the common regularizer R = R1 + R2: linear.
     w_star_com = centralized_reference(costs, ChainSumProx(pair))
     triple = table1_matrices("ExactDiffusion", A)
-    spec = AlgorithmSpec(family="PUDA_general", mu=mu, triple=triple,
-                         prox=ChainSumProx(pair), label="ProxED")
-    record = run(spec, costs, w_star_com, 2500)
+    record = run(ALGORITHMS["ProxED"],
+                 engine.primal_dual(costs, ChainSumProx(pair), mu, triple),
+                 costs, w_star_com, 2500)
     v = classify_decay(record)
     assert v.classification == "linear", v
     verdicts["ProxED"] = v

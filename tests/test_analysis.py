@@ -17,7 +17,7 @@ from decprox.costs import (
     random_quadratic_cost,
     synthetic_classification,
 )
-from decprox.engine import AlgorithmSpec, BlockIterate, RunRecord, run
+from decprox.engine import ALGORITHMS, BlockIterate, RunRecord, run
 from decprox.netgraph import (
     build_graph,
     metropolis_matrix,
@@ -95,9 +95,9 @@ class TestFixedPointResiduals:
         self.mu = 0.5
 
     def _converged_state(self, iters=4000):
-        spec = AlgorithmSpec(family="PUDA_general", mu=self.mu,
-                             triple=self.triple, prox=self.prox)
-        return run(spec, self.costs, np.zeros(3), iters).final_state
+        step = engine.primal_dual(self.costs, self.prox, self.mu, self.triple)
+        return run(ALGORITHMS["ExactDiffusion"], step, self.costs, np.zeros(3),
+                   iters).final_state
 
     def test_converged_residuals_small(self):
         st = self._converged_state()
@@ -111,9 +111,9 @@ class TestFixedPointResiduals:
         shards = partition_data(synthetic_classification(60, 4, seed=2), 5)
         costs = logistic_cost(shards, 0.01)
         triple = table1_matrices(aid, self.A)
-        spec = AlgorithmSpec(family="PUDA_general", mu=self.mu,
-                             triple=triple, prox=self.prox)
-        st = run(spec, costs, np.zeros(4), 25, seed=3).final_state
+        step = engine.primal_dual(costs, self.prox, self.mu, triple)
+        st = run(ALGORITHMS[aid], step, costs, np.zeros(4), 25,
+                 seed=3).final_state
         bare = dataclasses.replace(st, G=None, A_bar_Z=None, B_sq_Z=None)
         full = fixed_point_residuals(st, costs, self.prox, triple, self.mu)
         assert full == fixed_point_residuals(bare, costs, self.prox, triple,
@@ -245,6 +245,7 @@ class TestClassifyDecay:
             -sum(costs.grad(k, np.zeros(3)) for k in range(5)))
         # Small step so the decay is still in progress across the whole
         # tail window (no machine-precision floor).
-        spec = AlgorithmSpec(family="PUDA_general", mu=0.05, triple=t)
-        record = run(spec, costs, w_star, 300, seed=3)
+        record = run(ALGORITHMS["ExactDiffusion"],
+                     engine.primal_dual(costs, None, 0.05, t), costs, w_star,
+                     300, seed=3)
         assert classify_decay(record).classification == "linear"

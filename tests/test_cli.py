@@ -7,7 +7,9 @@ from decprox import cli
 from decprox.analysis import theoretical_rate
 from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
 from decprox.costs import SmoothCostSet
+from decprox.engine import ALGORITHMS
 from decprox.prox import L1Prox, ProxOperator
+from test_netgraph import assert_reports_agree, reference_report
 
 
 def write_config(tmp_path, overrides=None, **kwargs):
@@ -36,10 +38,10 @@ class TestParseConfig:
         assert cfg.problem == "lasso_quadratic"
         assert cfg.algorithms[0].mu == "auto"
         problem = build_problem(cfg)
-        spec, report, rate = cli.resolve_algorithm(cfg.algorithms[0], cfg, problem)
+        r = cli.resolve_algorithm(cfg.algorithms[0], cfg, problem)
         # auto = 0.9 x Theorem-1 bound; ProxED has C = 0 and delta = eta.
-        assert spec.mu == pytest.approx(0.9 * 2.0 / cfg.eta)
-        assert rate is not None and rate.feasible
+        assert r.mu == pytest.approx(0.9 * 2.0 / cfg.eta)
+        assert r.rate is not None and r.rate.feasible
 
     def test_unknown_top_key_listed(self, tmp_path):
         path = write_config(tmp_path, overrides={"stepsize": 0.1})
@@ -89,14 +91,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(path)
 
-    def test_counterexample_forces_two_agents(self, tmp_path):
+    def test_counterexample_rejects_other_agent_counts(self, tmp_path):
         path = write_config(tmp_path, overrides={"problem": "counterexample",
                                                  "M": 8})
-        cfg = parse_config(path)
-        assert cfg.graph.K == 2 and cfg.graph.kind == "complete"
+        with pytest.raises(ConfigError, match="K must be 2"):
+            parse_config(path)
+        assert cli.main(["run", path]) == 2
+
+    def test_counterexample_runs_on_two_agents(self, tmp_path):
+        path = write_config(tmp_path, overrides={
+            "problem": "counterexample", "M": 8, "iters": 50,
+            "graph": {"kind": "complete", "K": 2}})
         # The two-agent complete-graph combination matrix is all-half.
-        A = build_problem(cfg).A
-        assert np.allclose(A, 0.5)
+        assert np.allclose(build_problem(parse_config(path)).A, 0.5)
+        assert cli.main(["run", path]) == 0
 
 
 class TestRunExperiment:
@@ -119,10 +127,10 @@ class TestRunExperiment:
         assert by_name["ProxED"]["final_error"] < 1e-10
         # Summary gamma equals the analysis-module value for ProxED.
         problem = build_problem(cfg)
-        spec, report, rate = cli.resolve_algorithm(cfg.algorithms[0], cfg, problem)
-        expect = theoretical_rate("Thm1", spec.mu, problem.costs.nu,
-                                  problem.costs.delta, report.sigma_max_C,
-                                  report.sigma_min_Bsq)
+        r = cli.resolve_algorithm(cfg.algorithms[0], cfg, problem)
+        expect = theoretical_rate("Thm1", r.mu, problem.costs.nu,
+                                  problem.costs.delta, r.report.sigma_max_C,
+                                  r.report.sigma_min_Bsq)
         assert by_name["ProxED"]["theoretical_gamma"] == pytest.approx(expect.gamma)
 
     def test_one_gradient_per_iteration(self, tmp_path, monkeypatch):
@@ -238,6 +246,64 @@ class TestRunExperiment:
 
         assert (run_in_order(["ProxED", "ProxATC1"], "a")
                 == run_in_order(["ProxATC1", "ProxED"], "b"))
+
+
+class TestRegistry:
+    def test_config_names_are_the_registry(self, tmp_path):
+        # Every entry runs; its CSV counts the entry's rounds per iteration.
+        names = sorted(ALGORITHMS)
+        assert len(names) == 12
+        summary, diverged = run_experiment(parse_config(write_config(
+            tmp_path, overrides={"algorithms": names, "iters": 20})))
+        assert not diverged and [row["algorithm"] for row in summary] == names
+        for name in names:
+            rows = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
+            assert ([int(row.split(",")[1]) for row in rows[1:]]
+                    == [i * ALGORITHMS[name].rounds for i in range(1, 21)])
+        for form in ("PUDA_general", "NonATC", "AugDGM2var"):
+            with pytest.raises(ConfigError, match=form):
+                parse_config(write_config(tmp_path,
+                                          overrides={"algorithms": [form]}))
+
+    def test_every_name_converges_on_its_auto_step(self, tmp_path, capsys):
+        # Each auto step is 0.9 of its own theorem's bound.  With Theorem 1's
+        # bound for every row, EXTRA, DIGing, DLM and DLADMM diverged here.
+        path = write_config(tmp_path, overrides={
+            "graph": {"kind": "random_connected", "K": 20, "seed": 7,
+                      "extra_edge_prob": 0.2},
+            "algorithms": sorted(ALGORITHMS), "iters": 300})
+        assert cli.main(["run", path]) == 0
+        assert cli.main(["rates", path]) == 0
+        lines = capsys.readouterr().out.splitlines()[-len(ALGORITHMS):]
+        for line in lines:
+            algo = ALGORITHMS[line.split()[0]]
+            if algo.row is not None:
+                assert f"{algo.theorem}  mu=" in line and "feasible=True" in line
+
+    @pytest.mark.parametrize("names, decompositions", [
+        (["ProxED", "ProxATC1", "ProxATC2", "AugDGM", "DIGing"], 1),
+        (["ProxED", "ProxATC1", "ProxATC2", "AugDGM", "DIGing", "DLM"], 2)])
+    def test_one_eigendecomposition_per_base(self, tmp_path, monkeypatch,
+                                             names, decompositions):
+        # Rows on A and on 0.5 (I + A) share one decomposition of A; DLM's
+        # auto step and its triple share one of the Laplacian.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda X: calls.append(1) or eigvalsh(X))
+        run_experiment(parse_config(write_config(
+            tmp_path, overrides={"algorithms": names, "iters": 5})))
+        assert len(calls) == decompositions
+
+    @pytest.mark.parametrize(
+        "name", [n for n, a in ALGORITHMS.items() if a.shifted])
+    def test_shifted_rows_report_matches_reference(self, tmp_path, name):
+        # Eigenvalues (1 + eig(A))/2 stand in for a decomposition of
+        # 0.5 (I + A).
+        cfg = parse_config(write_config(tmp_path,
+                                        overrides={"algorithms": [name]}))
+        r = cli.resolve_algorithm(cfg.algorithms[0], cfg, build_problem(cfg))
+        assert_reports_agree(r.report, reference_report(r.triple))
 
 
 class TestMain:

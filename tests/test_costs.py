@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from decprox.costs import (
     Dataset,
-    estimate_constants,
     logistic_cost,
     partition_data,
     quadratic_cost,
@@ -164,20 +163,6 @@ class TestStackedGradient:
         assert np.abs(G - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
-class TestEstimateConstants:
-    def test_supported_families(self):
-        q = quadratic_cost(1.5, 2, 3)
-        assert estimate_constants(q) == (1.5, 1.5)
-        lg = logistic_cost(partition_data(synthetic_classification(40, 4), 2), 0.1)
-        nu, delta = estimate_constants(lg)
-        assert 0 < nu <= delta
-
-    def test_unsupported_family(self):
-        rq = random_quadratic_cost(2, 3)
-        with pytest.raises(ValueError):
-            estimate_constants(rq)
-
-
 class TestData:
     def test_partition_disjoint_union(self):
         data = synthetic_classification(103, 5, seed=7)
@@ -196,7 +181,8 @@ class TestData:
         a = partition_data(data, 5, seed=3)
         b = partition_data(data, 5, seed=3)
         for s, t in zip(a, b):
-            assert s.content_hash() == t.content_hash()
+            assert np.array_equal(s.features.toarray(), t.features.toarray())
+            assert np.array_equal(s.labels, t.labels)
 
     def test_partition_too_small(self):
         data = synthetic_classification(3, 4)

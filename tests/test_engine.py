@@ -8,7 +8,7 @@ from decprox import engine, netgraph
 from decprox.analysis import fixed_point_residuals
 from decprox.costs import quadratic_cost, random_quadratic_cost
 from decprox.engine import (
-    AlgorithmSpec,
+    ALGORITHMS,
     BlockIterate,
     DivergenceError,
     initial_state,
@@ -32,8 +32,7 @@ def make_network(K=6, seed=3, extra=0.3):
     return metropolis_matrix(g), laplacian_matrix(g)
 
 
-def trajectory(spec, costs, init, iters):
-    step = engine._make_step(spec, costs)
+def trajectory(step, costs, init, iters):
     st = initial_state(costs.K, costs.M, init=init)
     out = []
     for _ in range(iters):
@@ -168,70 +167,64 @@ class TestEquivalenceWeb:
         self.init = np.random.default_rng(10).standard_normal((5, 3))
 
     def _puda(self, triple, iters=200):
-        spec = AlgorithmSpec(family="PUDA_general", mu=self.mu, triple=triple)
-        return trajectory(spec, self.costs, self.init, iters)[0]
+        step = engine.primal_dual(self.costs, None, self.mu, triple)
+        return trajectory(step, self.costs, self.init, iters)[0]
 
     def test_prox_ed_forms(self):
         t = table1_matrices("ExactDiffusion", self.A_raw)
         ref = self._puda(t)
-        agent, _ = trajectory(AlgorithmSpec(family="ProxED", mu=self.mu,
-                                            A=self.A_raw),
-                              self.costs, self.init, 200)
-        elim, _ = trajectory(AlgorithmSpec(family="EliminatedUDA", mu=self.mu,
-                                           A=self.A_raw,
-                                           variant="ExactDiffusion"),
-                             self.costs, self.init, 200)
+        agent, _ = trajectory(
+            engine.agent_prox_ed(self.costs, None, self.mu, self.A_raw),
+            self.costs, self.init, 200)
+        elim, _ = trajectory(
+            engine.eliminated_diffusion(self.costs, self.mu,
+                                        shift_positive(self.A_raw)),
+            self.costs, self.init, 200)
         assert max_dev(ref, agent) <= 1e-10
         assert max_dev(ref, elim) <= 1e-10
 
     def test_prox_ed_with_common_prox(self):
         t = table1_matrices("ExactDiffusion", self.A_raw)
         prox = L1Prox(0.1)
-        a = trajectory(AlgorithmSpec(family="PUDA_general", mu=self.mu,
-                                     triple=t, prox=prox),
+        a = trajectory(engine.primal_dual(self.costs, prox, self.mu, t),
                        self.costs, self.init, 100)[0]
-        b = trajectory(AlgorithmSpec(family="ProxED", mu=self.mu,
-                                     A=self.A_raw, prox=prox),
+        b = trajectory(engine.agent_prox_ed(self.costs, prox, self.mu,
+                                            self.A_raw),
                        self.costs, self.init, 100)[0]
         assert max_dev(a, b) <= 1e-10
 
     def test_nids_eliminated(self):
         t = table1_matrices("NIDS", self.A_raw, c=0.3)
         ref = self._puda(t)
-        elim, _ = trajectory(AlgorithmSpec(family="EliminatedUDA", mu=self.mu,
-                                           A=self.A_raw, triple=t,
-                                           variant="NIDS"),
-                             self.costs, self.init, 200)
+        elim, _ = trajectory(
+            engine.eliminated_diffusion(self.costs, self.mu, t.A_bar),
+            self.costs, self.init, 200)
         assert max_dev(ref, elim) <= 1e-10
 
     def test_aug_dgm_forms(self):
         t = table1_matrices("AugDGM", self.A)
         ref = self._puda(t, 100)
-        for family, variant in (("ProxATC1", None),
-                                ("EliminatedUDA", "AugDGM"),
-                                ("EliminatedUDA", "AugDGM2var")):
-            traj, _ = trajectory(AlgorithmSpec(family=family, mu=self.mu,
-                                               A=self.A, variant=variant),
-                                 self.costs, self.init, 100)
-            assert max_dev(ref, traj) <= 1e-10, (family, variant)
+        for step in (engine.agent_prox_atc1(self.costs, None, self.mu, self.A),
+                     engine.eliminated_aug_dgm(self.costs, self.mu, self.A),
+                     engine.aug_dgm_two_variable(self.costs, self.mu, self.A)):
+            traj, _ = trajectory(step, self.costs, self.init, 100)
+            assert max_dev(ref, traj) <= 1e-10, step.__qualname__
 
     def test_atc_tracking_forms(self):
         t = table1_matrices("ATCTracking", self.A)
         ref = self._puda(t, 100)
-        for family, variant in (("ProxATC2", None),
-                                ("EliminatedUDA", "ATCTracking"),
-                                ("EliminatedUDA", "ATCTracking2var")):
-            traj, _ = trajectory(AlgorithmSpec(family=family, mu=self.mu,
-                                               A=self.A, variant=variant),
-                                 self.costs, self.init, 100)
-            assert max_dev(ref, traj) <= 1e-10, (family, variant)
+        for step in (engine.agent_prox_atc2(self.costs, None, self.mu, self.A),
+                     engine.eliminated_atc_tracking(self.costs, self.mu, self.A),
+                     engine.atc_tracking_two_variable(self.costs, self.mu,
+                                                      self.A)):
+            traj, _ = trajectory(step, self.costs, self.init, 100)
+            assert max_dev(ref, traj) <= 1e-10, step.__qualname__
 
     @pytest.mark.parametrize("aid", ["EXTRA", "DIGing"])
     def test_non_atc_family(self, aid):
         t = table1_matrices(aid, self.A)
         ref = self._puda(t, 100)
-        traj, _ = trajectory(AlgorithmSpec(family="NonATC", mu=self.mu,
-                                           triple=t),
+        traj, _ = trajectory(engine.non_atc(self.costs, self.mu, t),
                              self.costs, self.init, 100)
         assert max_dev(ref, traj) <= 1e-10
 
@@ -240,8 +233,7 @@ class TestEquivalenceWeb:
         t = table1_matrices("DLM", self.A_raw, c=0.5 / (self.mu * sL),
                             mu=self.mu, L=self.L)
         ref = self._puda(t, 100)
-        traj, _ = trajectory(AlgorithmSpec(family="NonATC", mu=self.mu,
-                                           triple=t),
+        traj, _ = trajectory(engine.non_atc(self.costs, self.mu, t),
                              self.costs, self.init, 100)
         assert max_dev(ref, traj) <= 1e-10
 
@@ -257,39 +249,33 @@ class TestSeparateProx:
     def test_pgextra_reduces_to_extra(self):
         # With R_k = 0 the i >= 1 recursions coincide; seed the two-step
         # EXTRA recursion from PG-EXTRA's bootstrap pair (W_0, W_{-1}).
-        spec = AlgorithmSpec(family="PGEXTRA", mu=self.mu, prox=self.zero,
-                             A=self.A)
-        pg, _ = trajectory(spec, self.costs, self.init, 100)
+        step = engine.pg_extra(self.costs, self.zero, self.mu, self.A)
+        pg, _ = trajectory(step, self.costs, self.init, 100)
         t = table1_matrices("EXTRA", self.A)
+        extra = engine.non_atc(self.costs, self.mu, t)
         st = BlockIterate(W=pg[0], W_prev=self.init, iter=1)
         for i in range(1, 100):
-            st = engine.eliminated_step("NonATC", st, self.costs, self.mu,
-                                        triple=t)
+            st = extra(st)
             assert np.abs(st.W - pg[i]).max() <= 1e-10
 
     def test_dladmm_reduces_to_dlm(self):
         c = 0.4
-        spec = AlgorithmSpec(family="DLADMM", mu=self.mu, prox=self.zero,
-                             c=c, laplacian=self.L)
-        dl, _ = trajectory(spec, self.costs, self.init, 100)
+        step = engine.dl_admm(self.costs, self.zero, self.mu, c=c,
+                              laplacian=self.L)
+        dl, _ = trajectory(step, self.costs, self.init, 100)
         t = table1_matrices("DLM", self.A, c=c, mu=self.mu, L=self.L)
-        ref, _ = trajectory(AlgorithmSpec(family="PUDA_general", mu=self.mu,
-                                          triple=t),
+        ref, _ = trajectory(engine.primal_dual(self.costs, None, self.mu, t),
                             self.costs, self.init, 100)
         assert max_dev(ref, dl) <= 1e-10
 
     def test_prox_list_length_checked(self):
-        spec = AlgorithmSpec(family="PGEXTRA", mu=self.mu,
-                             prox=[ZeroProx()] * 3, A=self.A)
-        st = initial_state(4, 3, init=self.init)
         with pytest.raises(ValueError):
-            engine._make_step(spec, self.costs)(st)
+            engine.pg_extra(self.costs, [ZeroProx()] * 3, self.mu, self.A)
 
     def test_dladmm_requires_laplacian(self):
-        spec = AlgorithmSpec(family="DLADMM", mu=self.mu, prox=self.zero)
-        st = initial_state(4, 3, init=self.init)
         with pytest.raises(ValueError):
-            engine._make_step(spec, self.costs)(st)
+            engine.dl_admm(self.costs, self.zero, self.mu, c=None,
+                           laplacian=None)
 
 
 class TestRun:
@@ -301,8 +287,8 @@ class TestRun:
         targets = np.arange(1.0, 6.0).reshape(K, M)
         costs = quadratic_cost(eta, K, M, targets=targets)
         w_star = prox_l1(targets.mean(axis=0), rho / eta)
-        spec = AlgorithmSpec(family="ProxED", mu=0.9, A=A, prox=L1Prox(rho))
-        record = run(spec, costs, w_star, 200)
+        step = engine.agent_prox_ed(costs, L1Prox(rho), 0.9, A)
+        record = run(ALGORITHMS["ProxED"], step, costs, w_star, 200)
         assert record.errors[-1] <= 1e-10
         assert not record.diverged
 
@@ -310,18 +296,19 @@ class TestRun:
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
         w_star = np.zeros(2)
-        one = run(AlgorithmSpec(family="ProxED", mu=0.1, A=A),
-                  costs, w_star, 10)
+        one = run(ALGORITHMS["ProxED"],
+                  engine.agent_prox_ed(costs, None, 0.1, A), costs, w_star, 10)
         assert one.comm_rounds == [i for i in range(1, 11)]
-        two = run(AlgorithmSpec(family="ProxATC1", mu=0.1,
-                                A=shift_positive(A)),
+        two = run(ALGORITHMS["ProxATC1"],
+                  engine.agent_prox_atc1(costs, None, 0.1, shift_positive(A)),
                   costs, w_star, 10)
         assert two.comm_rounds == [2 * i for i in range(1, 11)]
 
     def test_record_every(self):
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
-        record = run(AlgorithmSpec(family="ProxED", mu=0.1, A=A),
+        record = run(ALGORITHMS["ProxED"],
+                     engine.agent_prox_ed(costs, None, 0.1, A),
                      costs, np.zeros(2), 100, record_every=10)
         assert len(record.errors) == 100 // 10 + 1  # iteration 1 + multiples
         assert record.iterations[0] == 1 and record.iterations[-1] == 100
@@ -329,7 +316,8 @@ class TestRun:
     def test_divergence_recorded(self):
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
-        record = run(AlgorithmSpec(family="ProxED", mu=50.0, A=A),
+        record = run(ALGORITHMS["ProxED"],
+                     engine.agent_prox_ed(costs, None, 50.0, A),
                      costs, np.zeros(2), 500)
         assert record.diverged
         assert record.note
@@ -337,9 +325,9 @@ class TestRun:
     def test_seeded_init_deterministic(self):
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
-        a = run(AlgorithmSpec(family="ProxED", mu=0.2, A=A),
+        a = run(ALGORITHMS["ProxED"], engine.agent_prox_ed(costs, None, 0.2, A),
                 costs, np.zeros(2), 20, seed=5)
-        b = run(AlgorithmSpec(family="ProxED", mu=0.2, A=A),
+        b = run(ALGORITHMS["ProxED"], engine.agent_prox_ed(costs, None, 0.2, A),
                 costs, np.zeros(2), 20, seed=5)
         assert a.errors == b.errors
 
@@ -347,8 +335,8 @@ class TestRun:
         A, _ = make_network(K=5, seed=6)
         costs = random_quadratic_cost(5, 3, seed=3)
         t = table1_matrices("ExactDiffusion", A)
-        spec = AlgorithmSpec(family="PUDA_general", mu=0.5, triple=t)
-        record = run(spec, costs, np.zeros(3), 3000)
+        record = run(ALGORITHMS["ProxED"], engine.primal_dual(costs, None, 0.5, t),
+                     costs, np.zeros(3), 3000)
         W = record.final_state.W
         w_bar = W.mean(axis=0)
         assert np.abs(W - w_bar).max() <= 1e-9
@@ -360,40 +348,53 @@ class TestRun:
         # Absolute error when the reference is zero.
         assert rel_sq_error(W, np.zeros(2)) == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("family, variant", [
-        ("PUDA_general", None), ("ProxED", None), ("ProxATC1", None),
-        ("ProxATC2", None), ("EliminatedUDA", "NIDS"),
-        ("EliminatedUDA", "AugDGM2var"), ("EliminatedUDA", "ATCTracking2var"),
-        ("NonATC", None), ("PGEXTRA", None), ("DLADMM", None)])
-    def test_one_gradient_per_iteration(self, family, variant, monkeypatch):
+    @pytest.mark.parametrize("form", [
+        "primal_dual", "agent_prox_ed", "agent_prox_atc1", "agent_prox_atc2",
+        "eliminated_diffusion", "aug_dgm_two_variable",
+        "atc_tracking_two_variable", "non_atc", "pg_extra", "dl_admm"])
+    def test_one_gradient_per_iteration(self, form, monkeypatch):
         A, L = make_network(K=5, seed=2)
         A = shift_positive(A)
         costs = random_quadratic_cost(5, 3, seed=0)
-        triple = table1_matrices("NIDS" if variant else "ATCTracking", A, c=0.5)
-        prox = ([ZeroProx()] * 5 if family in ("PGEXTRA", "DLADMM")
-                else L1Prox(0.05))
-        spec = AlgorithmSpec(family=family, mu=0.2, prox=prox, triple=triple,
-                             A=A, laplacian=L, c=0.5, variant=variant)
+        nids = table1_matrices("NIDS", A, c=0.5)
+        atc = table1_matrices("ATCTracking", A)
+        prox, zero, mu = L1Prox(0.05), [ZeroProx()] * 5, 0.2
+        step = {
+            "primal_dual": lambda: engine.primal_dual(costs, prox, mu, atc),
+            "agent_prox_ed": lambda: engine.agent_prox_ed(costs, prox, mu, A),
+            "agent_prox_atc1": lambda: engine.agent_prox_atc1(costs, prox, mu, A),
+            "agent_prox_atc2": lambda: engine.agent_prox_atc2(costs, prox, mu, A),
+            "eliminated_diffusion":
+                lambda: engine.eliminated_diffusion(costs, mu, nids.A_bar),
+            "aug_dgm_two_variable":
+                lambda: engine.aug_dgm_two_variable(costs, mu, A),
+            "atc_tracking_two_variable":
+                lambda: engine.atc_tracking_two_variable(costs, mu, A),
+            "non_atc": lambda: engine.non_atc(costs, mu, atc),
+            "pg_extra": lambda: engine.pg_extra(costs, zero, mu, A),
+            "dl_admm": lambda: engine.dl_admm(costs, zero, mu, c=0.5,
+                                              laplacian=L),
+        }[form]()
         residual_fn = None
-        if family == "PUDA_general":
+        if form == "primal_dual":
             residual_fn = lambda st: fixed_point_residuals(
-                st, costs, prox, triple, spec.mu)
+                st, costs, prox, atc, mu)
         calls = []
         grad_stack = costs.grad_stack
         monkeypatch.setattr(costs, "grad_stack",
                             lambda W: calls.append(1) or grad_stack(W))
-        run(spec, costs, np.zeros(3), 30, residual_fn=residual_fn)
+        run(ALGORITHMS["ProxATC2"], step, costs, np.zeros(3), 30,
+            residual_fn=residual_fn)
         assert len(calls) == 30 + 1
 
     def test_carried_gradients_match_a_fresh_evaluation(self):
         A, _ = make_network(K=5, seed=2)
         costs = random_quadratic_cost(5, 3, seed=0)
-        spec = AlgorithmSpec(family="ProxATC2", mu=0.2, A=shift_positive(A))
-        st = run(spec, costs, np.zeros(3), 10).final_state
+        step = engine.agent_prox_atc2(costs, None, 0.2, shift_positive(A))
+        st = run(ALGORITHMS["ProxATC2"], step, costs, np.zeros(3), 10).final_state
         assert np.array_equal(st.G, costs.grad_stack(st.W))
         assert np.array_equal(st.G_prev, costs.grad_stack(st.W_prev))
         bare = dataclasses.replace(st, G=None, G_prev=None)
-        step = engine._make_step(spec, costs)
         assert np.array_equal(step(st).W, step(bare).W)
 
     @pytest.mark.parametrize("buffer", ["S", "X"])

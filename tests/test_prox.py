@@ -9,15 +9,14 @@ from decprox.costs import quadratic_cost
 from decprox.prox import (
     ChainSumProx,
     CounterexampleProx,
-    FunctionProx,
     L1Prox,
     ZeroProx,
-    brute_force_prox,
     build_counterexample,
     prox_anchored_chain,
     prox_counterexample,
     prox_l1,
 )
+from prox_oracle import brute_force_prox
 
 
 def chain_certificate(pair, x, z, t, tol=1e-10):
@@ -318,8 +317,3 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_prox(lambda z: 0.0, np.zeros(9), 0.1)
 
-    def test_function_prox_wrapper(self):
-        op = FunctionProx(lambda z: np.abs(z).sum(), name="l1")
-        x = np.array([2.0, -0.05])
-        assert np.abs(op.apply(x, 0.5) - prox_l1(x, 0.5)).max() <= 1e-4
-        assert op.value(x) == pytest.approx(2.05)
