@@ -17,9 +17,7 @@ from .netgraph import (
     SpectralReport,
     build_graph,
     laplacian_matrix,
-    load_edge_list,
     metropolis_matrix,
-    save_edge_list,
     shift_positive,
     table1_matrices,
     validate_assumptions,

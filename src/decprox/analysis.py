@@ -1,6 +1,5 @@
 """Rate theory, fixed-point residuals, reference oracle and decay fitting."""
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,6 +7,7 @@ import numpy as np
 __all__ = [
     "RateReport",
     "FitVerdict",
+    "NotConvergedError",
     "step_bound",
     "theoretical_rate",
     "fixed_point_residuals",
@@ -36,7 +36,6 @@ class FitVerdict:
     classification: str  # linear | sublinear | inconclusive
     geometric_ratio_windows: list
     loglog_slope: float
-    semilog_slope: float
     fit_residuals: dict = field(default_factory=dict)
     truncated: bool = False
 
@@ -99,6 +98,7 @@ def fixed_point_residuals(state, costs, prox, triple, mu):
     state was stepped with; they are recomputed for a state without them.
     A state that carries A_bar Z got W = prox(A_bar Z) from that step, and
     the prox is deterministic, so its r_prox is 0 without a second prox.
+    R = 0 is the identity prox, ``prox.ZeroProx``.
     """
     W, Z, S = state.W, state.Z, state.S
     if Z is None:
@@ -114,41 +114,49 @@ def fixed_point_residuals(state, costs, prox, triple, mu):
     if state.A_bar_Z is not None:
         r_prox = 0.0
     else:
-        A_bar_Z = triple.A_bar @ Z
-        P = prox.apply_stack(A_bar_Z, mu) if prox is not None else A_bar_Z
+        P = prox.apply_stack(triple.A_bar @ Z, mu)
         r_prox = np.linalg.norm(W - P) / scale
     return float(r_primal), float(r_dual), float(r_prox)
+
+
+class NotConvergedError(RuntimeError):
+    """The reference solver reached its iteration cap above its tolerance."""
 
 
 def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     """Solve min (1/K) sum_k J_k(w) + R(w) by proximal gradient descent.
 
     Runs with step 1/delta until the prox-gradient mapping norm drops
-    below ``tol``; warns (and returns the best point) if the iteration
-    cap is reached first.
+    below ``tol``.  Every error of a run is measured against this point,
+    so reaching ``max_iter`` first raises :class:`NotConvergedError`
+    with the mapping norm reached.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     mu = 1.0 / costs.delta
     w = np.zeros(costs.M)
     for _ in range(max_iter):
-        g = costs.average_grad(w)
-        w_next = (prox_common.apply(w - mu * g, mu)
-                  if prox_common is not None else w - mu * g)
+        w_next = prox_common.apply(w - mu * costs.average_grad(w), mu)
         mapping = np.linalg.norm(w - w_next) / mu
         w = w_next
         if mapping <= tol:
             return w
-    warnings.warn(
-        f"reference oracle hit the iteration cap; mapping norm {mapping:.3e}",
-        RuntimeWarning)
-    return w
+    raise NotConvergedError(
+        f"reference solver hit its cap of {max_iter} iterations at mapping "
+        f"norm {mapping:.3e}, above its tolerance {tol:g}")
 
 
-def _window_ratios(iters, log_e, n_windows):
+# classify_decay's tuning: the tail share of rows split into N_WINDOWS
+# windows, the margins for "linear" and "sublinear", and the numerical
+# floor, as a share of the largest error.
+TAIL_FRACTION, N_WINDOWS = 0.5, 5
+LINEAR_MARGIN, SUBLINEAR_RATIO, FLOOR_RATIO = 1e-4, 0.999, 1e-24
+
+
+def _window_ratios(iters, log_e):
     """Per-window geometric decay ratios from mean log-error slopes."""
     n = len(log_e)
-    bounds = np.linspace(0, n - 1, n_windows + 1).astype(int)
+    bounds = np.linspace(0, n - 1, N_WINDOWS + 1).astype(int)
     ratios = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b <= a:
@@ -158,19 +166,17 @@ def _window_ratios(iters, log_e, n_windows):
     return ratios
 
 
-def classify_decay(record, tail_fraction=0.5, n_windows=5,
-                   linear_margin=1e-4, sublinear_ratio=0.999,
-                   floor_ratio=1e-24):
+def classify_decay(record):
     """Classify an error trajectory as linear, sublinear or inconclusive.
 
-    Estimates per-window geometric ratios on the trailing
-    ``tail_fraction`` of the recorded rows, and fits log-error against
-    iteration (geometric model) and against log-iteration (power-law
-    model) on a log-spaced subsample of the full trajectory.  Linear
-    requires every window ratio below 1 - linear_margin with the semilog
-    fit dominating; sublinear requires the final window ratio to drift
-    up to at least ``sublinear_ratio`` with the log-log fit dominating.
-    Rescaling all errors leaves the verdict unchanged.
+    Estimates per-window geometric ratios on the trailing TAIL_FRACTION
+    of the recorded rows, and fits log-error against iteration (geometric
+    model) and against log-iteration (power-law model) on a log-spaced
+    subsample of the full trajectory.  Linear requires every window ratio
+    below 1 - LINEAR_MARGIN with the semilog fit dominating; sublinear
+    requires the final window ratio to drift up to at least
+    SUBLINEAR_RATIO with the log-log fit dominating.  Rescaling all
+    errors leaves the verdict unchanged.
     """
     iters = np.asarray(record.iterations, dtype=float)
     errors = np.asarray(record.errors, dtype=float)
@@ -184,17 +190,16 @@ def classify_decay(record, tail_fraction=0.5, n_windows=5,
         iters, errors = iters[:cut], errors[:cut]
         truncated = True
     # Drop the stretch sitting on the numerical floor, where decay stalls.
-    if len(errors) and errors.min() <= errors.max() * floor_ratio:
-        cut = int(np.argmax(errors <= errors.max() * floor_ratio))
+    if len(errors) and errors.min() <= errors.max() * FLOOR_RATIO:
+        cut = int(np.argmax(errors <= errors.max() * FLOOR_RATIO))
         iters, errors = iters[:cut], errors[:cut]
         truncated = True
     if len(iters) < 10:
-        return FitVerdict("inconclusive", [], float("nan"), float("nan"),
-                          truncated=truncated)
+        return FitVerdict("inconclusive", [], float("nan"), truncated=truncated)
 
-    start = int(len(iters) * (1.0 - tail_fraction))
+    start = int(len(iters) * (1.0 - TAIL_FRACTION))
     it, e = iters[start:], errors[start:]
-    ratios = _window_ratios(it, np.log(e), n_windows)
+    ratios = _window_ratios(it, np.log(e))
 
     # Fit the two decay models on geometrically subsampled points spanning
     # the whole post-burn-in trajectory: over a wide iteration range a
@@ -211,8 +216,8 @@ def classify_decay(record, tail_fraction=0.5, n_windows=5,
     loglog_fit = np.polyfit(log_it, fe, 1)
     loglog_res = float(np.sqrt(np.mean((np.polyval(loglog_fit, log_it) - fe) ** 2)))
 
-    all_below = all(r < 1.0 - linear_margin for r in ratios)
-    drifted = ratios and ratios[-1] >= sublinear_ratio
+    all_below = all(r < 1.0 - LINEAR_MARGIN for r in ratios)
+    drifted = ratios and ratios[-1] >= SUBLINEAR_RATIO
     decaying = loglog_fit[0] <= -0.05  # power law must actually decay
 
     if all_below and semi_res <= loglog_res:
@@ -226,7 +231,6 @@ def classify_decay(record, tail_fraction=0.5, n_windows=5,
         classification=classification,
         geometric_ratio_windows=ratios,
         loglog_slope=float(loglog_fit[0]),
-        semilog_slope=float(semi_fit[0]),
         fit_residuals={"semilog": semi_res, "loglog": loglog_res},
         truncated=truncated,
     )

@@ -2,8 +2,13 @@
 
 Commands: ``run`` (full experiment), ``validate`` (spectral/assumption
 report), ``rates`` (theoretical rate reports), ``counterexample`` (the
-two-agent separate-regularizer preset).  Configs are JSON with strict
-key checking; trajectories are written as deterministic CSV.
+two-agent separate-regularizer preset).  Trajectories are written as
+deterministic CSV.
+
+A config is JSON.  Each field of the config dataclasses below is one key,
+with its default and its allowed values; one loader checks every key's
+name, type and range against them, and any config it cannot honour, or a
+reference solution it cannot reach, exits with code 2.
 
 A config names algorithms of ``engine.ALGORITHMS``; each entry gives the
 row to build and the theorem whose bound sets the ``"auto"`` step (0.9 of
@@ -13,9 +18,10 @@ on first need, for every row on that base.
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -28,155 +34,184 @@ class ConfigError(ValueError):
     pass
 
 
-PROBLEMS = ("lasso_quadratic", "logistic_l1", "counterexample")
+# Per problem: the algorithms and the iteration budget of a config that
+# names none (``algorithms`` and ``iters`` left null).
+PROBLEMS = {
+    "lasso_quadratic": (("ProxED", "ProxATC1", "ProxATC2"), 5000),
+    "logistic_l1": (("ProxED", "ProxATC1", "ProxATC2"), 5000),
+    "counterexample": (("PGEXTRA", "DLADMM", "ProxED"), 20000),
+}
+
+# The `counterexample` command's config where it differs from the
+# defaults; --M, --iters and --out override M, iters and output_dir.
+COUNTEREXAMPLE_PRESET = {
+    "problem": "counterexample",
+    "graph": {"kind": "complete", "K": 2, "seed": 0, "extra_edge_prob": 0.0},
+    "algorithms": [{"name": name, "mu": 0.005}
+                   for name in ("PGEXTRA", "DLADMM", "ProxED")],
+    "c": 1.0,
+    "output_dir": "decprox_counterexample",
+}
 
 CSV_HEADER = "iter,comm_rounds,rel_sq_error,r_primal,r_dual,r_prox"
+
+# ---------------------------------------------------------------------------
+# config: each dataclass field is one JSON key, with its default and its
+# allowed values; the loader and the metadata sidecar both read the fields.
+
+def _key(default, allowed=(None, ""), key=None, item=None):
+    """A config key: its default (a dataclass for a section), its allowed
+    values as (test, wording), its JSON name where that differs from the
+    field's, and for a list the dataclass of its entries."""
+    if isinstance(default, type):
+        return field(default_factory=default)
+    return field(default=default,
+                 metadata={"allowed": allowed, "key": key, "item": item})
+
+
+def _at_least(n):
+    return lambda v: v >= n, f">= {n}"
+
+
+def _one_of(*choices):
+    return lambda v: v in choices, "one of " + ", ".join(choices)
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+
+
+def _is(v, t):
+    """Whether the JSON value v has type t; a number is finite and no
+    boolean, an integer also no float."""
+    if t in (int, float):
+        return (isinstance(v, (int, float) if t is float else int)
+                and not isinstance(v, bool) and math.isfinite(v))
+    return isinstance(v, t)
 
 
 @dataclass
 class AlgorithmConfig:
-    name: str
-    mu: object = "auto"  # float or the string "auto"
+    name: str = _key(MISSING, _one_of(*engine.ALGORITHMS))
+    mu: float = _key("auto", (lambda v: v > 0, '> 0, or "auto"'))
 
 
 @dataclass
 class GraphConfig:
-    kind: str = "random_connected"
-    K: int = 20
-    seed: int = 7
-    extra_edge_prob: float = 0.2
+    kind: str = _key("random_connected",
+                     _one_of("ring", "grid", "complete", "random_connected"))
+    K: int = _key(20, _at_least(2))
+    seed: int = _key(7, _at_least(0))
+    extra_edge_prob: float = _key(0.2, _UNIT)
 
 
 @dataclass
 class DataConfig:
-    source: str = "synthetic"  # synthetic | libsvm
-    n_samples: int = 500
-    dim: int = 30
-    seed: int = 3
-    flip_prob: float = 0.1
-    path: str = None
-    normalize: bool = True
-    label_map: tuple = None
+    source: str = _key("synthetic", _one_of("synthetic", "libsvm"))
+    n_samples: int = _key(500, _at_least(1))
+    dim: int = _key(30, _at_least(1))
+    seed: int = _key(3, _at_least(0))
+    flip_prob: float = _key(0.1, _UNIT)
+    path: str = _key(None)
+    normalize: bool = _key(True)
+    label_map: list = _key(None, (lambda v: len(v) == 2 and all(
+        _is(x, float) for x in v), "[positive label, negative label]"))
+
+
+@dataclass
+class SeedsConfig:
+    init: int = _key(None, _at_least(0))
+    partition: int = _key(0, _at_least(0))
 
 
 @dataclass
 class ExperimentConfig:
-    problem: str
-    graph: GraphConfig = field(default_factory=GraphConfig)
-    algorithms: list = field(default_factory=list)
-    lam: float = 1e-4
-    rho: float = 2e-3
-    eta: float = 1.0
-    c: float = 0.5
-    M: int = 2000  # counterexample dimension
-    iters: int = None
-    record_every: int = 1
-    output_dir: str = "decprox_out"
-    data: DataConfig = field(default_factory=DataConfig)
-    init_seed: int = None
-    partition_seed: int = 0
+    problem: str = _key(MISSING, _one_of(*PROBLEMS))
+    graph: GraphConfig = _key(GraphConfig)
+    algorithms: list = _key(None, (None, "of names or {name, mu} objects"),
+                            item=AlgorithmConfig)
+    lam: float = _key(1e-4, _POSITIVE, key="lambda")
+    rho: float = _key(2e-3, _POSITIVE)
+    eta: float = _key(1.0, _POSITIVE)
+    c: float = _key(0.5, _POSITIVE)
+    M: int = _key(2000, (lambda v: v >= 2 and v % 2 == 0, "even, >= 2"))
+    iters: int = _key(None, _at_least(1))
+    record_every: int = _key(1, _at_least(1))
+    output_dir: str = _key("decprox_out")
+    data: DataConfig = _key(DataConfig)
+    seeds: SeedsConfig = _key(SeedsConfig)
 
 
-_TOP_KEYS = {
-    "problem", "graph", "algorithms", "lambda", "rho", "eta", "c", "M",
-    "iters", "record_every", "output_dir", "data", "seeds",
-}
-_GRAPH_KEYS = {"kind", "K", "seed", "extra_edge_prob"}
-_DATA_KEYS = {"source", "n_samples", "dim", "seed", "flip_prob",
-              "path", "normalize", "label_map"}
-_SEED_KEYS = {"init", "partition"}
-
-
-def _reject_unknown(d, allowed, where):
-    unknown = sorted(set(d) - allowed)
+def _load(cls, raw, where):
+    """The config dataclass cls from the JSON object raw, every key checked."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    fields_ = {f.metadata.get("key") or f.name: f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(fields_))
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown keys in {where or 'config'}: "
+                          f"{', '.join(unknown)}")
+    values = {}
+    for key, f in fields_.items():
+        name = f"{where}.{key}" if where else key
+        if key in raw:
+            values[f.name] = _value(f, raw[key], name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key: {name}")
+    return cls(**values)
+
+
+def _value(f, v, name):
+    if is_dataclass(f.type):
+        return _load(f.type, v, name)
+    if type(v) is type(f.default) and v == f.default:
+        return v  # a key may always be set to its default
+    test, wording = f.metadata["allowed"]
+    if not _is(v, f.type) or (test and not test(v)):
+        expected = f"{f.type.__name__} {wording}".rstrip()
+        raise ConfigError(f"{name}: expected {expected}, got {v!r}")
+    if f.metadata["item"]:
+        v = [_load(f.metadata["item"], {"name": e} if isinstance(e, str) else e,
+                   f"{name}[{i}]") for i, e in enumerate(v)]
+    return v
+
+
+def config_from_dict(raw):
+    """Check a JSON config's keys, types and ranges, and fill in the
+    problem's defaults."""
+    cfg = _load(ExperimentConfig, raw, "")
+    algorithms, iters = PROBLEMS[cfg.problem]
+    if cfg.algorithms is None:
+        cfg.algorithms = [AlgorithmConfig(name) for name in algorithms]
+    cfg.iters = cfg.iters or iters
+    if cfg.problem == "counterexample" and cfg.graph.K != 2:
+        raise ConfigError("the counterexample is a two-agent problem: "
+                          f"graph.K must be 2, got {cfg.graph.K}")
+    if cfg.data.source == "libsvm" and cfg.data.path is None:
+        raise ConfigError("data.source 'libsvm' requires data.path")
+    if (cfg.problem == "logistic_l1" and cfg.data.source == "synthetic"
+            and cfg.data.n_samples < cfg.graph.K):
+        raise ConfigError(f"data.n_samples must be >= graph.K = "
+                          f"{cfg.graph.K}, got {cfg.data.n_samples}")
+    return cfg
 
 
 def parse_config(path):
-    """Load and resolve a JSON experiment config with strict key checks."""
+    """Load and check a JSON experiment config (:func:`config_from_dict`)."""
     try:
         with open(path) as f:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    if "problem" not in raw:
-        raise ConfigError("missing required key: problem")
-    problem = raw["problem"]
-    if problem not in PROBLEMS:
-        raise ConfigError(f"problem must be one of {PROBLEMS}, got {problem!r}")
-
-    graph_raw = raw.get("graph", {})
-    _reject_unknown(graph_raw, _GRAPH_KEYS, "graph")
-    graph = GraphConfig(**graph_raw)
-
-    data_raw = raw.get("data", {})
-    _reject_unknown(data_raw, _DATA_KEYS, "data")
-    if "label_map" in data_raw and data_raw["label_map"] is not None:
-        data_raw["label_map"] = tuple(data_raw["label_map"])
-    data = DataConfig(**data_raw)
-
-    seeds = raw.get("seeds", {})
-    _reject_unknown(seeds, _SEED_KEYS, "seeds")
-
-    algos = []
-    default_algos = (["PGEXTRA", "DLADMM", "ProxED"] if problem == "counterexample"
-                     else ["ProxED", "ProxATC1", "ProxATC2"])
-    for entry in raw.get("algorithms", default_algos):
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        _reject_unknown(entry, {"name", "mu"}, "algorithm entry")
-        name = entry.get("name")
-        if name not in engine.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm: {name!r}")
-        mu = entry.get("mu", "auto")
-        if mu != "auto" and (not isinstance(mu, (int, float)) or mu <= 0):
-            raise ConfigError(f"mu must be positive or 'auto', got {mu!r}")
-        algos.append(AlgorithmConfig(name=name, mu=mu))
-
-    cfg = ExperimentConfig(
-        problem=problem,
-        graph=graph,
-        algorithms=algos,
-        lam=raw.get("lambda", 1e-4),
-        rho=raw.get("rho", 2e-3),
-        eta=raw.get("eta", 1.0),
-        c=raw.get("c", 0.5),
-        M=raw.get("M", 2000),
-        iters=raw.get("iters", 20000 if problem == "counterexample" else 5000),
-        record_every=raw.get("record_every", 1),
-        output_dir=raw.get("output_dir", "decprox_out"),
-        data=data,
-        init_seed=seeds.get("init"),
-        partition_seed=seeds.get("partition", 0),
-    )
-    _check_domains(cfg)
-    return cfg
+    return config_from_dict(raw)
 
 
-def _check_domains(cfg):
-    for name, val in (("lambda", cfg.lam), ("rho", cfg.rho), ("eta", cfg.eta),
-                      ("c", cfg.c)):
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise ConfigError(f"{name} must be a positive number, got {val!r}")
-    if cfg.iters < 1:
-        raise ConfigError("iters must be >= 1")
-    if cfg.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
-    if cfg.problem == "counterexample":
-        if cfg.M < 2 or cfg.M % 2:
-            raise ConfigError(f"M must be even and >= 2, got {cfg.M}")
-        if cfg.graph.K != 2:
-            raise ConfigError("the counterexample is a two-agent problem: "
-                              f"graph K must be 2, got {cfg.graph.K}")
-    if not (0 <= cfg.data.flip_prob <= 1):
-        raise ConfigError("data.flip_prob must be in [0,1]")
-    if cfg.data.source not in ("synthetic", "libsvm"):
-        raise ConfigError("data.source must be 'synthetic' or 'libsvm'")
-    if cfg.data.source == "libsvm" and not cfg.data.path:
-        raise ConfigError("data.source 'libsvm' requires data.path")
+def _config_dict(v):
+    """A config (value) as JSON, under the names a config file gives keys."""
+    if is_dataclass(v):
+        return {f.metadata.get("key") or f.name: _config_dict(getattr(v, f.name))
+                for f in fields(v)}
+    return [_config_dict(x) for x in v] if isinstance(v, list) else v
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +254,19 @@ def build_problem(cfg):
         w_star = prox_mod.prox_l1(targets.mean(axis=0), cfg.rho / cfg.eta)
 
     elif cfg.problem == "logistic_l1":
-        if cfg.data.source == "synthetic":
-            dataset = costs_mod.synthetic_classification(
-                cfg.data.n_samples, cfg.data.dim, seed=cfg.data.seed,
-                flip_prob=cfg.data.flip_prob)
-        else:
-            dataset = costs_mod.read_libsvm(
-                cfg.data.path, normalize=cfg.data.normalize,
-                label_map=cfg.data.label_map)
-        shards = costs_mod.partition_data(dataset, K, seed=cfg.partition_seed)
+        try:  # the config is checked: only a data.path file can fail here
+            if cfg.data.source == "synthetic":
+                dataset = costs_mod.synthetic_classification(
+                    cfg.data.n_samples, cfg.data.dim, seed=cfg.data.seed,
+                    flip_prob=cfg.data.flip_prob)
+            else:
+                dataset = costs_mod.read_libsvm(
+                    cfg.data.path, normalize=cfg.data.normalize,
+                    label_map=cfg.data.label_map)
+            shards = costs_mod.partition_data(dataset, K,
+                                              seed=cfg.seeds.partition)
+        except (OSError, ValueError) as e:  # unreadable, or too few samples
+            raise ConfigError(f"data.path: {e}") from e
         costs = costs_mod.logistic_cost(shards, cfg.lam)
         w_star = analysis.centralized_reference(costs, common)
 
@@ -314,28 +353,12 @@ def _fmt(x):
 
 def write_trajectory_csv(path, record):
     lines = [CSV_HEADER]
-    for i, (it, cr, err) in enumerate(zip(record.iterations,
-                                          record.comm_rounds, record.errors)):
-        res = record.residuals[i] if i < len(record.residuals) else None
-        r1, r2, r3 = res if res is not None else (None, None, None)
+    for it, cr, err, res in zip(record.iterations, record.comm_rounds,
+                                record.errors, record.residuals):
         lines.append(",".join([str(it), str(cr), _fmt(err),
-                               _fmt(r1), _fmt(r2), _fmt(r3)]))
+                               *map(_fmt, res or (None,) * 3)]))
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _config_dict(cfg):
-    return {
-        "problem": cfg.problem,
-        "graph": vars(cfg.graph),
-        "algorithms": [{"name": a.name, "mu": a.mu} for a in cfg.algorithms],
-        "lambda": cfg.lam, "rho": cfg.rho, "eta": cfg.eta, "c": cfg.c,
-        "M": cfg.M, "iters": cfg.iters, "record_every": cfg.record_every,
-        "output_dir": cfg.output_dir,
-        "data": {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in vars(cfg.data).items()},
-        "seeds": {"init": cfg.init_seed, "partition": cfg.partition_seed},
-    }
 
 
 def run_experiment(cfg):
@@ -354,7 +377,7 @@ def run_experiment(cfg):
                 st, problem.costs, problem.common_prox, r.triple, r.mu)
         record = engine.run(r.algorithm, r.step, problem.costs, problem.w_star,
                             cfg.iters, record_every=cfg.record_every,
-                            seed=cfg.init_seed, residual_fn=residual_fn)
+                            seed=cfg.seeds.init, residual_fn=residual_fn)
         any_diverged |= record.diverged
 
         csv_path = os.path.join(cfg.output_dir, f"{acfg.name}.csv")
@@ -376,7 +399,6 @@ def run_experiment(cfg):
             "comm_rounds": record.comm_rounds[-1] if record.comm_rounds else 0,
             "verdict": verdict,
             "diverged": record.diverged,
-            "note": record.note,
         })
 
     with open(os.path.join(cfg.output_dir, "summary.csv"), "w", newline="") as f:
@@ -439,15 +461,9 @@ def _cmd_rates(args):
 
 
 def _cmd_counterexample(args):
-    cfg = ExperimentConfig(
-        problem="counterexample",
-        graph=GraphConfig(kind="complete", K=2, seed=0, extra_edge_prob=0.0),
-        algorithms=[AlgorithmConfig(name, 0.005)
-                    for name in ("PGEXTRA", "DLADMM", "ProxED")],
-        eta=1.0, c=1.0, M=args.M, iters=args.iters,
-        output_dir=args.out,
-    )
-    _check_domains(cfg)
+    given = {"M": args.M, "iters": args.iters, "output_dir": args.out}
+    cfg = config_from_dict({**COUNTEREXAMPLE_PRESET,
+                            **{k: v for k, v in given.items() if v is not None}})
     summary, diverged = run_experiment(cfg)
     for row in summary:
         print(f"{row['algorithm']:>14s}  final={_fmt(row['final_error'])}"
@@ -475,9 +491,11 @@ def main(argv=None):
 
     p = sub.add_parser("counterexample",
                        help="two-agent separate-regularizer preset")
-    p.add_argument("--M", type=int, default=2000)
-    p.add_argument("--iters", type=int, default=20000)
-    p.add_argument("--out", default="decprox_counterexample")
+    p.add_argument("--M", type=int, help=f"default {ExperimentConfig.M}")
+    p.add_argument("--iters", type=int,
+                   help=f"default {PROBLEMS['counterexample'][1]}")
+    p.add_argument("--out",
+                   help=f"default {COUNTEREXAMPLE_PRESET['output_dir']}")
     p.set_defaults(fn=_cmd_counterexample)
 
     args = parser.parse_args(argv)
@@ -485,6 +503,9 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except analysis.NotConvergedError as e:
+        print(f"no reference solution: {e}", file=sys.stderr)
         return 2
     except engine.DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)

@@ -93,8 +93,6 @@ class BlockIterate:
 class RunRecord:
     """Per-iteration error trajectory with communication accounting."""
 
-    algorithm: str
-    seed: int = None
     iterations: list = field(default_factory=list)
     comm_rounds: list = field(default_factory=list)
     errors: list = field(default_factory=list)
@@ -118,12 +116,6 @@ def initial_state(K, M, init=None, seed=None):
     else:
         W = np.zeros((K, M))
     return BlockIterate(W=W, W_prev=W.copy(), S=np.zeros((K, M)), iter=0)
-
-
-def _apply_prox(prox, X, mu):
-    if prox is None:
-        return X.copy()
-    return prox.apply_stack(X, mu)
 
 
 def _grad(state, costs):
@@ -163,7 +155,7 @@ def puda_step(state, triple, costs, prox, mu):
         Z = W - triple.C_op @ W - mu * G - state.S
     B_sq_Z = triple.B_sq_op @ Z
     A_bar_Z = triple.A_bar_op @ Z
-    W_new = _apply_prox(prox, A_bar_Z, mu)
+    W_new = prox.apply_stack(A_bar_Z, mu)
     return _advance(state, G, W_new, costs, S=state.S + B_sq_Z, Z=Z,
                     A_bar_Z=A_bar_Z, B_sq_Z=B_sq_Z)
 
@@ -266,7 +258,7 @@ def _adapt_combine(costs, prox, mu, M, first_Z, next_Z):
         Z = (first_Z(psi) if state.iter == 0
              else next_Z(state.X, psi, state.Psi_prev))
         X = M @ Z
-        return _advance(state, G, _apply_prox(prox, X, mu), costs,
+        return _advance(state, G, prox.apply_stack(X, mu), costs,
                         Z=Z, X=X, Psi_prev=psi)
 
     return step
@@ -298,7 +290,7 @@ def agent_prox_atc2(costs, prox, mu, A):
             psi = 2.0 * state.X - mu * (G - _grad_prev(state, costs))
             Z = psi - A @ (state.X - W + state.W_prev)
         X = A @ Z
-        return _advance(state, G, _apply_prox(prox, X, mu), costs, Z=Z, X=X)
+        return _advance(state, G, prox.apply_stack(X, mu), costs, Z=Z, X=X)
 
     return step
 
@@ -390,34 +382,18 @@ def rel_sq_error(W, w_star):
 
 def run(algorithm, step, costs, w_star, iters, record_every=1, init=None,
         seed=None, residual_fn=None, target_error=None):
-    """Iterate a step and record the error trajectory.
-
-    Parameters
-    ----------
-    algorithm : Algorithm
-        The entry the step executes: it names the record and sets the
-        communication rounds per iteration.
-    step : callable
-        state -> next state, from a step factory.
-    costs : SmoothCostSet
-    w_star : ndarray
-        Reference solution for the relative squared error.
-    iters : int
-        Iteration budget.
-    record_every : int
-        Record every this many iterations (iteration 1 and the last
-        iteration are always recorded).
-    init, seed :
-        Initial stack (see :func:`initial_state`).
-    residual_fn : callable, optional
-        state -> (r_primal, r_dual, r_prox), stored alongside errors.
-    target_error : float, optional
-        Stop early once the relative squared error falls below this.
+    """Iterate ``step`` (state -> next state, from a step factory of the
+    entry ``algorithm``, which sets the rounds per iteration) up to
+    ``iters`` times from :func:`initial_state` (``init``, ``seed``), and
+    record the relative squared error to ``w_star`` every
+    ``record_every`` iterations, the first and the last always, with
+    ``residual_fn(state)`` beside it if given.  Stops early once the error
+    falls to ``target_error``, if given.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     state = initial_state(costs.K, costs.M, init=init, seed=seed)
-    record = RunRecord(algorithm=algorithm.name, seed=seed)
+    record = RunRecord()
     t0 = time.perf_counter()
 
     for i in range(1, iters + 1):

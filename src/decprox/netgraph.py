@@ -35,8 +35,6 @@ __all__ = [
     "table1_matrices",
     "table1_spectrum",
     "validate_assumptions",
-    "save_edge_list",
-    "load_edge_list",
 ]
 
 # Eigenvalue of B^2 counts as zero below this (relative) threshold.
@@ -79,7 +77,6 @@ class Graph:
 
     K: int
     edges: frozenset
-    seed: int | None = None
 
     def __post_init__(self):
         if self.K < 2:
@@ -125,7 +122,6 @@ class ConsensusTriple:
     A_bar: np.ndarray
     B_sq: np.ndarray
     C: np.ndarray
-    algorithm_id: str = "custom"
     spectrum: tuple = None
 
     @property
@@ -284,7 +280,7 @@ def build_graph(kind, K, seed=0, extra_edge_prob=0.0):
     else:
         raise ValueError(f"unknown graph kind: {kind!r}")
 
-    g = Graph(K=K, edges=frozenset(edges), seed=seed)
+    g = Graph(K=K, edges=frozenset(edges))
     assert g.is_connected()
     return g
 
@@ -319,25 +315,25 @@ def laplacian_matrix(g):
     return np.diag(adj.sum(axis=1)) - adj
 
 
-def _table1_row(algorithm_id, X, I, prod, c, mu):
+def _table1_row(row, X, I, prod, c, mu):
     """One row of the table as a polynomial in the base matrix X (A, or
     the Laplacian for DLM): matrices for X = the base, I = the identity
     and ``prod`` = the matrix product, eigenvalues for X = the base's
     eigenvalues, I = ones and ``prod`` = the elementwise product."""
-    if algorithm_id is AlgorithmId.EXACT_DIFFUSION:
+    if row is AlgorithmId.EXACT_DIFFUSION:
         return 0.5 * (I + X), 0.5 * (I - X), _zero(I)
-    if algorithm_id is AlgorithmId.NIDS:
+    if row is AlgorithmId.NIDS:
         return I - c * (I - X), c * (I - X), _zero(I)
-    if algorithm_id is AlgorithmId.AUG_DGM:
+    if row is AlgorithmId.AUG_DGM:
         D = I - X
         return prod(X, X), prod(D, D), _zero(I)
-    if algorithm_id is AlgorithmId.ATC_TRACKING:
+    if row is AlgorithmId.ATC_TRACKING:
         D = I - X
         return X, prod(D, D), D
-    if algorithm_id is AlgorithmId.DIGING:
+    if row is AlgorithmId.DIGING:
         D = I - X
         return I, prod(D, D), I - prod(X, X)
-    if algorithm_id is AlgorithmId.EXTRA:
+    if row is AlgorithmId.EXTRA:
         return I, 0.5 * (I - X), 0.5 * (I - X)
     # DLM
     return I, c * mu * X, c * mu * X
@@ -353,19 +349,19 @@ def _matrix_product(P, Q):
     return _combine_operator(P) @ Q
 
 
-def table1_spectrum(algorithm_id, eigvals, c=None, mu=None):
+def table1_spectrum(row, eigvals, c=None, mu=None):
     """Eigenvalues of a row's (A_bar, B^2, C), paired, from the eigenvalues
     ``eigvals`` of its base (A, or the Laplacian for DLM)."""
-    return _table1_row(AlgorithmId(algorithm_id), eigvals,
+    return _table1_row(AlgorithmId(row), eigvals,
                        np.ones(len(eigvals)), np.multiply, c, mu)
 
 
-def table1_matrices(algorithm_id, A, c=None, mu=None, L=None, eigvals=None):
+def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     """Consensus triple (A_bar, B^2, C) for a named algorithm.
 
     Parameters
     ----------
-    algorithm_id : AlgorithmId or str
+    row : AlgorithmId or str
     A : ndarray
         Symmetric doubly stochastic combination matrix.
     c : float, optional
@@ -377,10 +373,10 @@ def table1_matrices(algorithm_id, A, c=None, mu=None, L=None, eigvals=None):
     eigvals : ndarray, optional
         Eigenvalues of the row's base (A, or L for DLM); computed if omitted.
     """
-    algorithm_id = AlgorithmId(algorithm_id)
-    if algorithm_id in (AlgorithmId.NIDS, AlgorithmId.DLM) and (c is None or c <= 0):
-        raise ValueError(f"{algorithm_id.value} requires c > 0")
-    if algorithm_id.on_laplacian:
+    row = AlgorithmId(row)
+    if row in (AlgorithmId.NIDS, AlgorithmId.DLM) and (c is None or c <= 0):
+        raise ValueError(f"{row.value} requires c > 0")
+    if row.on_laplacian:
         if mu is None or mu <= 0 or L is None:
             raise ValueError("DLM requires mu > 0 and a Laplacian")
         base = L
@@ -388,22 +384,16 @@ def table1_matrices(algorithm_id, A, c=None, mu=None, L=None, eigvals=None):
         base = A
     K = base.shape[0]
 
-    matrices = _table1_row(algorithm_id, base, np.eye(K), _matrix_product, c, mu)
+    matrices = _table1_row(row, base, np.eye(K), _matrix_product, c, mu)
     spectrum = None
     if _is_symmetric(base):
         if eigvals is None:
             eigvals = np.linalg.eigvalsh(base)
-        spectrum = table1_spectrum(algorithm_id, eigvals, c, mu)
-    return ConsensusTriple(*matrices, algorithm_id=algorithm_id.value,
-                           spectrum=spectrum)
+        spectrum = table1_spectrum(row, eigvals, c, mu)
+    return ConsensusTriple(*matrices, spectrum=spectrum)
 
 
-def _check_symmetric(name, X):
-    if not _is_symmetric(X):
-        raise ValueError(f"{name} is not symmetric")
-
-
-def validate_assumptions(t, psd_tol=PSD_TOL, null_tol=NULLSPACE_TOL):
+def validate_assumptions(t, psd_tol=PSD_TOL):
     """Check the spectral conditions required for linear convergence.
 
     The primary condition requires I - B^2 - A_bar^2 to be PSD together
@@ -415,9 +405,9 @@ def validate_assumptions(t, psd_tol=PSD_TOL, null_tol=NULLSPACE_TOL):
     its matrices share one eigenbasis, so both conditions hold pair by
     pair of eigenvalues.  A hand-built triple takes five eigendecompositions.
     """
-    _check_symmetric("A_bar", t.A_bar)
-    _check_symmetric("B_sq", t.B_sq)
-    _check_symmetric("C", t.C)
+    for name in ("A_bar", "B_sq", "C"):
+        if not _is_symmetric(getattr(t, name)):
+            raise ValueError(f"{name} is not symmetric")
 
     if t.spectrum is not None:
         eig_A, eig_Bsq, eig_C = t.spectrum
@@ -434,7 +424,7 @@ def validate_assumptions(t, psd_tol=PSD_TOL, null_tol=NULLSPACE_TOL):
 
     sigma_max_C = float(eig_C[-1])
     sigma_max_Bsq = float(eig_Bsq[-1])
-    nonzero = eig_Bsq[np.abs(eig_Bsq) > null_tol * max(1.0, sigma_max_Bsq)]
+    nonzero = eig_Bsq[np.abs(eig_Bsq) > NULLSPACE_TOL * max(1.0, sigma_max_Bsq)]
     sigma_min_Bsq = float(nonzero[0]) if nonzero.size else 0.0
     lambda2_A = float(eig_A[-2]) if t.K >= 2 else float("nan")
 
@@ -459,26 +449,3 @@ def validate_assumptions(t, psd_tol=PSD_TOL, null_tol=NULLSPACE_TOL):
             "sigma_max_Bsq": sigma_max_Bsq,
         },
     )
-
-
-def save_edge_list(g, path):
-    """Write a graph as `K <count>` header plus one 1-indexed `s k` per line."""
-    lines = [f"K {g.K}"]
-    for (s, k) in sorted(g.edges):
-        lines.append(f"{s + 1} {k + 1}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_edge_list(path):
-    """Read a graph written by :func:`save_edge_list`."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("K "):
-        raise ValueError("edge list must start with a 'K <count>' header")
-    K = int(lines[0].split()[1])
-    edges = set()
-    for ln in lines[1:]:
-        s, k = (int(tok) for tok in ln.split())
-        edges.add(_edge(s - 1, k - 1))
-    return Graph(K=K, edges=frozenset(edges))

@@ -44,10 +44,6 @@ class ProxOperator:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.stack([self.apply(row, mu) for row in X])
 
-    def value(self, x):
-        """R(x); used by oracles and reference solvers."""
-        raise NotImplementedError
-
 
 class ZeroProx(ProxOperator):
     """R = 0; prox is the identity."""
@@ -57,9 +53,6 @@ class ZeroProx(ProxOperator):
 
     def apply_stack(self, X, mu):
         return np.atleast_2d(np.asarray(X, dtype=float)).copy()
-
-    def value(self, x):
-        return 0.0
 
 
 class L1Prox(ProxOperator):
@@ -74,12 +67,7 @@ class L1Prox(ProxOperator):
         return prox_l1(x, mu * self.weight)
 
     def apply_stack(self, X, mu):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        kappa = mu * self.weight
-        return np.sign(X) * np.maximum(np.abs(X) - kappa, 0.0)
-
-    def value(self, x):
-        return self.weight * float(np.abs(x).sum())
+        return prox_l1(np.atleast_2d(X), mu * self.weight)
 
 
 @dataclass(frozen=True)
@@ -182,9 +170,6 @@ class CounterexampleProx(ProxOperator):
     def apply(self, x, mu):
         return prox_counterexample(self.which, self.pair, x, mu)
 
-    def value(self, x):
-        return self.pair.R1(x) if self.which == "R1" else self.pair.R2(x)
-
 
 def prox_anchored_chain(x, t, anchor, anchor_t):
     """Exact prox of a 1-D total-variation chain with an anchored first node:
@@ -275,9 +260,6 @@ class ChainSumProx(ProxOperator):
             raise ValueError(f"weight must be positive, got {weight}")
         self.pair = pair
         self.weight = float(weight)
-
-    def value(self, x):
-        return self.weight * (self.pair.R1(x) + self.pair.R2(x))
 
     def apply(self, x, mu):
         if mu <= 0:

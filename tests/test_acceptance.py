@@ -82,7 +82,7 @@ def test_criterion_1_equivalence_web():
     def forms(name):
         if name == "ExactDiffusion":
             t = table1_matrices(name, A_raw)
-            return t, [engine.agent_prox_ed(costs, None, mu, A_raw),
+            return t, [engine.agent_prox_ed(costs, ZeroProx(), mu, A_raw),
                        engine.eliminated_diffusion(costs, mu,
                                                    shift_positive(A_raw))]
         if name == "NIDS":
@@ -90,12 +90,12 @@ def test_criterion_1_equivalence_web():
             return t, [engine.eliminated_diffusion(costs, mu, t.A_bar)]
         if name == "AugDGM":
             t = table1_matrices(name, A)
-            return t, [engine.agent_prox_atc1(costs, None, mu, A),
+            return t, [engine.agent_prox_atc1(costs, ZeroProx(), mu, A),
                        engine.eliminated_aug_dgm(costs, mu, A),
                        engine.aug_dgm_two_variable(costs, mu, A)]
         if name == "ATCTracking":
             t = table1_matrices(name, A)
-            return t, [engine.agent_prox_atc2(costs, None, mu, A),
+            return t, [engine.agent_prox_atc2(costs, ZeroProx(), mu, A),
                        engine.eliminated_atc_tracking(costs, mu, A),
                        engine.atc_tracking_two_variable(costs, mu, A)]
         if name in ("DIGing", "EXTRA"):
@@ -108,7 +108,7 @@ def test_criterion_1_equivalence_web():
     for name in ("ExactDiffusion", "NIDS", "AugDGM", "ATCTracking",
                  "DIGing", "EXTRA", "DLM"):
         triple, others = forms(name)
-        ref = traj(engine.primal_dual(costs, None, mu, triple))
+        ref = traj(engine.primal_dual(costs, ZeroProx(), mu, triple))
         scale = max(max(np.abs(x).max() for x in ref), 1.0)
         for step in others:
             alt = traj(step)

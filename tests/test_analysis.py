@@ -5,6 +5,7 @@ import pytest
 
 from decprox import engine
 from decprox.analysis import (
+    NotConvergedError,
     centralized_reference,
     classify_decay,
     fixed_point_residuals,
@@ -23,7 +24,7 @@ from decprox.netgraph import (
     metropolis_matrix,
     table1_matrices,
 )
-from decprox.prox import L1Prox, prox_l1
+from decprox.prox import L1Prox, ZeroProx, prox_l1
 
 
 class TestTheoreticalRate:
@@ -136,7 +137,7 @@ class TestFixedPointResiduals:
                             C=np.zeros((1, 1)))
         W = np.array([[2.0, -1.0]])
         st = BlockIterate(W=W, W_prev=W, S=np.zeros((1, 2)), Z=W.copy())
-        r = fixed_point_residuals(st, costs, None, t, 0.3)
+        r = fixed_point_residuals(st, costs, ZeroProx(), t, 0.3)
         assert max(r) == 0.0
 
     def test_stable_under_extra_iterations(self):
@@ -161,7 +162,7 @@ class TestCentralizedReference:
 
     def test_smooth_quadratic(self):
         costs = quadratic_cost(2.0, 3, 4)
-        w = centralized_reference(costs, None)
+        w = centralized_reference(costs, ZeroProx())
         assert np.abs(w).max() <= 1e-13
 
     def test_self_consistency_logistic(self):
@@ -182,16 +183,17 @@ class TestCentralizedReference:
         w_next = prox.apply(w - mu * costs.average_grad(w), mu)
         assert np.linalg.norm(w - w_next) / mu <= tol
 
-    def test_iteration_cap_warns(self):
+    def test_iteration_cap_raises(self):
+        # A point short of its tolerance would skew every error measured
+        # against it, so the cap is an error that reports the mapping norm.
         costs = random_quadratic_cost(2, 3, seed=0, nu_min=0.1, delta_max=2.0)
-        with pytest.warns(RuntimeWarning):
-            centralized_reference(costs, None, tol=1e-300, max_iter=50)
+        with pytest.raises(NotConvergedError, match="mapping norm"):
+            centralized_reference(costs, ZeroProx(), tol=1e-300, max_iter=50)
 
 
 def synthetic_record(errors, rounds_per_iter=1):
     n = len(errors)
-    return RunRecord(algorithm="synthetic",
-                     iterations=list(range(1, n + 1)),
+    return RunRecord(iterations=list(range(1, n + 1)),
                      comm_rounds=[rounds_per_iter * i for i in range(1, n + 1)],
                      errors=list(errors))
 
@@ -246,6 +248,6 @@ class TestClassifyDecay:
         # Small step so the decay is still in progress across the whole
         # tail window (no machine-precision floor).
         record = run(ALGORITHMS["ExactDiffusion"],
-                     engine.primal_dual(costs, None, 0.05, t), costs, w_star,
+                     engine.primal_dual(costs, ZeroProx(), 0.05, t), costs, w_star,
                      300, seed=3)
         assert classify_decay(record).classification == "linear"

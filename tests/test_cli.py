@@ -1,9 +1,11 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from decprox import cli
+from decprox import analysis, cli
 from decprox.analysis import theoretical_rate
 from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
 from decprox.costs import SmoothCostSet
@@ -105,6 +107,30 @@ class TestParseConfig:
         # The two-agent complete-graph combination matrix is all-half.
         assert np.allclose(build_problem(parse_config(path)).A, 0.5)
         assert cli.main(["run", path]) == 0
+
+
+def config_rows(cls=cli.ExperimentConfig, prefix=""):
+    """The README config table's rows, from the config dataclasses."""
+    for f in dataclasses.fields(cls):
+        key = prefix + (f.metadata.get("key") or f.name)
+        if dataclasses.is_dataclass(f.type):
+            yield from config_rows(f.type, key + ".")
+            continue
+        default = ("required" if f.default is dataclasses.MISSING
+                   else json.dumps(f.default))
+        yield (f"| `{key}` | {f.type.__name__} | {f.metadata['allowed'][1]} "
+               f"| {default} |")
+        if f.metadata["item"]:
+            yield from config_rows(f.metadata["item"], key + "[i].")
+
+
+def test_readme_config_table_is_the_dataclasses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = [line for line in readme.splitlines() if line.startswith("| `")
+             and line.split("`")[1].split(".")[0].split("[")[0]
+             in {f.metadata.get("key") or f.name
+                 for f in dataclasses.fields(cli.ExperimentConfig)}]
+    assert table == list(config_rows())
 
 
 class TestRunExperiment:
@@ -306,7 +332,74 @@ class TestRegistry:
         assert_reports_agree(r.report, reference_report(r.triple))
 
 
+# One malformed key each, on the valid K=6 lasso config of write_config:
+# (the key, its value, other keys the probe sets validly).
+MALFORMED = [
+    ("graph.kind", "foo", {}),
+    ("graph.K", 1, {}),
+    ("graph.extra_edge_prob", 2.0, {}),
+    ("graph.K", "6", {}),
+    ("graph", 5, {}),
+    ("iters", 10.5, {}),
+    ("iters", "10", {}),
+    ("M", "8", {"problem": "counterexample",
+                "graph": {"kind": "complete", "K": 2}}),
+    ("data.flip_prob", "x", {}),
+    ("data.path", "no_such_file.svm",
+     {"problem": "logistic_l1", "data": {"source": "libsvm"}}),
+    ("data.n_samples", 3, {"problem": "logistic_l1"}),
+    ("algorithms", "ProxED", {}),
+    ("algorithms[0].mu", True, {"algorithms": [{"name": "ProxED"}]}),
+    ("lambda", True, {}),
+    ("record_every", 2.5, {}),
+    ("data.dim", 0, {}),
+]
+
+
 class TestMain:
+    @pytest.mark.parametrize("key, value, others", MALFORMED)
+    def test_malformed_config_exit_2(self, tmp_path, capsys, key, value,
+                                     others):
+        cfg = json.loads(Path(write_config(tmp_path, others)).read_text())
+        if key.startswith("algorithms["):
+            cfg["algorithms"][0]["mu"] = value
+        elif "." in key:
+            section, name = key.split(".")
+            cfg[section] = {**cfg[section], name: value}
+        else:
+            cfg[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_reference_cap_exit_2(self, tmp_path, monkeypatch, capsys):
+        # A reference solver stopped by its cap gives no w* to measure
+        # errors against: the run fails and reports the norm it reached.
+        reference = analysis.centralized_reference
+        monkeypatch.setattr(analysis, "centralized_reference",
+                            lambda costs, prox: reference(costs, prox,
+                                                          max_iter=3))
+        path = write_config(tmp_path, {
+            "problem": "logistic_l1", "lambda": 0.01,
+            "data": {"n_samples": 60, "dim": 4}})
+        assert cli.main(["run", path]) == 2
+        assert "mapping norm" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_counterexample_preset_is_a_config(self, tmp_path, monkeypatch):
+        # The command's preset goes through the loader a config file does.
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: ran.append(cfg) or ([], False))
+        out = str(tmp_path / "ce")
+        assert cli.main(["counterexample", "--M", "8", "--iters", "300",
+                         "--out", out]) == 0
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps({**cli.COUNTEREXAMPLE_PRESET, "M": 8,
+                                    "iters": 300, "output_dir": out}))
+        assert ran == [parse_config(path)]
+
     def test_run_exit_codes(self, tmp_path):
         path = write_config(tmp_path, overrides={"iters": 50})
         assert cli.main(["run", path]) == 0

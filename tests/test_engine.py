@@ -81,7 +81,7 @@ class TestPudaStep:
         t = table1_matrices("ExactDiffusion", A)
         st = initial_state(6, 3, seed=8)
         for _ in range(50):
-            st = engine.puda_step(st, t, costs, None, 0.3)
+            st = engine.puda_step(st, t, costs, ZeroProx(), 0.3)
             assert np.abs(st.S.mean(axis=0)).max() <= 1e-12
 
     def test_divergence_error_on_nonfinite(self):
@@ -91,7 +91,7 @@ class TestPudaStep:
         bad = np.full((2, 2), np.nan)
         st = BlockIterate(W=bad, W_prev=bad, S=np.zeros((2, 2)))
         with pytest.raises(DivergenceError):
-            engine.puda_step(st, t, costs, None, 0.1)
+            engine.puda_step(st, t, costs, ZeroProx(), 0.1)
 
     def test_nonfinite_carried_gradient_raises_at_its_consumer(self):
         costs = random_quadratic_cost(2, 2, seed=0)
@@ -101,7 +101,7 @@ class TestPudaStep:
                           G=np.full((2, 2), np.inf), iter=7)
         st.check_finite()  # the gradient is not the iterate's to check
         with pytest.raises(DivergenceError) as info:
-            engine.puda_step(st, t, costs, None, 0.1)
+            engine.puda_step(st, t, costs, ZeroProx(), 0.1)
         assert info.value.iteration == 7
 
     @pytest.mark.parametrize("aid, zero", [
@@ -167,14 +167,14 @@ class TestEquivalenceWeb:
         self.init = np.random.default_rng(10).standard_normal((5, 3))
 
     def _puda(self, triple, iters=200):
-        step = engine.primal_dual(self.costs, None, self.mu, triple)
+        step = engine.primal_dual(self.costs, ZeroProx(), self.mu, triple)
         return trajectory(step, self.costs, self.init, iters)[0]
 
     def test_prox_ed_forms(self):
         t = table1_matrices("ExactDiffusion", self.A_raw)
         ref = self._puda(t)
         agent, _ = trajectory(
-            engine.agent_prox_ed(self.costs, None, self.mu, self.A_raw),
+            engine.agent_prox_ed(self.costs, ZeroProx(), self.mu, self.A_raw),
             self.costs, self.init, 200)
         elim, _ = trajectory(
             engine.eliminated_diffusion(self.costs, self.mu,
@@ -204,7 +204,7 @@ class TestEquivalenceWeb:
     def test_aug_dgm_forms(self):
         t = table1_matrices("AugDGM", self.A)
         ref = self._puda(t, 100)
-        for step in (engine.agent_prox_atc1(self.costs, None, self.mu, self.A),
+        for step in (engine.agent_prox_atc1(self.costs, ZeroProx(), self.mu, self.A),
                      engine.eliminated_aug_dgm(self.costs, self.mu, self.A),
                      engine.aug_dgm_two_variable(self.costs, self.mu, self.A)):
             traj, _ = trajectory(step, self.costs, self.init, 100)
@@ -213,7 +213,7 @@ class TestEquivalenceWeb:
     def test_atc_tracking_forms(self):
         t = table1_matrices("ATCTracking", self.A)
         ref = self._puda(t, 100)
-        for step in (engine.agent_prox_atc2(self.costs, None, self.mu, self.A),
+        for step in (engine.agent_prox_atc2(self.costs, ZeroProx(), self.mu, self.A),
                      engine.eliminated_atc_tracking(self.costs, self.mu, self.A),
                      engine.atc_tracking_two_variable(self.costs, self.mu,
                                                       self.A)):
@@ -264,7 +264,7 @@ class TestSeparateProx:
                               laplacian=self.L)
         dl, _ = trajectory(step, self.costs, self.init, 100)
         t = table1_matrices("DLM", self.A, c=c, mu=self.mu, L=self.L)
-        ref, _ = trajectory(engine.primal_dual(self.costs, None, self.mu, t),
+        ref, _ = trajectory(engine.primal_dual(self.costs, ZeroProx(), self.mu, t),
                             self.costs, self.init, 100)
         assert max_dev(ref, dl) <= 1e-10
 
@@ -297,10 +297,10 @@ class TestRun:
         costs = random_quadratic_cost(4, 2, seed=0)
         w_star = np.zeros(2)
         one = run(ALGORITHMS["ProxED"],
-                  engine.agent_prox_ed(costs, None, 0.1, A), costs, w_star, 10)
+                  engine.agent_prox_ed(costs, ZeroProx(), 0.1, A), costs, w_star, 10)
         assert one.comm_rounds == [i for i in range(1, 11)]
         two = run(ALGORITHMS["ProxATC1"],
-                  engine.agent_prox_atc1(costs, None, 0.1, shift_positive(A)),
+                  engine.agent_prox_atc1(costs, ZeroProx(), 0.1, shift_positive(A)),
                   costs, w_star, 10)
         assert two.comm_rounds == [2 * i for i in range(1, 11)]
 
@@ -308,7 +308,7 @@ class TestRun:
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
         record = run(ALGORITHMS["ProxED"],
-                     engine.agent_prox_ed(costs, None, 0.1, A),
+                     engine.agent_prox_ed(costs, ZeroProx(), 0.1, A),
                      costs, np.zeros(2), 100, record_every=10)
         assert len(record.errors) == 100 // 10 + 1  # iteration 1 + multiples
         assert record.iterations[0] == 1 and record.iterations[-1] == 100
@@ -317,7 +317,7 @@ class TestRun:
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
         record = run(ALGORITHMS["ProxED"],
-                     engine.agent_prox_ed(costs, None, 50.0, A),
+                     engine.agent_prox_ed(costs, ZeroProx(), 50.0, A),
                      costs, np.zeros(2), 500)
         assert record.diverged
         assert record.note
@@ -325,9 +325,9 @@ class TestRun:
     def test_seeded_init_deterministic(self):
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
-        a = run(ALGORITHMS["ProxED"], engine.agent_prox_ed(costs, None, 0.2, A),
+        a = run(ALGORITHMS["ProxED"], engine.agent_prox_ed(costs, ZeroProx(), 0.2, A),
                 costs, np.zeros(2), 20, seed=5)
-        b = run(ALGORITHMS["ProxED"], engine.agent_prox_ed(costs, None, 0.2, A),
+        b = run(ALGORITHMS["ProxED"], engine.agent_prox_ed(costs, ZeroProx(), 0.2, A),
                 costs, np.zeros(2), 20, seed=5)
         assert a.errors == b.errors
 
@@ -335,7 +335,7 @@ class TestRun:
         A, _ = make_network(K=5, seed=6)
         costs = random_quadratic_cost(5, 3, seed=3)
         t = table1_matrices("ExactDiffusion", A)
-        record = run(ALGORITHMS["ProxED"], engine.primal_dual(costs, None, 0.5, t),
+        record = run(ALGORITHMS["ProxED"], engine.primal_dual(costs, ZeroProx(), 0.5, t),
                      costs, np.zeros(3), 3000)
         W = record.final_state.W
         w_bar = W.mean(axis=0)
@@ -390,7 +390,7 @@ class TestRun:
     def test_carried_gradients_match_a_fresh_evaluation(self):
         A, _ = make_network(K=5, seed=2)
         costs = random_quadratic_cost(5, 3, seed=0)
-        step = engine.agent_prox_atc2(costs, None, 0.2, shift_positive(A))
+        step = engine.agent_prox_atc2(costs, ZeroProx(), 0.2, shift_positive(A))
         st = run(ALGORITHMS["ProxATC2"], step, costs, np.zeros(3), 10).final_state
         assert np.array_equal(st.G, costs.grad_stack(st.W))
         assert np.array_equal(st.G_prev, costs.grad_stack(st.W_prev))

@@ -11,9 +11,7 @@ from decprox.netgraph import (
     Graph,
     build_graph,
     laplacian_matrix,
-    load_edge_list,
     metropolis_matrix,
-    save_edge_list,
     shift_positive,
     table1_matrices,
     validate_assumptions,
@@ -95,21 +93,6 @@ class TestGraphs:
             Graph(K=3, edges=frozenset({(0, 0)}))
         with pytest.raises(ValueError):
             Graph(K=3, edges=frozenset({(0, 5)}))
-
-    def test_edge_list_round_trip(self, tmp_path):
-        g = build_graph("random_connected", 9, seed=1, extra_edge_prob=0.4)
-        path = tmp_path / "graph.txt"
-        save_edge_list(g, path)
-        g2 = load_edge_list(path)
-        assert g2.K == g.K and g2.edges == g.edges
-
-    def test_edge_list_is_one_indexed(self, tmp_path):
-        g = build_graph("ring", 3)
-        path = tmp_path / "graph.txt"
-        save_edge_list(g, path)
-        body = path.read_text().splitlines()
-        assert body[0] == "K 3"
-        assert "0" not in " ".join(body[1:]).split()
 
 
 class TestMetropolis:

@@ -54,7 +54,6 @@ class TestL1:
         X = np.array([[2.0, -0.1], [-3.0, 1.0]])
         assert np.allclose(op.apply_stack(X, 1.0),
                            np.stack([op.apply(r, 1.0) for r in X]))
-        assert op.value(np.array([1.0, -2.0])) == pytest.approx(1.5)
 
     def test_bad_weight(self):
         with pytest.raises(ValueError):
@@ -128,7 +127,6 @@ class TestClosedFormProx:
         x = np.array([1.0, 0.0, 3.0, 1.0])
         assert np.allclose(op.apply(x, 0.2),
                            prox_counterexample("R2", pair, x, 0.2))
-        assert op.value(x) == pytest.approx(pair.R2(x))
         with pytest.raises(ValueError):
             CounterexampleProx("R3", pair)
 
@@ -169,7 +167,7 @@ class TestChainSum:
         z = op.apply(x, mu)
 
         def h(v):
-            return op.value(v) + np.dot(v - x, v - x) / (2 * mu)
+            return pair.R1(v) + pair.R2(v) + np.dot(v - x, v - x) / (2 * mu)
 
         h0 = h(z)
         for j in range(6):
