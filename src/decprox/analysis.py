@@ -98,6 +98,9 @@ def fixed_point_residuals(state, costs, prox, triple, mu):
     state was stepped with; they are recomputed for a state without them.
     A state that carries A_bar Z got W = prox(A_bar Z) from that step, and
     the prox is deterministic, so its r_prox is 0 without a second prox.
+    That holds also where the step's prox took a hint: W is then what the
+    hinted prox returned, the closed form being accepted only when it is
+    the prox up to rounding.
     R = 0 is the identity prox, ``prox.ZeroProx``.
     """
     W, Z, S = state.W, state.Z, state.S
@@ -133,6 +136,8 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     mu = 1.0 / costs.delta
     w = np.zeros(costs.M)
     for _ in range(max_iter):

@@ -26,6 +26,10 @@ Every iteration evaluates exactly one gradient, at the new iterate, and
 carries it in the state: a step reads grad(W) (and grad(W_prev), where
 its recursion needs it) from the state it is given, and computes them
 only for a state that carries none, such as one from ``initial_state``.
+The primal-dual step also hands the prox its current iterate W, the
+previous prox output, as a hint (``ProxOperator.apply_stack``): the chain
+prox solves the hint's segmentation in closed form when its certificate
+holds.  The hint is part of the state, so no operator keeps any.
 """
 
 import time
@@ -146,6 +150,9 @@ def puda_step(state, triple, costs, prox, mu):
     """One step of the general proximal primal-dual recursion:
 
     Z <- (I - C) W - mu grad(W) - S;  S <- S + B^2 Z;  W <- prox(A_bar Z).
+
+    The prox gets W, its own previous output, as a hint; the hint may
+    change W only by rounding.
     """
     W = state.W
     G = _grad(state, costs)
@@ -155,7 +162,7 @@ def puda_step(state, triple, costs, prox, mu):
         Z = W - triple.C_op @ W - mu * G - state.S
     B_sq_Z = triple.B_sq_op @ Z
     A_bar_Z = triple.A_bar_op @ Z
-    W_new = prox.apply_stack(A_bar_Z, mu)
+    W_new = prox.apply_stack(A_bar_Z, mu, hint=W)
     return _advance(state, G, W_new, costs, S=state.S + B_sq_Z, Z=Z,
                     A_bar_Z=A_bar_Z, B_sq_Z=B_sq_Z)
 

@@ -190,6 +190,12 @@ class TestCentralizedReference:
         with pytest.raises(NotConvergedError, match="mapping norm"):
             centralized_reference(costs, ZeroProx(), tol=1e-300, max_iter=50)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iterations_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            centralized_reference(quadratic_cost(1.0, 2, 3), ZeroProx(),
+                                  max_iter=max_iter)
+
 
 def synthetic_record(errors, rounds_per_iter=1):
     n = len(errors)

@@ -10,7 +10,7 @@ from decprox.analysis import theoretical_rate
 from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
 from decprox.costs import SmoothCostSet
 from decprox.engine import ALGORITHMS
-from decprox.prox import L1Prox, ProxOperator
+from decprox.prox import ChainSumProx, L1Prox, ProxOperator
 from test_netgraph import assert_reports_agree, reference_report
 
 
@@ -180,11 +180,12 @@ class TestRunExperiment:
         # r_prox is read off the step's own prox, so with every row
         # recorded each primal-dual run applies the prox once per step.
         calls = []
-        for cls in (ProxOperator, L1Prox):
+        for cls in (ProxOperator, L1Prox, ChainSumProx):
             apply_stack = cls.__dict__["apply_stack"]
             monkeypatch.setattr(
                 cls, "apply_stack",
-                lambda self, X, mu, f=apply_stack: calls.append(1) or f(self, X, mu))
+                lambda self, X, mu, hint=None, f=apply_stack:
+                    calls.append(1) or f(self, X, mu, hint=hint))
         overrides = {"algorithms": algorithms, "iters": 40}
         if problem == "counterexample":
             overrides.update(problem=problem, M=20, c=1.0,
@@ -272,6 +273,18 @@ class TestRunExperiment:
 
         assert (run_in_order(["ProxED", "ProxATC1"], "a")
                 == run_in_order(["ProxATC1", "ProxED"], "b"))
+
+    def test_counterexample_preset_prox_ed_stays_linear(self, tmp_path):
+        # The preset's ProxED run falls to about 1e-27 in 20,000 iterations.
+        # A chain prox that lost 1e-14 on short blocks would stall it on a
+        # floor just above classify_decay's and turn the verdict sublinear.
+        cfg = cli.config_from_dict({
+            **cli.COUNTEREXAMPLE_PRESET, "M": 2000, "iters": 20000,
+            "algorithms": [{"name": "ProxED", "mu": 0.005}],
+            "output_dir": str(tmp_path / "out")})
+        (row,), diverged = run_experiment(cfg)
+        assert not diverged
+        assert row["verdict"] == "linear", row
 
 
 class TestRegistry:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from decprox.prox import (
     prox_counterexample,
     prox_l1,
 )
+from decprox.prox import _chain_from_hint
 from prox_oracle import brute_force_prox
 
 
@@ -253,15 +256,32 @@ class TestExactChainProx:
         out = op.apply_stack(np.stack([x, x]), 0.05)
         assert np.array_equal(out[0], out[1])
 
+    def test_identical_hinted_rows_bit_identical(self):
+        # Equal rows with equal hints, here the previous output of one.
+        pair = build_counterexample(200)
+        op = ChainSumProx(pair, weight=0.5)
+        x, y = np.random.default_rng(5).standard_normal((2, 200))
+        prev = op.apply_stack(np.stack([x, y]), 0.05)
+        x = x + 1e-6 * y
+        assert hinted(x, prev[0], 0.025) is not None  # the closed form runs
+        out = op.apply_stack(np.stack([x, x]), 0.05,
+                             hint=np.stack([prev[0], prev[0]]))
+        assert np.array_equal(out[0], out[1])
+
     def test_apply_leaves_no_state(self):
         op = ChainSumProx(build_counterexample(10))
         before = dict(vars(op))
         x = np.random.default_rng(6).standard_normal(10)
         first = op.apply(x, 0.3)
         op.apply_stack(np.stack([x, -x]), 0.1)
+        hint = op.apply_stack(np.stack([x, -x]), 0.3)
+        out = op.apply_stack(np.stack([x, -x]), 0.3, hint=hint)
+        op.apply_stack(np.stack([-x, x]), 0.3, hint=hint)
         assert vars(op).keys() == before.keys()
         assert all(vars(op)[k] is v for k, v in before.items())
         assert np.array_equal(op.apply(x, 0.3), first)
+        assert np.array_equal(
+            op.apply_stack(np.stack([x, -x]), 0.3, hint=hint), out)
 
     def test_bad_step_rejected(self):
         op = ChainSumProx(build_counterexample(4))
@@ -271,6 +291,130 @@ class TestExactChainProx:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expected shape"):
             ChainSumProx(build_counterexample(4)).apply(np.zeros(6), 0.3)
+
+    def test_wrong_hint_shape_rejected(self):
+        op = ChainSumProx(build_counterexample(4))
+        with pytest.raises(ValueError, match="hint has shape"):
+            op.apply_stack(np.zeros((2, 4)), 0.3, hint=np.zeros((2, 6)))
+
+
+ANCHOR = 1.0 / np.sqrt(2.0)
+
+
+def hinted(x, hint, t):
+    """The closed form of the prox of t (R1 + R2) on hint's segmentation,
+    or None where its certificate fails."""
+    return _chain_from_hint(x, hint, t, ANCHOR, np.sqrt(2.0) * t)
+
+
+def piecewise_constant(rng, M):
+    cuts = np.sort(rng.choice(np.arange(1, M), size=min(M - 1, 5), replace=False))
+    return np.repeat(rng.standard_normal(len(cuts) + 1),
+                     np.diff(np.concatenate(([0], cuts, [M]))))
+
+
+class TestHintedChainProx:
+    """The closed form on a hinted segmentation: the dynamic programme's
+    answer to rounding whenever its certificate passes, and a fallback to
+    the dynamic programme otherwise."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+           st.sampled_from(["perturbed", "piecewise", "zeros"]))
+    def test_hinted_is_dp_or_falls_back(self, half, seed, scale, t, kind):
+        M = 2 * half
+        rng = np.random.default_rng(seed)
+        op = ChainSumProx(build_counterexample(M))
+        x = scale * rng.standard_normal(M)
+        if kind == "perturbed":
+            hint = op.apply(x + 0.05 * scale * rng.standard_normal(M), t)
+        elif kind == "piecewise":
+            hint = scale * piecewise_constant(rng, M)
+        else:
+            hint = np.zeros(M)
+        dp = op.apply(x, t)
+        z = op.apply_stack(x[None], t, hint=hint[None])[0]
+        assert (np.array_equal(z, dp)
+                or np.abs(z - dp).max() <= 1e-12 * np.abs(dp).max())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_own_and_nearby_segmentations_accepted(self, seed):
+        # The engine's case: the hint is the prox of a nearby point.
+        rng = np.random.default_rng(seed)
+        x, t = rng.standard_normal(200), 0.05
+        dp = prox_anchored_chain(x, t, ANCHOR, np.sqrt(2.0) * t)
+        near = prox_anchored_chain(x + 1e-6 * rng.standard_normal(200), t,
+                                   ANCHOR, np.sqrt(2.0) * t)
+        for hint in (dp, near):
+            z = hinted(x, hint, t)
+            assert z is not None
+            assert np.abs(z - dp).max() <= 1e-14
+
+    def _three_blocks(self):
+        # Blocks {0}, {1, 2, 3} and {4, 5}; z[0] is off the anchor.
+        x = np.array([2.0, 1.0, 1.1, 1.05, -1.0, -1.05])
+        t = 0.1
+        z = prox_anchored_chain(x, t, ANCHOR, np.sqrt(2.0) * t)
+        assert np.array_equal(np.flatnonzero(np.diff(z)), [0, 3])
+        return x, t, z
+
+    def test_wrong_segmentation_rejected(self):
+        x, t, z = self._three_blocks()
+        assert hinted(x, z, t) is not None
+        fused = z.copy()
+        fused[4:] = fused[3]          # blocks 1 and 2 fused
+        split = z.copy()
+        split[2:4] -= 0.01            # block 1 split in two
+        for hint in (fused, split):
+            assert hinted(x, hint, t) is None
+
+    def test_flipped_jump_sign_rejected(self):
+        x, t, z = self._three_blocks()
+        flipped = z.copy()
+        flipped[4:] = 2 * z[3] - z[4]  # the last jump goes up, not down
+        assert np.array_equal(np.flatnonzero(np.diff(flipped)), [0, 3])
+        assert hinted(x, flipped, t) is None
+        off_anchor = z.copy()
+        off_anchor[0] = 2 * ANCHOR - z[0]  # z[0] below the anchor, not above
+        assert hinted(x, off_anchor, t) is None
+
+    def test_block_zero_pinned_at_anchor(self):
+        # 0 < x[0] - anchor + t < sqrt(2) t: the anchor holds z[0] = anchor,
+        # with multiplier u_a = (x[0] - anchor + t) / (sqrt(2) t) inside (-1, 1).
+        x = np.array([ANCHOR + 0.01, 2.0, 2.1, 1.9, -1.0, -1.0])
+        t = 0.1
+        dp = prox_anchored_chain(x, t, ANCHOR, np.sqrt(2.0) * t)
+        assert dp[0] == ANCHOR
+        z = hinted(x, dp, t)
+        assert z is not None and z[0] == ANCHOR
+        assert np.abs(z - dp).max() <= 1e-15
+        excess, off = chain_certificate(build_counterexample(6), x, z, t)
+        assert excess <= 1e-10 and off == 0
+        # A hint off the anchor is the wrong segmentation here.
+        assert hinted(x, np.where(dp == ANCHOR, ANCHOR + 0.1, dp), t) is None
+
+    def test_short_last_block_keeps_full_precision(self):
+        # x = 0.5 on a 2000-node chain but for a last node that stands
+        # alone.  Its value x[-1] - t read off one global cumsum of x, as
+        # cumsum[-1] - cumsum[-2] = 1000.3 - 999.5, loses about 5e-14.
+        M, t = 2000, 0.0025
+        a = np.sqrt(2.0) * t
+        x = np.full(M, 0.5)
+        x[-1] = 0.8
+        dp = prox_anchored_chain(x, t, ANCHOR, a)
+        assert np.array_equal(np.flatnonzero(np.diff(dp)), [0, M - 2])
+        # Blocks {0}, {1..M-2}, {M-1}, with jumps down then up, in exact
+        # arithmetic on the same floating-point inputs: the dynamic
+        # programme is itself about 1e-14 off here.
+        T, A = Fraction(t), Fraction(a)
+        exact = np.array([float(Fraction(0.5) + A - T)]
+                         + [float((999 + 2 * T) / (M - 2))] * (M - 2)
+                         + [float(Fraction(0.8) - T)])
+        z = hinted(x, dp, t)
+        assert z is not None
+        assert np.abs(z - exact).max() <= 1e-15
+        assert np.abs(dp - exact).max() <= 1e-13
 
 
 class TestNonexpansiveness:
