@@ -87,39 +87,27 @@ def theoretical_rate(theorem, mu, nu, delta, sigma_max_C, sigma_min_Bsq):
     )
 
 
-def fixed_point_residuals(state, costs, prox, triple, mu):
-    """Residuals of the three fixed-point equations, at the current state.
+def fixed_point_residuals(state, mu):
+    """Residuals of the three fixed-point equations, at a state of the
+    primal-dual step (``engine.puda_step``).
 
     r_primal checks Z = W - mu grad(W) - S (the C term vanishes at
     consensus), r_dual checks B^2 Z = 0, and r_prox checks
     W = prox(A_bar Z).  All are Frobenius norms over the K x M stack,
-    normalized by sqrt(KM).  grad(W), B^2 Z and A_bar Z are read from the
-    state where its step carried them, so ``triple`` must be the one the
-    state was stepped with; they are recomputed for a state without them.
-    A state that carries A_bar Z got W = prox(A_bar Z) from that step, and
-    the prox is deterministic, so its r_prox is 0 without a second prox.
-    That holds also where the step's prox took a hint: W is then what the
-    hinted prox returned, the closed form being accepted only when it is
-    the prox up to rounding.
-    R = 0 is the identity prox, ``prox.ZeroProx``.
+    normalized by sqrt(KM).  Z, S, grad(W) and B^2 Z are the ones the
+    step carried.  The step set W = prox(A_bar Z), and the prox is
+    deterministic, so r_prox is 0 without a second prox.  That holds
+    also where the step's prox took a hint: W is then what the hinted
+    prox returned, the closed form being accepted only when it is the
+    prox up to rounding.
     """
-    W, Z, S = state.W, state.Z, state.S
-    if Z is None:
-        raise ValueError("state carries no Z buffer; run a primal-dual form")
-    if S is None:
-        S = np.zeros_like(W)
-    K, M = W.shape
-    scale = np.sqrt(K * M)
-    G = state.G if state.G is not None else costs.grad_stack(W)
-    B_sq_Z = state.B_sq_Z if state.B_sq_Z is not None else triple.B_sq @ Z
-    r_primal = np.linalg.norm(Z - (W - mu * G - S)) / scale
-    r_dual = np.linalg.norm(B_sq_Z) / scale
-    if state.A_bar_Z is not None:
-        r_prox = 0.0
-    else:
-        P = prox.apply_stack(triple.A_bar @ Z, mu)
-        r_prox = np.linalg.norm(W - P) / scale
-    return float(r_primal), float(r_dual), float(r_prox)
+    if state.Z is None or state.B_sq_Z is None:
+        raise ValueError("state carries no Z or B^2 Z; run a primal-dual form")
+    W = state.W
+    scale = np.sqrt(W.size)
+    r_primal = np.linalg.norm(state.Z - (W - mu * state.G - state.S)) / scale
+    r_dual = np.linalg.norm(state.B_sq_Z) / scale
+    return float(r_primal), float(r_dual), 0.0
 
 
 class NotConvergedError(RuntimeError):

@@ -373,8 +373,8 @@ def run_experiment(cfg):
         r = resolve_algorithm(acfg, cfg, problem)
         residual_fn = None
         if r.triple is not None:
-            residual_fn = lambda st, r=r: analysis.fixed_point_residuals(
-                st, problem.costs, problem.common_prox, r.triple, r.mu)
+            residual_fn = lambda st, mu=r.mu: analysis.fixed_point_residuals(
+                st, mu)
         record = engine.run(r.algorithm, r.step, problem.costs, problem.w_star,
                             cfg.iters, record_every=cfg.record_every,
                             seed=cfg.seeds.init, residual_fn=residual_fn)

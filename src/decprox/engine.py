@@ -22,17 +22,16 @@ combine costs O(nnz M) instead of O(K^2 M)), the dense matrix itself for
 a dense one, where a CSR product would be slower.  The other recursions
 keep dense products; no workload runs them at large K.
 
-Every iteration evaluates exactly one gradient, at the new iterate, and
-carries it in the state: a step reads grad(W) (and grad(W_prev), where
-its recursion needs it) from the state it is given, and computes them
-only for a state that carries none, such as one from ``initial_state``.
-The primal-dual step also hands the prox its current iterate W, the
-previous prox output, as a hint (``ProxOperator.apply_stack``): the chain
-prox solves the hint's segmentation in closed form when its certificate
-holds.  The hint is part of the state, so no operator keeps any.
+Every state is complete: ``initial_state`` evaluates the first gradient,
+and every iteration evaluates exactly one more, at the new iterate, and
+carries it in the state.  A step reads grad(W) (and grad(W_prev), where
+its recursion needs it) from the state it is given.  The primal-dual
+step also hands the prox its current iterate W, the previous prox
+output, as a hint (``ProxOperator.apply_stack``): the chain prox solves
+the hint's segmentation in closed form when its certificate holds.  The
+hint is part of the state, so no operator keeps any.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,24 +63,21 @@ class DivergenceError(RuntimeError):
 class BlockIterate:
     """K x M agent-major stacks of the iteration variables.
 
-    W is the newest iterate, W_prev the one before it; S is the dual
-    surrogate B y; Z, X and Psi_prev hold the auxiliary/tracking buffers
-    used by the specific recursion in play.  G and G_prev are the
-    gradients at W and W_prev; A_bar_Z and B_sq_Z are the primal-dual
-    step's products A_bar Z and B^2 Z, kept for the fixed-point
-    residuals.  Any of these may be None, and is then recomputed where
-    it is needed.
+    W is the newest iterate, W_prev the one before it, and G and G_prev
+    their gradients; S is the dual surrogate B y; Z, X and Psi_prev hold
+    the auxiliary/tracking buffers used by the specific recursion in
+    play, and B_sq_Z the primal-dual step's product B^2 Z, kept for the
+    fixed-point residuals.
     """
 
     W: np.ndarray
     W_prev: np.ndarray
+    G: np.ndarray
+    G_prev: np.ndarray = None
     S: np.ndarray = None
     Z: np.ndarray = None
     X: np.ndarray = None
     Psi_prev: np.ndarray = None
-    G: np.ndarray = None
-    G_prev: np.ndarray = None
-    A_bar_Z: np.ndarray = None
     B_sq_Z: np.ndarray = None
     iter: int = 0
 
@@ -101,14 +97,15 @@ class RunRecord:
     comm_rounds: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    wall_time: float = 0.0
     diverged: bool = False
     note: str = ""
     final_state: BlockIterate = None
 
 
-def initial_state(K, M, init=None, seed=None):
-    """Starting iterate w_{-1}: zeros by default, or a seeded random stack."""
+def initial_state(costs, init=None, seed=None):
+    """Starting iterate w_{-1}, with its gradient: zeros by default, or a
+    seeded random stack."""
+    K, M = costs.K, costs.M
     if init is not None:
         W = np.array(init, dtype=float)
         if W.ndim == 1:
@@ -119,30 +116,24 @@ def initial_state(K, M, init=None, seed=None):
         W = np.random.default_rng(seed).standard_normal((K, M))
     else:
         W = np.zeros((K, M))
-    return BlockIterate(W=W, W_prev=W.copy(), S=np.zeros((K, M)), iter=0)
+    G = costs.grad_stack(W)
+    return BlockIterate(W=W, W_prev=W.copy(), G=G, G_prev=G,
+                        S=np.zeros((K, M)), iter=0)
 
 
-def _grad(state, costs):
-    """grad(W): carried by the state, or computed for one that has none."""
-    G = state.G if state.G is not None else costs.grad_stack(state.W)
-    if not np.all(np.isfinite(G)):
+def _grad(state):
+    """grad(W), checked where a step consumes it."""
+    if not np.all(np.isfinite(state.G)):
         raise DivergenceError("non-finite gradient", state.iter)
-    return G
+    return state.G
 
 
-def _grad_prev(state, costs):
-    """grad(W_prev): carried by the state, or computed for one that has none."""
-    if state.G_prev is not None:
-        return state.G_prev
-    return costs.grad_stack(state.W_prev)
-
-
-def _advance(state, G, W_new, costs, G_new=None, **buffers):
-    """The state after a step that used G = grad(W): W_new with its
-    gradient, which is the one gradient the step evaluates."""
+def _advance(state, W_new, costs, G_new=None, **buffers):
+    """The state after a step from ``state``: W_new with its gradient,
+    which is the one gradient the step evaluates."""
     if G_new is None:
         G_new = costs.grad_stack(W_new)
-    return BlockIterate(W=W_new, W_prev=state.W, G=G_new, G_prev=G,
+    return BlockIterate(W=W_new, W_prev=state.W, G=G_new, G_prev=state.G,
                         iter=state.iter + 1, **buffers)
 
 
@@ -155,16 +146,15 @@ def puda_step(state, triple, costs, prox, mu):
     change W only by rounding.
     """
     W = state.W
-    G = _grad(state, costs)
+    G = _grad(state)
     if triple.C_is_zero:
         Z = W - mu * G - state.S
     else:
         Z = W - triple.C_op @ W - mu * G - state.S
     B_sq_Z = triple.B_sq_op @ Z
-    A_bar_Z = triple.A_bar_op @ Z
-    W_new = prox.apply_stack(A_bar_Z, mu, hint=W)
-    return _advance(state, G, W_new, costs, S=state.S + B_sq_Z, Z=Z,
-                    A_bar_Z=A_bar_Z, B_sq_Z=B_sq_Z)
+    W_new = prox.apply_stack(triple.A_bar_op @ Z, mu, hint=W)
+    return _advance(state, W_new, costs, S=state.S + B_sq_Z, Z=Z,
+                    B_sq_Z=B_sq_Z)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +182,13 @@ def pg_extra(costs, prox, mu, A, **_):
 
     def step(state):
         W = state.W
-        G = _grad(state, costs)
+        G = _grad(state)
         if state.iter == 0:
             X = A @ W - mu * G
         else:
-            G_prev = _grad_prev(state, costs)
-            X = A @ W + state.X - W_tilde @ state.W_prev - mu * (G - G_prev)
-        return _advance(state, G, prox_rows(X), costs, X=X)
+            X = (A @ W + state.X - W_tilde @ state.W_prev
+                 - mu * (G - state.G_prev))
+        return _advance(state, prox_rows(X), costs, X=X)
 
     return step
 
@@ -213,9 +203,9 @@ def dl_admm(costs, prox, mu, c, laplacian, **_):
     cL = c * laplacian
 
     def step(state):
-        G = _grad(state, costs)
+        G = _grad(state)
         W_new = prox_rows(state.W - mu * (G + cL @ state.W + state.S))
-        return _advance(state, G, W_new, costs, S=state.S + cL @ W_new)
+        return _advance(state, W_new, costs, S=state.S + cL @ W_new)
 
     return step
 
@@ -260,12 +250,12 @@ def _adapt_combine(costs, prox, mu, M, first_Z, next_Z):
     first_Z(psi), then next_Z(X, psi, psi_prev)) and combines X = M Z."""
 
     def step(state):
-        G = _grad(state, costs)
+        G = _grad(state)
         psi = state.W - mu * G
         Z = (first_Z(psi) if state.iter == 0
              else next_Z(state.X, psi, state.Psi_prev))
         X = M @ Z
-        return _advance(state, G, prox.apply_stack(X, mu), costs,
+        return _advance(state, prox.apply_stack(X, mu), costs,
                         Z=Z, X=X, Psi_prev=psi)
 
     return step
@@ -290,14 +280,14 @@ def agent_prox_atc2(costs, prox, mu, A):
 
     def step(state):
         W = state.W
-        G = _grad(state, costs)
+        G = _grad(state)
         if state.iter == 0:
             Z = A @ W - mu * G
         else:
-            psi = 2.0 * state.X - mu * (G - _grad_prev(state, costs))
+            psi = 2.0 * state.X - mu * (G - state.G_prev)
             Z = psi - A @ (state.X - W + state.W_prev)
         X = A @ Z
-        return _advance(state, G, prox.apply_stack(X, mu), costs, Z=Z, X=X)
+        return _advance(state, prox.apply_stack(X, mu), costs, Z=Z, X=X)
 
     return step
 
@@ -307,13 +297,12 @@ def _two_step(costs, first, recursion):
     W_0 = first(W, grad(W)), then recursion(W, W_prev, grad difference)."""
 
     def step(state):
-        G = _grad(state, costs)
+        G = _grad(state)
         if state.iter == 0:
             W_new = first(state.W, G)
         else:
-            W_new = recursion(state.W, state.W_prev,
-                              G - _grad_prev(state, costs))
-        return _advance(state, G, W_new, costs)
+            W_new = recursion(state.W, state.W_prev, G - state.G_prev)
+        return _advance(state, W_new, costs)
 
     return step
 
@@ -355,11 +344,11 @@ def _tracking(costs, mu, A, first_X, next_X):
 
     def step(state):
         W = state.W
-        G = _grad(state, costs)
+        G = _grad(state)
         X = first_X(W, G) if state.iter == 0 else state.X
         W_new = A @ (W - mu * X)
         G_new = costs.grad_stack(W_new)
-        return _advance(state, G, W_new, costs, G_new=G_new,
+        return _advance(state, W_new, costs, G_new=G_new,
                         X=next_X(X, G_new, G))
 
     return step
@@ -399,9 +388,8 @@ def run(algorithm, step, costs, w_star, iters, record_every=1, init=None,
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    state = initial_state(costs.K, costs.M, init=init, seed=seed)
+    state = initial_state(costs, init=init, seed=seed)
     record = RunRecord()
-    t0 = time.perf_counter()
 
     for i in range(1, iters + 1):
         try:
@@ -424,6 +412,5 @@ def run(algorithm, step, costs, w_star, iters, record_every=1, init=None,
         if target_error is not None and err <= target_error:
             break
 
-    record.wall_time = time.perf_counter() - t0
     record.final_state = state
     return record

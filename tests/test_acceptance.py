@@ -72,7 +72,7 @@ def test_criterion_1_equivalence_web():
     init = np.random.default_rng(5).standard_normal((K, M))
 
     def traj(step):
-        st = initial_state(K, M, init=init)
+        st = initial_state(costs, init=init)
         out = []
         for _ in range(iters):
             st = step(st)
@@ -156,8 +156,7 @@ def criterion2_runs(logistic_instance):
         record = run(ALGORITHMS[name],
                      engine.primal_dual(costs, prox, mu, triple),
                      costs, inst["w_star"], 8000, target_error=1e-24)
-        out[name] = {"record": record, "rate": rate, "mu": mu,
-                     "triple": triple}
+        out[name] = {"record": record, "rate": rate, "mu": mu}
     out["elapsed"] = time.time() - t0
     return out
 
@@ -179,15 +178,11 @@ def test_criterion_2_linear_convergence_theorem1(criterion2_runs):
     print(f"criterion 2: PASS ({'; '.join(details)}, {elapsed:.1f}s)")
 
 
-def test_criterion_4_lemma1_residuals(criterion2_runs, logistic_instance):
-    inst = logistic_instance
+def test_criterion_4_lemma1_residuals(criterion2_runs):
     worst = 0.0
     for name in ("ProxED", "ProxATC1", "ProxATC2"):
-        rec = criterion2_runs[name]["record"]
-        triple = criterion2_runs[name]["triple"]
-        r = fixed_point_residuals(rec.final_state, inst["costs"],
-                                  inst["prox"], triple,
-                                  criterion2_runs[name]["mu"])
+        entry = criterion2_runs[name]
+        r = fixed_point_residuals(entry["record"].final_state, entry["mu"])
         worst = max(worst, max(r))
         assert max(r) <= 1e-9, (name, r)
     print(f"criterion 4: PASS (Lemma 1 residuals, worst {worst:.2e})")
@@ -206,7 +201,7 @@ def test_criterion_3_complete_graph_reduction():
     triple = ConsensusTriple(A_bar=ones, B_sq=np.eye(K) - ones,
                              C=np.zeros((K, K)))
     w = rng.standard_normal(M)
-    st = initial_state(K, M, init=w)  # consensus start
+    st = initial_state(costs, init=w)  # consensus start
     worst = 0.0
     wc = w.copy()
     for _ in range(100):

@@ -102,55 +102,64 @@ class TestFixedPointResiduals:
 
     def test_converged_residuals_small(self):
         st = self._converged_state()
-        r = fixed_point_residuals(st, self.costs, self.prox, self.triple, self.mu)
+        r = fixed_point_residuals(st, self.mu)
         assert max(r) <= 1e-9
 
     @pytest.mark.parametrize("aid", ["ExactDiffusion", "ATCTracking"])
     def test_carried_buffers_match_recomputed(self, aid):
-        # The step's own grad(W), A_bar Z and B^2 Z give the same residuals,
-        # bit for bit, as recomputing them from a state without them.
+        # The residuals read the step's own grad(W) and B^2 Z, which equal
+        # fresh evaluations bit for bit; r_prox is 0 because the step's W
+        # is prox(A_bar Z) bit for bit.
         shards = partition_data(synthetic_classification(60, 4, seed=2), 5)
         costs = logistic_cost(shards, 0.01)
         triple = table1_matrices(aid, self.A)
         step = engine.primal_dual(costs, self.prox, self.mu, triple)
         st = run(ALGORITHMS[aid], step, costs, np.zeros(4), 25,
                  seed=3).final_state
-        bare = dataclasses.replace(st, G=None, A_bar_Z=None, B_sq_Z=None)
-        full = fixed_point_residuals(st, costs, self.prox, triple, self.mu)
-        assert full == fixed_point_residuals(bare, costs, self.prox, triple,
-                                             self.mu)
-        assert max(full) > 0.0
+        W, Z, mu = st.W, st.Z, self.mu
+        scale = np.sqrt(W.size)
+        r_primal = np.linalg.norm(Z - (W - mu * costs.grad_stack(W) - st.S))
+        r_dual = np.linalg.norm(triple.B_sq @ Z)
+        assert fixed_point_residuals(st, mu) == (
+            r_primal / scale, r_dual / scale, 0.0)
+        assert np.array_equal(self.prox.apply_stack(triple.A_bar @ Z, mu), W)
+        assert r_primal > 0.0 and r_dual > 0.0
 
     def test_random_state_not_fixed(self):
         rng = np.random.default_rng(0)
         W = rng.standard_normal((5, 3))
-        st = BlockIterate(W=W, W_prev=W, S=rng.standard_normal((5, 3)),
-                          Z=rng.standard_normal((5, 3)))
-        r = fixed_point_residuals(st, self.costs, self.prox, self.triple, self.mu)
+        S = rng.standard_normal((5, 3))
+        Z = rng.standard_normal((5, 3))
+        st = BlockIterate(W=W, W_prev=W, G=self.costs.grad_stack(W), S=S,
+                          Z=Z, B_sq_Z=self.triple.B_sq @ Z)
+        r = fixed_point_residuals(st, self.mu)
         assert max(r) > 1e-3
 
     def test_unconstrained_minimum_exact_zero(self):
-        # R=0, K=1, at the minimizer with Z=W, S=0: all residuals vanish.
+        # K=1, at the minimizer with Z=W, S=0: all residuals vanish.
         costs = quadratic_cost(1.0, 1, 2, targets=np.array([[2.0, -1.0]]))
-        from decprox.netgraph import ConsensusTriple
-        t = ConsensusTriple(A_bar=np.eye(1), B_sq=np.zeros((1, 1)),
-                            C=np.zeros((1, 1)))
         W = np.array([[2.0, -1.0]])
-        st = BlockIterate(W=W, W_prev=W, S=np.zeros((1, 2)), Z=W.copy())
-        r = fixed_point_residuals(st, costs, ZeroProx(), t, 0.3)
+        st = BlockIterate(W=W, W_prev=W, G=costs.grad_stack(W),
+                          S=np.zeros((1, 2)), Z=W.copy(),
+                          B_sq_Z=np.zeros((1, 2)))
+        r = fixed_point_residuals(st, 0.3)
         assert max(r) == 0.0
 
     def test_stable_under_extra_iterations(self):
         st1 = self._converged_state(4000)
         st2 = self._converged_state(4050)
-        r1 = fixed_point_residuals(st1, self.costs, self.prox, self.triple, self.mu)
-        r2 = fixed_point_residuals(st2, self.costs, self.prox, self.triple, self.mu)
+        r1 = fixed_point_residuals(st1, self.mu)
+        r2 = fixed_point_residuals(st2, self.mu)
         assert max(abs(a - b) for a, b in zip(r1, r2)) <= 1e-10
 
     def test_requires_z_buffer(self):
-        st = BlockIterate(W=np.zeros((5, 3)), W_prev=np.zeros((5, 3)))
+        w = np.zeros((5, 3))
+        st = BlockIterate(W=w, W_prev=w, G=w, S=w)
         with pytest.raises(ValueError):
-            fixed_point_residuals(st, self.costs, self.prox, self.triple, self.mu)
+            fixed_point_residuals(st, self.mu)
+        # A listing's state carries Z but not B^2 Z.
+        with pytest.raises(ValueError):
+            fixed_point_residuals(dataclasses.replace(st, Z=w), self.mu)
 
 
 class TestCentralizedReference:

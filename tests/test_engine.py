@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -33,7 +31,7 @@ def make_network(K=6, seed=3, extra=0.3):
 
 
 def trajectory(step, costs, init, iters):
-    st = initial_state(costs.K, costs.M, init=init)
+    st = initial_state(costs, init=init)
     out = []
     for _ in range(iters):
         st = step(st)
@@ -55,7 +53,7 @@ class TestPudaStep:
         prox = L1Prox(0.3)
         mu = 0.4
         w = np.array([[1.0, -2.0, 0.5, 3.0]])
-        st = BlockIterate(W=w, W_prev=w, S=np.zeros_like(w))
+        st = initial_state(costs, init=w)
         out = engine.puda_step(st, t, costs, prox, mu)
         expected = prox.apply(w[0] - mu * costs.grad(0, w[0]), mu)
         assert np.allclose(out.W[0], expected, atol=1e-14)
@@ -67,7 +65,7 @@ class TestPudaStep:
         t = table1_matrices("ExactDiffusion", A)
         prox = L1Prox(0.05)
         mu = 0.5
-        st = initial_state(6, 4)
+        st = initial_state(costs)
         for _ in range(4000):
             st = engine.puda_step(st, t, costs, prox, mu)
         nxt = engine.puda_step(st, t, costs, prox, mu)
@@ -79,7 +77,7 @@ class TestPudaStep:
         A, _ = make_network()
         costs = random_quadratic_cost(6, 3, seed=2)
         t = table1_matrices("ExactDiffusion", A)
-        st = initial_state(6, 3, seed=8)
+        st = initial_state(costs, seed=8)
         for _ in range(50):
             st = engine.puda_step(st, t, costs, ZeroProx(), 0.3)
             assert np.abs(st.S.mean(axis=0)).max() <= 1e-12
@@ -88,8 +86,7 @@ class TestPudaStep:
         costs = random_quadratic_cost(2, 2, seed=0)
         t = ConsensusTriple(A_bar=np.eye(2), B_sq=np.zeros((2, 2)),
                             C=np.zeros((2, 2)))
-        bad = np.full((2, 2), np.nan)
-        st = BlockIterate(W=bad, W_prev=bad, S=np.zeros((2, 2)))
+        st = initial_state(costs, init=np.full((2, 2), np.nan))
         with pytest.raises(DivergenceError):
             engine.puda_step(st, t, costs, ZeroProx(), 0.1)
 
@@ -118,7 +115,7 @@ class TestPudaStep:
         costs = random_quadratic_cost(6, 4, seed=1)
         t = table1_matrices(aid, shift_positive(A))
         prox, mu = L1Prox(0.05), 0.3
-        st = initial_state(6, 4, seed=2)
+        st = initial_state(costs, seed=2)
         W, S = st.W, st.S
         for _ in range(20):
             Z = W - t.C @ W - mu * costs.grad_stack(W) - S
@@ -138,7 +135,7 @@ class TestCsrCombine:
         costs = quadratic_cost(1.0, K, M, targets=np.random.default_rng(0)
                                .standard_normal((K, M)))
         prox, mu = L1Prox(0.05), 0.3
-        st = initial_state(K, M, seed=1)
+        st = initial_state(costs, seed=1)
         for _ in range(10):
             st = engine.puda_step(st, t, costs, prox, mu)
         assert sp.issparse(t.A_bar_op) and sp.issparse(t.B_sq_op)
@@ -146,11 +143,11 @@ class TestCsrCombine:
 
         monkeypatch.setattr(netgraph, "CSR_DENSITY", 0.0)
         dense = ConsensusTriple(t.A_bar, t.B_sq, t.C)
-        ref = initial_state(K, M, seed=1)
+        ref = initial_state(costs, seed=1)
         for _ in range(10):
             ref = engine.puda_step(ref, dense, costs, prox, mu)
         assert dense.A_bar_op is dense.A_bar and dense.B_sq_op is dense.B_sq
-        for name in ("W", "S", "Z", "A_bar_Z", "B_sq_Z"):
+        for name in ("W", "S", "Z", "G", "B_sq_Z"):
             np.testing.assert_allclose(getattr(st, name), getattr(ref, name),
                                        rtol=0, atol=1e-12, err_msg=name)
 
@@ -253,7 +250,9 @@ class TestSeparateProx:
         pg, _ = trajectory(step, self.costs, self.init, 100)
         t = table1_matrices("EXTRA", self.A)
         extra = engine.non_atc(self.costs, self.mu, t)
-        st = BlockIterate(W=pg[0], W_prev=self.init, iter=1)
+        st = BlockIterate(W=pg[0], W_prev=self.init,
+                          G=self.costs.grad_stack(pg[0]),
+                          G_prev=self.costs.grad_stack(self.init), iter=1)
         for i in range(1, 100):
             st = extra(st)
             assert np.abs(st.W - pg[i]).max() <= 1e-10
@@ -377,8 +376,7 @@ class TestRun:
         }[form]()
         residual_fn = None
         if form == "primal_dual":
-            residual_fn = lambda st: fixed_point_residuals(
-                st, costs, prox, atc, mu)
+            residual_fn = lambda st: fixed_point_residuals(st, mu)
         calls = []
         grad_stack = costs.grad_stack
         monkeypatch.setattr(costs, "grad_stack",
@@ -394,21 +392,30 @@ class TestRun:
         st = run(ALGORITHMS["ProxATC2"], step, costs, np.zeros(3), 10).final_state
         assert np.array_equal(st.G, costs.grad_stack(st.W))
         assert np.array_equal(st.G_prev, costs.grad_stack(st.W_prev))
-        bare = dataclasses.replace(st, G=None, G_prev=None)
-        assert np.array_equal(step(st).W, step(bare).W)
 
     @pytest.mark.parametrize("buffer", ["S", "X"])
     def test_check_finite_covers_dual_and_tracking(self, buffer):
         w = np.ones((2, 2))
-        st = BlockIterate(W=w, W_prev=w, **{buffer: np.array(
+        st = BlockIterate(W=w, W_prev=w, G=w, **{buffer: np.array(
             [[1.0, np.nan], [0.0, 0.0]])}, iter=4)
         with pytest.raises(DivergenceError) as info:
             st.check_finite()
         assert info.value.iteration == 4
 
     def test_initial_state_validation(self):
+        costs = random_quadratic_cost(3, 2, seed=0)
         with pytest.raises(ValueError):
-            initial_state(3, 2, init=np.zeros((2, 2)))
-        st = initial_state(3, 2, init=np.ones(2))
+            initial_state(costs, init=np.zeros((2, 2)))
+        st = initial_state(costs, init=np.ones(2))
         assert st.W.shape == (3, 2)
         assert np.all(st.S == 0.0)
+
+    def test_initial_state_carries_its_gradient(self):
+        costs = random_quadratic_cost(3, 2, seed=0)
+        st = initial_state(costs, seed=4)
+        assert np.array_equal(st.G, costs.grad_stack(st.W))
+
+    def test_gradient_is_required(self):
+        w = np.ones((2, 2))
+        with pytest.raises(TypeError):
+            BlockIterate(W=w, W_prev=w, S=np.zeros((2, 2)))
