@@ -12,8 +12,12 @@ reference solution it cannot reach, exits with code 2.
 
 A config names algorithms of ``engine.ALGORITHMS``; each entry gives the
 row to build and the theorem whose bound sets the ``"auto"`` step (0.9 of
-it).  A and the Laplacian are each decomposed at most once per experiment,
-on first need, for every row on that base.
+it).  Every spectral scalar of a row is decided by three eigenvalues of
+its base (``netgraph.deciding_eigenvalues``): the consensus eigenvalue and
+the extremes of the spectrum off the ones vector.  They are solved at most
+once per experiment for A and for the Laplacian, on first need, for every
+row on that base.  Each algorithm is resolved, run and summarized in turn,
+and nothing of one (its triple, CSR copies, step) outlives its summary row.
 """
 
 import argparse
@@ -228,12 +232,12 @@ class Problem:
     _eig: dict = field(default_factory=dict, init=False)
 
     def eigvals(self, row, shifted):
-        """Eigenvalues of the row's base, L, A or 0.5 (I + A), from one
-        decomposition of L or A per problem, made on first need."""
+        """The deciding eigenvalues of the row's base, L, A or 0.5 (I + A),
+        from one solve for L or A per problem, made on first need."""
         base = "L" if row.on_laplacian else "A"
         if base not in self._eig:
             X = self.laplacian if row.on_laplacian else self.A
-            self._eig[base] = np.linalg.eigvalsh(X)
+            self._eig[base] = netgraph.deciding_eigenvalues(X)
         return 0.5 * (1.0 + self._eig[base]) if shifted else self._eig[base]
 
 
@@ -361,45 +365,45 @@ def write_trajectory_csv(path, record):
         f.write("\n".join(lines) + "\n")
 
 
+def _run_algorithm(acfg, cfg, problem):
+    """Resolve and run one configured algorithm and write its CSV; returns
+    its summary row.  Its triple, CSR copies and step die on return."""
+    r = resolve_algorithm(acfg, cfg, problem)
+    residual_fn = None
+    if r.triple is not None:
+        residual_fn = lambda st, mu=r.mu: analysis.fixed_point_residuals(st, mu)
+    record = engine.run(r.algorithm, r.step, problem.costs, problem.w_star,
+                        cfg.iters, record_every=cfg.record_every,
+                        seed=cfg.seeds.init, residual_fn=residual_fn)
+    write_trajectory_csv(os.path.join(cfg.output_dir, f"{acfg.name}.csv"),
+                         record)
+
+    verdict = ""
+    empirical_ratio = ""
+    if not record.diverged and len(record.errors) >= 100:
+        fv = analysis.classify_decay(record)
+        verdict = fv.classification
+        if fv.geometric_ratio_windows:
+            empirical_ratio = _fmt(fv.geometric_ratio_windows[-1])
+    return {
+        "algorithm": acfg.name,
+        "mu": r.mu,
+        "theoretical_gamma": r.rate.gamma if r.rate else None,
+        "empirical_ratio": empirical_ratio,
+        "final_error": record.errors[-1] if record.errors else None,
+        "comm_rounds": record.comm_rounds[-1] if record.comm_rounds else 0,
+        "verdict": verdict,
+        "diverged": record.diverged,
+    }
+
+
 def run_experiment(cfg):
     """Run every configured algorithm; write one CSV per algorithm plus a
     summary table and a metadata sidecar.  Returns the summary rows."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     problem = build_problem(cfg)
-    summary = []
-    any_diverged = False
-
-    for acfg in cfg.algorithms:
-        r = resolve_algorithm(acfg, cfg, problem)
-        residual_fn = None
-        if r.triple is not None:
-            residual_fn = lambda st, mu=r.mu: analysis.fixed_point_residuals(
-                st, mu)
-        record = engine.run(r.algorithm, r.step, problem.costs, problem.w_star,
-                            cfg.iters, record_every=cfg.record_every,
-                            seed=cfg.seeds.init, residual_fn=residual_fn)
-        any_diverged |= record.diverged
-
-        csv_path = os.path.join(cfg.output_dir, f"{acfg.name}.csv")
-        write_trajectory_csv(csv_path, record)
-
-        verdict = ""
-        empirical_ratio = ""
-        if not record.diverged and len(record.errors) >= 100:
-            fv = analysis.classify_decay(record)
-            verdict = fv.classification
-            if fv.geometric_ratio_windows:
-                empirical_ratio = _fmt(fv.geometric_ratio_windows[-1])
-        summary.append({
-            "algorithm": acfg.name,
-            "mu": r.mu,
-            "theoretical_gamma": r.rate.gamma if r.rate else None,
-            "empirical_ratio": empirical_ratio,
-            "final_error": record.errors[-1] if record.errors else None,
-            "comm_rounds": record.comm_rounds[-1] if record.comm_rounds else 0,
-            "verdict": verdict,
-            "diverged": record.diverged,
-        })
+    summary = [_run_algorithm(acfg, cfg, problem) for acfg in cfg.algorithms]
+    any_diverged = any(row["diverged"] for row in summary)
 
     with open(os.path.join(cfg.output_dir, "summary.csv"), "w", newline="") as f:
         f.write("algorithm,mu,theoretical_gamma,empirical_ratio,"

@@ -9,11 +9,19 @@ work goes through CSR copies instead: the squares A^2 and (I - A)^2 of
 the table are CSR-by-dense products (O(nnz K) rather than O(K^3)), and
 each ``ConsensusTriple`` hands the engine a CSR copy of every matrix whose
 share of nonzeros is below ``CSR_DENSITY`` (``A_bar_op``, ``B_sq_op``,
-``C_op``).  Every row of the table is a polynomial in one symmetric base
-matrix (A, or the Laplacian for DLM), so ``table1_matrices`` also applies
-the row's formulas (``table1_spectrum``) to the base's eigenvalues, given
-by the caller or from one eigendecomposition, and ``validate_assumptions``
-reads the triple's joint spectrum from them.
+``C_op``).
+
+Every row of the table is a polynomial in one symmetric base matrix (A,
+or the Laplacian for DLM) that has the ones vector as an eigenvector.
+Every scalar ``validate_assumptions`` reports is a monotone or concave
+function of the base's eigenvalues, so it is decided by three of them
+(``deciding_eigenvalues``): the consensus eigenvalue, of the ones vector,
+and the lowest and highest on its complement.  ``table1_matrices``
+applies the row's formulas (``table1_spectrum``) to these three, given by
+the caller or solved once, and ``validate_assumptions`` reads the triple's
+three paired values.  A dense base is solved by ``eigvalsh``; a sparse
+one by Lanczos on its CSR copy, falling back to ``eigvalsh`` when Lanczos
+does not converge within its cap or fails its residual check.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 __all__ = [
     "Graph",
@@ -34,6 +43,7 @@ __all__ = [
     "laplacian_matrix",
     "table1_matrices",
     "table1_spectrum",
+    "deciding_eigenvalues",
     "validate_assumptions",
 ]
 
@@ -43,11 +53,21 @@ NULLSPACE_TOL = 1e-10
 PSD_TOL = 1e-10
 # Largest |X - X^T| entry a symmetric matrix may have.
 SYMMETRY_TOL = 1e-12
+# Largest |X 1 - q 1| entry, q = 1'X1/K, for the ones vector to count as
+# an eigenvector of X.
+EIGENVECTOR_TOL = 1e-12
 # A matrix with a smaller share of nonzero entries is multiplied through
 # a CSR copy.  On a 2-vCPU Xeon with one BLAS thread, a product with a
 # K x 30 stack costs 15 us through CSR against 4 us dense at K=20 (85%
 # nonzero), and 0.6 ms against 15 ms at K=2000 (0.6% nonzero).
 CSR_DENSITY = 0.1
+# Lanczos on a sparse base: the Krylov dimension; the restarts are capped
+# at K // LANCZOS_NCV, about K products with the base (in exact
+# arithmetic, K steps span the whole space).  A residual |X v - lambda v|
+# above LANCZOS_RESIDUAL_TOL times the bound on |X|'s spectrum sends the
+# base to eigvalsh: it bounds each eigenvalue's error.
+LANCZOS_NCV = 40
+LANCZOS_RESIDUAL_TOL = 1e-13
 
 
 class AlgorithmId(str, Enum):
@@ -87,20 +107,27 @@ class Graph:
             if not (0 <= s < self.K and 0 <= k < self.K):
                 raise ValueError(f"edge ({s},{k}) out of range for K={self.K}")
 
+    @cached_property
+    def edge_index(self):
+        """The edges as an E x 2 integer array, one (s, k) row each."""
+        return np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+
     def degrees(self):
-        d = np.zeros(self.K, dtype=int)
-        for (s, k) in self.edges:
-            d[s] += 1
-            d[k] += 1
-        return d
+        return np.bincount(self.edge_index.ravel(), minlength=self.K)
 
     def adjacency(self):
         adj = np.zeros((self.K, self.K))
-        for (s, k) in self.edges:
-            adj[s, k] = adj[k, s] = 1.0
+        s, k = self.edge_index.T
+        adj[s, k] = adj[k, s] = 1.0
         return adj
 
     def is_connected(self):
+        return self._connected
+
+    @cached_property
+    def _connected(self):
+        # Once per graph: build_graph, metropolis_matrix and
+        # laplacian_matrix each ask.
         return _is_connected(self.K, self.edges)
 
 
@@ -112,11 +139,13 @@ class ConsensusTriple:
     consensus matrices annihilating the all-ones vector.
 
     ``spectrum``, set by :func:`table1_matrices`, holds the eigenvalues of
-    (A_bar, B_sq, C) as three length-K arrays paired in the matrices'
-    common eigenbasis; it is None for a hand-built triple, whose matrices
-    need not commute.  The matrices are not to be modified after
-    construction: ``spectrum`` and the cached properties describe them as
-    built.
+    (A_bar, B_sq, C) as three arrays paired in the matrices' common
+    eigenbasis, each with three entries: at the consensus eigenvalue of the
+    row's base, then at its lowest and its highest eigenvalue on the
+    complement of the ones vector (:func:`deciding_eigenvalues`).  It is
+    None for a hand-built triple, whose matrices need not commute.  The
+    matrices are not to be modified after construction: ``spectrum`` and
+    the cached properties describe them as built.
     """
 
     A_bar: np.ndarray
@@ -164,12 +193,14 @@ def _edge(s, k):
     return (s, k) if s < k else (k, s)
 
 
+def _is_sparse(X):
+    return np.count_nonzero(X) < CSR_DENSITY * X.size
+
+
 def _combine_operator(X):
     """A CSR copy of X if its share of nonzeros is below CSR_DENSITY,
     else X itself; either one multiplies a dense stack to an ndarray."""
-    if np.count_nonzero(X) < CSR_DENSITY * X.size:
-        return sp.csr_matrix(X)
-    return X
+    return sp.csr_matrix(X) if _is_sparse(X) else X
 
 
 def _is_symmetric(X):
@@ -294,10 +325,9 @@ def metropolis_matrix(g):
     if not g.is_connected():
         raise ValueError("graph must be connected")
     d = g.degrees()
+    s, k = g.edge_index.T
     A = np.zeros((g.K, g.K))
-    for (s, k) in g.edges:
-        w = 1.0 / (1.0 + max(d[s], d[k]))
-        A[s, k] = A[k, s] = w
+    A[s, k] = A[k, s] = 1.0 / (1.0 + np.maximum(d[s], d[k]))
     np.fill_diagonal(A, 1.0 - A.sum(axis=1))
     return A
 
@@ -356,6 +386,65 @@ def table1_spectrum(row, eigvals, c=None, mu=None):
                        np.ones(len(eigvals)), np.multiply, c, mu)
 
 
+def deciding_eigenvalues(X):
+    """The three eigenvalues of a symmetric base X that decide every scalar
+    of its Table I rows, as an array (consensus, lowest, highest): the
+    eigenvalue of the ones vector, then the extremes of the spectrum on its
+    complement.  None if X is not symmetric or the ones vector is not an
+    eigenvector.
+
+    Below ``CSR_DENSITY`` they come from Lanczos on a CSR copy
+    (:func:`_lanczos_eigenvalues`), otherwise, or if Lanczos fails, from
+    one ``eigvalsh``.
+    """
+    if not _is_symmetric(X):
+        return None
+    K = X.shape[0]
+    row_sums = X.sum(axis=1)
+    q = row_sums.mean()
+    if not np.abs(row_sums - q).max() <= EIGENVECTOR_TOL * max(1.0, abs(q)):
+        return None
+    # A base no larger than the Krylov space gains nothing from Lanczos.
+    if K > LANCZOS_NCV and _is_sparse(X):
+        eig = _lanczos_eigenvalues(sp.csr_matrix(X), q)
+        if eig is not None:
+            return eig
+    eig = np.linalg.eigvalsh(X)  # ascending
+    i = int(np.argmin(np.abs(eig - q)))
+    return np.array([eig[i], eig[1] if i == 0 else eig[0],
+                     eig[-2] if i == K - 1 else eig[-1]])
+
+
+def _lanczos_eigenvalues(X, q):
+    """(q, lowest, highest) for the sparse symmetric X whose ones vector has
+    eigenvalue q, by implicitly restarted Lanczos (ARPACK); None if it does
+    not converge within its cap or an eigenpair fails its residual check.
+
+    A rank-one shift moves the consensus eigenvalue above the spectrum, so
+    the two highest eigenvalues of the shifted matrix are it and the
+    highest on the complement, and the lowest is the lowest there.  The
+    start vector is fixed, so the result depends only on X.
+    """
+    K = X.shape[0]
+    bound = abs(X).sum(axis=1).max()  # >= |every eigenvalue|
+    shift = 3.0 * bound  # q + shift - highest >= bound
+    Y = LinearOperator((K, K), dtype=float,
+                       matvec=lambda v: X @ v + (shift / K) * v.sum())
+    v0 = np.random.default_rng(0).standard_normal(K)
+    try:
+        w, V = eigsh(Y, k=3, which="BE", v0=v0, ncv=LANCZOS_NCV,
+                     maxiter=K // LANCZOS_NCV, tol=0)
+    except ArpackError:  # no convergence within the cap, among others
+        return None
+    order = np.argsort(w)
+    w, V = w[order], V[:, order]
+    residual = np.linalg.norm(Y @ V - V * w, axis=0).max()
+    tol = LANCZOS_RESIDUAL_TOL * bound
+    if not (residual <= tol and abs(w[2] - (q + shift)) <= tol):
+        return None
+    return np.array([q, w[0], w[1]])
+
+
 def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     """Consensus triple (A_bar, B^2, C) for a named algorithm.
 
@@ -371,7 +460,8 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     L : ndarray, optional
         Graph Laplacian, required by DLM.
     eigvals : ndarray, optional
-        Eigenvalues of the row's base (A, or L for DLM); computed if omitted.
+        The base's (A, or L for DLM) three deciding eigenvalues
+        (:func:`deciding_eigenvalues`); solved if omitted.
     """
     row = AlgorithmId(row)
     if row in (AlgorithmId.NIDS, AlgorithmId.DLM) and (c is None or c <= 0):
@@ -385,10 +475,13 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     K = base.shape[0]
 
     matrices = _table1_row(row, base, np.eye(K), _matrix_product, c, mu)
+    if eigvals is None:
+        eigvals = deciding_eigenvalues(base)
     spectrum = None
-    if _is_symmetric(base):
-        if eigvals is None:
-            eigvals = np.linalg.eigvalsh(base)
+    # DIGing's C = I - A^2 peaks inside a range that straddles 0, at the
+    # eigenvalue nearest 0, which the three do not give.
+    if eigvals is not None and not (row is AlgorithmId.DIGING
+                                    and eigvals[1] < 0 < eigvals[2]):
         spectrum = table1_spectrum(row, eigvals, c, mu)
     return ConsensusTriple(*matrices, spectrum=spectrum)
 
@@ -403,16 +496,19 @@ def validate_assumptions(t, psd_tol=PSD_TOL):
 
     A triple from :func:`table1_matrices` is checked on its ``spectrum``:
     its matrices share one eigenbasis, so both conditions hold pair by
-    pair of eigenvalues.  A hand-built triple takes five eigendecompositions.
+    pair of eigenvalues, and each reported scalar is attained at one of
+    the three pairs.  A hand-built triple takes five eigendecompositions.
     """
     for name in ("A_bar", "B_sq", "C"):
         if not _is_symmetric(getattr(t, name)):
             raise ValueError(f"{name} is not symmetric")
 
+    off_consensus = None
     if t.spectrum is not None:
         eig_A, eig_Bsq, eig_C = t.spectrum
         gap = 1.0 - eig_Bsq - eig_A * eig_A
         cb_gap = eig_C - eig_Bsq
+        off_consensus = eig_Bsq[1:]
     else:
         eig_C = np.linalg.eigvalsh(t.C)
         eig_Bsq = np.linalg.eigvalsh(t.B_sq)
@@ -424,8 +520,14 @@ def validate_assumptions(t, psd_tol=PSD_TOL):
 
     sigma_max_C = float(eig_C[-1])
     sigma_max_Bsq = float(eig_Bsq[-1])
-    nonzero = eig_Bsq[np.abs(eig_Bsq) > NULLSPACE_TOL * max(1.0, sigma_max_Bsq)]
-    sigma_min_Bsq = float(nonzero[0]) if nonzero.size else 0.0
+    zero_tol = NULLSPACE_TOL * max(1.0, sigma_max_Bsq)
+    if off_consensus is not None:
+        # B^2's least value off the consensus vector, unless numerically 0.
+        low = off_consensus.min()
+        sigma_min_Bsq = float(low) if abs(low) > zero_tol else 0.0
+    else:
+        nonzero = eig_Bsq[np.abs(eig_Bsq) > zero_tol]
+        sigma_min_Bsq = float(nonzero[0]) if nonzero.size else 0.0
     lambda2_A = float(eig_A[-2]) if t.K >= 2 else float("nan")
 
     c_psd = eig_C[0] >= -psd_tol

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from decprox import analysis, cli
+from decprox import analysis, cli, netgraph
 from decprox.analysis import theoretical_rate
 from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
 from decprox.costs import SmoothCostSet
@@ -231,6 +235,49 @@ class TestRunExperiment:
         second = (tmp_path / "out" / "ProxED.csv").read_bytes()
         assert first == second
 
+    def test_one_algorithm_dies_before_the_next_resolves(self, tmp_path,
+                                                         monkeypatch):
+        # Nothing of one algorithm (its triple, CSR copies, step) is alive
+        # while the next one's triple is built.
+        refs, alive = [], []
+        resolve = cli.resolve_algorithm
+
+        def spy(acfg, cfg, problem):
+            alive.append([ref() is not None for ref in refs])
+            r = resolve(acfg, cfg, problem)
+            refs.append(weakref.ref(r.triple))
+            return r
+
+        monkeypatch.setattr(cli, "resolve_algorithm", spy)
+        run_experiment(parse_config(write_config(tmp_path, overrides={
+            "algorithms": ["ProxED", "ProxATC1", "ProxATC2"], "iters": 5})))
+        assert alive == [[], [False], [False, False]]
+
+    def test_summary_independent_of_blas_threads(self, tmp_path):
+        # The 2000-agent sparse graph's spectrum comes from Lanczos, which
+        # gives the same bits on one BLAS thread and on two; a dense
+        # eigvalsh of its A gave ProxED's gamma 0.96065450475396 on one
+        # thread and 0.9606545047539601 on two.
+        path = write_config(tmp_path, overrides={
+            "graph": {"kind": "random_connected", "K": 2000, "seed": 7,
+                      "extra_edge_prob": 0.002},
+            "algorithms": ["ProxED", "ProxATC1", "ProxATC2"], "iters": 5})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            config = json.loads(Path(path).read_text())
+            config["output_dir"] = str(out)
+            Path(path).write_text(json.dumps(config))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "decprox.cli", "run", path],
+                           env=env, check=True, capture_output=True,
+                           timeout=300)
+            outputs.append((out / "summary.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_separate_prox_residual_columns_empty(self, tmp_path):
         path = write_config(tmp_path, overrides={"algorithms": ["PGEXTRA"],
                                                  "iters": 30})
@@ -333,6 +380,30 @@ class TestRegistry:
         run_experiment(parse_config(write_config(
             tmp_path, overrides={"algorithms": names, "iters": 5})))
         assert len(calls) == decompositions
+
+    @pytest.mark.parametrize("names, solves", [
+        (["ProxED", "ProxATC1", "ProxATC2", "AugDGM", "DIGing"], 1),
+        (["ProxED", "ProxATC1", "ProxATC2", "AugDGM", "DIGing", "DLM"], 2)])
+    def test_one_lanczos_solve_per_base_on_a_sparse_graph(
+            self, tmp_path, monkeypatch, names, solves):
+        # At K=300 with 3% nonzeros, each base takes one extreme-eigenvalue
+        # solve by Lanczos and no eigvalsh.
+        calls = {"eigsh": 0, "eigvalsh": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(netgraph, "eigsh", counted(netgraph.eigsh, "eigsh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted(np.linalg.eigvalsh, "eigvalsh"))
+        run_experiment(parse_config(write_config(tmp_path, overrides={
+            "graph": {"kind": "random_connected", "K": 300, "seed": 3,
+                      "extra_edge_prob": 0.02},
+            "algorithms": names, "iters": 5})))
+        assert calls == {"eigsh": solves, "eigvalsh": 0}
 
     @pytest.mark.parametrize(
         "name", [n for n, a in ALGORITHMS.items() if a.shifted])

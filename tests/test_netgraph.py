@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 
 from decprox import netgraph
 from decprox.netgraph import (
@@ -14,6 +15,7 @@ from decprox.netgraph import (
     metropolis_matrix,
     shift_positive,
     table1_matrices,
+    table1_spectrum,
     validate_assumptions,
 )
 
@@ -28,6 +30,38 @@ def per_pair_random_connected(K, seed, p):
             if (s, k) not in edges and rng.random() < p:
                 edges.add((s, k))
     return frozenset(edges)
+
+
+def loop_degrees(g):
+    d = np.zeros(g.K, dtype=int)
+    for (s, k) in g.edges:
+        d[s] += 1
+        d[k] += 1
+    return d
+
+
+def loop_adjacency(g):
+    adj = np.zeros((g.K, g.K))
+    for (s, k) in g.edges:
+        adj[s, k] = adj[k, s] = 1.0
+    return adj
+
+
+def loop_metropolis(g):
+    """The Metropolis rule as first written, one edge at a time: the
+    reference for metropolis_matrix."""
+    d = loop_degrees(g)
+    A = np.zeros((g.K, g.K))
+    for (s, k) in g.edges:
+        w = 1.0 / (1.0 + max(d[s], d[k]))
+        A[s, k] = A[k, s] = w
+    np.fill_diagonal(A, 1.0 - A.sum(axis=1))
+    return A
+
+
+def loop_laplacian(g):
+    adj = loop_adjacency(g)
+    return np.diag(adj.sum(axis=1)) - adj
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +130,27 @@ class TestGraphs:
 
 
 class TestMetropolis:
+    @pytest.mark.parametrize("kind, K, p", [
+        ("ring", 2000, 0.0), ("ring", 3, 0.0), ("grid", 2000, 0.0),
+        ("grid", 7, 0.0), ("complete", 150, 0.0), ("complete", 2, 0.0),
+        ("random_connected", 2000, 0.002), ("random_connected", 2000, 0.0),
+        ("random_connected", 40, 0.3)])
+    def test_edge_array_matches_edge_loops(self, kind, K, p):
+        # Built from one edge-index array, bit for bit as one edge at a time.
+        g = build_graph(kind, K, seed=7, extra_edge_prob=p)
+        assert np.array_equal(g.degrees(), loop_degrees(g))
+        assert g.degrees().dtype == loop_degrees(g).dtype
+        assert np.array_equal(g.adjacency(), loop_adjacency(g))
+        assert np.array_equal(metropolis_matrix(g), loop_metropolis(g))
+        assert np.array_equal(laplacian_matrix(g), loop_laplacian(g))
+
+    def test_disconnected_graph_rejected(self):
+        g = Graph(K=4, edges=frozenset({(0, 1), (2, 3)}))
+        assert not g.is_connected()
+        for build in (metropolis_matrix, laplacian_matrix):
+            with pytest.raises(ValueError, match="connected"):
+                build(g)
+
     def test_doubly_stochastic_symmetric(self):
         # Acceptance-style property: 20 random graphs.
         for g in random_graphs(20):
@@ -256,15 +311,42 @@ def reference_report(t):
     return validate_assumptions(dataclasses.replace(t, spectrum=None))
 
 
-def assert_reports_agree(r, ref):
+# Every scalar of a report: its fields and its scalar diagnostics.  The
+# diagnostics' eigenvalue arrays hold what the check read, three paired
+# values for a Table I triple and K for a hand-built one.
+DIAGNOSTIC_SCALARS = ("min_eig_I_minus_Bsq_minus_Abar_sq",
+                      "min_eig_C_minus_Bsq", "sigma_max_Bsq")
+
+
+def report_scalars(r):
+    return {"sigma_max_C": r.sigma_max_C, "sigma_min_Bsq": r.sigma_min_Bsq,
+            "lambda2_A": r.lambda2_A,
+            **{key: r.diagnostics[key] for key in DIAGNOSTIC_SCALARS}}
+
+
+def assert_reports_agree(r, ref, atol=1e-12):
     assert r.assumption2_ok == ref.assumption2_ok
     assert r.assumption4_ok == ref.assumption4_ok
-    for name in ("sigma_max_C", "sigma_min_Bsq", "lambda2_A"):
-        assert abs(getattr(r, name) - getattr(ref, name)) <= 1e-12, name
-    assert r.diagnostics.keys() == ref.diagnostics.keys()
-    for key, value in r.diagnostics.items():
-        np.testing.assert_allclose(value, ref.diagnostics[key], rtol=0,
-                                   atol=1e-12, err_msg=key)
+    ref_scalars = report_scalars(ref)
+    for name, value in report_scalars(r).items():
+        assert abs(value - ref_scalars[name]) <= atol, name
+
+
+def full_spectrum_scalars(row, base, c=None, mu=None):
+    """The report's scalars from every eigenvalue of the base, one
+    ``eigvalsh``, with the smallest nonzero B^2 taken over the whole
+    spectrum as the check did before it read three eigenvalues."""
+    eig_A, eig_Bsq, eig_C = table1_spectrum(row, np.linalg.eigvalsh(base),
+                                            c, mu)
+    sigma_max_Bsq = eig_Bsq.max()
+    nonzero = eig_Bsq[np.abs(eig_Bsq) > netgraph.NULLSPACE_TOL
+                      * max(1.0, sigma_max_Bsq)]
+    return {"sigma_max_C": eig_C.max(), "sigma_min_Bsq": nonzero.min(),
+            "lambda2_A": np.sort(eig_A)[-2],
+            "min_eig_I_minus_Bsq_minus_Abar_sq":
+                (1.0 - eig_Bsq - eig_A * eig_A).min(),
+            "min_eig_C_minus_Bsq": (eig_C - eig_Bsq).min(),
+            "sigma_max_Bsq": sigma_max_Bsq}
 
 
 class TestJointSpectrum:
@@ -286,8 +368,54 @@ class TestJointSpectrum:
             A = shift_positive(A)
         sL = np.linalg.eigvalsh(L)[-1]
         t = table1_matrices(aid, A, c=0.3, mu=1.0 / sL, L=L)
-        assert t.spectrum is not None
+        assert (t.spectrum is None) == straddles_zero(aid, A)
         assert_reports_agree(validate_assumptions(t), reference_report(t))
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("aid", list(AlgorithmId))
+    def test_dense_three_eigenvalues_equal_full_spectrum(self, aid, shifted,
+                                                         kind, c):
+        # On a dense base the three come from one eigvalsh, and every
+        # scalar equals the one taken over the whole spectrum, bit for bit.
+        g = self.GRAPHS[kind]()
+        A, L = metropolis_matrix(g), laplacian_matrix(g)
+        if shifted:
+            A = shift_positive(A)
+        mu = 1.0 / np.linalg.eigvalsh(L)[-1]
+        t = table1_matrices(aid, A, c=c, mu=mu, L=L)
+        r = validate_assumptions(t)
+        assert_reports_agree(r, reference_report(t))
+        if straddles_zero(aid, A):
+            # C = I - A^2 peaks at A's eigenvalue nearest 0, which the
+            # three do not give: the five decompositions decide instead.
+            assert t.spectrum is None
+        else:
+            assert [len(e) for e in t.spectrum] == [3, 3, 3]
+            assert report_scalars(r) == full_spectrum_scalars(
+                aid, L if aid.on_laplacian else A, c=c, mu=mu)
+
+    def test_numerically_zero_off_consensus_reads_zero(self):
+        # AugDGM's B^2 = (I - A)^2 is 1e-12 at lambda_2 = 1 - 1e-6, below
+        # NULLSPACE_TOL: B^2 is numerically singular off the ones vector,
+        # and no smallest nonzero eigenvalue is claimed.  The other
+        # extreme's 0.64 would overstate it.
+        for lambda2, sigma_min in ((1 - 1e-6, 0.0), (1 - 1e-4, 1e-8)):
+            t = spectrum_triple("AugDGM", np.array([1.0, 0.2, lambda2]),
+                                None, None)
+            assert validate_assumptions(t).sigma_min_Bsq == pytest.approx(
+                sigma_min, rel=1e-9, abs=0.0)
+
+    def test_no_spectrum_without_a_ones_eigenvector(self):
+        # Symmetric, but its rows do not sum alike: the three eigenvalues
+        # would not decide, so the five decompositions do.
+        A = metropolis_matrix(build_graph("ring", 6))
+        A[0, 0] += 0.1
+        assert netgraph.deciding_eigenvalues(A) is None
+        t = table1_matrices("ExactDiffusion", A)
+        assert t.spectrum is None
+        assert_reports_agree(validate_assumptions(t), reference_report(t), 0.0)
 
     def test_asymmetric_base_gets_no_spectrum(self):
         A = metropolis_matrix(build_graph("ring", 5))
@@ -306,6 +434,123 @@ class TestJointSpectrum:
             X = np.eye(300)
             X[i, j] += bump
             assert netgraph._is_symmetric(X) is symmetric, (i, j)
+
+
+def straddles_zero(aid, A):
+    """Whether the row is DIGing on an A whose spectrum off the ones vector
+    has eigenvalues on both sides of 0."""
+    lo, hi = np.linalg.eigvalsh(A)[[0, -2]]
+    return aid is AlgorithmId.DIGING and lo < 0 < hi
+
+
+def spectrum_triple(row, eigvals, c, mu):
+    """A triple that carries only a row's three paired eigenvalues, from
+    its base's ``eigvals``: a check of the spectrum alone, without K x K
+    matrices (2 x 2 identities stand in for them)."""
+    I = np.eye(2)
+    return netgraph.ConsensusTriple(
+        I, I, I, spectrum=table1_spectrum(row, eigvals, c, mu))
+
+
+# Sparse 2000-agent bases.  The ring is Lanczos' slowest known case: it
+# runs into the restart cap and falls back to eigvalsh.
+SPARSE_GRAPHS = {
+    "benchmark": lambda: build_graph("random_connected", 2000, seed=7,
+                                     extra_edge_prob=0.0005),
+    "ring": lambda: build_graph("ring", 2000),
+    "grid45x45": lambda: build_graph("grid", 45 * 45),
+    "random_p0.002": lambda: build_graph("random_connected", 2000, seed=7,
+                                         extra_edge_prob=0.002),
+}
+
+
+def dense_deciding_eigenvalues(X):
+    """deciding_eigenvalues(X) as for a dense base: from one eigvalsh."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netgraph, "CSR_DENSITY", 0.0)
+        return netgraph.deciding_eigenvalues(X)
+
+
+class TestDecidingEigenvalues:
+    @pytest.fixture(scope="class", params=sorted(SPARSE_GRAPHS))
+    def solved(self, request):
+        """Per base (A, L): the sparse path's three eigenvalues, the eigvalsh
+        calls that path made, and the dense path's three."""
+        g = SPARSE_GRAPHS[request.param]()
+        out = {}
+        for name, X in (("A", metropolis_matrix(g)), ("L", laplacian_matrix(g))):
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                eigvalsh = np.linalg.eigvalsh
+                mp.setattr(np.linalg, "eigvalsh",
+                           lambda Y: calls.append(1) or eigvalsh(Y))
+                sparse = netgraph.deciding_eigenvalues(X)
+            out[name] = (sparse, len(calls), dense_deciding_eigenvalues(X))
+        return request.param, out
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, 1.0])
+    def test_sparse_scalars_match_eigvalsh(self, solved, c):
+        kind, out = solved
+        for aid in AlgorithmId:
+            sparse, _, dense = out["L" if aid.on_laplacian else "A"]
+            mu = 1.0 / dense[2] if aid.on_laplacian else None
+            for shifted in ((False,) if aid.on_laplacian else (False, True)):
+                pair = [0.5 * (1.0 + e) if shifted else e
+                        for e in (sparse, dense)]
+                reports = [validate_assumptions(spectrum_triple(aid, e, c, mu))
+                           for e in pair]
+                assert_reports_agree(*reports)
+
+    def test_lanczos_serves_all_but_the_ring(self, solved):
+        kind, out = solved
+        for name, (sparse, fallbacks, dense) in out.items():
+            if kind == "ring":
+                assert np.array_equal(sparse, dense), name
+            else:
+                assert fallbacks == 0, name
+            np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)
+
+    def test_same_bits_in_either_order(self, benchmark_graph):
+        # The start vector is fixed: ARPACK's own, drawn from a process-wide
+        # generator that another eigsh call advances, is not used.
+        A = metropolis_matrix(benchmark_graph)
+        L = laplacian_matrix(benchmark_graph)
+        first = [netgraph.deciding_eigenvalues(X) for X in (A, L)]
+        sla.eigsh(sp.csr_matrix(L), k=1)
+        second = [netgraph.deciding_eigenvalues(X) for X in (L, A)][::-1]
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    @pytest.fixture(scope="class")
+    def benchmark_A(self, benchmark_graph):
+        A = metropolis_matrix(benchmark_graph)
+        return A, dense_deciding_eigenvalues(A)
+
+    def test_no_convergence_falls_back(self, benchmark_A, monkeypatch):
+        A, dense = benchmark_A
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.empty(0),
+                                          np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(netgraph, "eigsh", no_convergence)
+        assert np.array_equal(netgraph.deciding_eigenvalues(A), dense)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_wrong_eigenvalue_falls_back(self, benchmark_A, monkeypatch, which):
+        # An eigenvalue 1e-9 off, with ARPACK's own eigenvectors: the
+        # residual check catches it.
+        A, dense = benchmark_A
+        eigsh = netgraph.eigsh
+
+        def off(*args, **kwargs):
+            w, V = eigsh(*args, **kwargs)
+            w = w.copy()
+            w[which] += 1e-9
+            return w, V
+
+        monkeypatch.setattr(netgraph, "eigsh", off)
+        assert np.array_equal(netgraph.deciding_eigenvalues(A), dense)
 
 
 class TestCombineOperators:
