@@ -1,5 +1,6 @@
 """Rate theory, fixed-point residuals, reference oracle and decay fitting."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,9 +106,15 @@ def fixed_point_residuals(state, mu):
         raise ValueError("state carries no Z or B^2 Z; run a primal-dual form")
     W = state.W
     scale = np.sqrt(W.size)
-    r_primal = np.linalg.norm(state.Z - (W - mu * state.G - state.S)) / scale
-    r_dual = np.linalg.norm(state.B_sq_Z) / scale
+    r_primal = _frobenius(state.Z - (W - mu * state.G - state.S)) / scale
+    r_dual = _frobenius(state.B_sq_Z) / scale
     return float(r_primal), float(r_dual), 0.0
+
+
+def _frobenius(X):
+    """||X||_F by numpy's pairwise sum: np.linalg.norm reduces through
+    BLAS, whose result depends on its thread count."""
+    return math.sqrt((X * X).sum())
 
 
 class NotConvergedError(RuntimeError):

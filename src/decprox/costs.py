@@ -2,7 +2,10 @@
 
 Each cost family builds one stacked gradient at construction, so the
 engine's one gradient per iteration is a single vectorised kernel over
-the K x M stack; the per-agent ``grad``/``eval`` stay as the reference.
+the K x M stack, and the reference solver's average gradient is that
+kernel on K copies of one point.  No cost is evaluated, only its
+gradient; the per-agent costs and gradients the kernels are checked
+against live with the tests.
 """
 
 from dataclasses import dataclass
@@ -54,39 +57,32 @@ class SmoothCostSet:
     """K per-agent differentiable costs with shared curvature constants.
 
     Each agent cost is strongly convex with modulus ``nu`` and has
-    ``delta``-Lipschitz gradients.  ``eval``/``grad`` address one agent;
-    ``grad_stack`` evaluates all agents on a K x M iterate stack through
-    ``stack_grad``, the family's vectorised gradient, which equals the
-    stack of per-agent gradients.  The engine evaluates ``grad_stack``
-    once per iteration, at the new iterate, and carries the result in its
-    state.
+    ``delta``-Lipschitz gradients.  ``grad_stack`` evaluates all agents'
+    gradients on a K x M iterate stack, row k at row k, through
+    ``stack_grad``, the family's vectorised gradient.  The engine
+    evaluates it once per iteration, at the new iterate, and carries the
+    result in its state.
     """
 
-    def __init__(self, evals, grads, stack_grad, nu, delta, M):
+    def __init__(self, stack_grad, nu, delta, K, M):
         if not (0 < nu <= delta):
             raise ValueError(f"need 0 < nu <= delta, got nu={nu}, delta={delta}")
-        self._evals = evals
-        self._grads = grads
         self._stack_grad = stack_grad
         self.nu = float(nu)
         self.delta = float(delta)
-        self.K = len(evals)
+        self.K = K
         self.M = M
-
-    def eval(self, k, w):
-        return self._evals[k](np.asarray(w, dtype=float))
-
-    def grad(self, k, w):
-        return self._grads[k](np.asarray(w, dtype=float))
 
     def grad_stack(self, W):
         return self._stack_grad(np.asarray(W, dtype=float))
 
     def average_grad(self, w):
+        """(1/K) sum_k grad J_k(w): every agent's gradient at w from one
+        ``grad_stack``, added in agent order."""
         w = np.asarray(w, dtype=float)
         g = np.zeros_like(w)
-        for k in range(self.K):
-            g += self._grads[k](w)
+        for row in self.grad_stack(np.tile(w, (self.K, 1))):
+            g += row
         return g / self.K
 
 
@@ -102,20 +98,8 @@ def quadratic_cost(eta, K, M, targets=None):
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (K, M):
         raise ValueError(f"targets must have shape ({K},{M})")
-
-    def make(k):
-        t = targets[k]
-        return (
-            lambda w: 0.5 * eta * float(np.dot(w - t, w - t)),
-            lambda w: eta * (w - t),
-        )
-
-    pairs = [make(k) for k in range(K)]
-    return SmoothCostSet(
-        [p[0] for p in pairs], [p[1] for p in pairs],
-        lambda W: eta * (W - targets),
-        nu=eta, delta=eta, M=M,
-    )
+    return SmoothCostSet(lambda W: eta * (W - targets),
+                         nu=eta, delta=eta, K=K, M=M)
 
 
 def random_quadratic_cost(K, M, seed=0, nu_min=0.5, delta_max=2.0):
@@ -134,20 +118,10 @@ def random_quadratic_cost(K, M, seed=0, nu_min=0.5, delta_max=2.0):
         lam[0], lam[-1] = nu_min, delta_max  # pin the extremes
         Hs.append((Q * lam) @ Q.T)
         bs.append(rng.standard_normal(M))
-
-    def make(H, b):
-        return (
-            lambda w: 0.5 * float(w @ H @ w) + float(b @ w),
-            lambda w: H @ w + b,
-        )
-
-    pairs = [make(H, b) for H, b in zip(Hs, bs)]
     H_stack, b_stack = np.stack(Hs), np.stack(bs)
     return SmoothCostSet(
-        [p[0] for p in pairs], [p[1] for p in pairs],
         lambda W: np.matmul(H_stack, W[:, :, None])[:, :, 0] + b_stack,
-        nu=nu_min, delta=delta_max, M=M,
-    )
+        nu=nu_min, delta=delta_max, K=K, M=M)
 
 
 def logistic_cost(shards, lam):
@@ -160,30 +134,9 @@ def logistic_cost(shards, lam):
     for k, d in enumerate(shards):
         if len(d) == 0:
             raise ValueError(f"shard {k} is empty")
-    M = shards[0].M
-
-    def make(d):
-        X, y = d.features, d.labels
-        L = len(d)
-
-        def ev(w):
-            margins = -y * (X @ w)
-            return float(np.logaddexp(0.0, margins).sum()) / L + 0.5 * lam * float(w @ w)
-
-        def gr(w):
-            margins = -y * (X @ w)
-            coef = -y * expit(margins) / L
-            return np.asarray(X.T @ coef).ravel() + lam * w
-
-        return ev, gr
-
-    pairs = [make(d) for d in shards]
     nu, delta = _logistic_constants(shards, lam)
-    return SmoothCostSet(
-        [p[0] for p in pairs], [p[1] for p in pairs],
-        _stacked_logistic_grad(shards, lam),
-        nu=nu, delta=delta, M=M,
-    )
+    return SmoothCostSet(_stacked_logistic_grad(shards, lam),
+                         nu=nu, delta=delta, K=len(shards), M=shards[0].M)
 
 
 def _stacked_logistic_grad(shards, lam):
@@ -192,7 +145,7 @@ def _stacked_logistic_grad(shards, lam):
     Row block k of the N x (K M) matrix holds shard k's features in
     columns k M .. (k+1) M - 1, entry order kept, so each margin and each
     gradient entry sums the same products in the same order as the
-    per-agent gradient and the two agree bit for bit.
+    per-agent gradient X_k' coef_k + lam w and the two agree bit for bit.
     """
     K, M = len(shards), shards[0].M
     Xs = [sp.csr_matrix(d.features) for d in shards]
@@ -203,8 +156,8 @@ def _stacked_logistic_grad(shards, lam):
     Xb = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, K * M))
     XbT = Xb.T.tocsr()
     y = np.concatenate([d.labels for d in shards])
-    # Each sample's shard size: the per-agent code divides by it, and a
-    # multiply by its reciprocal would not round the same way.
+    # Each sample's shard size: the per-agent gradient divides by it, and
+    # a multiply by its reciprocal would not round the same way.
     L = np.repeat([float(len(d)) for d in shards], [len(d) for d in shards])
 
     def stack_grad(W):

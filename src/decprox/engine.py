@@ -11,15 +11,15 @@ entry gives the name's Table I row (none for PGEXTRA and DLADMM, whose
 regularizers differ by agent), whether it runs on 0.5 (I + A), its
 communication rounds per iteration, its rate theorem and its step
 factory.  A step factory does once what is fixed over a run and returns
-the step, state -> next state, which ``run`` iterates.  The Appendix B/C
-forms (per-agent listings, eliminated, two-variable and non-ATC
-recursions) are step factories too, for the tests, but not entries: the
-eliminated forms drop the prox.
+the step, state -> next state, which ``run`` iterates.  Every Table I row
+runs as the one primal-dual step; the paper's per-agent listings and
+eliminated forms of it (Appendices B and C) are equivalences, which the
+tests check against this step rather than run.
 
 The primal-dual step multiplies by the triple's ``A_bar_op``, ``B_sq_op``
 and ``C_op``: a CSR copy of a sparse matrix (a large sparse graph's
 combine costs O(nnz M) instead of O(K^2 M)), the dense matrix itself for
-a dense one, where a CSR product would be slower.  The other recursions
+a dense one, where a CSR product would be slower.  PG-EXTRA and DLADMM
 keep dense products; no workload runs them at large K.
 
 Every state is complete: ``initial_state`` evaluates the first gradient,
@@ -64,10 +64,10 @@ class BlockIterate:
     """K x M agent-major stacks of the iteration variables.
 
     W is the newest iterate, W_prev the one before it, and G and G_prev
-    their gradients; S is the dual surrogate B y; Z, X and Psi_prev hold
-    the auxiliary/tracking buffers used by the specific recursion in
-    play, and B_sq_Z the primal-dual step's product B^2 Z, kept for the
-    fixed-point residuals.
+    their gradients; S is the dual surrogate B y; Z and X hold the
+    auxiliary buffers used by the specific recursion in play, and B_sq_Z
+    the primal-dual step's product B^2 Z, kept for the fixed-point
+    residuals.
     """
 
     W: np.ndarray
@@ -77,7 +77,6 @@ class BlockIterate:
     S: np.ndarray = None
     Z: np.ndarray = None
     X: np.ndarray = None
-    Psi_prev: np.ndarray = None
     B_sq_Z: np.ndarray = None
     iter: int = 0
 
@@ -128,13 +127,11 @@ def _grad(state):
     return state.G
 
 
-def _advance(state, W_new, costs, G_new=None, **buffers):
+def _advance(state, W_new, costs, **buffers):
     """The state after a step from ``state``: W_new with its gradient,
     which is the one gradient the step evaluates."""
-    if G_new is None:
-        G_new = costs.grad_stack(W_new)
-    return BlockIterate(W=W_new, W_prev=state.W, G=G_new, G_prev=state.G,
-                        iter=state.iter + 1, **buffers)
+    return BlockIterate(W=W_new, W_prev=state.W, G=costs.grad_stack(W_new),
+                        G_prev=state.G, iter=state.iter + 1, **buffers)
 
 
 def puda_step(state, triple, costs, prox, mu):
@@ -242,132 +239,6 @@ ALGORITHMS = {a.name: a for a in (
 )}
 
 
-# ---------------------------------------------------------------------------
-# Appendix B/C forms.  Iteration 0 is the primal-dual step from S = 0.
-
-def _adapt_combine(costs, prox, mu, M, first_Z, next_Z):
-    """A listing that adapts psi = W - mu grad(W), corrects it to Z (Z =
-    first_Z(psi), then next_Z(X, psi, psi_prev)) and combines X = M Z."""
-
-    def step(state):
-        G = _grad(state)
-        psi = state.W - mu * G
-        Z = (first_Z(psi) if state.iter == 0
-             else next_Z(state.X, psi, state.Psi_prev))
-        X = M @ Z
-        return _advance(state, prox.apply_stack(X, mu), costs,
-                        Z=Z, X=X, Psi_prev=psi)
-
-    return step
-
-
-def agent_prox_ed(costs, prox, mu, A):
-    """The per-agent Prox-ED listing, combining with 0.5 (I + A)."""
-    return _adapt_combine(costs, prox, mu, 0.5 * (np.eye(A.shape[0]) + A),
-                          lambda psi: psi,
-                          lambda X, psi, psi_prev: X + psi - psi_prev)
-
-
-def agent_prox_atc1(costs, prox, mu, A):
-    """The per-agent Prox-ATC I listing (AugDGM's row)."""
-    return _adapt_combine(
-        costs, prox, mu, A, lambda psi: A @ psi,
-        lambda X, psi, psi_prev: 2.0 * X - A @ (X - psi + psi_prev))
-
-
-def agent_prox_atc2(costs, prox, mu, A):
-    """The per-agent Prox-ATC II listing (ATCTracking's row)."""
-
-    def step(state):
-        W = state.W
-        G = _grad(state)
-        if state.iter == 0:
-            Z = A @ W - mu * G
-        else:
-            psi = 2.0 * state.X - mu * (G - state.G_prev)
-            Z = psi - A @ (state.X - W + state.W_prev)
-        X = A @ Z
-        return _advance(state, prox.apply_stack(X, mu), costs, Z=Z, X=X)
-
-    return step
-
-
-def _two_step(costs, first, recursion):
-    """A dual-free two-step recursion (smooth case, R = 0) in (W, W_prev):
-    W_0 = first(W, grad(W)), then recursion(W, W_prev, grad difference)."""
-
-    def step(state):
-        G = _grad(state)
-        if state.iter == 0:
-            W_new = first(state.W, G)
-        else:
-            W_new = recursion(state.W, state.W_prev, G - state.G_prev)
-        return _advance(state, W_new, costs)
-
-    return step
-
-
-def eliminated_diffusion(costs, mu, A_bar):
-    """Exact Diffusion (A_bar = 0.5 (I + A)) or NIDS (its row's A_bar)
-    with the dual eliminated."""
-    return _two_step(
-        costs, lambda W, G: A_bar @ (W - mu * G),
-        lambda W, W_prev, dG: A_bar @ (2.0 * W - W_prev - mu * dG))
-
-
-def eliminated_aug_dgm(costs, mu, A):
-    """AugDGM with the dual eliminated."""
-    return _two_step(
-        costs, lambda W, G: A @ (A @ (W - mu * G)),
-        lambda W, W_prev, dG: A @ (2.0 * W - A @ W_prev - mu * (A @ dG)))
-
-
-def eliminated_atc_tracking(costs, mu, A):
-    """ATC tracking with the dual eliminated."""
-    return _two_step(
-        costs, lambda W, G: A @ (A @ W - mu * G),
-        lambda W, W_prev, dG: A @ (2.0 * W - A @ W_prev - mu * dG))
-
-
-def non_atc(costs, mu, triple):
-    """The non-ATC rows (EXTRA, DIGing, DLM) with the dual eliminated."""
-    C, B_sq = triple.C, triple.B_sq
-    return _two_step(
-        costs, lambda W, G: W - C @ W - mu * G,
-        lambda W, W_prev, dG: ((2.0 * W - C @ W - B_sq @ W)
-                               - (W_prev - C @ W_prev) - mu * dG))
-
-
-def _tracking(costs, mu, A, first_X, next_X):
-    """W <- A (W - mu X) with X tracking the gradient: X <- next_X(X,
-    grad(W_new), grad(W)), from X = first_X(W, grad(W))."""
-
-    def step(state):
-        W = state.W
-        G = _grad(state)
-        X = first_X(W, G) if state.iter == 0 else state.X
-        W_new = A @ (W - mu * X)
-        G_new = costs.grad_stack(W_new)
-        return _advance(state, W_new, costs, G_new=G_new,
-                        X=next_X(X, G_new, G))
-
-    return step
-
-
-# Each tracking init makes w_0 match the primal-dual start.
-
-def aug_dgm_two_variable(costs, mu, A):
-    """AugDGM as its tracking-variable implementation."""
-    return _tracking(costs, mu, A, lambda W, G: (W - A @ W) / mu + A @ G,
-                     lambda X, G_new, G: A @ (X + G_new - G))
-
-
-def atc_tracking_two_variable(costs, mu, A):
-    """ATC tracking as its tracking-variable implementation."""
-    return _tracking(costs, mu, A, lambda W, G: (W - A @ W) / mu + G,
-                     lambda X, G_new, G: A @ X + G_new - G)
-
-
 def rel_sq_error(W, w_star):
     """sum_k ||w_k - w*||^2 / ||w*||^2 (absolute if w* = 0)."""
     diff = W - w_star[None, :]
@@ -377,14 +248,13 @@ def rel_sq_error(W, w_star):
 
 
 def run(algorithm, step, costs, w_star, iters, record_every=1, init=None,
-        seed=None, residual_fn=None, target_error=None):
+        seed=None, residual_fn=None):
     """Iterate ``step`` (state -> next state, from a step factory of the
     entry ``algorithm``, which sets the rounds per iteration) up to
     ``iters`` times from :func:`initial_state` (``init``, ``seed``), and
     record the relative squared error to ``w_star`` every
     ``record_every`` iterations, the first and the last always, with
-    ``residual_fn(state)`` beside it if given.  Stops early once the error
-    falls to ``target_error``, if given.
+    ``residual_fn(state)`` beside it if given.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -409,8 +279,6 @@ def run(algorithm, step, costs, w_star, iters, record_every=1, init=None,
             record.comm_rounds.append(i * algorithm.rounds)
             record.errors.append(err)
             record.residuals.append(residual_fn(state) if residual_fn else None)
-        if target_error is not None and err <= target_error:
-            break
 
     record.final_state = state
     return record

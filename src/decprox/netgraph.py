@@ -19,12 +19,14 @@ function of the base's eigenvalues, so it is decided by three of them
 and the lowest and highest on its complement.  ``table1_matrices``
 applies the row's formulas (``table1_spectrum``) to these three, given by
 the caller or solved once, and ``validate_assumptions`` reads the triple's
-three paired values.  A dense base is solved by ``eigvalsh``; a sparse
-one by Lanczos on its CSR copy, falling back to ``eigvalsh`` when Lanczos
-does not converge within its cap or fails its residual check.
+three paired values and nothing else: a base the three do not decide is
+rejected when its triple is built.  A dense base is solved by
+``eigvalsh``; a sparse one by Lanczos on its CSR copy, falling back to
+``eigvalsh`` when Lanczos does not converge within its cap or fails its
+residual check.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -47,9 +49,10 @@ __all__ = [
     "validate_assumptions",
 ]
 
-# Eigenvalue of B^2 counts as zero below this (relative) threshold.
+# B^2's least eigenvalue off the ones vector counts as zero below this
+# (relative) threshold.
 NULLSPACE_TOL = 1e-10
-# Symmetric eigensolvers return tiny negative noise; PSD means >= -PSD_TOL.
+# Eigenvalues carry rounding noise; PSD means >= -PSD_TOL.
 PSD_TOL = 1e-10
 # Largest |X - X^T| entry a symmetric matrix may have.
 SYMMETRY_TOL = 1e-12
@@ -91,8 +94,9 @@ class AlgorithmId(str, Enum):
 class Graph:
     """Static undirected network of K agents.
 
-    Edges are stored 0-based without self-loops; self-weights arise from
-    the Metropolis rule, not from stored edges.
+    Edges are stored 0-based, each in one orientation, without
+    self-loops; self-weights arise from the Metropolis rule, not from
+    stored edges.
     """
 
     K: int
@@ -106,6 +110,8 @@ class Graph:
                 raise ValueError(f"self-loop stored on agent {s}")
             if not (0 <= s < self.K and 0 <= k < self.K):
                 raise ValueError(f"edge ({s},{k}) out of range for K={self.K}")
+            if (k, s) in self.edges:
+                raise ValueError(f"edge ({s},{k}) stored in both orientations")
 
     @cached_property
     def edge_index(self):
@@ -142,8 +148,9 @@ class ConsensusTriple:
     (A_bar, B_sq, C) as three arrays paired in the matrices' common
     eigenbasis, each with three entries: at the consensus eigenvalue of the
     row's base, then at its lowest and its highest eigenvalue on the
-    complement of the ones vector (:func:`deciding_eigenvalues`).  It is
-    None for a hand-built triple, whose matrices need not commute.  The
+    complement of the ones vector (:func:`deciding_eigenvalues`).  A
+    hand-built triple, whose matrices need not commute, has none: the
+    engine runs it, and :func:`validate_assumptions` rejects it.  The
     matrices are not to be modified after construction: ``spectrum`` and
     the cached properties describe them as built.
     """
@@ -186,7 +193,6 @@ class SpectralReport:
     lambda2_A: float
     assumption2_ok: bool
     assumption4_ok: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _edge(s, k):
@@ -390,20 +396,21 @@ def deciding_eigenvalues(X):
     """The three eigenvalues of a symmetric base X that decide every scalar
     of its Table I rows, as an array (consensus, lowest, highest): the
     eigenvalue of the ones vector, then the extremes of the spectrum on its
-    complement.  None if X is not symmetric or the ones vector is not an
-    eigenvector.
+    complement.  Raises ValueError if X is not symmetric or the ones vector
+    is not an eigenvector (its rows do not sum alike).
 
     Below ``CSR_DENSITY`` they come from Lanczos on a CSR copy
     (:func:`_lanczos_eigenvalues`), otherwise, or if Lanczos fails, from
     one ``eigvalsh``.
     """
     if not _is_symmetric(X):
-        return None
+        raise ValueError("the base is not symmetric")
     K = X.shape[0]
     row_sums = X.sum(axis=1)
     q = row_sums.mean()
     if not np.abs(row_sums - q).max() <= EIGENVECTOR_TOL * max(1.0, abs(q)):
-        return None
+        raise ValueError("the base's rows do not sum alike: the ones vector "
+                         "is not an eigenvector")
     # A base no larger than the Krylov space gains nothing from Lanczos.
     if K > LANCZOS_NCV and _is_sparse(X):
         eig = _lanczos_eigenvalues(sp.csr_matrix(X), q)
@@ -462,6 +469,11 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     eigvals : ndarray, optional
         The base's (A, or L for DLM) three deciding eigenvalues
         (:func:`deciding_eigenvalues`); solved if omitted.
+
+    The triple carries its ``spectrum``.  Raises ValueError where the
+    three eigenvalues cannot give it: a base that is not symmetric or
+    whose rows do not sum alike, and DIGing on a base whose spectrum off
+    the ones vector straddles 0 (shift it with :func:`shift_positive`).
     """
     row = AlgorithmId(row)
     if row in (AlgorithmId.NIDS, AlgorithmId.DLM) and (c is None or c <= 0):
@@ -474,16 +486,16 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
         base = A
     K = base.shape[0]
 
-    matrices = _table1_row(row, base, np.eye(K), _matrix_product, c, mu)
     if eigvals is None:
         eigvals = deciding_eigenvalues(base)
-    spectrum = None
     # DIGing's C = I - A^2 peaks inside a range that straddles 0, at the
     # eigenvalue nearest 0, which the three do not give.
-    if eigvals is not None and not (row is AlgorithmId.DIGING
-                                    and eigvals[1] < 0 < eigvals[2]):
-        spectrum = table1_spectrum(row, eigvals, c, mu)
-    return ConsensusTriple(*matrices, spectrum=spectrum)
+    if row is AlgorithmId.DIGING and eigvals[1] < 0 < eigvals[2]:
+        raise ValueError("DIGing needs a base whose spectrum off the ones "
+                         "vector does not straddle 0; shift it to 0.5 (I + A)")
+    matrices = _table1_row(row, base, np.eye(K), _matrix_product, c, mu)
+    return ConsensusTriple(*matrices,
+                           spectrum=table1_spectrum(row, eigvals, c, mu))
 
 
 def validate_assumptions(t, psd_tol=PSD_TOL):
@@ -494,60 +506,36 @@ def validate_assumptions(t, psd_tol=PSD_TOL):
     requires C - B^2 PSD with eigenvalues of C in [0, 1).  Strict upper
     bounds are tested with a margin of ``psd_tol``.
 
-    A triple from :func:`table1_matrices` is checked on its ``spectrum``:
-    its matrices share one eigenbasis, so both conditions hold pair by
-    pair of eigenvalues, and each reported scalar is attained at one of
-    the three pairs.  A hand-built triple takes five eigendecompositions.
+    The check reads the triple's ``spectrum``, which
+    :func:`table1_matrices` gives it: the matrices share one eigenbasis,
+    so both conditions hold pair by pair of eigenvalues, and each reported
+    scalar is attained at one of the three pairs.  A triple without a
+    spectrum raises ValueError.
     """
     for name in ("A_bar", "B_sq", "C"):
         if not _is_symmetric(getattr(t, name)):
             raise ValueError(f"{name} is not symmetric")
+    if t.spectrum is None:
+        raise ValueError("the triple carries no spectrum; build it with "
+                         "table1_matrices")
 
-    off_consensus = None
-    if t.spectrum is not None:
-        eig_A, eig_Bsq, eig_C = t.spectrum
-        gap = 1.0 - eig_Bsq - eig_A * eig_A
-        cb_gap = eig_C - eig_Bsq
-        off_consensus = eig_Bsq[1:]
-    else:
-        eig_C = np.linalg.eigvalsh(t.C)
-        eig_Bsq = np.linalg.eigvalsh(t.B_sq)
-        eig_A = np.linalg.eigvalsh(t.A_bar)
-        gap = np.linalg.eigvalsh(np.eye(t.K) - t.B_sq - t.A_bar @ t.A_bar)
-        cb_gap = np.linalg.eigvalsh(t.C - t.B_sq)
-    eig_C, eig_Bsq, eig_A, gap, cb_gap = (
-        np.sort(e) for e in (eig_C, eig_Bsq, eig_A, gap, cb_gap))
+    eig_A, eig_Bsq, eig_C = t.spectrum
+    sigma_max_C = float(eig_C.max())
+    # B^2's least value off the consensus vector, unless numerically 0.
+    low = eig_Bsq[1:].min()
+    zero_tol = NULLSPACE_TOL * max(1.0, float(eig_Bsq.max()))
+    sigma_min_Bsq = float(low) if abs(low) > zero_tol else 0.0
 
-    sigma_max_C = float(eig_C[-1])
-    sigma_max_Bsq = float(eig_Bsq[-1])
-    zero_tol = NULLSPACE_TOL * max(1.0, sigma_max_Bsq)
-    if off_consensus is not None:
-        # B^2's least value off the consensus vector, unless numerically 0.
-        low = off_consensus.min()
-        sigma_min_Bsq = float(low) if abs(low) > zero_tol else 0.0
-    else:
-        nonzero = eig_Bsq[np.abs(eig_Bsq) > zero_tol]
-        sigma_min_Bsq = float(nonzero[0]) if nonzero.size else 0.0
-    lambda2_A = float(eig_A[-2]) if t.K >= 2 else float("nan")
-
-    c_psd = eig_C[0] >= -psd_tol
-    a2_gap_ok = gap[0] >= -psd_tol
+    c_psd = eig_C.min() >= -psd_tol
+    a2_gap_ok = (1.0 - eig_Bsq - eig_A * eig_A).min() >= -psd_tol
     a2_c_ok = c_psd and sigma_max_C <= 2.0 - psd_tol
-    a4_gap_ok = cb_gap[0] >= -psd_tol
+    a4_gap_ok = (eig_C - eig_Bsq).min() >= -psd_tol
     a4_c_ok = c_psd and sigma_max_C <= 1.0 - psd_tol
 
     return SpectralReport(
         sigma_max_C=sigma_max_C,
         sigma_min_Bsq=sigma_min_Bsq,
-        lambda2_A=lambda2_A,
+        lambda2_A=float(np.sort(eig_A)[-2]),
         assumption2_ok=bool(a2_gap_ok and a2_c_ok),
         assumption4_ok=bool(a4_gap_ok and a4_c_ok),
-        diagnostics={
-            "eig_C": eig_C,
-            "eig_Bsq": eig_Bsq,
-            "eig_A_bar": eig_A,
-            "min_eig_I_minus_Bsq_minus_Abar_sq": float(gap[0]),
-            "min_eig_C_minus_Bsq": float(cb_gap[0]),
-            "sigma_max_Bsq": sigma_max_Bsq,
-        },
     )

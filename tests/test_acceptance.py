@@ -4,6 +4,7 @@ Each test prints a single summary line on success; tolerances are pinned
 in the assertions.
 """
 
+import dataclasses
 import json
 import time
 
@@ -42,6 +43,8 @@ from decprox.prox import (
     build_counterexample,
     prox_counterexample,
 )
+import appendix_forms as appendix
+import cost_oracle
 from prox_oracle import brute_force_prox
 
 
@@ -55,6 +58,18 @@ def window_ratios_after_burn_in(record, burn_in=20, n_windows=5):
     bounds = np.linspace(0, len(it) - 1, n_windows + 1).astype(int)
     return [float(np.exp((e[b] - e[a]) / (it[b] - it[a])))
             for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+def cut_at_error(record, floor):
+    """The record's rows up to the first whose error is at most ``floor``,
+    that row included (all rows if none is): the rows left once the error
+    has reached the numerical floor."""
+    reached = [i for i, e in enumerate(record.errors) if e <= floor]
+    n = reached[0] + 1 if reached else len(record.errors)
+    return dataclasses.replace(
+        record, iterations=record.iterations[:n],
+        comm_rounds=record.comm_rounds[:n], errors=record.errors[:n],
+        residuals=record.residuals[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +97,27 @@ def test_criterion_1_equivalence_web():
     def forms(name):
         if name == "ExactDiffusion":
             t = table1_matrices(name, A_raw)
-            return t, [engine.agent_prox_ed(costs, ZeroProx(), mu, A_raw),
-                       engine.eliminated_diffusion(costs, mu,
+            return t, [appendix.agent_prox_ed(costs, ZeroProx(), mu, A_raw),
+                       appendix.eliminated_diffusion(costs, mu,
                                                    shift_positive(A_raw))]
         if name == "NIDS":
             t = table1_matrices(name, A_raw, c=0.3)
-            return t, [engine.eliminated_diffusion(costs, mu, t.A_bar)]
+            return t, [appendix.eliminated_diffusion(costs, mu, t.A_bar)]
         if name == "AugDGM":
             t = table1_matrices(name, A)
-            return t, [engine.agent_prox_atc1(costs, ZeroProx(), mu, A),
-                       engine.eliminated_aug_dgm(costs, mu, A),
-                       engine.aug_dgm_two_variable(costs, mu, A)]
+            return t, [appendix.agent_prox_atc1(costs, ZeroProx(), mu, A),
+                       appendix.eliminated_aug_dgm(costs, mu, A),
+                       appendix.aug_dgm_two_variable(costs, mu, A)]
         if name == "ATCTracking":
             t = table1_matrices(name, A)
-            return t, [engine.agent_prox_atc2(costs, ZeroProx(), mu, A),
-                       engine.eliminated_atc_tracking(costs, mu, A),
-                       engine.atc_tracking_two_variable(costs, mu, A)]
+            return t, [appendix.agent_prox_atc2(costs, ZeroProx(), mu, A),
+                       appendix.eliminated_atc_tracking(costs, mu, A),
+                       appendix.atc_tracking_two_variable(costs, mu, A)]
         if name in ("DIGing", "EXTRA"):
             t = table1_matrices(name, A)
-            return t, [engine.non_atc(costs, mu, t)]
+            return t, [appendix.non_atc(costs, mu, t)]
         t = table1_matrices("DLM", A_raw, c=0.3, mu=mu, L=L)
-        return t, [engine.non_atc(costs, mu, t)]
+        return t, [appendix.non_atc(costs, mu, t)]
 
     worst = 0.0
     for name in ("ExactDiffusion", "NIDS", "AugDGM", "ATCTracking",
@@ -155,8 +170,9 @@ def criterion2_runs(logistic_instance):
                                 report.sigma_max_C, report.sigma_min_Bsq)
         record = run(ALGORITHMS[name],
                      engine.primal_dual(costs, prox, mu, triple),
-                     costs, inst["w_star"], 8000, target_error=1e-24)
-        out[name] = {"record": record, "rate": rate, "mu": mu}
+                     costs, inst["w_star"], 8000)
+        out[name] = {"record": cut_at_error(record, 1e-24), "rate": rate,
+                     "mu": mu}
     out["elapsed"] = time.time() - t0
     return out
 
@@ -340,19 +356,22 @@ def test_criterion_8_property_suites(tmp_path):
         assert np.allclose(A.sum(axis=1), 1.0, atol=1e-12)
         assert (A >= -1e-15).all()
 
-    # Gradients: 100 random finite-difference checks.
-    data = synthetic_classification(120, 6, seed=2)
-    costs = logistic_cost(partition_data(data, 4, seed=0), lam=0.05)
+    # Gradients: 100 random finite-difference checks, of the stacked
+    # gradient's row k against agent k's cost.
+    shards = partition_data(synthetic_classification(120, 6, seed=2), 4,
+                            seed=0)
+    costs = logistic_cost(shards, lam=0.05)
+    agent_costs = cost_oracle.logistic_cost(shards, lam=0.05)
     for _ in range(100):
         k = int(rng.integers(costs.K))
         w = rng.standard_normal(6)
-        g_an = costs.grad(k, w)
+        g_an = costs.grad_stack(np.tile(w, (costs.K, 1)))[k]
         g_fd = np.empty(6)
         for j in range(6):
             wp, wm = w.copy(), w.copy()
             wp[j] += 1e-6
             wm[j] -= 1e-6
-            g_fd[j] = (costs.eval(k, wp) - costs.eval(k, wm)) / 2e-6
+            g_fd[j] = (agent_costs.eval(k, wp) - agent_costs.eval(k, wm)) / 2e-6
         assert np.linalg.norm(g_an - g_fd) <= 1e-6 * max(1.0, np.linalg.norm(g_an))
 
     # Determinism: two CLI runs produce byte-identical CSVs.

@@ -26,6 +26,8 @@ from decprox.netgraph import (
 )
 from decprox.prox import L1Prox, ZeroProx, prox_l1
 
+import cost_oracle
+
 
 class TestTheoreticalRate:
     def test_tabulated_examples(self):
@@ -118,8 +120,12 @@ class TestFixedPointResiduals:
                  seed=3).final_state
         W, Z, mu = st.W, st.Z, self.mu
         scale = np.sqrt(W.size)
-        r_primal = np.linalg.norm(Z - (W - mu * costs.grad_stack(W) - st.S))
-        r_dual = np.linalg.norm(triple.B_sq @ Z)
+        # Frobenius norms by numpy's pairwise sum, as the residuals take
+        # them: np.linalg.norm's BLAS reduction can differ in the last bit.
+        d = Z - (W - mu * costs.grad_stack(W) - st.S)
+        r_primal = np.sqrt(np.sum(d * d))
+        B_sq_Z = triple.B_sq @ Z
+        r_dual = np.sqrt(np.sum(B_sq_Z * B_sq_Z))
         assert fixed_point_residuals(st, mu) == (
             r_primal / scale, r_dual / scale, 0.0)
         assert np.array_equal(self.prox.apply_stack(triple.A_bar @ Z, mu), W)
@@ -255,11 +261,12 @@ class TestClassifyDecay:
         g = build_graph("random_connected", 5, seed=2, extra_edge_prob=0.4)
         A = metropolis_matrix(g)
         costs = random_quadratic_cost(5, 3, seed=7)
+        agent_costs = cost_oracle.random_quadratic_cost(5, 3, seed=7)
         t = table1_matrices("ExactDiffusion", A)
         w_star = np.linalg.solve(
-            sum(np.stack([costs.grad(k, e) - costs.grad(k, np.zeros(3))
+            sum(np.stack([agent_costs.grad(k, e) - agent_costs.grad(k, np.zeros(3))
                           for e in np.eye(3)]).T for k in range(5)),
-            -sum(costs.grad(k, np.zeros(3)) for k in range(5)))
+            -sum(agent_costs.grad(k, np.zeros(3)) for k in range(5)))
         # Small step so the decay is still in progress across the whole
         # tail window (no machine-precision floor).
         record = run(ALGORITHMS["ExactDiffusion"],

@@ -15,7 +15,7 @@ from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
 from decprox.costs import SmoothCostSet
 from decprox.engine import ALGORITHMS
 from decprox.prox import ChainSumProx, L1Prox, ProxOperator
-from test_netgraph import assert_reports_agree, reference_report
+from test_netgraph import assert_reports_agree, checked_report, reference_report
 
 
 def write_config(tmp_path, overrides=None, **kwargs):
@@ -257,7 +257,10 @@ class TestRunExperiment:
         # The 2000-agent sparse graph's spectrum comes from Lanczos, which
         # gives the same bits on one BLAS thread and on two; a dense
         # eigvalsh of its A gave ProxED's gamma 0.96065450475396 on one
-        # thread and 0.9606545047539601 on two.
+        # thread and 0.9606545047539601 on two.  The residual columns are
+        # pairwise sums; np.linalg.norm's BLAS reduction gave ProxED's
+        # iteration-3 r_primal 0.69618644298264065 on one thread and
+        # 0.69618644298264076 on two.
         path = write_config(tmp_path, overrides={
             "graph": {"kind": "random_connected", "K": 2000, "seed": 7,
                       "extra_edge_prob": 0.002},
@@ -275,8 +278,10 @@ class TestRunExperiment:
             subprocess.run([sys.executable, "-m", "decprox.cli", "run", path],
                            env=env, check=True, capture_output=True,
                            timeout=300)
-            outputs.append((out / "summary.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+            outputs.append({name: (out / name).read_bytes() for name in (
+                "summary.csv", "ProxED.csv", "ProxATC1.csv", "ProxATC2.csv")})
+        for name, body in outputs[0].items():
+            assert outputs[1][name] == body, name
 
     def test_separate_prox_residual_columns_empty(self, tmp_path):
         path = write_config(tmp_path, overrides={"algorithms": ["PGEXTRA"],
@@ -413,7 +418,8 @@ class TestRegistry:
         cfg = parse_config(write_config(tmp_path,
                                         overrides={"algorithms": [name]}))
         r = cli.resolve_algorithm(cfg.algorithms[0], cfg, build_problem(cfg))
-        assert_reports_agree(r.report, reference_report(r.triple))
+        assert r.report == netgraph.validate_assumptions(r.triple)
+        assert_reports_agree(checked_report(r.triple), reference_report(r.triple))
 
 
 # One malformed key each, on the valid K=6 lasso config of write_config:

@@ -13,6 +13,8 @@ from decprox.costs import (
     synthetic_classification,
 )
 
+import cost_oracle
+
 
 def finite_diff_grad(f, w, eps=1e-6):
     g = np.empty_like(w)
@@ -24,13 +26,20 @@ def finite_diff_grad(f, w, eps=1e-6):
     return g
 
 
-def check_gradients(costs, n_points=20, seed=0, rtol=1e-6):
+def agent_grad(costs, k, w):
+    """Agent k's gradient at w: row k of the stacked gradient."""
+    return costs.grad_stack(np.tile(w, (costs.K, 1)))[k]
+
+
+def check_gradients(costs, agent_costs, n_points=20, seed=0, rtol=1e-6):
+    """The stacked gradient against finite differences of each agent's
+    cost, from ``agent_costs``."""
     rng = np.random.default_rng(seed)
     for _ in range(n_points):
         k = int(rng.integers(costs.K))
         w = rng.standard_normal(costs.M)
-        g = costs.grad(k, w)
-        g_fd = finite_diff_grad(lambda v: costs.eval(k, v), w)
+        g = agent_grad(costs, k, w)
+        g_fd = finite_diff_grad(lambda v: agent_costs.eval(k, v), w)
         assert np.linalg.norm(g - g_fd) <= rtol * max(1.0, np.linalg.norm(g))
 
 
@@ -38,30 +47,33 @@ class TestQuadratic:
     def test_values_and_gradients(self):
         t = np.arange(6.0).reshape(2, 3)
         costs = quadratic_cost(2.0, 2, 3, targets=t)
+        agent_costs = cost_oracle.quadratic_cost(2.0, 2, 3, targets=t)
         w = np.array([1.0, 1.0, 1.0])
-        assert costs.eval(0, w) == pytest.approx(np.sum((w - t[0]) ** 2))
-        assert np.allclose(costs.grad(1, w), 2.0 * (w - t[1]))
+        assert agent_costs.eval(0, w) == pytest.approx(np.sum((w - t[0]) ** 2))
+        assert np.allclose(agent_grad(costs, 1, w), 2.0 * (w - t[1]))
         assert costs.nu == costs.delta == 2.0
 
     def test_grad_stack_matches_per_agent(self):
         costs = random_quadratic_cost(4, 5, seed=2)
+        agent_costs = cost_oracle.random_quadratic_cost(4, 5, seed=2)
         W = np.random.default_rng(0).standard_normal((4, 5))
         G = costs.grad_stack(W)
         for k in range(4):
-            assert np.allclose(G[k], costs.grad(k, W[k]))
+            assert np.allclose(G[k], agent_costs.grad(k, W[k]))
 
     def test_random_quadratic_curvature_is_tight(self):
         costs = random_quadratic_cost(3, 6, seed=9, nu_min=0.4, delta_max=3.0)
         # Hessians are exposed through gradients of linear functions.
         for k in range(3):
-            H = np.stack([costs.grad(k, e) - costs.grad(k, np.zeros(6))
+            H = np.stack([agent_grad(costs, k, e) - agent_grad(costs, k, np.zeros(6))
                           for e in np.eye(6)]).T
             eig = np.linalg.eigvalsh(H)
             assert eig.min() >= 0.4 - 1e-10
             assert eig.max() <= 3.0 + 1e-10
 
     def test_finite_differences(self):
-        check_gradients(random_quadratic_cost(3, 4, seed=5))
+        check_gradients(random_quadratic_cost(3, 4, seed=5),
+                        cost_oracle.random_quadratic_cost(3, 4, seed=5))
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -75,10 +87,11 @@ class TestLogistic:
         data = synthetic_classification(120, 8, seed=1)
         self.shards = partition_data(data, 4, seed=0)
         self.costs = logistic_cost(self.shards, lam=0.01)
+        self.agent_costs = cost_oracle.logistic_cost(self.shards, lam=0.01)
 
     def test_finite_differences(self):
         # 100 random (agent, point) checks at 1e-6 relative accuracy.
-        check_gradients(self.costs, n_points=100, seed=3)
+        check_gradients(self.costs, self.agent_costs, n_points=100, seed=3)
 
     def test_constants_bound_curvature(self):
         nu, delta = self.costs.nu, self.costs.delta
@@ -91,17 +104,13 @@ class TestLogistic:
             k = int(rng.integers(4))
             w = rng.standard_normal(8)
             H = np.stack([
-                (self.costs.grad(k, w + eps * e) - self.costs.grad(k, w - eps * e))
+                (agent_grad(self.costs, k, w + eps * e)
+                 - agent_grad(self.costs, k, w - eps * e))
                 / (2 * eps) for e in np.eye(8)
             ]).T
             eig = np.linalg.eigvalsh(0.5 * (H + H.T))
             assert eig.min() >= nu - 1e-6
             assert eig.max() <= delta + 1e-6
-
-    def test_average_grad(self):
-        w = np.random.default_rng(5).standard_normal(8)
-        avg = sum(self.costs.grad(k, w) for k in range(4)) / 4
-        assert np.allclose(self.costs.average_grad(w), avg)
 
     def test_rejects_bad_lambda_and_empty_shard(self):
         with pytest.raises(ValueError):
@@ -109,10 +118,6 @@ class TestLogistic:
         empty = Dataset(sp.csr_matrix((0, 8)), np.zeros(0))
         with pytest.raises(ValueError):
             logistic_cost([empty], lam=0.1)
-
-
-def per_agent_stack(costs, W):
-    return np.stack([costs.grad(k, W[k]) for k in range(costs.K)])
 
 
 @st.composite
@@ -135,32 +140,50 @@ def logistic_problem(draw):
 
 
 class TestStackedGradient:
-    """grad_stack, one vectorised kernel per family, against the stack of
-    per-agent gradients."""
+    """grad_stack, one vectorised kernel per family, and average_grad
+    against the per-agent gradients of ``cost_oracle``."""
 
     @settings(max_examples=60, deadline=None)
     @given(logistic_problem(), st.sampled_from([1e-4, 0.01, 1.0]))
     def test_logistic_bit_identical(self, problem, lam):
         shards, W = problem
         costs = logistic_cost(shards, lam)
-        assert np.array_equal(costs.grad_stack(W), per_agent_stack(costs, W))
+        ref = cost_oracle.logistic_cost(shards, lam)
+        assert np.array_equal(costs.grad_stack(W), ref.grad_stack(W))
+        # The reference solver's average gradient, every agent at one point.
+        assert np.array_equal(costs.average_grad(W[0]), ref.average_grad(W[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1),
            st.floats(0.1, 10.0))
     def test_quadratic_bit_identical(self, K, M, seed, eta):
         rng = np.random.default_rng(seed)
-        costs = quadratic_cost(eta, K, M, targets=rng.standard_normal((K, M)))
+        targets = rng.standard_normal((K, M))
+        costs = quadratic_cost(eta, K, M, targets=targets)
+        ref = cost_oracle.quadratic_cost(eta, K, M, targets=targets)
         W = rng.standard_normal((K, M))
-        assert np.array_equal(costs.grad_stack(W), per_agent_stack(costs, W))
+        assert np.array_equal(costs.grad_stack(W), ref.grad_stack(W))
+        assert np.array_equal(costs.average_grad(W[0]), ref.average_grad(W[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_random_quadratic_matches(self, K, M, seed):
         costs = random_quadratic_cost(K, M, seed=seed)
+        agent_costs = cost_oracle.random_quadratic_cost(K, M, seed=seed)
         W = np.random.default_rng(seed).standard_normal((K, M))
-        G, ref = costs.grad_stack(W), per_agent_stack(costs, W)
+        G, ref = costs.grad_stack(W), agent_costs.grad_stack(W)
         assert np.abs(G - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+        assert np.array_equal(costs.average_grad(W[0]),
+                              agent_costs.average_grad(W[0]))
+
+    def test_average_grad_is_one_stacked_evaluation(self, monkeypatch):
+        costs = random_quadratic_cost(4, 3, seed=1)
+        calls = []
+        grad_stack = costs.grad_stack
+        monkeypatch.setattr(costs, "grad_stack",
+                            lambda W: calls.append(W.shape) or grad_stack(W))
+        costs.average_grad(np.ones(3))
+        assert calls == [(4, 3)]
 
 
 class TestData:

@@ -24,6 +24,9 @@ from decprox.netgraph import (
 )
 from decprox.prox import L1Prox, ZeroProx, prox_l1
 
+import appendix_forms as appendix
+import cost_oracle
+
 
 def make_network(K=6, seed=3, extra=0.3):
     g = build_graph("random_connected", K, seed=seed, extra_edge_prob=extra)
@@ -55,7 +58,8 @@ class TestPudaStep:
         w = np.array([[1.0, -2.0, 0.5, 3.0]])
         st = initial_state(costs, init=w)
         out = engine.puda_step(st, t, costs, prox, mu)
-        expected = prox.apply(w[0] - mu * costs.grad(0, w[0]), mu)
+        grad = cost_oracle.random_quadratic_cost(1, 4, seed=0).grad(0, w[0])
+        expected = prox.apply(w[0] - mu * grad, mu)
         assert np.allclose(out.W[0], expected, atol=1e-14)
 
     def test_fixed_point_invariance(self):
@@ -171,10 +175,10 @@ class TestEquivalenceWeb:
         t = table1_matrices("ExactDiffusion", self.A_raw)
         ref = self._puda(t)
         agent, _ = trajectory(
-            engine.agent_prox_ed(self.costs, ZeroProx(), self.mu, self.A_raw),
+            appendix.agent_prox_ed(self.costs, ZeroProx(), self.mu, self.A_raw),
             self.costs, self.init, 200)
         elim, _ = trajectory(
-            engine.eliminated_diffusion(self.costs, self.mu,
+            appendix.eliminated_diffusion(self.costs, self.mu,
                                         shift_positive(self.A_raw)),
             self.costs, self.init, 200)
         assert max_dev(ref, agent) <= 1e-10
@@ -185,7 +189,7 @@ class TestEquivalenceWeb:
         prox = L1Prox(0.1)
         a = trajectory(engine.primal_dual(self.costs, prox, self.mu, t),
                        self.costs, self.init, 100)[0]
-        b = trajectory(engine.agent_prox_ed(self.costs, prox, self.mu,
+        b = trajectory(appendix.agent_prox_ed(self.costs, prox, self.mu,
                                             self.A_raw),
                        self.costs, self.init, 100)[0]
         assert max_dev(a, b) <= 1e-10
@@ -194,25 +198,25 @@ class TestEquivalenceWeb:
         t = table1_matrices("NIDS", self.A_raw, c=0.3)
         ref = self._puda(t)
         elim, _ = trajectory(
-            engine.eliminated_diffusion(self.costs, self.mu, t.A_bar),
+            appendix.eliminated_diffusion(self.costs, self.mu, t.A_bar),
             self.costs, self.init, 200)
         assert max_dev(ref, elim) <= 1e-10
 
     def test_aug_dgm_forms(self):
         t = table1_matrices("AugDGM", self.A)
         ref = self._puda(t, 100)
-        for step in (engine.agent_prox_atc1(self.costs, ZeroProx(), self.mu, self.A),
-                     engine.eliminated_aug_dgm(self.costs, self.mu, self.A),
-                     engine.aug_dgm_two_variable(self.costs, self.mu, self.A)):
+        for step in (appendix.agent_prox_atc1(self.costs, ZeroProx(), self.mu, self.A),
+                     appendix.eliminated_aug_dgm(self.costs, self.mu, self.A),
+                     appendix.aug_dgm_two_variable(self.costs, self.mu, self.A)):
             traj, _ = trajectory(step, self.costs, self.init, 100)
             assert max_dev(ref, traj) <= 1e-10, step.__qualname__
 
     def test_atc_tracking_forms(self):
         t = table1_matrices("ATCTracking", self.A)
         ref = self._puda(t, 100)
-        for step in (engine.agent_prox_atc2(self.costs, ZeroProx(), self.mu, self.A),
-                     engine.eliminated_atc_tracking(self.costs, self.mu, self.A),
-                     engine.atc_tracking_two_variable(self.costs, self.mu,
+        for step in (appendix.agent_prox_atc2(self.costs, ZeroProx(), self.mu, self.A),
+                     appendix.eliminated_atc_tracking(self.costs, self.mu, self.A),
+                     appendix.atc_tracking_two_variable(self.costs, self.mu,
                                                       self.A)):
             traj, _ = trajectory(step, self.costs, self.init, 100)
             assert max_dev(ref, traj) <= 1e-10, step.__qualname__
@@ -221,7 +225,7 @@ class TestEquivalenceWeb:
     def test_non_atc_family(self, aid):
         t = table1_matrices(aid, self.A)
         ref = self._puda(t, 100)
-        traj, _ = trajectory(engine.non_atc(self.costs, self.mu, t),
+        traj, _ = trajectory(appendix.non_atc(self.costs, self.mu, t),
                              self.costs, self.init, 100)
         assert max_dev(ref, traj) <= 1e-10
 
@@ -230,7 +234,7 @@ class TestEquivalenceWeb:
         t = table1_matrices("DLM", self.A_raw, c=0.5 / (self.mu * sL),
                             mu=self.mu, L=self.L)
         ref = self._puda(t, 100)
-        traj, _ = trajectory(engine.non_atc(self.costs, self.mu, t),
+        traj, _ = trajectory(appendix.non_atc(self.costs, self.mu, t),
                              self.costs, self.init, 100)
         assert max_dev(ref, traj) <= 1e-10
 
@@ -249,7 +253,7 @@ class TestSeparateProx:
         step = engine.pg_extra(self.costs, self.zero, self.mu, self.A)
         pg, _ = trajectory(step, self.costs, self.init, 100)
         t = table1_matrices("EXTRA", self.A)
-        extra = engine.non_atc(self.costs, self.mu, t)
+        extra = appendix.non_atc(self.costs, self.mu, t)
         st = BlockIterate(W=pg[0], W_prev=self.init,
                           G=self.costs.grad_stack(pg[0]),
                           G_prev=self.costs.grad_stack(self.init), iter=1)
@@ -286,7 +290,7 @@ class TestRun:
         targets = np.arange(1.0, 6.0).reshape(K, M)
         costs = quadratic_cost(eta, K, M, targets=targets)
         w_star = prox_l1(targets.mean(axis=0), rho / eta)
-        step = engine.agent_prox_ed(costs, L1Prox(rho), 0.9, A)
+        step = appendix.agent_prox_ed(costs, L1Prox(rho), 0.9, A)
         record = run(ALGORITHMS["ProxED"], step, costs, w_star, 200)
         assert record.errors[-1] <= 1e-10
         assert not record.diverged
@@ -296,10 +300,10 @@ class TestRun:
         costs = random_quadratic_cost(4, 2, seed=0)
         w_star = np.zeros(2)
         one = run(ALGORITHMS["ProxED"],
-                  engine.agent_prox_ed(costs, ZeroProx(), 0.1, A), costs, w_star, 10)
+                  appendix.agent_prox_ed(costs, ZeroProx(), 0.1, A), costs, w_star, 10)
         assert one.comm_rounds == [i for i in range(1, 11)]
         two = run(ALGORITHMS["ProxATC1"],
-                  engine.agent_prox_atc1(costs, ZeroProx(), 0.1, shift_positive(A)),
+                  appendix.agent_prox_atc1(costs, ZeroProx(), 0.1, shift_positive(A)),
                   costs, w_star, 10)
         assert two.comm_rounds == [2 * i for i in range(1, 11)]
 
@@ -307,7 +311,7 @@ class TestRun:
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
         record = run(ALGORITHMS["ProxED"],
-                     engine.agent_prox_ed(costs, ZeroProx(), 0.1, A),
+                     appendix.agent_prox_ed(costs, ZeroProx(), 0.1, A),
                      costs, np.zeros(2), 100, record_every=10)
         assert len(record.errors) == 100 // 10 + 1  # iteration 1 + multiples
         assert record.iterations[0] == 1 and record.iterations[-1] == 100
@@ -316,7 +320,7 @@ class TestRun:
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
         record = run(ALGORITHMS["ProxED"],
-                     engine.agent_prox_ed(costs, ZeroProx(), 50.0, A),
+                     appendix.agent_prox_ed(costs, ZeroProx(), 50.0, A),
                      costs, np.zeros(2), 500)
         assert record.diverged
         assert record.note
@@ -324,9 +328,9 @@ class TestRun:
     def test_seeded_init_deterministic(self):
         A, _ = make_network(K=4)
         costs = random_quadratic_cost(4, 2, seed=0)
-        a = run(ALGORITHMS["ProxED"], engine.agent_prox_ed(costs, ZeroProx(), 0.2, A),
+        a = run(ALGORITHMS["ProxED"], appendix.agent_prox_ed(costs, ZeroProx(), 0.2, A),
                 costs, np.zeros(2), 20, seed=5)
-        b = run(ALGORITHMS["ProxED"], engine.agent_prox_ed(costs, ZeroProx(), 0.2, A),
+        b = run(ALGORITHMS["ProxED"], appendix.agent_prox_ed(costs, ZeroProx(), 0.2, A),
                 costs, np.zeros(2), 20, seed=5)
         assert a.errors == b.errors
 
@@ -360,16 +364,16 @@ class TestRun:
         prox, zero, mu = L1Prox(0.05), [ZeroProx()] * 5, 0.2
         step = {
             "primal_dual": lambda: engine.primal_dual(costs, prox, mu, atc),
-            "agent_prox_ed": lambda: engine.agent_prox_ed(costs, prox, mu, A),
-            "agent_prox_atc1": lambda: engine.agent_prox_atc1(costs, prox, mu, A),
-            "agent_prox_atc2": lambda: engine.agent_prox_atc2(costs, prox, mu, A),
+            "agent_prox_ed": lambda: appendix.agent_prox_ed(costs, prox, mu, A),
+            "agent_prox_atc1": lambda: appendix.agent_prox_atc1(costs, prox, mu, A),
+            "agent_prox_atc2": lambda: appendix.agent_prox_atc2(costs, prox, mu, A),
             "eliminated_diffusion":
-                lambda: engine.eliminated_diffusion(costs, mu, nids.A_bar),
+                lambda: appendix.eliminated_diffusion(costs, mu, nids.A_bar),
             "aug_dgm_two_variable":
-                lambda: engine.aug_dgm_two_variable(costs, mu, A),
+                lambda: appendix.aug_dgm_two_variable(costs, mu, A),
             "atc_tracking_two_variable":
-                lambda: engine.atc_tracking_two_variable(costs, mu, A),
-            "non_atc": lambda: engine.non_atc(costs, mu, atc),
+                lambda: appendix.atc_tracking_two_variable(costs, mu, A),
+            "non_atc": lambda: appendix.non_atc(costs, mu, atc),
             "pg_extra": lambda: engine.pg_extra(costs, zero, mu, A),
             "dl_admm": lambda: engine.dl_admm(costs, zero, mu, c=0.5,
                                               laplacian=L),
@@ -388,7 +392,7 @@ class TestRun:
     def test_carried_gradients_match_a_fresh_evaluation(self):
         A, _ = make_network(K=5, seed=2)
         costs = random_quadratic_cost(5, 3, seed=0)
-        step = engine.agent_prox_atc2(costs, ZeroProx(), 0.2, shift_positive(A))
+        step = appendix.agent_prox_atc2(costs, ZeroProx(), 0.2, shift_positive(A))
         st = run(ALGORITHMS["ProxATC2"], step, costs, np.zeros(3), 10).final_state
         assert np.array_equal(st.G, costs.grad_stack(st.W))
         assert np.array_equal(st.G_prev, costs.grad_stack(st.W_prev))

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as sla
 from decprox import netgraph
 from decprox.netgraph import (
     AlgorithmId,
+    ConsensusTriple,
     Graph,
     build_graph,
     laplacian_matrix,
@@ -127,6 +128,15 @@ class TestGraphs:
             Graph(K=3, edges=frozenset({(0, 0)}))
         with pytest.raises(ValueError):
             Graph(K=3, edges=frozenset({(0, 5)}))
+
+    def test_edge_in_both_orientations_rejected(self):
+        # Stored twice, the edge would count twice in each end's degree:
+        # degrees [2, 3, 1] and Metropolis weights 1/4 where 1/3 is right.
+        with pytest.raises(ValueError, match="both orientations"):
+            Graph(K=3, edges=frozenset({(0, 1), (1, 0), (1, 2)}))
+        g = Graph(K=3, edges=frozenset({(1, 0), (1, 2)}))
+        assert g.degrees().tolist() == [1, 2, 1]
+        assert metropolis_matrix(g)[0, 1] == 1.0 / 3.0
 
 
 class TestMetropolis:
@@ -279,12 +289,23 @@ class TestAssumptions:
         if eig.min() < 0:
             assert not validate_assumptions(t).assumption2_ok
         # sigma_max(C) = 2 is out of range of both assumptions
-        from decprox.netgraph import ConsensusTriple
         K = 7
+        zero = np.zeros(3)
         bad = ConsensusTriple(A_bar=np.zeros((K, K)), B_sq=np.zeros((K, K)),
-                              C=2.0 * np.eye(K))
+                              C=2.0 * np.eye(K),
+                              spectrum=(zero, zero, np.full(3, 2.0)))
         r = validate_assumptions(bad)
         assert not r.assumption2_ok and not r.assumption4_ok
+        ref = reference_report(bad)
+        assert not ref["assumption2_ok"] and not ref["assumption4_ok"]
+
+    def test_triple_without_spectrum_rejected(self):
+        # A hand-built triple's matrices need not commute, so no three
+        # eigenvalues decide it; the check takes none but a table triple's.
+        t = table1_matrices("ExactDiffusion", self.A)
+        hand_built = ConsensusTriple(t.A_bar, t.B_sq, t.C)
+        with pytest.raises(ValueError, match="no spectrum"):
+            validate_assumptions(hand_built)
 
     def test_monotone_in_tolerance(self):
         # Loosening the PSD tolerance never flips a pass into a fail.
@@ -306,30 +327,57 @@ class TestAssumptions:
         assert r.sigma_min_Bsq == pytest.approx(min(nonzero), abs=1e-12)
 
 
-def reference_report(t):
-    """The report from five eigendecompositions of the triple's matrices."""
-    return validate_assumptions(dataclasses.replace(t, spectrum=None))
+def reference_report(t, psd_tol=netgraph.PSD_TOL):
+    """The report's fields and the two gap minima of a triple, from five
+    eigendecompositions of its matrices, with the smallest nonzero B^2
+    eigenvalue taken over the whole spectrum: the check as it read a
+    triple before it read three paired eigenvalues."""
+    eig_C = np.linalg.eigvalsh(t.C)
+    eig_Bsq = np.linalg.eigvalsh(t.B_sq)
+    eig_A = np.linalg.eigvalsh(t.A_bar)
+    gap = np.linalg.eigvalsh(np.eye(t.K) - t.B_sq - t.A_bar @ t.A_bar)
+    cb_gap = np.linalg.eigvalsh(t.C - t.B_sq)
+    nonzero = eig_Bsq[np.abs(eig_Bsq) > netgraph.NULLSPACE_TOL
+                      * max(1.0, eig_Bsq[-1])]
+    c_psd = eig_C[0] >= -psd_tol
+    return {"sigma_max_C": eig_C[-1],
+            "sigma_min_Bsq": nonzero[0] if nonzero.size else 0.0,
+            "lambda2_A": eig_A[-2],
+            "min_eig_I_minus_Bsq_minus_Abar_sq": gap[0],
+            "min_eig_C_minus_Bsq": cb_gap[0],
+            "sigma_max_Bsq": eig_Bsq[-1],
+            "assumption2_ok": bool(gap[0] >= -psd_tol and c_psd
+                                   and eig_C[-1] <= 2.0 - psd_tol),
+            "assumption4_ok": bool(cb_gap[0] >= -psd_tol and c_psd
+                                   and eig_C[-1] <= 1.0 - psd_tol)}
 
 
-# Every scalar of a report: its fields and its scalar diagnostics.  The
-# diagnostics' eigenvalue arrays hold what the check read, three paired
-# values for a Table I triple and K for a hand-built one.
-DIAGNOSTIC_SCALARS = ("min_eig_I_minus_Bsq_minus_Abar_sq",
-                      "min_eig_C_minus_Bsq", "sigma_max_Bsq")
-
-
-def report_scalars(r):
+def checked_report(t):
+    """validate_assumptions(t)'s fields, with the two gap minima and the
+    largest B^2 eigenvalue taken from the triple's three paired values."""
+    r = validate_assumptions(t)
+    eig_A, eig_Bsq, eig_C = t.spectrum
     return {"sigma_max_C": r.sigma_max_C, "sigma_min_Bsq": r.sigma_min_Bsq,
             "lambda2_A": r.lambda2_A,
-            **{key: r.diagnostics[key] for key in DIAGNOSTIC_SCALARS}}
+            "min_eig_I_minus_Bsq_minus_Abar_sq":
+                float((1.0 - eig_Bsq - eig_A * eig_A).min()),
+            "min_eig_C_minus_Bsq": float((eig_C - eig_Bsq).min()),
+            "sigma_max_Bsq": float(eig_Bsq.max()),
+            "assumption2_ok": r.assumption2_ok,
+            "assumption4_ok": r.assumption4_ok}
+
+
+FLAGS = ("assumption2_ok", "assumption4_ok")
 
 
 def assert_reports_agree(r, ref, atol=1e-12):
-    assert r.assumption2_ok == ref.assumption2_ok
-    assert r.assumption4_ok == ref.assumption4_ok
-    ref_scalars = report_scalars(ref)
-    for name, value in report_scalars(r).items():
-        assert abs(value - ref_scalars[name]) <= atol, name
+    """Two reports (from checked_report or reference_report): the same
+    flags, and every scalar within atol."""
+    for name, value in r.items():
+        if name in FLAGS:
+            assert value == ref[name], name
+        else:
+            assert abs(value - ref[name]) <= atol, name
 
 
 def full_spectrum_scalars(row, base, c=None, mu=None):
@@ -367,9 +415,14 @@ class TestJointSpectrum:
         if shifted:
             A = shift_positive(A)
         sL = np.linalg.eigvalsh(L)[-1]
+        if straddles_zero(aid, A):
+            # C = I - A^2 peaks at A's eigenvalue nearest 0, which the
+            # three do not give: no triple is built.
+            with pytest.raises(ValueError, match="straddle"):
+                table1_matrices(aid, A, c=0.3, mu=1.0 / sL, L=L)
+            return
         t = table1_matrices(aid, A, c=0.3, mu=1.0 / sL, L=L)
-        assert (t.spectrum is None) == straddles_zero(aid, A)
-        assert_reports_agree(validate_assumptions(t), reference_report(t))
+        assert_reports_agree(checked_report(t), reference_report(t))
 
     @pytest.mark.parametrize("c", [0.3, 0.5, 1.0])
     @pytest.mark.parametrize("kind", sorted(GRAPHS))
@@ -384,17 +437,26 @@ class TestJointSpectrum:
         if shifted:
             A = shift_positive(A)
         mu = 1.0 / np.linalg.eigvalsh(L)[-1]
-        t = table1_matrices(aid, A, c=c, mu=mu, L=L)
-        r = validate_assumptions(t)
-        assert_reports_agree(r, reference_report(t))
         if straddles_zero(aid, A):
-            # C = I - A^2 peaks at A's eigenvalue nearest 0, which the
-            # three do not give: the five decompositions decide instead.
-            assert t.spectrum is None
-        else:
-            assert [len(e) for e in t.spectrum] == [3, 3, 3]
-            assert report_scalars(r) == full_spectrum_scalars(
-                aid, L if aid.on_laplacian else A, c=c, mu=mu)
+            with pytest.raises(ValueError, match="straddle"):
+                table1_matrices(aid, A, c=c, mu=mu, L=L)
+            return
+        t = table1_matrices(aid, A, c=c, mu=mu, L=L)
+        r = checked_report(t)
+        assert_reports_agree(r, reference_report(t))
+        assert [len(e) for e in t.spectrum] == [3, 3, 3]
+        scalars = {k: v for k, v in r.items() if k not in FLAGS}
+        assert scalars == full_spectrum_scalars(
+            aid, L if aid.on_laplacian else A, c=c, mu=mu)
+
+    def test_diging_on_given_straddling_eigenvalues_rejected(self):
+        # A ring's unshifted A has eigenvalues on both sides of 0 off the
+        # ones vector; handed in rather than solved, they build no DIGing
+        # triple either.
+        A = metropolis_matrix(build_graph("ring", 12))
+        with pytest.raises(ValueError, match="straddle"):
+            table1_matrices("DIGing", A,
+                            eigvals=netgraph.deciding_eigenvalues(A))
 
     def test_numerically_zero_off_consensus_reads_zero(self):
         # AugDGM's B^2 = (I - A)^2 is 1e-12 at lambda_2 = 1 - 1e-6, below
@@ -407,23 +469,25 @@ class TestJointSpectrum:
             assert validate_assumptions(t).sigma_min_Bsq == pytest.approx(
                 sigma_min, rel=1e-9, abs=0.0)
 
-    def test_no_spectrum_without_a_ones_eigenvector(self):
+    def test_no_triple_without_a_ones_eigenvector(self):
         # Symmetric, but its rows do not sum alike: the three eigenvalues
-        # would not decide, so the five decompositions do.
+        # would not decide, so no triple is built.
         A = metropolis_matrix(build_graph("ring", 6))
         A[0, 0] += 0.1
-        assert netgraph.deciding_eigenvalues(A) is None
-        t = table1_matrices("ExactDiffusion", A)
-        assert t.spectrum is None
-        assert_reports_agree(validate_assumptions(t), reference_report(t), 0.0)
+        with pytest.raises(ValueError, match="sum alike"):
+            netgraph.deciding_eigenvalues(A)
+        with pytest.raises(ValueError, match="sum alike"):
+            table1_matrices("ExactDiffusion", A)
 
-    def test_asymmetric_base_gets_no_spectrum(self):
+    def test_no_triple_on_an_asymmetric_base(self):
         A = metropolis_matrix(build_graph("ring", 5))
-        A[0, 1] += 1e-6
         t = table1_matrices("ExactDiffusion", A)
-        assert t.spectrum is None
+        A[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not symmetric"):
-            validate_assumptions(t)
+            table1_matrices("ExactDiffusion", A)
+        # The check still tests each matrix of a triple it is handed.
+        with pytest.raises(ValueError, match="A_bar is not symmetric"):
+            validate_assumptions(dataclasses.replace(t, A_bar=A))
 
     @pytest.mark.parametrize("bump, symmetric", [
         (0.9e-12, True), (1.1e-12, False), (np.nan, False)])
@@ -497,7 +561,7 @@ class TestDecidingEigenvalues:
             for shifted in ((False,) if aid.on_laplacian else (False, True)):
                 pair = [0.5 * (1.0 + e) if shifted else e
                         for e in (sparse, dense)]
-                reports = [validate_assumptions(spectrum_triple(aid, e, c, mu))
+                reports = [checked_report(spectrum_triple(aid, e, c, mu))
                            for e in pair]
                 assert_reports_agree(*reports)
 
