@@ -39,14 +39,19 @@ MU, C = 0.005, 1.0
 print(f"dimension M = {M}, step mu = {MU}\n")
 
 pair = build_counterexample(M)
+# D D' applied to each unit vector e_j must give 2 e_j.
+eye = np.eye(M // 2)
 print("difference operators satisfy D D' = 2 I:",
-      np.allclose((pair.D1 @ pair.D1.T).toarray(), 2 * np.eye(M // 2)))
+      all(np.allclose([D(DT(e)) for e in eye], 2 * eye)
+          for D, DT in ((pair.D1_dot, pair.D1T_dot),
+                        (pair.D2_dot, pair.D2T_dot))))
 
 # Two agents with the all-half combination matrix; each holds the unit
-# quadratic (1/2)||w||^2 and one half of the regularizer pair.
+# quadratic (1/2)||w||^2 and one half of the regularizer pair: R1 on
+# agent 0's row, R2 on agent 1's.
 A = np.full((2, 2), 0.5)
 costs = quadratic_cost(1.0, 2, M)
-proxes = [CounterexampleProx("R1", pair), CounterexampleProx("R2", pair)]
+separate_prox = CounterexampleProx(pair)
 
 # Reference: minimize the average cost plus (R1 + R2)/2, the fixed
 # point that the separate-prox methods agree on.
@@ -62,11 +67,11 @@ print(f"{'algorithm':>10s} {'prox':>9s} {'iters':>6s} {'final error':>12s} "
 expected = {"PGEXTRA": "sublinear", "DLADMM": "sublinear", "ProxED": "linear"}
 disagree = []
 for name, claim in expected.items():
-    # An entry without a Table I row applies each agent's own prox.
+    # An entry without a Table I row applies each agent's own regularizer.
     algo = ALGORITHMS[name]
     separate = algo.row is None
     triple = None if separate else table1_matrices(algo.row, A)
-    step = algo.step(costs, proxes if separate else common_half, MU,
+    step = algo.step(costs, separate_prox if separate else common_half, MU,
                      triple=triple, A=A, c=C, laplacian=L)
     iters = SEP_ITERS if separate else COMMON_ITERS
     record = run(algo, step, costs, w_star, iters)

@@ -136,7 +136,8 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     mu = 1.0 / costs.delta
     w = np.zeros(costs.M)
     for _ in range(max_iter):
-        w_next = prox_common.apply(w - mu * costs.average_grad(w), mu)
+        x = w - mu * costs.average_grad(w)
+        w_next = prox_common.apply_stack(x[None], mu)[0]
         mapping = np.linalg.norm(w - w_next) / mu
         w = w_next
         if mapping <= tol:

@@ -224,8 +224,8 @@ def _config_dict(v):
 @dataclass
 class Problem:
     costs: object
-    common_prox: object
-    per_agent_prox: list
+    common_prox: object  # R on every row
+    agent_prox: object   # agent k's R_k on row k (PGEXTRA, DLADMM)
     w_star: np.ndarray
     A: np.ndarray
     laplacian: np.ndarray
@@ -247,8 +247,7 @@ def build_problem(cfg):
     A = netgraph.metropolis_matrix(g)
     L = netgraph.laplacian_matrix(g)
     K = g.K
-    common = prox_mod.L1Prox(cfg.rho)
-    per_agent = [common] * K
+    common = agent = prox_mod.L1Prox(cfg.rho)
 
     if cfg.problem == "lasso_quadratic":
         M = cfg.data.dim
@@ -281,11 +280,10 @@ def build_problem(cfg):
         # minimizer as the separate runs, whose effective non-smooth part
         # is the average (R1 + R2)/K.
         common = prox_mod.ChainSumProx(pair, weight=1.0 / K)
-        per_agent = [prox_mod.CounterexampleProx("R1", pair),
-                     prox_mod.CounterexampleProx("R2", pair)]
+        agent = prox_mod.CounterexampleProx(pair)
         w_star = analysis.centralized_reference(costs, common)
 
-    return Problem(costs=costs, common_prox=common, per_agent_prox=per_agent,
+    return Problem(costs=costs, common_prox=common, agent_prox=agent,
                    w_star=w_star, A=A, laplacian=L)
 
 
@@ -324,7 +322,7 @@ def resolve_algorithm(acfg, cfg, problem):
     if mu == "auto":
         mu = _auto_step(algo, row, problem, cfg.c)
     triple = report = rate = None
-    prox = problem.per_agent_prox
+    prox = problem.agent_prox
     if algo.row is not None:
         triple = netgraph.table1_matrices(
             row, A, c=cfg.c, mu=mu, L=problem.laplacian,

@@ -11,10 +11,12 @@ entry gives the name's Table I row (none for PGEXTRA and DLADMM, whose
 regularizers differ by agent), whether it runs on 0.5 (I + A), its
 communication rounds per iteration, its rate theorem and its step
 factory.  A step factory does once what is fixed over a run and returns
-the step, state -> next state, which ``run`` iterates.  Every Table I row
-runs as the one primal-dual step; the paper's per-agent listings and
-eliminated forms of it (Appendices B and C) are equivalences, which the
-tests check against this step rather than run.
+the step, state -> next state, which ``run`` iterates.  Each takes one
+prox operator, which maps the K x M stack to its rowwise prox: of the
+common R, or of agent k's R_k on row k for PGEXTRA and DLADMM.  Every
+Table I row runs as the one primal-dual step; the paper's per-agent
+listings and eliminated forms of it (Appendices B and C) are
+equivalences, which the tests check against this step rather than run.
 
 The primal-dual step multiplies by the triple's ``A_bar_op``, ``B_sq_op``
 and ``C_op``: a CSR copy of a sparse matrix (a large sparse graph's
@@ -163,18 +165,10 @@ def primal_dual(costs, prox, mu, triple, **_):
     return lambda state: puda_step(state, triple, costs, prox, mu)
 
 
-def _per_agent_prox(prox_list, K, mu):
-    """X -> the stack of prox_list[k] applied to row k."""
-    if len(prox_list) != K:
-        raise ValueError(f"need {K} prox operators, got {len(prox_list)}")
-    return lambda X: np.stack([prox_list[k].apply(X[k], mu) for k in range(K)])
-
-
 def pg_extra(costs, prox, mu, A, **_):
-    """PG-EXTRA, one prox operator per agent in ``prox``: X <- A W + X -
-    W~ W_prev - mu (grad(W) - grad(W_prev)), W <- prox_k(X_k), with W~ =
-    0.5 (I + A).  With every R_k = 0 it is EXTRA."""
-    prox_rows = _per_agent_prox(prox, costs.K, mu)
+    """PG-EXTRA: X <- A W + X - W~ W_prev - mu (grad(W) - grad(W_prev)),
+    W <- prox(X), with W~ = 0.5 (I + A) and ``prox`` applying agent k's
+    R_k to row k.  With every R_k = 0 it is EXTRA."""
     W_tilde = 0.5 * (np.eye(A.shape[0]) + A)
 
     def step(state):
@@ -185,23 +179,22 @@ def pg_extra(costs, prox, mu, A, **_):
         else:
             X = (A @ W + state.X - W_tilde @ state.W_prev
                  - mu * (G - state.G_prev))
-        return _advance(state, prox_rows(X), costs, X=X)
+        return _advance(state, prox.apply_stack(X, mu), costs, X=X)
 
     return step
 
 
 def dl_admm(costs, prox, mu, c, laplacian, **_):
-    """DLADMM, one prox operator per agent in ``prox``: W <- prox_k((W -
-    mu (grad(W) + c L W + S))_k), S <- S + c L W with S the scaled dual.
+    """DLADMM: W <- prox(W - mu (grad(W) + c L W + S)), S <- S + c L W
+    with S the scaled dual and ``prox`` applying agent k's R_k to row k.
     With every R_k = 0 it is DLM."""
     if c is None or laplacian is None:
         raise ValueError("DLADMM requires c and a Laplacian")
-    prox_rows = _per_agent_prox(prox, costs.K, mu)
     cL = c * laplacian
 
     def step(state):
         G = _grad(state)
-        W_new = prox_rows(state.W - mu * (G + cL @ state.W + state.S))
+        W_new = prox.apply_stack(state.W - mu * (G + cL @ state.W + state.S), mu)
         return _advance(state, W_new, costs, S=state.S + cL @ W_new)
 
     return step
@@ -212,12 +205,12 @@ class Algorithm:
     """What the engine, CLI and rate theory need to know of an algorithm."""
 
     name: str
-    row: str        # its Table I row (an AlgorithmId); None: per-agent prox
+    row: str        # its Table I row (an AlgorithmId); None: R_k by agent
     shifted: bool   # runs on 0.5 (I + A), whose eigenvalues lie in [0, 1]
     rounds: int     # neighbor communication rounds per iteration
     theorem: str    # "Thm1" or "Thm4": its rate theorem and step bound
     step: object    # step factory
-    reduces_to: str = None  # per-agent prox: its Table I row when R_k = 0
+    reduces_to: str = None  # R_k by agent: its Table I row when R_k = 0
 
 
 ALGORITHMS = {a.name: a for a in (
@@ -247,18 +240,18 @@ def rel_sq_error(W, w_star):
     return total / denom if denom > 0 else total
 
 
-def run(algorithm, step, costs, w_star, iters, record_every=1, init=None,
-        seed=None, residual_fn=None):
+def run(algorithm, step, costs, w_star, iters, record_every=1, seed=None,
+        residual_fn=None):
     """Iterate ``step`` (state -> next state, from a step factory of the
     entry ``algorithm``, which sets the rounds per iteration) up to
-    ``iters`` times from :func:`initial_state` (``init``, ``seed``), and
+    ``iters`` times from :func:`initial_state` (``seed``), and
     record the relative squared error to ``w_star`` every
     ``record_every`` iterations, the first and the last always, with
     ``residual_fn(state)`` beside it if given.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    state = initial_state(costs, init=init, seed=seed)
+    state = initial_state(costs, seed=seed)
     record = RunRecord()
 
     for i in range(1, iters + 1):

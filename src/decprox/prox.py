@@ -1,4 +1,6 @@
-"""Proximal operators: l1 soft-thresholding, pairwise-difference chain
+"""Proximal operators on a K x M stack: R separates over the rows (the
+agents), and every operator takes its prox row by row through
+``apply_stack``.  l1 soft-thresholding, the two agents' pairwise-difference
 regularizers with closed-form proxes, and an exact direct prox of their
 sum, solved in closed form from a hinted segmentation when its dual
 certificate holds."""
@@ -6,7 +8,6 @@ certificate holds."""
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "ProxOperator",
@@ -35,40 +36,30 @@ def prox_l1(x, kappa):
 
 
 class ProxOperator:
-    """Evaluates prox of mu * R at a point; subclasses define apply()."""
-
-    def apply(self, x, mu):
-        raise NotImplementedError
+    """Evaluates prox of mu * R on a K x M stack, R a sum over its rows."""
 
     def apply_stack(self, X, mu, hint=None):
-        """Rowwise application on a K x M stack.  ``hint`` is a K x M stack
+        """Rowwise prox of a K x M stack.  ``hint`` is a K x M stack
         believed near the result (the engine passes the previous prox
         output); an operator may use it to go faster, never to change its
-        answer beyond rounding.  This one ignores it."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([self.apply(row, mu) for row in X])
+        answer beyond rounding."""
+        raise NotImplementedError
 
 
 class ZeroProx(ProxOperator):
     """R = 0; prox is the identity."""
-
-    def apply(self, x, mu):
-        return np.asarray(x, dtype=float).copy()
 
     def apply_stack(self, X, mu, hint=None):
         return np.atleast_2d(np.asarray(X, dtype=float)).copy()
 
 
 class L1Prox(ProxOperator):
-    """R = weight * ||.||_1."""
+    """R = weight * ||.||_1 on every row."""
 
     def __init__(self, weight=1.0):
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
         self.weight = float(weight)
-
-    def apply(self, x, mu):
-        return prox_l1(x, mu * self.weight)
 
     def apply_stack(self, X, mu, hint=None):
         return prox_l1(np.atleast_2d(X), mu * self.weight)
@@ -76,19 +67,16 @@ class L1Prox(ProxOperator):
 
 @dataclass(frozen=True)
 class CounterexamplePair:
-    """Pairwise-difference operators with D D' = 2I.
+    """Pairwise-difference operators with D D' = 2I, applied by slicing.
 
     R1(w) = ||D1 w - b1||_1 anchors sqrt(2) w[0] at 1 and penalizes the
     differences (w[1]-w[2]), (w[3]-w[4]), ...; R2(w) = ||D2 w||_1
-    penalizes (w[0]-w[1]), (w[2]-w[3]), ....  Both are stored sparse.
+    penalizes (w[0]-w[1]), (w[2]-w[3]), ....
     """
 
     M: int
-    D1: sp.csr_matrix = field(repr=False)
-    D2: sp.csr_matrix = field(repr=False)
     b1: np.ndarray = field(repr=False)
 
-    # --- fast slicing equivalents of the sparse products -----------------
     def D1_dot(self, w):
         half = self.M // 2
         out = np.empty(half)
@@ -112,33 +100,14 @@ class CounterexamplePair:
         out[1::2] = -u
         return out
 
-    def R1(self, w):
-        return float(np.abs(self.D1_dot(np.asarray(w, dtype=float)) - self.b1).sum())
-
-    def R2(self, w):
-        return float(np.abs(self.D2_dot(np.asarray(w, dtype=float))).sum())
-
 
 def build_counterexample(M):
-    """Build the (D1, D2, b1) pairwise-difference structure for even M."""
+    """The counterexample pair for even M: b1, with D1 and D2 by slicing."""
     if M < 2 or M % 2 != 0:
         raise ValueError(f"M must be even and >= 2, got {M}")
-    half = M // 2
-    rows, cols, vals = [0], [0], [np.sqrt(2.0)]
-    for j in range(1, half):
-        rows += [j, j]
-        cols += [2 * j - 1, 2 * j]
-        vals += [1.0, -1.0]
-    D1 = sp.csr_matrix((vals, (rows, cols)), shape=(half, M))
-    rows, cols, vals = [], [], []
-    for j in range(half):
-        rows += [j, j]
-        cols += [2 * j, 2 * j + 1]
-        vals += [1.0, -1.0]
-    D2 = sp.csr_matrix((vals, (rows, cols)), shape=(half, M))
-    b1 = np.zeros(half)
+    b1 = np.zeros(M // 2)
     b1[0] = 1.0
-    return CounterexamplePair(M=M, D1=D1, D2=D2, b1=b1)
+    return CounterexamplePair(M=M, b1=b1)
 
 
 def prox_counterexample(which, pair, x, mu):
@@ -163,16 +132,18 @@ def prox_counterexample(which, pair, x, mu):
 
 
 class CounterexampleProx(ProxOperator):
-    """Closed-form prox operator for R1 or R2 of a counterexample pair."""
+    """The two agents' separate regularizers of a counterexample pair:
+    R1 on row 0 and R2 on row 1, each in closed form."""
 
-    def __init__(self, which, pair):
-        if which not in ("R1", "R2"):
-            raise ValueError(f"which must be 'R1' or 'R2', got {which!r}")
-        self.which = which
+    def __init__(self, pair):
         self.pair = pair
 
-    def apply(self, x, mu):
-        return prox_counterexample(self.which, self.pair, x, mu)
+    def apply_stack(self, X, mu, hint=None):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or len(X) != 2:
+            raise ValueError(f"expected a stack of 2 rows, got shape {X.shape}")
+        return np.stack([prox_counterexample("R1", self.pair, X[0], mu),
+                         prox_counterexample("R2", self.pair, X[1], mu)])
 
 
 def prox_anchored_chain(x, t, anchor, anchor_t):
@@ -315,14 +286,17 @@ def _chain_from_hint(x, hint, t, anchor, anchor_t):
 
 
 class ChainSumProx(ProxOperator):
-    """Prox of weight * (R1 + R2): the full difference chain plus anchor.
+    """Prox of weight * (R1 + R2) on every row: the full difference chain
+    plus anchor.
 
     R1 + R2 = sqrt(2) |w[0] - 1/sqrt(2)| + sum_i |w[i] - w[i+1]|, a 1-D
     total-variation chain whose first node is tied to a virtual node at
     1/sqrt(2); its prox is exact and O(M) (:func:`prox_anchored_chain`).
-    ``apply_stack`` with a hint first tries the hint's segmentation in
-    closed form (:func:`_chain_from_hint`).  The operator holds no state,
-    so equal rows with equal hints give bit-equal results.
+    Each row is solved in closed form on a segmentation
+    (:func:`_chain_from_hint`): its hint's if given, else the dynamic
+    programme's own, which the closed form makes exact where the
+    programme's sums lose digits.  The operator holds no state, so equal
+    rows with equal hints give bit-equal results.
     """
 
     def __init__(self, pair, weight=1.0):
@@ -331,26 +305,20 @@ class ChainSumProx(ProxOperator):
         self.pair = pair
         self.weight = float(weight)
 
-    def _step(self, x, mu, ndim):
-        """t = mu * weight, once mu > 0 and x is an M-vector (ndim 1) or
-        a stack of them (ndim 2)."""
+    def _step(self, X, mu):
+        """t = mu * weight, once mu > 0 and X is a stack of M-vectors."""
         if mu <= 0:
             raise ValueError(f"mu must be positive, got {mu}")
-        if x.ndim != ndim or x.shape[-1] != self.pair.M:
+        if X.ndim != 2 or X.shape[1] != self.pair.M:
             raise ValueError(f"expected shape ({self.pair.M},) per row, "
-                             f"got {x.shape}")
+                             f"got {X.shape}")
         return mu * self.weight
-
-    def apply(self, x, mu):
-        x = np.asarray(x, dtype=float)
-        t = self._step(x, mu, 1)
-        return prox_anchored_chain(x, t, _ANCHOR, np.sqrt(2.0) * t)
 
     def apply_stack(self, X, mu, hint=None):
         """Rowwise prox; row k tries the segmentation of hint[k] first and
-        falls back to the dynamic programme when its certificate fails."""
+        falls back to the dynamic programme's when its certificate fails."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        t = self._step(X, mu, 2)
+        t = self._step(X, mu)
         if hint is not None:
             hint = np.asarray(hint, dtype=float)
             if hint.shape != X.shape:
@@ -360,5 +328,9 @@ class ChainSumProx(ProxOperator):
         for k, x in enumerate(X):
             z = None if hint is None else _chain_from_hint(
                 x, hint[k], t, _ANCHOR, anchor_t)
-            out[k] = prox_anchored_chain(x, t, _ANCHOR, anchor_t) if z is None else z
+            if z is None:
+                dp = prox_anchored_chain(x, t, _ANCHOR, anchor_t)
+                z = _chain_from_hint(x, dp, t, _ANCHOR, anchor_t)
+                z = dp if z is None else z
+            out[k] = z
         return out

@@ -1,7 +1,51 @@
-"""A brute-force prox oracle that the tests compare closed-form proxes
-against: it uses no closed form, only the function's values."""
+"""References the tests compare the prox code against: a brute-force prox
+oracle, which uses no closed form, only the function's values, and the
+counterexample's difference operators as sparse matrices."""
+
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+
+
+def prox_row(op, x, mu):
+    """op's prox of one row x, through its stack interface."""
+    return op.apply_stack(np.asarray(x, dtype=float)[None], mu)[0]
+
+
+class SparsePair:
+    """D1, D2 and b1 of ``build_counterexample(M)``, D1 and D2 as CSR
+    matrices built entry by entry, and R1, R2 evaluated through their
+    dense copies."""
+
+    def __init__(self, M):
+        half = M // 2
+        rows, cols, vals = [0], [0], [np.sqrt(2.0)]
+        for j in range(1, half):
+            rows += [j, j]
+            cols += [2 * j - 1, 2 * j]
+            vals += [1.0, -1.0]
+        self.D1 = sp.csr_matrix((vals, (rows, cols)), shape=(half, M))
+        rows, cols, vals = [], [], []
+        for j in range(half):
+            rows += [j, j]
+            cols += [2 * j, 2 * j + 1]
+            vals += [1.0, -1.0]
+        self.D2 = sp.csr_matrix((vals, (rows, cols)), shape=(half, M))
+        self.b1 = np.zeros(half)
+        self.b1[0] = 1.0
+
+    @cached_property
+    def dense(self):
+        # The brute-force oracle evaluates R thousands of times at M <= 8,
+        # where a dense product is several times faster than a CSR one.
+        return self.D1.toarray(), self.D2.toarray()
+
+    def R1(self, w):
+        return float(np.abs(self.dense[0] @ w - self.b1).sum())
+
+    def R2(self, w):
+        return float(np.abs(self.dense[1] @ w).sum())
 
 
 class OracleFailure(RuntimeError):

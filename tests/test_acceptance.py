@@ -45,7 +45,7 @@ from decprox.prox import (
 )
 import appendix_forms as appendix
 import cost_oracle
-from prox_oracle import brute_force_prox
+from prox_oracle import SparsePair, brute_force_prox, prox_row
 
 
 def window_ratios_after_burn_in(record, burn_in=20, n_windows=5):
@@ -222,7 +222,7 @@ def test_criterion_3_complete_graph_reduction():
     wc = w.copy()
     for _ in range(100):
         st = engine.puda_step(st, triple, costs, prox, mu)
-        wc = prox.apply(wc - mu * costs.average_grad(wc), mu)
+        wc = prox_row(prox, wc - mu * costs.average_grad(wc), mu)
         dev = np.abs(st.W - wc[None, :]).max()
         worst = max(worst, dev)
         assert dev <= 1e-12
@@ -239,13 +239,13 @@ def test_criterion_5_counterexample():
     costs = quadratic_cost(eta, K, M)
     A = 0.5 * np.ones((2, 2))
     L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    per_agent = [CounterexampleProx("R1", pair), CounterexampleProx("R2", pair)]
+    separate = CounterexampleProx(pair)  # R1 on agent 0, R2 on agent 1
     w_star_sep = centralized_reference(costs, ChainSumProx(pair, weight=0.5))
 
     verdicts = {}
     for name, step in (
-        ("PGEXTRA", engine.pg_extra(costs, per_agent, mu, A)),
-        ("DLADMM", engine.dl_admm(costs, per_agent, mu, c=1.0, laplacian=L)),
+        ("PGEXTRA", engine.pg_extra(costs, separate, mu, A)),
+        ("DLADMM", engine.dl_admm(costs, separate, mu, c=1.0, laplacian=L)),
     ):
         record = run(ALGORITHMS[name], step, costs, w_star_sep, 20000)
         v = classify_decay(record)
@@ -278,15 +278,16 @@ def test_criterion_5_counterexample():
 def test_criterion_6_prox_correctness():
     worst = 0.0
     for M in (2, 4, 6):
-        pair = build_counterexample(M)
+        pair, ref = build_counterexample(M), SparsePair(M)
         half = M // 2
-        for D in (pair.D1.toarray(), pair.D2.toarray()):
+        for D_dot in (pair.D1_dot, pair.D2_dot):
+            D = np.column_stack([D_dot(e) for e in np.eye(M)])
             assert np.abs(D @ D.T - 2.0 * np.eye(half)).max() <= 1e-15
         rng = np.random.default_rng(M)
         for _ in range(50):
             x = rng.standard_normal(M)
             mu = float(rng.uniform(0.05, 0.8))
-            for which, R in (("R1", pair.R1), ("R2", pair.R2)):
+            for which, R in (("R1", ref.R1), ("R2", ref.R2)):
                 cf = prox_counterexample(which, pair, x, mu)
                 bf = brute_force_prox(R, x, mu, iters=800)
                 dev = np.abs(cf - bf).max()
@@ -335,17 +336,17 @@ def test_criterion_7_rate_formulas():
 def test_criterion_8_property_suites(tmp_path):
     t0 = time.time()
 
-    # Nonexpansiveness: 1000 random pairs per operator.
-    pair = build_counterexample(6)
-    ops = [L1Prox(0.4), ZeroProx(),
-           CounterexampleProx("R1", pair), CounterexampleProx("R2", pair)]
+    # Nonexpansiveness: 1000 random pairs of two-row stacks per operator,
+    # row by row.
+    ops = [L1Prox(0.4), ZeroProx(), CounterexampleProx(build_counterexample(6))]
     rng = np.random.default_rng(0)
     for op in ops:
         for _ in range(1000):
-            x = rng.standard_normal(6)
-            y = rng.standard_normal(6)
-            assert (np.linalg.norm(op.apply(x, 0.3) - op.apply(y, 0.3))
-                    <= np.linalg.norm(x - y) + 1e-12)
+            X = rng.standard_normal((2, 6))
+            Y = rng.standard_normal((2, 6))
+            d_out = np.linalg.norm(op.apply_stack(X, 0.3) - op.apply_stack(Y, 0.3),
+                                   axis=1)
+            assert (d_out <= np.linalg.norm(X - Y, axis=1) + 1e-12).all()
 
     # Metropolis matrices: 20 random graphs.
     for i in range(20):

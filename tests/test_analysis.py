@@ -27,6 +27,7 @@ from decprox.netgraph import (
 from decprox.prox import L1Prox, ZeroProx, prox_l1
 
 import cost_oracle
+from prox_oracle import prox_row
 
 
 class TestTheoreticalRate:
@@ -195,7 +196,7 @@ class TestCentralizedReference:
         tol = 1e-13
         w = centralized_reference(costs, prox, tol=tol)
         mu = 1.0 / costs.delta
-        w_next = prox.apply(w - mu * costs.average_grad(w), mu)
+        w_next = prox_row(prox, w - mu * costs.average_grad(w), mu)
         assert np.linalg.norm(w - w_next) / mu <= tol
 
     def test_iteration_cap_raises(self):

@@ -183,6 +183,8 @@ class TestRunExperiment:
                                     algorithms):
         # r_prox is read off the step's own prox, so with every row
         # recorded each primal-dual run applies the prox once per step.
+        # The reference solver's proxes, made in build_problem, are not
+        # counted.
         calls = []
         for cls in (ProxOperator, L1Prox, ChainSumProx):
             apply_stack = cls.__dict__["apply_stack"]
@@ -190,6 +192,8 @@ class TestRunExperiment:
                 cls, "apply_stack",
                 lambda self, X, mu, hint=None, f=apply_stack:
                     calls.append(1) or f(self, X, mu, hint=hint))
+        monkeypatch.setattr(cli, "build_problem",
+                            lambda cfg: (build_problem(cfg), calls.clear())[0])
         overrides = {"algorithms": algorithms, "iters": 40}
         if problem == "counterexample":
             overrides.update(problem=problem, M=20, c=1.0,

@@ -26,6 +26,7 @@ from decprox.prox import L1Prox, ZeroProx, prox_l1
 
 import appendix_forms as appendix
 import cost_oracle
+from prox_oracle import prox_row
 
 
 def make_network(K=6, seed=3, extra=0.3):
@@ -59,7 +60,7 @@ class TestPudaStep:
         st = initial_state(costs, init=w)
         out = engine.puda_step(st, t, costs, prox, mu)
         grad = cost_oracle.random_quadratic_cost(1, 4, seed=0).grad(0, w[0])
-        expected = prox.apply(w[0] - mu * grad, mu)
+        expected = prox_row(prox, w[0] - mu * grad, mu)
         assert np.allclose(out.W[0], expected, atol=1e-14)
 
     def test_fixed_point_invariance(self):
@@ -245,7 +246,7 @@ class TestSeparateProx:
         self.costs = random_quadratic_cost(4, 3, seed=6)
         self.mu = 0.2
         self.init = np.random.default_rng(11).standard_normal((4, 3))
-        self.zero = [ZeroProx()] * 4
+        self.zero = ZeroProx()
 
     def test_pgextra_reduces_to_extra(self):
         # With R_k = 0 the i >= 1 recursions coincide; seed the two-step
@@ -270,10 +271,6 @@ class TestSeparateProx:
         ref, _ = trajectory(engine.primal_dual(self.costs, ZeroProx(), self.mu, t),
                             self.costs, self.init, 100)
         assert max_dev(ref, dl) <= 1e-10
-
-    def test_prox_list_length_checked(self):
-        with pytest.raises(ValueError):
-            engine.pg_extra(self.costs, [ZeroProx()] * 3, self.mu, self.A)
 
     def test_dladmm_requires_laplacian(self):
         with pytest.raises(ValueError):
@@ -361,7 +358,7 @@ class TestRun:
         costs = random_quadratic_cost(5, 3, seed=0)
         nids = table1_matrices("NIDS", A, c=0.5)
         atc = table1_matrices("ATCTracking", A)
-        prox, zero, mu = L1Prox(0.05), [ZeroProx()] * 5, 0.2
+        prox, zero, mu = L1Prox(0.05), ZeroProx(), 0.2
         step = {
             "primal_dual": lambda: engine.primal_dual(costs, prox, mu, atc),
             "agent_prox_ed": lambda: appendix.agent_prox_ed(costs, prox, mu, A),

@@ -19,22 +19,29 @@ from decprox.prox import (
     prox_l1,
 )
 from decprox.prox import _chain_from_hint
-from prox_oracle import brute_force_prox
+from prox_oracle import SparsePair, brute_force_prox, prox_row
 
 
-def chain_certificate(pair, x, z, t, tol=1e-10):
+def chain_certificate(x, z, t, tol=1e-10):
     """Check z = prox of t (R1 + R2) at x through the dual, apart from the
     prox code: with D = [D1; D2] square and invertible, the multiplier u
     solving D'u = (x - z)/t must have |u|_inf <= 1 and u_j = sign(r_j)
     wherever r = D z - b is nonzero.  Returns (excess of |u|_inf over 1,
     number of multipliers off sign(r))."""
-    D = sp.vstack([pair.D1, pair.D2]).tocsc()
-    b = np.concatenate([pair.b1, np.zeros(pair.M // 2)])
+    ref = SparsePair(len(x))
+    D = sp.vstack([ref.D1, ref.D2]).tocsc()
+    b = np.concatenate([ref.b1, np.zeros(len(x) // 2)])
     u = spsolve(D.T.tocsc(), (x - z) / t)
     r = D @ z - b
     active = np.abs(r) > tol
     off = np.abs(u[active] - np.sign(r[active])) > tol
     return np.abs(u).max() - 1.0, int(off.sum())
+
+
+def chain_sum(M):
+    """R1 + R2 through the sparse reference."""
+    ref = SparsePair(M)
+    return lambda w: ref.R1(w) + ref.R2(w)
 
 
 class TestL1:
@@ -55,8 +62,8 @@ class TestL1:
     def test_operator_stack(self):
         op = L1Prox(0.5)
         X = np.array([[2.0, -0.1], [-3.0, 1.0]])
-        assert np.allclose(op.apply_stack(X, 1.0),
-                           np.stack([op.apply(r, 1.0) for r in X]))
+        assert np.array_equal(op.apply_stack(X, 1.0),
+                              np.stack([prox_l1(r, 0.5) for r in X]))
 
     def test_bad_weight(self):
         with pytest.raises(ValueError):
@@ -70,27 +77,29 @@ class TestCounterexampleStructure:
     def test_ddt_identity(self, M):
         pair = build_counterexample(M)
         half = M // 2
-        for D in (pair.D1.toarray(), pair.D2.toarray()):
+        for D_dot in (pair.D1_dot, pair.D2_dot):
+            D = np.column_stack([D_dot(e) for e in np.eye(M)])
             assert np.abs(D @ D.T - 2.0 * np.eye(half)).max() <= 1e-15
 
     @pytest.mark.parametrize("M", [2, 4, 8])
     def test_fast_products_match_sparse(self, M):
-        pair = build_counterexample(M)
+        pair, ref = build_counterexample(M), SparsePair(M)
         rng = np.random.default_rng(M)
         w = rng.standard_normal(M)
         u = rng.standard_normal(M // 2)
-        assert np.allclose(pair.D1_dot(w), pair.D1 @ w)
-        assert np.allclose(pair.D2_dot(w), pair.D2 @ w)
-        assert np.allclose(pair.D1T_dot(u), pair.D1.T @ u)
-        assert np.allclose(pair.D2T_dot(u), pair.D2.T @ u)
+        assert np.array_equal(pair.b1, ref.b1)
+        assert np.allclose(pair.D1_dot(w), ref.D1 @ w)
+        assert np.allclose(pair.D2_dot(w), ref.D2 @ w)
+        assert np.allclose(pair.D1T_dot(u), ref.D1.T @ u)
+        assert np.allclose(pair.D2T_dot(u), ref.D2.T @ u)
 
     def test_sum_is_anchored_chain(self):
         # R1 + R2 penalizes every consecutive difference plus the anchor.
-        pair = build_counterexample(6)
+        ref = SparsePair(6)
         w = np.array([1.0, 3.0, 2.0, 2.0, 5.0, 1.0])
         chain = np.abs(np.diff(w)).sum()
         anchor = abs(np.sqrt(2) * w[0] - 1.0)
-        assert pair.R1(w) + pair.R2(w) == pytest.approx(anchor + chain)
+        assert ref.R1(w) + ref.R2(w) == pytest.approx(anchor + chain)
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
@@ -114,24 +123,29 @@ class TestClosedFormProx:
 
     @pytest.mark.parametrize("M", [2, 4, 6])
     def test_against_brute_force(self, M):
-        pair = build_counterexample(M)
+        pair, ref = build_counterexample(M), SparsePair(M)
         rng = np.random.default_rng(M)
         for _ in range(8):
             x = rng.standard_normal(M)
             mu = float(rng.uniform(0.05, 0.8))
-            for which, R in (("R1", pair.R1), ("R2", pair.R2)):
+            for which, R in (("R1", ref.R1), ("R2", ref.R2)):
                 cf = prox_counterexample(which, pair, x, mu)
                 bf = brute_force_prox(R, x, mu)
                 assert np.abs(cf - bf).max() <= 1e-3
 
-    def test_operator_wrapper(self):
+    def test_operator_is_r1_then_r2(self):
+        # Agent 0 holds R1, agent 1 holds R2.
         pair = build_counterexample(4)
-        op = CounterexampleProx("R2", pair)
-        x = np.array([1.0, 0.0, 3.0, 1.0])
-        assert np.allclose(op.apply(x, 0.2),
-                           prox_counterexample("R2", pair, x, 0.2))
-        with pytest.raises(ValueError):
-            CounterexampleProx("R3", pair)
+        X = np.array([[1.0, 0.0, 3.0, 1.0], [0.5, -2.0, 0.1, 0.4]])
+        out = CounterexampleProx(pair).apply_stack(X, 0.2)
+        assert np.array_equal(out[0], prox_counterexample("R1", pair, X[0], 0.2))
+        assert np.array_equal(out[1], prox_counterexample("R2", pair, X[1], 0.2))
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_operator_needs_two_rows(self, K):
+        op = CounterexampleProx(build_counterexample(4))
+        with pytest.raises(ValueError, match="2 rows"):
+            op.apply_stack(np.zeros((K, 4)), 0.2)
 
     def test_bad_inputs(self):
         pair = build_counterexample(4)
@@ -150,14 +164,14 @@ class TestChainSum:
         for _ in range(5):
             x = rng.standard_normal(M)
             mu = float(rng.uniform(0.05, 0.6))
-            bf = brute_force_prox(lambda z: pair.R1(z) + pair.R2(z), x, mu)
-            assert np.abs(op.apply(x, mu) - bf).max() <= 1e-3
+            bf = brute_force_prox(chain_sum(pair.M), x, mu)
+            assert np.abs(prox_row(op, x, mu) - bf).max() <= 1e-3
 
     def test_weight_scales_regularizer(self):
         pair = build_counterexample(4)
         x = np.array([2.0, -1.0, 0.5, 0.3])
-        half = ChainSumProx(pair, weight=0.5).apply(x, 0.4)
-        full = ChainSumProx(pair).apply(x, 0.2)
+        half = prox_row(ChainSumProx(pair, weight=0.5), x, 0.4)
+        full = prox_row(ChainSumProx(pair), x, 0.2)
         assert np.allclose(half, full, atol=1e-10)
 
     def test_optimality_certificate(self):
@@ -167,10 +181,11 @@ class TestChainSum:
         op = ChainSumProx(pair)
         x = np.random.default_rng(3).standard_normal(6)
         mu = 0.3
-        z = op.apply(x, mu)
+        z = prox_row(op, x, mu)
+        R = chain_sum(6)
 
         def h(v):
-            return pair.R1(v) + pair.R2(v) + np.dot(v - x, v - x) / (2 * mu)
+            return R(v) + np.dot(v - x, v - x) / (2 * mu)
 
         h0 = h(z)
         for j in range(6):
@@ -184,7 +199,7 @@ class TestChainSum:
         pair = build_counterexample(4)
         op = ChainSumProx(pair)
         x = np.array([1.0, 0.2, -0.5, 0.9])
-        assert np.array_equal(op.apply(x, 0.25), op.apply(x, 0.25))
+        assert np.array_equal(prox_row(op, x, 0.25), prox_row(op, x, 0.25))
 
 
 class TestExactChainProx:
@@ -196,8 +211,8 @@ class TestExactChainProx:
     def test_dual_certificate(self, half, seed, scale, t):
         pair = build_counterexample(2 * half)
         x = scale * np.random.default_rng(seed).standard_normal(2 * half)
-        z = ChainSumProx(pair).apply(x, t)
-        excess, off = chain_certificate(pair, x, z, t)
+        z = prox_row(ChainSumProx(pair), x, t)
+        excess, off = chain_certificate(x, z, t)
         assert excess <= 1e-10 and off == 0
 
     @pytest.mark.parametrize("M", [200, 2000])
@@ -207,7 +222,7 @@ class TestExactChainProx:
         pair = build_counterexample(M)
         w = centralized_reference(quadratic_cost(1.0, 2, M),
                                   ChainSumProx(pair, weight=0.5))
-        excess, off = chain_certificate(pair, np.zeros(M), w, 0.5)
+        excess, off = chain_certificate(np.zeros(M), w, 0.5)
         assert excess <= 1e-10 and off == 0
 
     def test_anchor_jump_spans_both_clips(self):
@@ -220,9 +235,9 @@ class TestExactChainProx:
         mu = 0.48
         expected = [1 / np.sqrt(2), x[1] - 2 * mu,
                     (x[2] + x[3] + mu) / 2, (x[2] + x[3] + mu) / 2]
-        z = ChainSumProx(pair).apply(x, mu)
+        z = prox_row(ChainSumProx(pair), x, mu)
         assert np.allclose(z, expected, rtol=0, atol=1e-15)
-        bf = brute_force_prox(lambda w: pair.R1(w) + pair.R2(w), x, mu)
+        bf = brute_force_prox(chain_sum(pair.M), x, mu)
         assert np.abs(z - bf).max() <= 1e-6
 
     def test_against_brute_force_m8(self):
@@ -232,8 +247,8 @@ class TestExactChainProx:
         for _ in range(4):
             x = rng.standard_normal(8)
             mu = float(rng.uniform(0.05, 0.6))
-            bf = brute_force_prox(lambda z: pair.R1(z) + pair.R2(z), x, mu)
-            assert np.abs(op.apply(x, mu) - bf).max() <= 1e-6
+            bf = brute_force_prox(chain_sum(pair.M), x, mu)
+            assert np.abs(prox_row(op, x, mu) - bf).max() <= 1e-6
 
     def test_plain_chain_closed_form(self):
         # Without an anchor, two nodes move t toward each other and fuse
@@ -270,25 +285,25 @@ class TestExactChainProx:
         op = ChainSumProx(build_counterexample(10))
         before = dict(vars(op))
         x = np.random.default_rng(6).standard_normal(10)
-        first = op.apply(x, 0.3)
+        first = prox_row(op, x, 0.3)
         op.apply_stack(np.stack([x, -x]), 0.1)
         hint = op.apply_stack(np.stack([x, -x]), 0.3)
         out = op.apply_stack(np.stack([x, -x]), 0.3, hint=hint)
         op.apply_stack(np.stack([-x, x]), 0.3, hint=hint)
         assert vars(op).keys() == before.keys()
         assert all(vars(op)[k] is v for k, v in before.items())
-        assert np.array_equal(op.apply(x, 0.3), first)
+        assert np.array_equal(prox_row(op, x, 0.3), first)
         assert np.array_equal(
             op.apply_stack(np.stack([x, -x]), 0.3, hint=hint), out)
 
     def test_bad_step_rejected(self):
         op = ChainSumProx(build_counterexample(4))
         with pytest.raises(ValueError):
-            op.apply(np.zeros(4), 0.0)
+            prox_row(op, np.zeros(4), 0.0)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expected shape"):
-            ChainSumProx(build_counterexample(4)).apply(np.zeros(6), 0.3)
+            prox_row(ChainSumProx(build_counterexample(4)), np.zeros(6), 0.3)
 
     def test_wrong_hint_shape_rejected(self):
         op = ChainSumProx(build_counterexample(4))
@@ -303,6 +318,26 @@ def hinted(x, hint, t):
     """The closed form of the prox of t (R1 + R2) on hint's segmentation,
     or None where its certificate fails."""
     return _chain_from_hint(x, hint, t, ANCHOR, np.sqrt(2.0) * t)
+
+
+def block_solution(x, seg, t):
+    """The block values of the prox of t (R1 + R2) at x on the segmentation
+    of seg, in rational arithmetic on the same floating-point inputs and
+    rounded once: |B| v_B = sum_B x - [B first] sqrt(2) t u_a - t (s_after
+    - s_before), with v_0 = ANCHOR where seg[0] sits there."""
+    T, A = Fraction(t), Fraction(np.sqrt(2.0) * t)
+    jumps = [int(j) for j in np.flatnonzero(seg[1:] != seg[:-1])]
+    s = [1 if seg[j] > seg[j + 1] else -1 for j in jumps]
+    bounds = [0] + [j + 1 for j in jumps] + [len(x)]
+    z = []
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rhs = sum(Fraction(v) for v in x[a:b])
+        rhs -= T * ((s[i] if i < len(s) else 0) - (s[i - 1] if i else 0))
+        if i == 0 and seg[0] != ANCHOR:
+            rhs -= A * (1 if seg[0] > ANCHOR else -1)
+        v = ANCHOR if i == 0 and seg[0] == ANCHOR else float(rhs / (b - a))
+        z += [v] * (b - a)
+    return np.array(z)
 
 
 def piecewise_constant(rng, M):
@@ -326,12 +361,12 @@ class TestHintedChainProx:
         op = ChainSumProx(build_counterexample(M))
         x = scale * rng.standard_normal(M)
         if kind == "perturbed":
-            hint = op.apply(x + 0.05 * scale * rng.standard_normal(M), t)
+            hint = prox_row(op, x + 0.05 * scale * rng.standard_normal(M), t)
         elif kind == "piecewise":
             hint = scale * piecewise_constant(rng, M)
         else:
             hint = np.zeros(M)
-        dp = op.apply(x, t)
+        dp = prox_anchored_chain(x, t, ANCHOR, np.sqrt(2.0) * t)
         z = op.apply_stack(x[None], t, hint=hint[None])[0]
         assert (np.array_equal(z, dp)
                 or np.abs(z - dp).max() <= 1e-12 * np.abs(dp).max())
@@ -387,7 +422,7 @@ class TestHintedChainProx:
         z = hinted(x, dp, t)
         assert z is not None and z[0] == ANCHOR
         assert np.abs(z - dp).max() <= 1e-15
-        excess, off = chain_certificate(build_counterexample(6), x, z, t)
+        excess, off = chain_certificate(x, z, t)
         assert excess <= 1e-10 and off == 0
         # A hint off the anchor is the wrong segmentation here.
         assert hinted(x, np.where(dp == ANCHOR, ANCHOR + 0.1, dp), t) is None
@@ -414,18 +449,34 @@ class TestHintedChainProx:
         assert np.abs(z - exact).max() <= 1e-15
         assert np.abs(dp - exact).max() <= 1e-13
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dp_output_solved_on_its_segmentation(self, seed):
+        # A long near-constant stretch: the dynamic programme's sums leave
+        # it about 2e-11 off the block solution on its own segmentation;
+        # apply_stack re-solves that segmentation in closed form.
+        M, t = 2000, 0.0025
+        x = 0.5 + 1e-5 * np.random.default_rng(seed).standard_normal(M)
+        x[-1] += 0.25
+        dp = prox_anchored_chain(x, t, ANCHOR, np.sqrt(2.0) * t)
+        exact = block_solution(x, dp, t)
+        assert np.abs(dp - exact).max() > 1e-12
+        z = prox_row(ChainSumProx(build_counterexample(M)), x, t)
+        assert np.abs(z - exact).max() <= 1e-15
+
 
 class TestNonexpansiveness:
     # Prox operators of convex functions are 1-Lipschitz.
 
-    def _check(self, op, M, mu, n_pairs, seed, slack=0.0):
+    def _check(self, op, M, mu, n_pairs, seed, slack=0.0, K=1):
+        # Row by row, over pairs of random K x M stacks.
         rng = np.random.default_rng(seed)
         for _ in range(n_pairs):
-            x = rng.standard_normal(M)
-            y = rng.standard_normal(M)
-            d_out = np.linalg.norm(op.apply(x, mu) - op.apply(y, mu))
-            d_in = np.linalg.norm(x - y)
-            assert d_out <= d_in + slack
+            X = rng.standard_normal((K, M))
+            Y = rng.standard_normal((K, M))
+            d_out = np.linalg.norm(op.apply_stack(X, mu) - op.apply_stack(Y, mu),
+                                   axis=1)
+            d_in = np.linalg.norm(X - Y, axis=1)
+            assert (d_out <= d_in + slack).all()
 
     def test_l1(self):
         self._check(L1Prox(0.7), 5, 0.3, 1000, 0)
@@ -434,9 +485,8 @@ class TestNonexpansiveness:
         self._check(ZeroProx(), 5, 0.3, 200, 1)
 
     def test_counterexample_ops(self):
-        pair = build_counterexample(6)
-        self._check(CounterexampleProx("R1", pair), 6, 0.4, 1000, 2)
-        self._check(CounterexampleProx("R2", pair), 6, 0.4, 1000, 3)
+        self._check(CounterexampleProx(build_counterexample(6)), 6, 0.4, 1000,
+                    2, K=2)
 
     def test_chain_sum(self):
         pair = build_counterexample(4)
