@@ -127,7 +127,9 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     Runs with step 1/delta until the prox-gradient mapping norm drops
     below ``tol``.  Every error of a run is measured against this point,
     so reaching ``max_iter`` first raises :class:`NotConvergedError`
-    with the mapping norm reached.
+    with the mapping norm reached.  As in the engine's primal-dual step,
+    the prox gets the current iterate, its own previous output, as a
+    hint (``ProxOperator.apply_stack``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -137,7 +139,7 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     w = np.zeros(costs.M)
     for _ in range(max_iter):
         x = w - mu * costs.average_grad(w)
-        w_next = prox_common.apply_stack(x[None], mu)[0]
+        w_next = prox_common.apply_stack(x[None], mu, hint=w[None])[0]
         mapping = np.linalg.norm(w - w_next) / mu
         w = w_next
         if mapping <= tol:

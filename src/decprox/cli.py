@@ -17,7 +17,7 @@ its base (``netgraph.deciding_eigenvalues``): the consensus eigenvalue and
 the extremes of the spectrum off the ones vector.  They are solved at most
 once per experiment for A and for the Laplacian, on first need, for every
 row on that base.  Each algorithm is resolved, run and summarized in turn,
-and nothing of one (its triple, CSR copies, step) outlives its summary row.
+and nothing of one (its triple, step) outlives its summary row.
 """
 
 import argparse
@@ -227,8 +227,8 @@ class Problem:
     common_prox: object  # R on every row
     agent_prox: object   # agent k's R_k on row k (PGEXTRA, DLADMM)
     w_star: np.ndarray
-    A: np.ndarray
-    laplacian: np.ndarray
+    A: object          # netgraph's form: CSR on a sparse graph, else ndarray
+    laplacian: object
     _eig: dict = field(default_factory=dict, init=False)
 
     def eigvals(self, row, shifted):
@@ -365,7 +365,7 @@ def write_trajectory_csv(path, record):
 
 def _run_algorithm(acfg, cfg, problem):
     """Resolve and run one configured algorithm and write its CSV; returns
-    its summary row.  Its triple, CSR copies and step die on return."""
+    its summary row.  Its triple and step die on return."""
     r = resolve_algorithm(acfg, cfg, problem)
     residual_fn = None
     if r.triple is not None:

@@ -18,11 +18,11 @@ Table I row runs as the one primal-dual step; the paper's per-agent
 listings and eliminated forms of it (Appendices B and C) are
 equivalences, which the tests check against this step rather than run.
 
-The primal-dual step multiplies by the triple's ``A_bar_op``, ``B_sq_op``
-and ``C_op``: a CSR copy of a sparse matrix (a large sparse graph's
-combine costs O(nnz M) instead of O(K^2 M)), the dense matrix itself for
-a dense one, where a CSR product would be slower.  PG-EXTRA and DLADMM
-keep dense products; no workload runs them at large K.
+Every step multiplies the matrices it is given as they are: netgraph
+builds a sparse graph's matrices as CSR (a large sparse graph's combine
+costs O(nnz M) instead of O(K^2 M)) and a dense graph's as ndarrays,
+where a CSR product would be slower; either product is a dense K x M
+stack.
 
 Every state is complete: ``initial_state`` evaluates the first gradient,
 and every iteration evaluates exactly one more, at the new iterate, and
@@ -37,6 +37,8 @@ hint is part of the state, so no operator keeps any.
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import netgraph
 
 __all__ = [
     "ALGORITHMS",
@@ -149,9 +151,9 @@ def puda_step(state, triple, costs, prox, mu):
     if triple.C_is_zero:
         Z = W - mu * G - state.S
     else:
-        Z = W - triple.C_op @ W - mu * G - state.S
-    B_sq_Z = triple.B_sq_op @ Z
-    W_new = prox.apply_stack(triple.A_bar_op @ Z, mu, hint=W)
+        Z = W - triple.C @ W - mu * G - state.S
+    B_sq_Z = triple.B_sq @ Z
+    W_new = prox.apply_stack(triple.A_bar @ Z, mu, hint=W)
     return _advance(state, W_new, costs, S=state.S + B_sq_Z, Z=Z,
                     B_sq_Z=B_sq_Z)
 
@@ -169,7 +171,7 @@ def pg_extra(costs, prox, mu, A, **_):
     """PG-EXTRA: X <- A W + X - W~ W_prev - mu (grad(W) - grad(W_prev)),
     W <- prox(X), with W~ = 0.5 (I + A) and ``prox`` applying agent k's
     R_k to row k.  With every R_k = 0 it is EXTRA."""
-    W_tilde = 0.5 * (np.eye(A.shape[0]) + A)
+    W_tilde = netgraph.shift_positive(A)
 
     def step(state):
         W = state.W

@@ -3,13 +3,17 @@
 All matrices here are K x K and act blockwise on K x M agent stacks;
 the Kronecker-expanded KM x KM versions are never materialized.
 
-Every matrix this module returns is a dense ndarray, so callers can index,
-compare and measure it like any array.  Where the graph is sparse, the
-work goes through CSR copies instead: the squares A^2 and (I - A)^2 of
-the table are CSR-by-dense products (O(nnz K) rather than O(K^3)), and
-each ``ConsensusTriple`` hands the engine a CSR copy of every matrix whose
-share of nonzeros is below ``CSR_DENSITY`` (``A_bar_op``, ``B_sq_op``,
-``C_op``).
+Every matrix is built once, in the form the engine multiplies: a
+canonical CSR matrix (:class:`CSRMatrix`: sorted indices, no stored
+zeros) when its share of nonzeros is below ``CSR_DENSITY``, else a dense
+ndarray.  A graph's A, 0.5 (I + A) and L have K + 2E nonzeros each, so
+the edge count decides their form before any is built; a sparse graph's
+matrices are built from its edge list, a dense graph's as dense arrays.
+A row of the table takes the form of its base: a dense base gives dense
+matrices, a CSR base CSR sums and CSR-by-CSR products (O(nnz) rather
+than O(K^3)), each densified only if its own nonzeros reach the
+threshold.  Either form multiplies a dense K x M stack to an ndarray,
+and reports its memory as ``nbytes``.
 
 Every row of the table is a polynomial in one symmetric base matrix (A,
 or the Laplacian for DLM) that has the ones vector as an eigenvector.
@@ -21,11 +25,12 @@ applies the row's formulas (``table1_spectrum``) to these three, given by
 the caller or solved once, and ``validate_assumptions`` reads the triple's
 three paired values and nothing else: a base the three do not decide is
 rejected when its triple is built.  A dense base is solved by
-``eigvalsh``; a sparse one by Lanczos on its CSR copy, falling back to
-``eigvalsh`` when Lanczos does not converge within its cap or fails its
+``eigvalsh``; a CSR one by Lanczos, falling back to ``eigvalsh`` on a
+dense copy when Lanczos does not converge within its cap or fails its
 residual check.
 """
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -59,11 +64,14 @@ SYMMETRY_TOL = 1e-12
 # Largest |X 1 - q 1| entry, q = 1'X1/K, for the ones vector to count as
 # an eigenvector of X.
 EIGENVECTOR_TOL = 1e-12
-# A matrix with a smaller share of nonzero entries is multiplied through
-# a CSR copy.  On a 2-vCPU Xeon with one BLAS thread, a product with a
-# K x 30 stack costs 15 us through CSR against 4 us dense at K=20 (85%
-# nonzero), and 0.6 ms against 15 ms at K=2000 (0.6% nonzero).
+# A matrix with a smaller share of nonzero entries is built and
+# multiplied as CSR.  On a 2-vCPU Xeon with one BLAS thread, a product
+# with a K x 30 stack costs 15 us through CSR against 4 us dense at K=20
+# (85% nonzero), and 0.6 ms against 15 ms at K=2000 (0.6% nonzero).
 CSR_DENSITY = 0.1
+# Entries per block of dense rows in which a CSR matrix's row sums are
+# taken (:func:`_dense_row_sums`): 2 MB of float64.
+ROW_SUM_BLOCK = 1 << 18
 # Lanczos on a sparse base: the Krylov dimension; the restarts are capped
 # at K // LANCZOS_NCV, about K products with the base (in exact
 # arithmetic, K steps span the whole space).  A residual |X v - lambda v|
@@ -155,9 +163,9 @@ class ConsensusTriple:
     the cached properties describe them as built.
     """
 
-    A_bar: np.ndarray
-    B_sq: np.ndarray
-    C: np.ndarray
+    A_bar: object  # ndarray or CSRMatrix, each matrix in either form
+    B_sq: object
+    C: object
     spectrum: tuple = None
 
     @property
@@ -168,20 +176,17 @@ class ConsensusTriple:
     def C_is_zero(self):
         """Whether C is the zero matrix, so that the engine can skip the
         product C W."""
-        return not self.C.any()
+        C = self.C
+        return not (C.data if sp.issparse(C) else C).any()
 
-    # The matrices as the engine applies them, decided once per triple.
-    @cached_property
-    def A_bar_op(self):
-        return _combine_operator(self.A_bar)
 
-    @cached_property
-    def B_sq_op(self):
-        return _combine_operator(self.B_sq)
+class CSRMatrix(sp.csr_matrix):
+    """A CSR matrix that reports its memory as ``nbytes``, as an ndarray
+    does, so that either form of a matrix is measured alike."""
 
-    @cached_property
-    def C_op(self):
-        return _combine_operator(self.C)
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
 @dataclass(frozen=True)
@@ -199,21 +204,54 @@ def _edge(s, k):
     return (s, k) if s < k else (k, s)
 
 
-def _is_sparse(X):
-    return np.count_nonzero(X) < CSR_DENSITY * X.size
+def _engine_form(X):
+    """A copy of the sparse matrix X as the engine multiplies it:
+    canonical CSR (sorted indices, no stored zeros) if its share of
+    nonzeros is below CSR_DENSITY, else a dense ndarray."""
+    X = CSRMatrix(X, copy=True)
+    X.eliminate_zeros()
+    if X.nnz >= CSR_DENSITY * X.shape[0] * X.shape[1]:
+        return X.toarray()
+    X.sort_indices()
+    return X
 
 
-def _combine_operator(X):
-    """A CSR copy of X if its share of nonzeros is below CSR_DENSITY,
-    else X itself; either one multiplies a dense stack to an ndarray."""
-    return sp.csr_matrix(X) if _is_sparse(X) else X
+def _sparse_graph(g):
+    """Whether g's A, 0.5 (I + A) and L, with K + 2E nonzeros each (every
+    diagonal entry is positive), are built as CSR."""
+    return g.K + 2 * len(g.edges) < CSR_DENSITY * g.K * g.K
+
+
+def _edge_matrix(g, weights, diagonal):
+    """The symmetric CSR matrix with ``weights`` on g's edges, in
+    ``edge_index`` order, and ``diagonal`` on the diagonal."""
+    s, k = g.edge_index.T
+    i = np.arange(g.K)
+    return _engine_form(sp.csr_matrix(
+        (np.concatenate([weights, weights, diagonal]),
+         (np.concatenate([s, k, i]), np.concatenate([k, s, i]))),
+        shape=(g.K, g.K)))
+
+
+def _dense_row_sums(X):
+    """The sparse X's row sums, each taken as numpy sums the dense row
+    (pairwise, its zeros in place), so that they equal a dense matrix's
+    bit for bit; a block of ROW_SUM_BLOCK entries at a time, in O(K^2)
+    time but never K x K memory.  A sum over the stored entries alone
+    moves 171 of the 2000 Metropolis diagonals of the benchmark graph by
+    an ulp."""
+    rows = max(1, ROW_SUM_BLOCK // X.shape[1])
+    return np.concatenate([X[i:i + rows].toarray().sum(axis=1)
+                           for i in range(0, X.shape[0], rows)])
 
 
 def _is_symmetric(X):
-    """max |X - X^T| <= SYMMETRY_TOL, a NaN failing.  Compared tile by
-    tile above the diagonal, so that no K x K temporary is built."""
+    """max |X - X^T| <= SYMMETRY_TOL, a NaN failing.  A dense X is compared
+    tile by tile above the diagonal, so that no K x K temporary is built."""
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         return False
+    if sp.issparse(X):
+        return bool((abs(X - X.T).data <= SYMMETRY_TOL).all())
     K, tile = X.shape[0], 256
     for i in range(0, K, tile):
         for j in range(i, K, tile):
@@ -332,14 +370,20 @@ def metropolis_matrix(g):
         raise ValueError("graph must be connected")
     d = g.degrees()
     s, k = g.edge_index.T
+    w = 1.0 / (1.0 + np.maximum(d[s], d[k]))
+    if _sparse_graph(g):
+        off = _edge_matrix(g, w, np.zeros(g.K))
+        return _edge_matrix(g, w, 1.0 - _dense_row_sums(off))
     A = np.zeros((g.K, g.K))
-    A[s, k] = A[k, s] = 1.0 / (1.0 + np.maximum(d[s], d[k]))
+    A[s, k] = A[k, s] = w
     np.fill_diagonal(A, 1.0 - A.sum(axis=1))
     return A
 
 
 def shift_positive(A):
     """Map a combination matrix to 0.5(I + A), pushing eigenvalues into [0,1]."""
+    if sp.issparse(A):
+        return _engine_form(0.5 * (sp.identity(A.shape[0], format="csr") + A))
     return 0.5 * (np.eye(A.shape[0]) + A)
 
 
@@ -347,6 +391,9 @@ def laplacian_matrix(g):
     """Graph Laplacian D - Adjacency; PSD with L @ ones = 0."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
+    if _sparse_graph(g):
+        return _edge_matrix(g, np.full(len(g.edges), -1.0),
+                            g.degrees().astype(float))
     adj = g.adjacency()
     return np.diag(adj.sum(axis=1)) - adj
 
@@ -376,13 +423,10 @@ def _table1_row(row, X, I, prod, c, mu):
 
 
 def _zero(I):
-    # np.zeros, unlike np.zeros_like, leaves the pages of a large zero
-    # matrix untouched (calloc), so that a zero C costs no resident memory.
-    return np.zeros(np.shape(I))
-
-
-def _matrix_product(P, Q):
-    return _combine_operator(P) @ Q
+    # An empty CSR matrix beside a CSR identity; else np.zeros, which
+    # unlike np.zeros_like leaves the pages of a large zero matrix
+    # untouched (calloc), so that a zero C costs no resident memory.
+    return CSRMatrix(I.shape) if sp.issparse(I) else np.zeros(np.shape(I))
 
 
 def table1_spectrum(row, eigvals, c=None, mu=None):
@@ -399,23 +443,24 @@ def deciding_eigenvalues(X):
     complement.  Raises ValueError if X is not symmetric or the ones vector
     is not an eigenvector (its rows do not sum alike).
 
-    Below ``CSR_DENSITY`` they come from Lanczos on a CSR copy
-    (:func:`_lanczos_eigenvalues`), otherwise, or if Lanczos fails, from
-    one ``eigvalsh``.
+    A CSR base's come from Lanczos (:func:`_lanczos_eigenvalues`); a
+    dense base's, or a CSR one's where Lanczos fails, from one
+    ``eigvalsh``, of a dense copy for a CSR base.
     """
     if not _is_symmetric(X):
         raise ValueError("the base is not symmetric")
     K = X.shape[0]
-    row_sums = X.sum(axis=1)
+    row_sums = np.asarray(X.sum(axis=1)).ravel()
     q = row_sums.mean()
     if not np.abs(row_sums - q).max() <= EIGENVECTOR_TOL * max(1.0, abs(q)):
         raise ValueError("the base's rows do not sum alike: the ones vector "
                          "is not an eigenvector")
-    # A base no larger than the Krylov space gains nothing from Lanczos.
-    if K > LANCZOS_NCV and _is_sparse(X):
-        eig = _lanczos_eigenvalues(sp.csr_matrix(X), q)
+    if sp.issparse(X):
+        # A base no larger than the Krylov space gains nothing from Lanczos.
+        eig = _lanczos_eigenvalues(X, q) if K > LANCZOS_NCV else None
         if eig is not None:
             return eig
+        X = X.toarray()
     eig = np.linalg.eigvalsh(X)  # ascending
     i = int(np.argmin(np.abs(eig - q)))
     return np.array([eig[i], eig[1] if i == 0 else eig[0],
@@ -458,13 +503,13 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     Parameters
     ----------
     row : AlgorithmId or str
-    A : ndarray
+    A : ndarray or sparse matrix
         Symmetric doubly stochastic combination matrix.
     c : float, optional
         Positive scale, required by NIDS and DLM.
     mu : float, optional
         Step-size, required by DLM.
-    L : ndarray, optional
+    L : ndarray or sparse matrix, optional
         Graph Laplacian, required by DLM.
     eigvals : ndarray, optional
         The base's (A, or L for DLM) three deciding eigenvalues
@@ -493,7 +538,10 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     if row is AlgorithmId.DIGING and eigvals[1] < 0 < eigvals[2]:
         raise ValueError("DIGing needs a base whose spectrum off the ones "
                          "vector does not straddle 0; shift it to 0.5 (I + A)")
-    matrices = _table1_row(row, base, np.eye(K), _matrix_product, c, mu)
+    I = sp.identity(K, format="csr") if sp.issparse(base) else np.eye(K)
+    matrices = _table1_row(row, base, I, operator.matmul, c, mu)
+    if sp.issparse(base):
+        matrices = map(_engine_form, matrices)
     return ConsensusTriple(*matrices,
                            spectrum=table1_spectrum(row, eigvals, c, mu))
 

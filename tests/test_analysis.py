@@ -24,7 +24,13 @@ from decprox.netgraph import (
     metropolis_matrix,
     table1_matrices,
 )
-from decprox.prox import L1Prox, ZeroProx, prox_l1
+from decprox.prox import (
+    ChainSumProx,
+    L1Prox,
+    ZeroProx,
+    build_counterexample,
+    prox_l1,
+)
 
 import cost_oracle
 from prox_oracle import prox_row
@@ -169,7 +175,31 @@ class TestFixedPointResiduals:
             fixed_point_residuals(dataclasses.replace(st, Z=w), self.mu)
 
 
+def unhinted_reference(costs, prox_common, tol=1e-14):
+    """centralized_reference's loop with no prox hint: the reference for
+    the hinted solve's w*."""
+    mu = 1.0 / costs.delta
+    w = np.zeros(costs.M)
+    while True:
+        x = w - mu * costs.average_grad(w)
+        w_next = prox_common.apply_stack(x[None], mu)[0]
+        mapping = np.linalg.norm(w - w_next) / mu
+        w = w_next
+        if mapping <= tol:
+            return w
+
+
 class TestCentralizedReference:
+    @pytest.mark.parametrize("M", [200, 2000])
+    @pytest.mark.parametrize("weight", [0.5, 1.0])
+    def test_hinted_chain_solve_equals_unhinted(self, M, weight):
+        # The hint is the previous iterate; the chain prox keeps a hinted
+        # closed form only under its certificate, so w* keeps every bit.
+        costs = quadratic_cost(1.0, 2, M)
+        prox = ChainSumProx(build_counterexample(M), weight=weight)
+        assert np.array_equal(centralized_reference(costs, prox),
+                              unhinted_reference(costs, prox))
+
     def test_scalar_lasso(self):
         # min 0.5 (w-3)^2 + |w|  ->  w* = 2.
         costs = quadratic_cost(1.0, 1, 1, targets=np.array([[3.0]]))

@@ -3,19 +3,29 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from decprox import analysis, cli, netgraph
+from decprox import analysis, cli, netgraph, prox as prox_mod
 from decprox.analysis import theoretical_rate
 from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
 from decprox.costs import SmoothCostSet
 from decprox.engine import ALGORITHMS
 from decprox.prox import ChainSumProx, L1Prox, ProxOperator
-from test_netgraph import assert_reports_agree, checked_report, reference_report
+from test_analysis import unhinted_reference
+from test_netgraph import (
+    assert_reports_agree,
+    checked_report,
+    loop_laplacian,
+    loop_metropolis,
+    reference_report,
+    table1_reference,
+)
 
 
 def write_config(tmp_path, overrides=None, **kwargs):
@@ -424,6 +434,132 @@ class TestRegistry:
         r = cli.resolve_algorithm(cfg.algorithms[0], cfg, build_problem(cfg))
         assert r.report == netgraph.validate_assumptions(r.triple)
         assert_reports_agree(checked_report(r.triple), reference_report(r.triple))
+
+
+# The sparse benchmark workload's graph, and a 10,000-agent one like it.
+BENCHMARK_GRAPH = {"kind": "random_connected", "K": 2000, "seed": 7,
+                   "extra_edge_prob": 0.0005}
+GRAPH_10000 = {"kind": "random_connected", "K": 10000, "seed": 7,
+               "extra_edge_prob": 0.0004}
+
+
+class TestSparseGraphs:
+    """A sparse graph's matrices are CSR from edge list to engine, and a
+    dense graph's path builds no sparse matrix."""
+
+    @pytest.mark.parametrize("problem, graph", [
+        ("counterexample", {"kind": "complete", "K": 2, "seed": 0,
+                            "extra_edge_prob": 0.0}),
+        # The README logistic_l1 graph (30% nonzero), under a lasso: the
+        # logistic costs hold their samples as CSR.
+        ("lasso_quadratic", {"kind": "random_connected", "K": 20, "seed": 7,
+                             "extra_edge_prob": 0.2})], ids=["K2", "K20"])
+    def test_dense_graph_builds_no_sparse_matrix(self, tmp_path, monkeypatch,
+                                                 problem, graph):
+        def built(*args, **kwargs):
+            raise AssertionError("a scipy.sparse matrix was built")
+
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+            monkeypatch.setattr(cls, "__init__", built)
+        cfg = parse_config(write_config(tmp_path, overrides={
+            "problem": problem, "graph": graph, "M": 20, "c": 1.0,
+            "algorithms": list(ALGORITHMS)}))
+        p = build_problem(cfg)
+        g = netgraph.build_graph(**graph)
+        A, L = loop_metropolis(g), loop_laplacian(g)
+        for X, ref in ((p.A, A), (p.laplacian, L)):
+            assert isinstance(X, np.ndarray) and np.array_equal(X, ref)
+        for acfg in cfg.algorithms:
+            r = cli.resolve_algorithm(acfg, cfg, p)
+            if r.triple is None:
+                continue
+            row = netgraph.AlgorithmId(r.algorithm.row)
+            base = L if row.on_laplacian else (
+                0.5 * (np.eye(g.K) + A) if r.algorithm.shifted else A)
+            expected = table1_reference(row, base, c=cfg.c, mu=r.mu)
+            for X, ref in zip((r.triple.A_bar, r.triple.B_sq, r.triple.C),
+                              expected):
+                assert isinstance(X, np.ndarray), acfg.name
+                assert np.array_equal(X, ref), acfg.name
+
+    def test_separate_prox_methods_on_a_sparse_ring(self, tmp_path,
+                                                    monkeypatch):
+        # PG-EXTRA and DLADMM multiply a 200-agent ring's A, 0.5 (I + A)
+        # and c L as CSR, and match the same run on dense matrices.
+        overrides = {"graph": {"kind": "ring", "K": 200},
+                     "algorithms": ["PGEXTRA", "DLADMM"], "iters": 300}
+        for d in ("csr", "dense"):
+            (tmp_path / d).mkdir()
+        cfg = parse_config(write_config(tmp_path / "csr", overrides=overrides))
+        p = build_problem(cfg)
+        for acfg in cfg.algorithms:
+            step = cli.resolve_algorithm(acfg, cfg, p).step
+            held = [c.cell_contents for c in step.__closure__]
+            assert any(sp.issparse(X) and X.shape == (200, 200) for X in held)
+            assert not any(isinstance(X, np.matrix) for X in held)
+        run_experiment(cfg)
+        monkeypatch.setattr(netgraph, "CSR_DENSITY", 0.0)
+        dense_cfg = parse_config(write_config(tmp_path / "dense",
+                                              overrides=overrides))
+        assert isinstance(build_problem(dense_cfg).A, np.ndarray)
+        run_experiment(dense_cfg)
+        for name in ("PGEXTRA.csv", "DLADMM.csv"):
+            rows = [np.genfromtxt(tmp_path / d / "out" / name, delimiter=",",
+                                  skip_header=1)[:, :3] for d in ("csr", "dense")]
+            assert rows[0].shape == (300, 3)
+            np.testing.assert_allclose(rows[0], rows[1], rtol=1e-10, atol=0)
+
+    def test_benchmark_graph_run_stays_small(self, tmp_path):
+        # Building the problem, resolving ProxED and ProxATC1 and running 5
+        # iterations of each allocate under 8 MB at a time (2.6 MB, most of
+        # it the Metropolis row sums' block); one dense 2000 x 2000 matrix
+        # is 32 MB.  At the benchmark's dim 30 the iterates' K x M stacks
+        # add about 5 MB.
+        cfg = parse_config(write_config(tmp_path, overrides={
+            "graph": BENCHMARK_GRAPH, "algorithms": ["ProxED", "ProxATC1"],
+            "iters": 5}))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_validate_10000_agents_in_a_subprocess(self, tmp_path):
+        # A 10,000-agent sparse graph's A alone is 800 MB as a dense matrix.
+        # The inner interpreter reports the largest resident size of its
+        # own children only: decprox validate.
+        path = write_config(tmp_path, overrides={
+            "graph": GRAPH_10000,
+            "algorithms": ["ProxED", "ProxATC1", "ProxATC2", "DLM"]})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = ("import resource, subprocess, sys; "
+                 "subprocess.run([sys.executable, '-m', 'decprox.cli', "
+                 "'validate', sys.argv[1]], check=True, "
+                 "stdout=subprocess.DEVNULL); "
+                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", probe, path], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120)
+        assert int(out.stdout.split()[-1]) < 300 * 1024  # KiB on Linux
+
+    def test_reference_solve_takes_one_dynamic_programme(self, tmp_path,
+                                                         monkeypatch):
+        # Both reference iterations of the preset prox the same point; the
+        # second takes the first's segmentation in closed form.
+        calls = []
+        dp = prox_mod.prox_anchored_chain
+        monkeypatch.setattr(prox_mod, "prox_anchored_chain",
+                            lambda *a: calls.append(1) or dp(*a))
+        cfg = cli.config_from_dict({**cli.COUNTEREXAMPLE_PRESET, "M": 200,
+                                    "output_dir": str(tmp_path)})
+        p = build_problem(cfg)
+        assert len(calls) == 1
+        assert np.array_equal(p.w_star,
+                              unhinted_reference(p.costs, p.common_prox))
 
 
 # One malformed key each, on the valid K=6 lasso config of write_config:

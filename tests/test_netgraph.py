@@ -65,6 +65,24 @@ def loop_laplacian(g):
     return np.diag(adj.sum(axis=1)) - adj
 
 
+def dense(X):
+    """X as a dense ndarray, whichever form netgraph built it in."""
+    return X.toarray() if sp.issparse(X) else X
+
+
+def assert_engine_form(X):
+    """X is in the form the engine multiplies: canonical CSR (sorted
+    indices, no stored zeros) below CSR_DENSITY, else an ndarray."""
+    nnz = np.count_nonzero(dense(X))
+    if nnz < netgraph.CSR_DENSITY * X.shape[0] * X.shape[1]:
+        assert isinstance(X, netgraph.CSRMatrix)
+        assert X.has_canonical_format and X.nnz == nnz
+        assert X.nbytes == (X.data.nbytes + X.indices.nbytes
+                            + X.indptr.nbytes)
+    else:
+        assert isinstance(X, np.ndarray)
+
+
 @pytest.fixture(scope="module")
 def benchmark_graph():
     """The 2000-agent graph of the sparse benchmark workload."""
@@ -146,13 +164,21 @@ class TestMetropolis:
         ("random_connected", 2000, 0.002), ("random_connected", 2000, 0.0),
         ("random_connected", 40, 0.3)])
     def test_edge_array_matches_edge_loops(self, kind, K, p):
-        # Built from one edge-index array, bit for bit as one edge at a time.
+        # Built from one edge-index array, bit for bit as one edge at a time
+        # into a dense matrix, in the form the edge count decides.
         g = build_graph(kind, K, seed=7, extra_edge_prob=p)
         assert np.array_equal(g.degrees(), loop_degrees(g))
         assert g.degrees().dtype == loop_degrees(g).dtype
         assert np.array_equal(g.adjacency(), loop_adjacency(g))
-        assert np.array_equal(metropolis_matrix(g), loop_metropolis(g))
-        assert np.array_equal(laplacian_matrix(g), loop_laplacian(g))
+        A, L = metropolis_matrix(g), laplacian_matrix(g)
+        sparse = K + 2 * len(g.edges) < netgraph.CSR_DENSITY * K * K
+        for X in (A, L, shift_positive(A)):
+            assert sp.issparse(X) == sparse
+            assert_engine_form(X)
+        assert np.array_equal(dense(A), loop_metropolis(g))
+        assert np.array_equal(dense(L), loop_laplacian(g))
+        assert np.array_equal(dense(shift_positive(A)),
+                              0.5 * (np.eye(K) + loop_metropolis(g)))
 
     def test_disconnected_graph_rejected(self):
         g = Graph(K=4, edges=frozenset({(0, 1), (2, 3)}))
@@ -493,11 +519,12 @@ class TestJointSpectrum:
         (0.9e-12, True), (1.1e-12, False), (np.nan, False)])
     def test_symmetry_tolerance(self, bump, symmetric):
         # max |X - X^T| <= 1e-12 passes, anything larger or NaN fails,
-        # on either side of the diagonal and in any tile.
+        # on either side of the diagonal and in any tile, in either form.
         for (i, j) in ((0, 1), (1, 0), (299, 3), (3, 299)):
             X = np.eye(300)
             X[i, j] += bump
             assert netgraph._is_symmetric(X) is symmetric, (i, j)
+            assert netgraph._is_symmetric(sp.csr_matrix(X)) is symmetric
 
 
 def straddles_zero(aid, A):
@@ -530,9 +557,7 @@ SPARSE_GRAPHS = {
 
 def dense_deciding_eigenvalues(X):
     """deciding_eigenvalues(X) as for a dense base: from one eigvalsh."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netgraph, "CSR_DENSITY", 0.0)
-        return netgraph.deciding_eigenvalues(X)
+    return netgraph.deciding_eigenvalues(dense(X))
 
 
 class TestDecidingEigenvalues:
@@ -617,23 +642,77 @@ class TestDecidingEigenvalues:
         assert np.array_equal(netgraph.deciding_eigenvalues(A), dense)
 
 
-class TestCombineOperators:
-    @staticmethod
-    def triples(g):
-        A = metropolis_matrix(g)
-        return [table1_matrices("ExactDiffusion", A),
-                table1_matrices("AugDGM", shift_positive(A))]
+def csr_copy_product(P, Q):
+    """P @ Q for dense P and Q, summed as a CSR copy of P times Q sums:
+    in order of P's column index, one row at a time."""
+    return sp.csr_matrix(P) @ Q
 
-    @pytest.mark.parametrize("g", [
-        build_graph("random_connected", 20, seed=7, extra_edge_prob=0.2),
-        build_graph("complete", 2)], ids=["K20", "K2"])
-    def test_dense_graphs_keep_dense_products(self, g):
-        for t in self.triples(g):
-            assert t.A_bar_op is t.A_bar and t.B_sq_op is t.B_sq
 
-    def test_benchmark_graph_goes_through_csr(self, benchmark_graph):
-        for t in self.triples(benchmark_graph):
-            for op, X in ((t.A_bar_op, t.A_bar), (t.B_sq_op, t.B_sq)):
-                assert sp.issparse(op)
-                assert isinstance(X, np.ndarray)
-                assert op.nnz == np.count_nonzero(X)
+def table1_reference(row, X, c=None, mu=None, prod=np.matmul):
+    """A row's (A_bar, B^2, C) by the table's formulas on the dense base
+    X, with ``prod`` the matrix product."""
+    row = AlgorithmId(row)
+    I = np.eye(X.shape[0])
+    D, zero = I - X, np.zeros_like(X)
+    if row is AlgorithmId.EXACT_DIFFUSION:
+        return 0.5 * (I + X), 0.5 * D, zero
+    if row is AlgorithmId.NIDS:
+        return I - c * D, c * D, zero
+    if row is AlgorithmId.AUG_DGM:
+        return prod(X, X), prod(D, D), zero
+    if row is AlgorithmId.ATC_TRACKING:
+        return X, prod(D, D), D
+    if row is AlgorithmId.DIGING:
+        return I, prod(D, D), I - prod(X, X)
+    if row is AlgorithmId.EXTRA:
+        return I, 0.5 * D, 0.5 * D
+    return I, c * mu * X, c * mu * X
+
+
+class TestMatrixForms:
+    # The tracking rows run on 0.5 (I + A), the others on A (or L).
+    SHIFTED = (AlgorithmId.AUG_DGM, AlgorithmId.ATC_TRACKING, AlgorithmId.DIGING)
+
+    def triples(self, A, L):
+        return {aid: table1_matrices(
+                    aid, shift_positive(A) if aid in self.SHIFTED else A,
+                    c=0.3, mu=0.1, L=L)
+                for aid in AlgorithmId}
+
+    def test_benchmark_graph_builds_csr(self, benchmark_graph):
+        # Every matrix is canonical CSR, and equal bit for bit to the dense
+        # formula with its products through a CSR copy of the left factor.
+        # (A dense graph's matrices: tests/test_cli.py, TestSparseGraphs.)
+        A, L = metropolis_matrix(benchmark_graph), laplacian_matrix(benchmark_graph)
+        for aid, t in self.triples(A, L).items():
+            base = L if aid.on_laplacian else (
+                shift_positive(A) if aid in self.SHIFTED else A)
+            expected = table1_reference(aid, dense(base), c=0.3, mu=0.1,
+                                        prod=csr_copy_product)
+            for X, ref in zip((t.A_bar, t.B_sq, t.C), expected):
+                assert sp.issparse(X), aid
+                assert_engine_form(X)
+                assert np.array_equal(X.toarray(), ref), aid
+            assert t.C_is_zero == (not expected[2].any())
+
+    def test_dense_enough_product_densified(self):
+        # A 50-agent ring has 6% nonzeros, so A is CSR, but AugDGM's A^2
+        # and (I - A)^2 have 10% and are ndarrays, as their CSR products'
+        # nonzeros decide.
+        A = metropolis_matrix(build_graph("ring", 50))
+        t = table1_matrices("AugDGM", A)
+        D = np.eye(50) - dense(A)
+        assert sp.issparse(A)
+        assert isinstance(t.A_bar, np.ndarray) and isinstance(t.B_sq, np.ndarray)
+        assert np.array_equal(t.A_bar, csr_copy_product(dense(A), dense(A)))
+        assert np.array_equal(t.B_sq, csr_copy_product(D, D))
+
+    def test_hand_built_csr_zero_C(self):
+        # C_is_zero reads a CSR matrix's stored values, explicit zeros too.
+        K = 50
+        I = sp.identity(K, format="csr")
+        explicit = sp.csr_matrix((np.zeros(K), np.arange(K), np.arange(K + 1)),
+                                 shape=(K, K))
+        assert ConsensusTriple(I, I, sp.csr_matrix((K, K))).C_is_zero
+        assert ConsensusTriple(I, I, explicit).C_is_zero
+        assert not ConsensusTriple(I, I, I).C_is_zero
