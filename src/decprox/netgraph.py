@@ -72,6 +72,9 @@ CSR_DENSITY = 0.1
 # Entries per block of dense rows in which a CSR matrix's row sums are
 # taken (:func:`_dense_row_sums`): 2 MB of float64.
 ROW_SUM_BLOCK = 1 << 18
+# Uniform draws per block in which random_connected samples its non-tree
+# pairs: 2 MB of float64.
+EDGE_DRAW_CHUNK = 1 << 18
 # Lanczos on a sparse base: the Krylov dimension; the restarts are capped
 # at K // LANCZOS_NCV, about K products with the base (in exact
 # arithmetic, K steps span the whole space).  A residual |X v - lambda v|
@@ -279,26 +282,35 @@ def _is_connected(K, edges):
 
 
 def _prufer_tree(K, rng):
-    """Decode a uniformly random Prufer sequence into a spanning tree."""
+    """Decode a uniformly random Prufer sequence into a spanning tree.
+
+    The sequence is the generator's first draw.  Each step joins the
+    smallest leaf to the sequence's next vertex; the smallest leaf is the
+    vertex the sequence just freed, if it lies below the scan pointer,
+    else the next leaf the pointer finds: O(K) in all.
+    """
     if K == 2:
         return {(0, 1)}
-    import heapq
-
-    seq = rng.integers(0, K, size=K - 2)
-    degree = np.ones(K, dtype=int)
+    seq = rng.integers(0, K, size=K - 2).tolist()
+    degree = [1] * K
     for v in seq:
         degree[v] += 1
     edges = set()
-    leaves = [v for v in range(K) if degree[v] == 1]
-    heapq.heapify(leaves)
+    ptr = degree.index(1)
+    leaf = ptr
     for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.add(_edge(leaf, int(v)))
+        edges.add(_edge(leaf, v))
         degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, int(v))
-    # Exactly two leaves remain; they close the tree.
-    edges.add(_edge(heapq.heappop(leaves), heapq.heappop(leaves)))
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    # K - 1 is never the smallest of two or more leaves: it and the last
+    # leaf close the tree.
+    edges.add(_edge(leaf, K - 1))
     return edges
 
 
@@ -341,17 +353,24 @@ def build_graph(kind, K, seed=0, extra_edge_prob=0.0):
         edges = set(tree)
         # Each non-tree pair (s, k), s < k, in row-major order, takes one
         # uniform draw and becomes an edge if it falls below the
-        # probability.  A row's draws come from one call, so that the
-        # stream, and the graph of every seed, is that of one draw per pair.
-        later_tree_nbrs = [[] for _ in range(K)]
-        for (s, k) in tree:
-            later_tree_nbrs[s].append(k)
-        for s in range(K - 1):
-            free = np.ones(K - s - 1, dtype=bool)
-            free[np.asarray(later_tree_nbrs[s], dtype=int) - (s + 1)] = False
-            ks = np.flatnonzero(free) + (s + 1)
-            hits = ks[rng.random(ks.size) < extra_edge_prob]
-            edges.update((s, int(k)) for k in hits)
+        # probability.  The draws come EDGE_DRAW_CHUNK at a time; the
+        # stream, and the graph of every seed, is that of one draw per
+        # pair.  Pair (s, k) sits at offsets[s] + k - s - 1 in row-major
+        # order.  The hit of rank r among the non-tree pairs sits at r plus
+        # the count of tree pairs with at most r non-tree pairs before
+        # them, in the last row whose offset does not pass it.
+        rows = np.arange(K, dtype=np.int64)
+        offsets = rows * (K - 1) - rows * (rows - 1) // 2
+        ts, tk = np.array(list(tree), dtype=np.int64).T
+        tree_rank = np.sort(offsets[ts] + tk - ts - 1) - np.arange(K - 1)
+        free = K * (K - 1) // 2 - (K - 1)
+        for start in range(0, free, EDGE_DRAW_CHUNK):
+            n = min(EDGE_DRAW_CHUNK, free - start)
+            rank = np.flatnonzero(rng.random(n) < extra_edge_prob) + start
+            pos = rank + np.searchsorted(tree_rank, rank, side="right")
+            s = np.searchsorted(offsets, pos, side="right") - 1
+            k = pos - offsets[s] + s + 1
+            edges.update(zip(s.tolist(), k.tolist()))
     else:
         raise ValueError(f"unknown graph kind: {kind!r}")
 

@@ -19,6 +19,8 @@ from decprox.engine import ALGORITHMS
 from decprox.prox import ChainSumProx, L1Prox, ProxOperator
 from test_analysis import unhinted_reference
 from test_netgraph import (
+    BENCHMARK_GRAPH,
+    GRAPH_10000,
     assert_reports_agree,
     checked_report,
     loop_laplacian,
@@ -249,6 +251,22 @@ class TestRunExperiment:
         second = (tmp_path / "out" / "ProxED.csv").read_bytes()
         assert first == second
 
+    def test_sparse_graph_determinism_byte_identical(self, tmp_path):
+        # Each run rebuilds the 2000-agent benchmark graph from its seed
+        # and writes the same bytes to every trajectory and the summary.
+        cfg = parse_config(write_config(tmp_path, overrides={
+            "graph": BENCHMARK_GRAPH, "algorithms": list(ALGORITHMS),
+            "iters": 5}))
+        outputs = []
+        for _ in range(2):
+            run_experiment(cfg)
+            csvs = sorted((tmp_path / "out").glob("*.csv"))
+            outputs.append({p.name: p.read_bytes() for p in csvs})
+            for p in csvs:
+                p.unlink()
+        assert len(outputs[0]) == len(ALGORITHMS) + 1
+        assert outputs[0] == outputs[1]
+
     def test_one_algorithm_dies_before_the_next_resolves(self, tmp_path,
                                                          monkeypatch):
         # Nothing of one algorithm (its triple, CSR copies, step) is alive
@@ -434,13 +452,6 @@ class TestRegistry:
         r = cli.resolve_algorithm(cfg.algorithms[0], cfg, build_problem(cfg))
         assert r.report == netgraph.validate_assumptions(r.triple)
         assert_reports_agree(checked_report(r.triple), reference_report(r.triple))
-
-
-# The sparse benchmark workload's graph, and a 10,000-agent one like it.
-BENCHMARK_GRAPH = {"kind": "random_connected", "K": 2000, "seed": 7,
-                   "extra_edge_prob": 0.0005}
-GRAPH_10000 = {"kind": "random_connected", "K": 10000, "seed": 7,
-               "extra_edge_prob": 0.0004}
 
 
 class TestSparseGraphs:

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +23,41 @@ from decprox.netgraph import (
 )
 
 
+# The sparse benchmark workload's graph, and a 10,000-agent one like it.
+BENCHMARK_GRAPH = {"kind": "random_connected", "K": 2000, "seed": 7,
+                   "extra_edge_prob": 0.0005}
+GRAPH_10000 = {"kind": "random_connected", "K": 10000, "seed": 7,
+               "extra_edge_prob": 0.0004}
+
+
+def heap_prufer_tree(K, rng):
+    """The Prufer decode as first written, the smallest leaf taken from a
+    heap: the reference for netgraph._prufer_tree."""
+    if K == 2:
+        return {(0, 1)}
+    seq = rng.integers(0, K, size=K - 2)
+    degree = np.ones(K, dtype=int)
+    for v in seq:
+        degree[v] += 1
+    edges = set()
+    leaves = [v for v in range(K) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.add(netgraph._edge(leaf, int(v)))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, int(v))
+    # Exactly two leaves remain; they close the tree.
+    edges.add(netgraph._edge(heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
 def per_pair_random_connected(K, seed, p):
     """The edge sampler as first written, one draw per node pair in
     row-major order: the reference for build_graph's sampler."""
     rng = np.random.default_rng(seed)
-    edges = set(netgraph._prufer_tree(K, rng))
+    edges = set(heap_prufer_tree(K, rng))
     for s in range(K):
         for k in range(s + 1, K):
             if (s, k) not in edges and rng.random() < p:
@@ -86,7 +118,13 @@ def assert_engine_form(X):
 @pytest.fixture(scope="module")
 def benchmark_graph():
     """The 2000-agent graph of the sparse benchmark workload."""
-    return build_graph("random_connected", 2000, seed=7, extra_edge_prob=0.0005)
+    return build_graph(**BENCHMARK_GRAPH)
+
+
+def edge_checksum(g):
+    """The sha256 of g's sorted edge list, one "s k" line per edge."""
+    text = "".join(f"{s} {k}\n" for s, k in sorted(g.edges))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def random_graphs(n=20):
@@ -115,21 +153,58 @@ class TestGraphs:
         b = build_graph("random_connected", 15, seed=4, extra_edge_prob=0.3)
         assert a.edges == b.edges
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64, netgraph.EDGE_DRAW_CHUNK],
+                             ids=lambda c: f"chunk{c}")
     @pytest.mark.parametrize("K", [2, 3, 15, 30, 200])
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
     @pytest.mark.parametrize("seed", [0, 4, 7])
-    def test_random_connected_matches_per_pair_sampler(self, K, p, seed):
+    def test_random_connected_matches_per_pair_sampler(self, monkeypatch,
+                                                       K, p, seed, chunk):
+        # Small chunks put chunk boundaries inside rows and next to tree
+        # pairs; the default takes every case here in one chunk.
+        monkeypatch.setattr(netgraph, "EDGE_DRAW_CHUNK", chunk)
         g = build_graph("random_connected", K, seed=seed, extra_edge_prob=p)
         assert g.edges == per_pair_random_connected(K, seed, p)
 
     def test_benchmark_graph_pinned(self, benchmark_graph):
         # Edge count and checksum of the sorted edge list, as the per-pair
         # sampler drew them.
-        edges = sorted(benchmark_graph.edges)
-        text = "".join(f"{s} {k}\n" for s, k in edges)
-        assert len(edges) == 3014
-        assert hashlib.sha256(text.encode()).hexdigest() == (
+        assert len(benchmark_graph.edges) == 3014
+        assert edge_checksum(benchmark_graph) == (
             "09682ba7010d49c37404088630decdcd92f4c20bdb6557a34f0424510eb4327d")
+
+    def test_10000_agent_graph_pinned(self):
+        # As drawn with one call per row of pairs; here the draws span 191
+        # chunks.
+        g = build_graph(**GRAPH_10000)
+        assert len(g.edges) == 30050
+        assert edge_checksum(g) == (
+            "53bd338b58609d4f3780e1c1ae9aabee63c0c871f67dcaaedf18e0f177605ebc")
+
+    def test_benchmark_graph_draws_in_small_chunks(self):
+        # One draw of all ~2M pairs would allocate about 18 MB; a chunk of
+        # draws is 2 MB (about 3 MB peak in all).
+        tracemalloc.start()
+        try:
+            build_graph(**BENCHMARK_GRAPH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_prufer_decode_matches_heap_decode(self, seed):
+        for K in range(2, 61):
+            trees = [f(K, np.random.default_rng(seed))
+                     for f in (netgraph._prufer_tree, heap_prufer_tree)]
+            assert trees[0] == trees[1]
+            assert len(trees[0]) == K - 1
+
+    @pytest.mark.parametrize("K", [2000, 10000])
+    def test_prufer_decode_matches_heap_decode_at_scale(self, K):
+        trees = [f(K, np.random.default_rng(7))
+                 for f in (netgraph._prufer_tree, heap_prufer_tree)]
+        assert trees[0] == trees[1]
 
     def test_tree_when_no_extra_edges(self):
         g = build_graph("random_connected", 30, seed=2, extra_edge_prob=0.0)
