@@ -46,7 +46,6 @@ from .prox import (
 from .engine import (
     ALGORITHMS,
     BlockIterate,
-    DivergenceError,
     RunRecord,
     initial_state,
     rel_sq_error,

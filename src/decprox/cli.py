@@ -8,7 +8,8 @@ deterministic CSV.
 A config is JSON.  Each field of the config dataclasses below is one key,
 with its default and its allowed values; one loader checks every key's
 name, type and range against them, and any config it cannot honour, or a
-reference solution it cannot reach, exits with code 2.
+reference solution it cannot reach, exits with code 2.  A diverged run
+prints its note after ``DIVERGED``, and the command exits with code 3.
 
 A config names algorithms of ``engine.ALGORITHMS``; each entry gives the
 row to build and the theorem whose bound sets the ``"auto"`` step (0.9 of
@@ -392,6 +393,7 @@ def _run_algorithm(acfg, cfg, problem):
         "comm_rounds": record.comm_rounds[-1] if record.comm_rounds else 0,
         "verdict": verdict,
         "diverged": record.diverged,
+        "note": record.note,  # printed, never written to summary.csv
     }
 
 
@@ -421,6 +423,11 @@ def run_experiment(cfg):
 # ---------------------------------------------------------------------------
 # commands
 
+def _diverged(row):
+    """The marker of a diverged run, with its note; empty otherwise."""
+    return f"  DIVERGED: {row['note']}" if row["diverged"] else ""
+
+
 def _cmd_run(args):
     cfg = parse_config(args.config)
     summary, diverged = run_experiment(cfg)
@@ -428,7 +435,7 @@ def _cmd_run(args):
         gamma = _fmt(row["theoretical_gamma"]) or "-"
         print(f"{row['algorithm']:>14s}  mu={row['mu']:.6g}  gamma={gamma}"
               f"  final={_fmt(row['final_error'])}  verdict={row['verdict'] or '-'}"
-              f"{'  DIVERGED' if row['diverged'] else ''}")
+              f"{_diverged(row)}")
     return 3 if diverged else 0
 
 
@@ -469,7 +476,7 @@ def _cmd_counterexample(args):
     summary, diverged = run_experiment(cfg)
     for row in summary:
         print(f"{row['algorithm']:>14s}  final={_fmt(row['final_error'])}"
-              f"  verdict={row['verdict'] or '-'}")
+              f"  verdict={row['verdict'] or '-'}{_diverged(row)}")
     return 3 if diverged else 0
 
 
@@ -509,9 +516,6 @@ def main(argv=None):
     except analysis.NotConvergedError as e:
         print(f"no reference solution: {e}", file=sys.stderr)
         return 2
-    except engine.DivergenceError as e:
-        print(f"divergence: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -14,6 +14,18 @@ import numpy as np
 from decprox.engine import BlockIterate
 
 
+def start_at(costs, W):
+    """The state ``engine.initial_state`` builds, at a given start: a K x M
+    stack W, or one M-vector every agent starts from."""
+    W = np.array(W, dtype=float)
+    if W.ndim == 1:
+        W = np.tile(W, (costs.K, 1))
+    assert W.shape == (costs.K, costs.M), W.shape
+    G = costs.grad_stack(W)
+    return BlockIterate(W=W, W_prev=W.copy(), G=G, G_prev=G,
+                        S=np.zeros_like(W), iter=0)
+
+
 def advance(state, W_new, costs, G_new=None, **buffers):
     """The state after a step from ``state``: W_new with its gradient
     (G_new if the step evaluated it already)."""

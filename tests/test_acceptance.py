@@ -25,7 +25,7 @@ from decprox.costs import (
     random_quadratic_cost,
     synthetic_classification,
 )
-from decprox.engine import ALGORITHMS, initial_state, run
+from decprox.engine import ALGORITHMS, run
 from decprox.netgraph import (
     ConsensusTriple,
     build_graph,
@@ -87,7 +87,7 @@ def test_criterion_1_equivalence_web():
     init = np.random.default_rng(5).standard_normal((K, M))
 
     def traj(step):
-        st = initial_state(costs, init=init)
+        st = appendix.start_at(costs, init)
         out = []
         for _ in range(iters):
             st = step(st)
@@ -217,7 +217,7 @@ def test_criterion_3_complete_graph_reduction():
     triple = ConsensusTriple(A_bar=ones, B_sq=np.eye(K) - ones,
                              C=np.zeros((K, K)))
     w = rng.standard_normal(M)
-    st = initial_state(costs, init=w)  # consensus start
+    st = appendix.start_at(costs, w)  # consensus start
     worst = 0.0
     wc = w.copy()
     for _ in range(100):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from decprox import analysis, cli, netgraph, prox as prox_mod
+from decprox import analysis, cli, engine, netgraph, prox as prox_mod
 from decprox.analysis import theoretical_rate
 from decprox.cli import ConfigError, build_problem, parse_config, run_experiment
 from decprox.costs import SmoothCostSet
@@ -650,12 +651,28 @@ class TestMain:
         assert cli.main(["run", path]) == 2
         assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
-    def test_divergence_exit_3(self, tmp_path):
+    def test_divergence_exit_3(self, tmp_path, capsys):
         path = write_config(
             tmp_path, overrides={"algorithms": [{"name": "ProxED",
                                                  "mu": 100.0}],
                                  "iters": 100})
         assert cli.main(["run", path]) == 3
+        (line,) = capsys.readouterr().out.splitlines()
+        assert re.search(r"  DIVERGED: error \S+ exceeded the divergence "
+                         r"limit at iteration \d+$", line), line
+        summary = (tmp_path / "out" / "summary.csv").read_text()
+        assert "divergence limit" not in summary
+
+    def test_counterexample_divergence_exit_3(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(engine, "DIVERGENCE_LIMIT", 1e-300)
+        assert cli.main(["counterexample", "--M", "8",
+                         "--out", str(tmp_path / "ce")]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert re.search(r"  DIVERGED: error \S+ exceeded the divergence "
+                             r"limit at iteration 1$", line), line
 
     def test_validate_and_rates(self, tmp_path, capsys):
         path = write_config(tmp_path,

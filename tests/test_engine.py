@@ -8,7 +8,6 @@ from decprox.costs import quadratic_cost, random_quadratic_cost
 from decprox.engine import (
     ALGORITHMS,
     BlockIterate,
-    DivergenceError,
     initial_state,
     rel_sq_error,
     run,
@@ -35,7 +34,7 @@ def make_network(K=6, seed=3, extra=0.3):
 
 
 def trajectory(step, costs, init, iters):
-    st = initial_state(costs, init=init)
+    st = appendix.start_at(costs, init)
     out = []
     for _ in range(iters):
         st = step(st)
@@ -57,7 +56,7 @@ class TestPudaStep:
         prox = L1Prox(0.3)
         mu = 0.4
         w = np.array([[1.0, -2.0, 0.5, 3.0]])
-        st = initial_state(costs, init=w)
+        st = appendix.start_at(costs, w)
         out = engine.puda_step(st, t, costs, prox, mu)
         grad = cost_oracle.random_quadratic_cost(1, 4, seed=0).grad(0, w[0])
         expected = prox_row(prox, w[0] - mu * grad, mu)
@@ -86,25 +85,6 @@ class TestPudaStep:
         for _ in range(50):
             st = engine.puda_step(st, t, costs, ZeroProx(), 0.3)
             assert np.abs(st.S.mean(axis=0)).max() <= 1e-12
-
-    def test_divergence_error_on_nonfinite(self):
-        costs = random_quadratic_cost(2, 2, seed=0)
-        t = ConsensusTriple(A_bar=np.eye(2), B_sq=np.zeros((2, 2)),
-                            C=np.zeros((2, 2)))
-        st = initial_state(costs, init=np.full((2, 2), np.nan))
-        with pytest.raises(DivergenceError):
-            engine.puda_step(st, t, costs, ZeroProx(), 0.1)
-
-    def test_nonfinite_carried_gradient_raises_at_its_consumer(self):
-        costs = random_quadratic_cost(2, 2, seed=0)
-        t = table1_matrices("ExactDiffusion", np.full((2, 2), 0.5))
-        w = np.ones((2, 2))
-        st = BlockIterate(W=w, W_prev=w, S=np.zeros((2, 2)),
-                          G=np.full((2, 2), np.inf), iter=7)
-        st.check_finite()  # the gradient is not the iterate's to check
-        with pytest.raises(DivergenceError) as info:
-            engine.puda_step(st, t, costs, ZeroProx(), 0.1)
-        assert info.value.iteration == 7
 
     @pytest.mark.parametrize("aid, zero", [
         ("ExactDiffusion", True), ("NIDS", True), ("AugDGM", True),
@@ -321,7 +301,10 @@ class TestRun:
                      appendix.agent_prox_ed(costs, ZeroProx(), 50.0, A),
                      costs, np.zeros(2), 500)
         assert record.diverged
-        assert record.note
+        assert record.note.endswith(
+            f"exceeded the divergence limit at iteration "
+            f"{record.final_state.iter}")
+        assert record.iterations[-1] < record.final_state.iter
 
     def test_seeded_init_deterministic(self):
         A, _ = make_network(K=4)
@@ -395,23 +378,6 @@ class TestRun:
         assert np.array_equal(st.G, costs.grad_stack(st.W))
         assert np.array_equal(st.G_prev, costs.grad_stack(st.W_prev))
 
-    @pytest.mark.parametrize("buffer", ["S", "X"])
-    def test_check_finite_covers_dual_and_tracking(self, buffer):
-        w = np.ones((2, 2))
-        st = BlockIterate(W=w, W_prev=w, G=w, **{buffer: np.array(
-            [[1.0, np.nan], [0.0, 0.0]])}, iter=4)
-        with pytest.raises(DivergenceError) as info:
-            st.check_finite()
-        assert info.value.iteration == 4
-
-    def test_initial_state_validation(self):
-        costs = random_quadratic_cost(3, 2, seed=0)
-        with pytest.raises(ValueError):
-            initial_state(costs, init=np.zeros((2, 2)))
-        st = initial_state(costs, init=np.ones(2))
-        assert st.W.shape == (3, 2)
-        assert np.all(st.S == 0.0)
-
     def test_initial_state_carries_its_gradient(self):
         costs = random_quadratic_cost(3, 2, seed=0)
         st = initial_state(costs, seed=4)
@@ -421,3 +387,66 @@ class TestRun:
         w = np.ones((2, 2))
         with pytest.raises(TypeError):
             BlockIterate(W=w, W_prev=w, S=np.zeros((2, 2)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    """``run``'s one test, err <= DIVERGENCE_LIMIT, stops every run whose
+    gradient, W, S or X turns non-finite, and no exception escapes."""
+
+    def _step(self, name, costs):
+        A, L = make_network(K=5, seed=2)
+        prox, mu = L1Prox(0.05), 0.2
+        if name == "PGEXTRA":
+            return engine.pg_extra(costs, prox, mu, A)
+        if name == "DLADMM":
+            return engine.dl_admm(costs, prox, mu, c=0.5, laplacian=L)
+        return engine.primal_dual(costs, prox, mu,
+                                  table1_matrices(ALGORITHMS[name].row, A))
+
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("name", ["PGEXTRA", "DLADMM", "ProxED"])
+    def test_gradient_turning_nan_ends_the_run(self, name, n, monkeypatch):
+        # Call n is the gradient at iteration n - 1's iterate (call 1 is the
+        # start's); the first NaN one feeds iteration n's prox input.
+        costs = random_quadratic_cost(5, 3, seed=0)
+        calls = []
+        grad_stack = costs.grad_stack
+
+        def grad(W):
+            calls.append(1)
+            G = grad_stack(W)
+            return np.full_like(G, np.nan) if len(calls) >= n else G
+
+        monkeypatch.setattr(costs, "grad_stack", grad)
+        record = run(ALGORITHMS[name], self._step(name, costs), costs,
+                     np.zeros(3), 50, seed=1)
+        assert record.diverged
+        assert record.final_state.iter == n
+        assert np.isnan(record.final_state.W).any()
+        assert record.note == ("error nan exceeded the divergence limit at "
+                               f"iteration {n}")
+        assert record.iterations == list(range(1, n))
+        assert np.isfinite(record.errors).all()
+
+    def test_overflowing_dual_is_caught_within_one_iteration(self):
+        # A_bar averages and B^2 = 1e200 (I - A_bar): S stays off the
+        # average, so when B^2 Z overflows S, A_bar Z and W stay finite.
+        K, M = 2, 3
+        costs = random_quadratic_cost(K, M, seed=0)
+        ones = np.full((K, K), 1.0 / K)
+        t = ConsensusTriple(A_bar=ones, B_sq=1e200 * (np.eye(K) - ones),
+                            C=np.zeros((K, K)))
+        step = engine.primal_dual(costs, L1Prox(0.05), 0.1, t)
+        st = initial_state(costs, seed=3)
+        while np.isfinite(st.S).all() and st.iter < 20:
+            st = step(st)
+        assert not np.isfinite(st.S).all() and np.isfinite(st.W).all()
+        assert rel_sq_error(st.W, np.zeros(M)) <= engine.DIVERGENCE_LIMIT
+
+        record = run(ALGORITHMS["ProxED"], step, costs, np.zeros(M), 50,
+                     seed=3)
+        assert record.diverged
+        assert st.iter < record.final_state.iter <= st.iter + 1
+        assert record.iterations[-1] == st.iter
+        assert record.note.endswith(f"at iteration {record.final_state.iter}")
