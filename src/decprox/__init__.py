@@ -40,7 +40,6 @@ from .prox import (
     ProxOperator,
     ZeroProx,
     build_counterexample,
-    prox_counterexample,
     prox_l1,
 )
 from .engine import (

@@ -80,10 +80,11 @@ class SmoothCostSet:
         """(1/K) sum_k grad J_k(w): every agent's gradient at w from one
         ``grad_stack``, added in agent order."""
         w = np.asarray(w, dtype=float)
-        g = np.zeros_like(w)
-        for row in self.grad_stack(np.tile(w, (self.K, 1))):
-            g += row
-        return g / self.K
+        G = self.grad_stack(np.tile(w, (self.K, 1)))
+        # An accumulate adds row by row whatever the stack's layout, where
+        # a reduce sums a contiguous axis pairwise.  Adding 0.0 last turns a
+        # sum of negative zeros into +0.0, as a sum started at 0.0 does.
+        return (np.add.accumulate(G, axis=0)[-1] + 0.0) / self.K
 
 
 def quadratic_cost(eta, K, M, targets=None):
@@ -134,27 +135,33 @@ def logistic_cost(shards, lam):
     for k, d in enumerate(shards):
         if len(d) == 0:
             raise ValueError(f"shard {k} is empty")
-    nu, delta = _logistic_constants(shards, lam)
-    return SmoothCostSet(_stacked_logistic_grad(shards, lam),
+    Xb = _block_diagonal(shards)
+    XbT = Xb.T.tocsr()
+    nu, delta = _logistic_constants(Xb, XbT, shards, lam)
+    return SmoothCostSet(_stacked_logistic_grad(Xb, XbT, shards, lam),
                          nu=nu, delta=delta, K=len(shards), M=shards[0].M)
 
 
-def _stacked_logistic_grad(shards, lam):
-    """All agents' logistic gradients from one block-diagonal design matrix.
-
-    Row block k of the N x (K M) matrix holds shard k's features in
-    columns k M .. (k+1) M - 1, entry order kept, so each margin and each
-    gradient entry sums the same products in the same order as the
-    per-agent gradient X_k' coef_k + lam w and the two agree bit for bit.
-    """
+def _block_diagonal(shards):
+    """The N x (K M) design matrix whose row block k holds shard k's
+    features in columns k M .. (k+1) M - 1, entry order kept."""
     K, M = len(shards), shards[0].M
     Xs = [sp.csr_matrix(d.features) for d in shards]
     row_nnz = np.concatenate([np.diff(X.indptr) for X in Xs])
     indptr = np.concatenate([[0], np.cumsum(row_nnz)])
     indices = np.concatenate([X.indices + k * M for k, X in enumerate(Xs)])
     data = np.concatenate([X.data for X in Xs])
-    Xb = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, K * M))
-    XbT = Xb.T.tocsr()
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, K * M))
+
+
+def _stacked_logistic_grad(Xb, XbT, shards, lam):
+    """All agents' logistic gradients from the block-diagonal design matrix.
+
+    Each margin and each gradient entry sums the same products in the same
+    order as the per-agent gradient X_k' coef_k + lam w, so the two agree
+    bit for bit.
+    """
+    K, M = len(shards), shards[0].M
     y = np.concatenate([d.labels for d in shards])
     # Each sample's shard size: the per-agent gradient divides by it, and
     # a multiply by its reciprocal would not round the same way.
@@ -168,13 +175,21 @@ def _stacked_logistic_grad(shards, lam):
     return stack_grad
 
 
-def _logistic_constants(shards, lam):
-    # Per-sample logistic Hessian is bounded by (1/4) x x'.
+def _logistic_constants(Xb, XbT, shards, lam):
+    """nu = lam and delta = lam + max_k ||X_k'X_k||_2 / (4 L_k): the
+    per-sample logistic Hessian is bounded by (1/4) x x'.
+
+    One product Xb'Xb holds every shard's Gram matrix as a diagonal block.
+    Each entry of block k sums shard k's samples in their order, as
+    X_k'X_k does, so each block equals it bit for bit; blocks are made
+    dense one at a time.
+    """
+    M = shards[0].M
+    gram = XbT @ Xb
     worst = 0.0
-    for d in shards:
-        X = d.features
-        gram = (X.T @ X).toarray() if sp.issparse(X) else X.T @ X
-        worst = max(worst, np.linalg.norm(gram, ord=2) / (4.0 * len(d)))
+    for k, d in enumerate(shards):
+        block = gram[k * M:(k + 1) * M, k * M:(k + 1) * M].toarray()
+        worst = max(worst, np.linalg.norm(block, ord=2) / (4.0 * len(d)))
     return lam, lam + worst
 
 
@@ -206,55 +221,115 @@ def synthetic_classification(n_samples, M, seed=0, flip_prob=0.1):
 
 
 def read_libsvm(path, normalize=False, label_map=None):
-    """Parse libsvm sparse text: `label idx:val ...` with 1-based indices.
+    """Read LIBSVM sparse text into a Dataset.
 
-    ``label_map`` is an optional (raw_pos, raw_neg) pair mapped to +1/-1;
-    without it, raw labels must already be in {-1, +1} (0 maps to -1).
+    Everything from a ``#`` to the end of its line is a comment; a line
+    left blank is skipped.  Every other line is a label followed by
+    ``idx:val`` tokens, split on any whitespace: the label a float, idx an
+    integer of 1 or more (column idx - 1), val a float.  A line may hold
+    no token, and indices may repeat (their values add) and come in any
+    order; the widest index sets the column count.  ``label_map`` is an
+    optional (raw_pos, raw_neg) pair mapped to +1/-1; without it, raw
+    labels must already be in {-1, +1} (0 maps to -1).  ``normalize``
+    scales every nonzero row to unit 2-norm.
+
+    The labels, the indices and the values are each converted in one
+    numpy call.  Bad input raises ValueError ``path:line: ...`` for the
+    first bad line in file order; within it the label comes first, then
+    the tokens in order.
     """
-    rows, cols, vals, labels = [], [], [], []
-    max_col = 0
+    linenos, heads, counts, rows = [], [], [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            try:
-                raw = float(toks[0])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: bad label {toks[0]!r}") from e
-            labels.append(_map_label(raw, label_map, path, lineno))
-            for tok in toks[1:]:
-                try:
-                    idx, val = tok.split(":")
-                    idx, val = int(idx), float(val)
-                except ValueError as e:
-                    raise ValueError(f"{path}:{lineno}: bad feature {tok!r}") from e
-                if idx < 1:
-                    raise ValueError(f"{path}:{lineno}: indices are 1-based, got {idx}")
-                rows.append(len(labels) - 1)
-                cols.append(idx - 1)
-                vals.append(val)
-                max_col = max(max_col, idx)
-    X = sp.csr_matrix((vals, (rows, cols)), shape=(len(labels), max_col))
+            toks = line.split("#", 1)[0].split()
+            if toks:
+                linenos.append(lineno)
+                heads.append(toks[0])
+                counts.append(len(toks) - 1)
+                if len(toks) > 1:
+                    rows.append(" ".join(toks[1:]))
+    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    n_tokens = int(indptr[-1])
+    text = " ".join(rows)  # every idx:val token, one space apart
+    del rows
+
+    # Each check converts only what comes before its first failure.  A
+    # failure is (row, step, message), step 0 the label, 1 its mapping and
+    # 2 a token; the least is raised.
+    failures = []
+    raw, n = _convert(heads, float)
+    if n < len(heads):
+        failures.append((n, 0, f"bad label {heads[n]!r}"))
+    labels, n = _map_labels(raw, label_map)
+    if n < len(raw):
+        need = (f"not in map {label_map}" if label_map is not None
+                else "needs an explicit label_map")
+        failures.append((n, 1, f"label {float(raw[n])} {need}"))
+    n = _first_without_one_colon(text, n_tokens)
+    good = text if n == n_tokens else " ".join(text.split(" ")[:n])
+    parts = good.replace(" ", ":").split(":") if n else []
+    idx, n_idx = _convert(parts[0::2], np.int64)
+    vals, n_val = _convert(parts[1::2], float)
+    del good, parts
+    n = min(n, n_idx, n_val)  # the first n tokens are well formed
+    below = np.flatnonzero(idx[:n] < 1)
+    t = below[0] if below.size else n
+    if t < n_tokens:
+        failures.append((np.searchsorted(indptr, t, side="right") - 1, 2,
+                         f"indices are 1-based, got {idx[t]}" if t < n
+                         else f"bad feature {text.split(' ')[t]!r}"))
+    if failures:
+        row, _, message = min(failures)
+        raise ValueError(f"{path}:{linenos[row]}: {message}")
+
+    X = sp.csr_matrix((vals, idx - 1, indptr),
+                      shape=(len(labels), int(idx.max(initial=0))))
+    X.sum_duplicates()
     if normalize:
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
         norms[norms == 0] = 1.0
         X = sp.diags(1.0 / norms) @ X
         X = sp.csr_matrix(X)
-    return Dataset(X, np.asarray(labels, dtype=float))
+    return Dataset(X, labels)
 
 
-def _map_label(raw, label_map, path, lineno):
+def _convert(strings, dtype):
+    """``strings`` as one array of ``dtype``, cut before the first string
+    that does not convert, and the length it was cut to."""
+    try:
+        return np.array(strings, dtype=dtype), len(strings)
+    except (ValueError, OverflowError):
+        for n, s in enumerate(strings):
+            try:
+                np.array([s], dtype=dtype)
+            except (ValueError, OverflowError):
+                return np.array(strings[:n], dtype=dtype), n
+        raise
+
+
+def _first_without_one_colon(text, n_tokens):
+    """The index of the first of the space-separated tokens of ``text``
+    that does not hold exactly one ``:``, or n_tokens.  Read from the
+    UTF-8 bytes, where neither byte occurs inside a multibyte character."""
+    joined = np.frombuffer(text.encode(), dtype=np.uint8)
+    colons = np.flatnonzero(joined == ord(":"))
+    ends = np.flatnonzero(joined == ord(" "))
+    if (len(colons) == n_tokens and (colons[:-1] < ends).all()
+            and (colons[1:] > ends).all()):
+        return n_tokens
+    return next(t for t, tok in enumerate(text.split(" ")) if tok.count(":") != 1)
+
+
+def _map_labels(raw, label_map):
+    """Raw labels as +-1, and the index of the first that does not map
+    (len(raw) when all do)."""
     if label_map is not None:
         pos, neg = label_map
-        if raw == pos:
-            return 1.0
-        if raw == neg:
-            return -1.0
-        raise ValueError(f"{path}:{lineno}: label {raw} not in map {label_map}")
-    if raw in (1.0, -1.0):
-        return raw
-    if raw == 0.0:
-        return -1.0
-    raise ValueError(f"{path}:{lineno}: label {raw} needs an explicit label_map")
+        is_pos = raw == pos
+        ok = is_pos | (raw == neg)
+        labels = np.where(is_pos, 1.0, -1.0)
+    else:
+        ok = (raw == 1.0) | (raw == -1.0) | (raw == 0.0)
+        labels = np.where(raw == 0.0, -1.0, raw)
+    bad = np.flatnonzero(~ok)
+    return labels, (bad[0] if bad.size else len(raw))

@@ -18,7 +18,6 @@ __all__ = [
     "ChainSumProx",
     "prox_l1",
     "build_counterexample",
-    "prox_counterexample",
     "prox_anchored_chain",
 ]
 
@@ -110,40 +109,43 @@ def build_counterexample(M):
     return CounterexamplePair(M=M, b1=b1)
 
 
-def prox_counterexample(which, pair, x, mu):
-    """Closed-form prox of R1 or R2 using D D' = 2I:
-
-    prox(x) = x + (1/(2 mu)) D'[soft(mu D x - mu b, 2 mu^2) - mu D x + mu b]
-    """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pair.M,):
-        raise ValueError(f"expected shape ({pair.M},), got {x.shape}")
-    if which == "R1":
-        v = mu * pair.D1_dot(x) - mu * pair.b1
-        inner = prox_l1(v, 2.0 * mu * mu) - v
-        return x + pair.D1T_dot(inner) / (2.0 * mu)
-    if which == "R2":
-        v = mu * pair.D2_dot(x)
-        inner = prox_l1(v, 2.0 * mu * mu) - v
-        return x + pair.D2T_dot(inner) / (2.0 * mu)
-    raise ValueError(f"which must be 'R1' or 'R2', got {which!r}")
-
-
 class CounterexampleProx(ProxOperator):
     """The two agents' separate regularizers of a counterexample pair:
-    R1 on row 0 and R2 on row 1, each in closed form."""
+    R1 on row 0 and R2 on row 1, each in closed form through D D' = 2I,
+
+        prox(x) = x + (1/(2 mu)) D'[soft(v, 2 mu^2) - v],  v = mu D x - mu b,
+
+    both rows in one pass: one soft threshold of the (2, M/2) stack of v."""
 
     def __init__(self, pair):
         self.pair = pair
 
     def apply_stack(self, X, mu, hint=None):
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or len(X) != 2:
-            raise ValueError(f"expected a stack of 2 rows, got shape {X.shape}")
-        return np.stack([prox_counterexample("R1", self.pair, X[0], mu),
-                         prox_counterexample("R2", self.pair, X[1], mu)])
+        M = self.pair.M
+        if X.shape != (2, M):
+            raise ValueError(f"expected a stack of 2 rows of length {M}, "
+                             f"got shape {X.shape}")
+        if mu <= 0:
+            raise ValueError(f"mu must be positive, got {mu}")
+        # V = mu D x - mu b with b1 = e_0 and b2 = 0: subtracting mu * 0
+        # would change no bit, so only V[0, 0] takes it.
+        V = np.empty((2, M // 2))
+        V[0, 0] = np.sqrt(2.0) * X[0, 0]
+        V[0, 1:] = X[0, 1:M - 2:2] - X[0, 2:M - 1:2]
+        V[1] = X[1, 0::2] - X[1, 1::2]
+        V *= mu
+        V[0, 0] -= mu
+        inner = prox_l1(V, 2.0 * mu * mu) - V
+        out = np.zeros((2, M))
+        out[0, 0] = np.sqrt(2.0) * inner[0, 0]
+        out[0, 1:M - 2:2] = inner[0, 1:]
+        out[0, 2:M - 1:2] = -inner[0, 1:]
+        out[1, 0::2] = inner[1]
+        out[1, 1::2] = -inner[1]
+        out /= 2.0 * mu
+        out += X
+        return out
 
 
 def prox_anchored_chain(x, t, anchor, anchor_t):

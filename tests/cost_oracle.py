@@ -1,10 +1,15 @@
-"""Per-agent costs and gradients, one closure pair per agent: the reference
-the tests check each family's stacked gradient (``SmoothCostSet``) and
-its average gradient against.  Each function takes the arguments of the
-``decprox.costs`` function of the same name."""
+"""References for ``decprox.costs``, each function taking the arguments of
+the ``decprox.costs`` function of the same name: per-agent costs and
+gradients, one closure pair per agent, that each family's stacked
+gradient (``SmoothCostSet``) and its average gradient are checked
+against; the logistic curvature constants from one Gram matrix per
+shard; and a LIBSVM reader that parses one token at a time."""
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
+
+from decprox.costs import Dataset
 
 
 class PerAgentCosts:
@@ -77,3 +82,65 @@ def logistic_cost(shards, lam):
         return ev, gr
 
     return PerAgentCosts([pair(d) for d in shards])
+
+
+def logistic_constants(shards, lam):
+    """(nu, delta) of ``logistic_cost``: lam, and lam plus the largest
+    ||X_k'X_k||_2 / (4 L_k), each shard's Gram matrix formed by itself."""
+    worst = 0.0
+    for d in shards:
+        X = d.features
+        gram = (X.T @ X).toarray()
+        worst = max(worst, np.linalg.norm(gram, ord=2) / (4.0 * len(d)))
+    return lam, lam + worst
+
+
+def read_libsvm(path, normalize=False, label_map=None):
+    """Parse libsvm sparse text line by line and token by token."""
+    rows, cols, vals, labels = [], [], [], []
+    max_col = 0
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.split("#")[0].strip()
+            if not line:
+                continue
+            toks = line.split()
+            try:
+                raw = float(toks[0])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: bad label {toks[0]!r}") from e
+            labels.append(_map_label(raw, label_map, path, lineno))
+            for tok in toks[1:]:
+                try:
+                    idx, val = tok.split(":")
+                    idx, val = int(idx), float(val)
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: bad feature {tok!r}") from e
+                if idx < 1:
+                    raise ValueError(f"{path}:{lineno}: indices are 1-based, got {idx}")
+                rows.append(len(labels) - 1)
+                cols.append(idx - 1)
+                vals.append(val)
+                max_col = max(max_col, idx)
+    X = sp.csr_matrix((vals, (rows, cols)), shape=(len(labels), max_col))
+    if normalize:
+        norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+        norms[norms == 0] = 1.0
+        X = sp.diags(1.0 / norms) @ X
+        X = sp.csr_matrix(X)
+    return Dataset(X, np.asarray(labels, dtype=float))
+
+
+def _map_label(raw, label_map, path, lineno):
+    if label_map is not None:
+        pos, neg = label_map
+        if raw == pos:
+            return 1.0
+        if raw == neg:
+            return -1.0
+        raise ValueError(f"{path}:{lineno}: label {raw} not in map {label_map}")
+    if raw in (1.0, -1.0):
+        return raw
+    if raw == 0.0:
+        return -1.0
+    raise ValueError(f"{path}:{lineno}: label {raw} needs an explicit label_map")

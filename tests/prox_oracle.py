@@ -1,11 +1,14 @@
 """References the tests compare the prox code against: a brute-force prox
-oracle, which uses no closed form, only the function's values, and the
-counterexample's difference operators as sparse matrices."""
+oracle, which uses no closed form, only the function's values, the
+counterexample's difference operators as sparse matrices, and the closed
+form of R1's or R2's prox on one row."""
 
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+
+from decprox.prox import prox_l1
 
 
 def prox_row(op, x, mu):
@@ -46,6 +49,22 @@ class SparsePair:
 
     def R2(self, w):
         return float(np.abs(self.dense[1] @ w).sum())
+
+
+def prox_counterexample(which, pair, x, mu):
+    """Closed-form prox of R1 or R2 on one row, using D D' = 2I:
+
+    prox(x) = x + (1/(2 mu)) D'[soft(mu D x - mu b, 2 mu^2) - mu D x + mu b]
+    """
+    if which == "R1":
+        v = mu * pair.D1_dot(x) - mu * pair.b1
+        inner = prox_l1(v, 2.0 * mu * mu) - v
+        return x + pair.D1T_dot(inner) / (2.0 * mu)
+    if which == "R2":
+        v = mu * pair.D2_dot(x)
+        inner = prox_l1(v, 2.0 * mu * mu) - v
+        return x + pair.D2T_dot(inner) / (2.0 * mu)
+    raise ValueError(f"which must be 'R1' or 'R2', got {which!r}")
 
 
 class OracleFailure(RuntimeError):

@@ -41,7 +41,6 @@ from decprox.prox import (
     L1Prox,
     ZeroProx,
     build_counterexample,
-    prox_counterexample,
 )
 import appendix_forms as appendix
 import cost_oracle
@@ -279,6 +278,7 @@ def test_criterion_6_prox_correctness():
     worst = 0.0
     for M in (2, 4, 6):
         pair, ref = build_counterexample(M), SparsePair(M)
+        separate = CounterexampleProx(pair)  # R1 on row 0, R2 on row 1
         half = M // 2
         for D_dot in (pair.D1_dot, pair.D2_dot):
             D = np.column_stack([D_dot(e) for e in np.eye(M)])
@@ -287,19 +287,19 @@ def test_criterion_6_prox_correctness():
         for _ in range(50):
             x = rng.standard_normal(M)
             mu = float(rng.uniform(0.05, 0.8))
-            for which, R in (("R1", ref.R1), ("R2", ref.R2)):
-                cf = prox_counterexample(which, pair, x, mu)
+            cf = separate.apply_stack(np.stack([x, x]), mu)
+            for row, (which, R) in enumerate((("R1", ref.R1), ("R2", ref.R2))):
                 bf = brute_force_prox(R, x, mu, iters=800)
-                dev = np.abs(cf - bf).max()
+                dev = np.abs(cf[row] - bf).max()
                 worst = max(worst, dev)
                 assert dev <= 1e-3, (M, which, dev)
 
-    pair2 = build_counterexample(2)
-    assert np.allclose(prox_counterexample("R2", pair2, np.array([1.0, 0.0]), 0.5),
+    separate2 = CounterexampleProx(build_counterexample(2))
+    assert np.allclose(separate2.apply_stack(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5)[1],
                        [0.5, 0.5], atol=1e-10)
-    assert np.allclose(prox_counterexample("R2", pair2, np.array([5.0, 0.0]), 1.0),
+    assert np.allclose(separate2.apply_stack(np.array([[0.0, 0.0], [5.0, 0.0]]), 1.0)[1],
                        [4.0, 1.0], atol=1e-10)
-    assert np.allclose(prox_counterexample("R1", pair2, np.zeros(2), 1.0),
+    assert np.allclose(separate2.apply_stack(np.zeros((2, 2)), 1.0)[0],
                        [np.sqrt(2.0) / 2.0, 0.0], atol=1e-10)
     print(f"criterion 6: PASS (Eq.44 vs brute force worst dev {worst:.2e}, "
           "hand examples to 1e-10)")

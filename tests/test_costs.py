@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from decprox.costs import (
     Dataset,
+    SmoothCostSet,
     logistic_cost,
     partition_data,
     quadratic_cost,
@@ -185,6 +186,66 @@ class TestStackedGradient:
         costs.average_grad(np.ones(3))
         assert calls == [(4, 3)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_average_grad_adds_rows_in_order(self, K, M, seed, fortran):
+        # K reaches past 8, where a pairwise sum would regroup the rows, and
+        # M = 1 and Fortran-ordered stacks make the agent axis contiguous.
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((K, M)) * 10.0 ** rng.integers(-8, 9, (K, M))
+        G[rng.random((K, M)) < 0.3] = -0.0
+        G = np.asfortranarray(G) if fortran else G
+        costs = SmoothCostSet(lambda W: G, nu=1.0, delta=1.0, K=K, M=M)
+        expected = np.zeros(M)
+        for row in G:
+            expected += row
+        expected /= K
+        assert np.array_equal(costs.average_grad(np.zeros(M)).view(np.int64),
+                              expected.view(np.int64))
+
+    def test_average_grad_keeps_signed_zeros(self):
+        # Every agent's gradient is -0.0; the per-agent loop, started at
+        # 0.0, returns +0.0.
+        K, M = 12, 3
+        costs = quadratic_cost(1.0, K, M)
+        ref = cost_oracle.quadratic_cost(1.0, K, M)
+        w = np.full(M, -0.0)
+        assert np.signbit(costs.grad_stack(np.tile(w, (K, 1)))).all()
+        g, g_ref = costs.average_grad(w), ref.average_grad(w)
+        assert not np.signbit(g_ref).any()
+        assert np.array_equal(np.signbit(g), np.signbit(g_ref))
+        assert np.array_equal(g, g_ref)
+
+
+class TestLogisticConstants:
+    """delta from one block-diagonal Gram product against one Gram matrix
+    per shard (``cost_oracle.logistic_constants``), bit for bit."""
+
+    def test_edge_shards(self):
+        # Unequal shards; column 2 empty in shard 1 only; an all-zero
+        # sample in shard 2; a one-sample shard.
+        rng = np.random.default_rng(11)
+        sizes, M = [5, 9, 4, 1], 6
+        X = rng.standard_normal((sum(sizes), M)) * (rng.random((sum(sizes), M)) < 0.7)
+        X[5:14, 2] = 0.0
+        X[15] = 0.0
+        d = Dataset(sp.csr_matrix(X), rng.choice([-1.0, 1.0], size=sum(sizes)))
+        ends = np.cumsum(sizes)
+        shards = [d.subset(np.arange(e - n, e)) for n, e in zip(sizes, ends)]
+        assert shards[1].features[:, 2].nnz == 0 and shards[0].features[:, 2].nnz
+        assert shards[2].features[1].nnz == 0
+        for lam in (1e-4, 0.01, 1.0):
+            costs = logistic_cost(shards, lam)
+            assert (costs.nu, costs.delta) == cost_oracle.logistic_constants(shards, lam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logistic_problem(), st.sampled_from([1e-4, 0.01, 1.0]))
+    def test_constants_bit_identical(self, problem, lam):
+        shards, _ = problem
+        costs = logistic_cost(shards, lam)
+        assert (costs.nu, costs.delta) == cost_oracle.logistic_constants(shards, lam)
+
 
 class TestData:
     def test_partition_disjoint_union(self):
@@ -273,3 +334,107 @@ class TestLibsvm:
         p.write_text("1 0:0.5\n")
         with pytest.raises(ValueError, match="1-based"):
             read_libsvm(p)
+
+
+# Each malformed token or label, and the check of the reference reader it
+# fails: a bad label, a token without exactly one ':', a non-integer
+# index, an index below 1, a bad value, an unmapped label.
+_BAD_LABELS = ["x", "1x", "--1", "1:2", "3", "0.5"]
+_BAD_TOKENS = ["5", "1:2:3", ":", "a:1", "1.5:2", ":2", "0:1", "-2:1",
+               "1:abc", "1:", "1:1e", "2:0x1"]
+_SEPS = [" ", "\t", "  ", " \t "]
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["0", "-0", "1e-3", "+2.5", ".5", "-0.0", "7."]))
+# Each label_map with raw labels it maps; None maps +1/1/1.0 and -1/0.
+_LABELS = {None: ["+1", "1", "1.0", "-1", "0", "-0", "-1.0"],
+           (1, 0): ["1", "+1", "0", "-0", "1.0"],
+           (2.0, -3.0): ["2", "2.0", "-3", "-3.0"]}
+
+
+@st.composite
+def libsvm_text(draw, corruptions=0):
+    """A LIBSVM file as text: comments, blank lines, tabs, CRLF, label-only
+    lines, duplicate and unsorted indices; then ``corruptions`` data lines
+    each given a bad label, a bad token or both.  Returns (text,
+    label_map)."""
+    label_map = draw(st.sampled_from(list(_LABELS)))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["data", "data", "data", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# header", "#", "  # 1:2 x"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            feats = draw(st.lists(st.tuples(st.integers(1, 9), _VALUES), max_size=6))
+            lines.append([draw(st.sampled_from(_LABELS[label_map]))]
+                         + [f"{i}:{v}" for i, v in feats])
+    for _ in range(corruptions):
+        toks = [draw(st.sampled_from(_LABELS[label_map]))] + draw(
+            st.sampled_from([[], ["1:0.5"], ["3:1", "2:-1"]]))
+        where = draw(st.sampled_from(["label", "token", "both"]))
+        if where != "token":
+            toks[0] = draw(st.sampled_from(_BAD_LABELS))
+        if where != "label":
+            toks.insert(draw(st.integers(1, len(toks))),
+                        draw(st.sampled_from(_BAD_TOKENS)))
+        lines.insert(draw(st.integers(0, len(lines))), toks)
+    rendered = []
+    for line in lines:
+        if isinstance(line, list):
+            sep = draw(st.sampled_from(_SEPS))
+            line = (draw(st.sampled_from(["", " ", "\t"])) + sep.join(line)
+                    + draw(st.sampled_from(["", " ", " # note", "\t#"])))
+        rendered.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(rendered) + draw(st.sampled_from(["", eol])), label_map
+
+
+def _read_both(path, normalize, label_map):
+    """(result or error message) of decprox's reader and the reference's."""
+    out = []
+    for reader in (read_libsvm, cost_oracle.read_libsvm):
+        try:
+            out.append(reader(path, normalize=normalize, label_map=label_map))
+        except ValueError as e:
+            out.append(str(e))
+    return out
+
+
+class TestLibsvmAgainstReference:
+    """The bulk reader against the token-by-token reader of
+    ``cost_oracle``: equal arrays, dtypes and labels on valid files, and
+    the same message on malformed ones."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(libsvm_text(), st.booleans())
+    def test_same_dataset(self, tmp_path, text_map, normalize):
+        text, label_map = text_map
+        path = tmp_path / "d.svm"
+        path.write_bytes(text.encode())
+        got, ref = _read_both(path, normalize, label_map)
+        assert not isinstance(ref, str), ref
+        assert not isinstance(got, str), got
+        A, B = got.features, ref.features
+        assert A.shape == B.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(A, name), getattr(B, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+        assert got.labels.dtype == ref.labels.dtype
+        assert np.array_equal(got.labels, ref.labels)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 2).flatmap(lambda n: libsvm_text(corruptions=n)),
+           st.booleans())
+    def test_same_error(self, tmp_path, text_map, normalize):
+        text, label_map = text_map
+        path = tmp_path / "d.svm"
+        path.write_bytes(text.encode())
+        got, ref = _read_both(path, normalize, label_map)
+        assert isinstance(ref, str)
+        assert got == ref

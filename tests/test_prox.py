@@ -15,11 +15,10 @@ from decprox.prox import (
     ZeroProx,
     build_counterexample,
     prox_anchored_chain,
-    prox_counterexample,
     prox_l1,
 )
 from decprox.prox import _chain_from_hint
-from prox_oracle import SparsePair, brute_force_prox, prox_row
+from prox_oracle import SparsePair, brute_force_prox, prox_counterexample, prox_row
 
 
 def chain_certificate(x, z, t, tol=1e-10):
@@ -108,17 +107,23 @@ class TestCounterexampleStructure:
             build_counterexample(0)
 
 
+def separate_prox(pair, x0, x1, mu):
+    """The separate regularizers' prox of the stack (x0, x1): R1 on x0, R2
+    on x1."""
+    return CounterexampleProx(pair).apply_stack(np.stack([x0, x1]), mu)
+
+
 class TestClosedFormProx:
     def test_hand_examples(self):
         pair = build_counterexample(2)
         # Full consensus once mu reaches half the gap.
-        assert np.allclose(prox_counterexample("R2", pair, np.array([1.0, 0.0]), 0.5),
+        assert np.allclose(separate_prox(pair, np.zeros(2), np.array([1.0, 0.0]), 0.5)[1],
                            [0.5, 0.5], atol=1e-10)
         # Partial shrink: each side moves by mu.
-        assert np.allclose(prox_counterexample("R2", pair, np.array([5.0, 0.0]), 1.0),
+        assert np.allclose(separate_prox(pair, np.zeros(2), np.array([5.0, 0.0]), 1.0)[1],
                            [4.0, 1.0], atol=1e-10)
         # R1 anchor pulls w[0] toward 1/sqrt(2) when mu is large.
-        assert np.allclose(prox_counterexample("R1", pair, np.zeros(2), 1.0),
+        assert np.allclose(separate_prox(pair, np.zeros(2), np.zeros(2), 1.0)[0],
                            [np.sqrt(2) / 2, 0.0], atol=1e-10)
 
     @pytest.mark.parametrize("M", [2, 4, 6])
@@ -128,18 +133,32 @@ class TestClosedFormProx:
         for _ in range(8):
             x = rng.standard_normal(M)
             mu = float(rng.uniform(0.05, 0.8))
-            for which, R in (("R1", ref.R1), ("R2", ref.R2)):
-                cf = prox_counterexample(which, pair, x, mu)
+            cf = separate_prox(pair, x, x, mu)
+            for row, R in enumerate((ref.R1, ref.R2)):
                 bf = brute_force_prox(R, x, mu)
-                assert np.abs(cf - bf).max() <= 1e-3
+                assert np.abs(cf[row] - bf).max() <= 1e-3
 
     def test_operator_is_r1_then_r2(self):
-        # Agent 0 holds R1, agent 1 holds R2.
-        pair = build_counterexample(4)
-        X = np.array([[1.0, 0.0, 3.0, 1.0], [0.5, -2.0, 0.1, 0.4]])
-        out = CounterexampleProx(pair).apply_stack(X, 0.2)
-        assert np.array_equal(out[0], prox_counterexample("R1", pair, X[0], 0.2))
-        assert np.array_equal(out[1], prox_counterexample("R2", pair, X[1], 0.2))
+        # Agent 0 holds R1, agent 1 holds R2, each bit for bit the one-row
+        # closed form of prox_oracle.  Power-of-two steps put pairs with
+        # differences of +-2 mu exactly on the threshold, and row 0's anchor
+        # term next to it; signed zeros must come out as they do there.
+        for M in (2, 4, 6, 10, 200):
+            pair = build_counterexample(M)
+            rng = np.random.default_rng(M)
+            for mu in (0.005, 0.125, 0.2, 0.5, 1.0):
+                X = rng.standard_normal((2, M))
+                X[:, rng.random(M) < 0.2] = -0.0
+                X[0, 0] = (1.0 + 2.0 * mu) / np.sqrt(2.0)
+                X[1, 0], X[1, 1] = 3.0, 3.0 - 2.0 * mu
+                if M >= 4:
+                    X[0, 1], X[0, 2] = -2.0 * mu, 0.0
+                    X[1, 2], X[1, 3] = -0.0, 2.0 * mu
+                out = CounterexampleProx(pair).apply_stack(X, mu)
+                for row, which in enumerate(("R1", "R2")):
+                    ref = prox_counterexample(which, pair, X[row], mu)
+                    assert np.array_equal(out[row].view(np.int64),
+                                          ref.view(np.int64)), (M, mu, which)
 
     @pytest.mark.parametrize("K", [1, 3])
     def test_operator_needs_two_rows(self, K):
@@ -148,11 +167,11 @@ class TestClosedFormProx:
             op.apply_stack(np.zeros((K, 4)), 0.2)
 
     def test_bad_inputs(self):
-        pair = build_counterexample(4)
+        op = CounterexampleProx(build_counterexample(4))
         with pytest.raises(ValueError):
-            prox_counterexample("R1", pair, np.zeros(3), 0.1)
+            op.apply_stack(np.zeros((2, 3)), 0.1)
         with pytest.raises(ValueError):
-            prox_counterexample("R1", pair, np.zeros(4), 0.0)
+            op.apply_stack(np.zeros((2, 4)), 0.0)
 
 
 class TestChainSum:
