@@ -106,15 +106,21 @@ def fixed_point_residuals(state, mu):
         raise ValueError("state carries no Z or B^2 Z; run a primal-dual form")
     W = state.W
     scale = np.sqrt(W.size)
-    r_primal = _frobenius(state.Z - (W - mu * state.G - state.S)) / scale
-    r_dual = _frobenius(state.B_sq_Z) / scale
+    # Z - (W - mu G - S), left to right, in one buffer, reused for r_dual.
+    buf = np.multiply(state.G, mu)
+    np.subtract(W, buf, out=buf)
+    buf -= state.S
+    np.subtract(state.Z, buf, out=buf)
+    r_primal = _frobenius(buf, buf) / scale
+    r_dual = _frobenius(state.B_sq_Z, buf) / scale
     return float(r_primal), float(r_dual), 0.0
 
 
-def _frobenius(X):
-    """||X||_F by numpy's pairwise sum: np.linalg.norm reduces through
-    BLAS, whose result depends on its thread count."""
-    return math.sqrt((X * X).sum())
+def _frobenius(X, out):
+    """||X||_F by numpy's pairwise sum, the squares written to ``out``:
+    np.linalg.norm reduces through BLAS, whose result depends on its
+    thread count."""
+    return math.sqrt(np.multiply(X, X, out=out).sum())
 
 
 class NotConvergedError(RuntimeError):

@@ -22,7 +22,9 @@ Every step multiplies the matrices it is given as they are: netgraph
 builds a sparse graph's matrices as CSR (a large sparse graph's combine
 costs O(nnz M) instead of O(K^2 M)) and a dense graph's as ndarrays,
 where a CSR product would be slower; either product is a dense K x M
-stack.
+stack.  A Table I member of degree 2 is applied as products with its
+base (``netgraph.BasePolynomial``), two per step for A_bar and B^2
+together.
 
 Every state is complete: ``initial_state`` evaluates the first gradient,
 and every iteration evaluates exactly one more, at the new iterate, and
@@ -122,16 +124,23 @@ def puda_step(state, triple, costs, prox, mu):
 
     Z <- (I - C) W - mu grad(W) - S;  S <- S + B^2 Z;  W <- prox(A_bar Z).
 
-    The prox gets W, its own previous output, as a hint; the hint may
-    change W only by rounding.
+    A_bar Z and B^2 Z come from one call (``ConsensusTriple.combine``),
+    which shares the products of members that are polynomials in one
+    base.  The prox gets W, its own previous output, as a hint; the hint
+    may change W only by rounding.
     """
     W, G = state.W, state.G
-    if triple.C_is_zero:
-        Z = W - mu * G - state.S
+    C_product = triple.C_product
+    # W - C W - mu G - S, left to right, in one new array.
+    if C_product is None:
+        Z = np.multiply(G, mu)
+        np.subtract(W, Z, out=Z)
     else:
-        Z = W - triple.C @ W - mu * G - state.S
-    B_sq_Z = triple.B_sq @ Z
-    W_new = prox.apply_stack(triple.A_bar @ Z, mu, hint=W)
+        Z = W - C_product(W)
+        Z -= mu * G
+    Z -= state.S
+    A_bar_Z, B_sq_Z = triple.combine(Z)
+    W_new = prox.apply_stack(A_bar_Z, mu, hint=W)
     return _advance(state, W_new, costs, S=state.S + B_sq_Z, Z=Z,
                     B_sq_Z=B_sq_Z)
 
@@ -213,9 +222,10 @@ ALGORITHMS = {a.name: a for a in (
 
 def rel_sq_error(W, w_star):
     """sum_k ||w_k - w*||^2 / ||w*||^2 (absolute if w* = 0)."""
-    diff = W - w_star[None, :]
+    sq = W - w_star[None, :]
+    np.multiply(sq, sq, out=sq)
     denom = float(w_star @ w_star)
-    total = float((diff * diff).sum())
+    total = float(sq.sum())
     return total / denom if denom > 0 else total
 
 

@@ -9,14 +9,19 @@ zeros) when its share of nonzeros is below ``CSR_DENSITY``, else a dense
 ndarray.  A graph's A, 0.5 (I + A) and L have K + 2E nonzeros each, so
 the edge count decides their form before any is built; a sparse graph's
 matrices are built from its edge list, a dense graph's as dense arrays.
-A row of the table takes the form of its base: a dense base gives dense
-matrices, a CSR base CSR sums and CSR-by-CSR products (O(nnz) rather
-than O(K^3)), each densified only if its own nonzeros reach the
-threshold.  Either form multiplies a dense K x M stack to an ndarray,
-and reports its memory as ``nbytes``.
+Either form multiplies a dense K x M stack to an ndarray, and reports its
+memory as ``nbytes``.
 
-Every row of the table is a polynomial in one symmetric base matrix (A,
-or the Laplacian for DLM) that has the ones vector as an eigenvector.
+Every row of the table is a polynomial of degree at most 2 in one
+symmetric base matrix X (A, or the Laplacian for DLM) that has the ones
+vector as an eigenvector.  A member of degree 1 is a matrix, c0 I + c1 X
+in the base's form (X itself where it is X); a member of degree 2, or a
+constant one (the identity, the zero C), is a :class:`BasePolynomial`,
+which holds the base and its coefficients and is applied by products
+with X alone, so that no X^2 is ever built.  A triple's members that are
+polynomials in one base share its products (``ConsensusTriple.combine``):
+a step makes at most two, P = X Z and Q = X P.
+
 Every scalar ``validate_assumptions`` reports is a monotone or concave
 function of the base's eigenvalues, so it is decided by three of them
 (``deciding_eigenvalues``): the consensus eigenvalue, of the ones vector,
@@ -30,7 +35,6 @@ dense copy when Lanczos does not converge within its cap or fails its
 residual check.
 """
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -42,6 +46,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 __all__ = [
     "Graph",
     "ConsensusTriple",
+    "BasePolynomial",
     "SpectralReport",
     "AlgorithmId",
     "build_graph",
@@ -153,7 +158,9 @@ class ConsensusTriple:
     """The (A_bar, B^2, C) matrices parameterizing the primal-dual engine.
 
     A_bar is doubly stochastic symmetric; B_sq and C are symmetric PSD
-    consensus matrices annihilating the all-ones vector.
+    consensus matrices annihilating the all-ones vector.  Each member is
+    anything with ``@`` and ``shape``: an ndarray, a CSR matrix or, in a
+    triple :func:`table1_matrices` builds, a :class:`BasePolynomial`.
 
     ``spectrum``, set by :func:`table1_matrices`, holds the eigenvalues of
     (A_bar, B_sq, C) as three arrays paired in the matrices' common
@@ -163,10 +170,10 @@ class ConsensusTriple:
     hand-built triple, whose matrices need not commute, has none: the
     engine runs it, and :func:`validate_assumptions` rejects it.  The
     matrices are not to be modified after construction: ``spectrum`` and
-    the cached properties describe them as built.
+    the cached products describe them as built.
     """
 
-    A_bar: object  # ndarray or CSRMatrix, each matrix in either form
+    A_bar: object  # ndarray, CSRMatrix or BasePolynomial
     B_sq: object
     C: object
     spectrum: tuple = None
@@ -176,11 +183,121 @@ class ConsensusTriple:
         return self.A_bar.shape[0]
 
     @cached_property
-    def C_is_zero(self):
-        """Whether C is the zero matrix, so that the engine can skip the
-        product C W."""
+    def combine(self):
+        """The function Z -> (A_bar Z, B^2 Z), worked out once.
+
+        Members that are polynomials in one base X, or X itself, share its
+        products P = X Z and Q = X P, each made only if a member needs it;
+        a constant member (the identity) needs none.  Any other member is
+        multiplied as it is, so a triple of matrices takes the products it
+        always took.
+        """
+        members = (self.A_bar, self.B_sq)
+        X = next((m.base for m in members if isinstance(m, BasePolynomial)
+                  and m.degree > 0), None)
+        degree, parts = 0, []
+        for m in members:
+            if isinstance(m, BasePolynomial) and (m.degree <= 0 or m.base is X):
+                degree = max(degree, m.degree)
+                parts.append(m.from_powers)
+            elif X is not None and m is X:
+                degree = max(degree, 1)
+                parts.append(lambda Z, P, Q: P)
+            else:
+                parts.append(lambda Z, P, Q, m=m: m @ Z)
+        A_bar_part, B_sq_part = parts
+
+        def combine(Z):
+            powers = _powers(X, Z, degree)
+            return A_bar_part(*powers), B_sq_part(*powers)
+
+        return combine
+
+    @cached_property
+    def C_product(self):
+        """The function W -> C W, or None where C is zero (of a matrix C,
+        every stored value), so that the engine can skip it."""
         C = self.C
-        return not (C.data if sp.issparse(C) else C).any()
+        if isinstance(C, BasePolynomial):
+            zero = C.is_zero
+        else:
+            zero = not (C.data if sp.issparse(C) else C).any()
+        return None if zero else C.__matmul__
+
+
+class BasePolynomial:
+    """c0 I + c1 X + c2 X^2 in a base matrix X, applied to a stack Z as
+    c0 Z + c1 P + c2 Q with P = X Z and Q = X P: X^2 is never built.
+
+    It holds the base, not a copy.  Zero terms are skipped, a unit
+    coefficient multiplies nothing, and the terms are summed in the order
+    of their powers; the sum is worked out once, when it is built.
+    ``from_powers(Z, P, Q)`` takes the sum from powers made elsewhere, so
+    that the members of one triple share them bit for bit.
+    """
+
+    def __init__(self, base, coeffs):
+        self.base = base
+        self.coeffs = tuple(float(c) for c in coeffs)
+        # -1 for the zero polynomial.
+        self.degree = max((p for p, c in enumerate(self.coeffs) if c),
+                          default=-1)
+        self.from_powers = _power_sum(self.coeffs)
+
+    @property
+    def shape(self):
+        return self.base.shape
+
+    # It stores no matrix; its base is counted where it was built.
+    nbytes = 0
+
+    @property
+    def is_zero(self):
+        return self.degree < 0
+
+    def __matmul__(self, Z):
+        return self.from_powers(*_powers(self.base, Z, self.degree))
+
+
+def _powers(X, Z, degree):
+    """(Z, X Z, X (X Z)), each product made only up to ``degree``."""
+    P = X @ Z if degree >= 1 else None
+    Q = X @ P if degree >= 2 else None
+    return Z, P, Q
+
+
+def _scaled(V, c):
+    return V if c == 1.0 else c * V
+
+
+def _power_sum(coeffs):
+    """The function (Z, P, Q) -> c0 Z + c1 P + c2 Q, summed left to right
+    over the nonzero terms into one new array (a single unit term returns
+    its power itself)."""
+    terms = [(p, c) for p, c in enumerate(coeffs) if c != 0.0]
+    if not terms:
+        return lambda Z, P, Q: np.zeros_like(Z)
+    if len(terms) == 1:
+        (p, c), = terms
+        return lambda *V: _scaled(V[p], c)
+    (pa, ca), (pb, cb), *rest = terms
+
+    def power_sum(*V):
+        # t_a + t_b, started in the array of a scaled term: addition
+        # commutes bit for bit.
+        if cb != 1.0:
+            out = cb * V[pb]
+            out += _scaled(V[pa], ca)
+        elif ca != 1.0:
+            out = ca * V[pa]
+            out += V[pb]
+        else:
+            out = V[pa] + V[pb]
+        for p, c in rest:
+            out += _scaled(V[p], c)
+        return out
+
+    return power_sum
 
 
 class CSRMatrix(sp.csr_matrix):
@@ -418,17 +535,18 @@ def laplacian_matrix(g):
 
 
 def _table1_row(row, X, I, prod, c, mu):
-    """One row of the table as a polynomial in the base matrix X (A, or
-    the Laplacian for DLM): matrices for X = the base, I = the identity
-    and ``prod`` = the matrix product, eigenvalues for X = the base's
-    eigenvalues, I = ones and ``prod`` = the elementwise product."""
+    """One row of the table as a polynomial in the base X (A, or the
+    Laplacian for DLM): coefficients in (I, X, X^2) for X = (0, 1, 0),
+    I = (1, 0, 0) and ``prod`` = :func:`_poly_product`; eigenvalues for
+    X = the base's eigenvalues, I = ones and ``prod`` = the elementwise
+    product."""
     if row is AlgorithmId.EXACT_DIFFUSION:
-        return 0.5 * (I + X), 0.5 * (I - X), _zero(I)
+        return 0.5 * (I + X), 0.5 * (I - X), 0.0 * I
     if row is AlgorithmId.NIDS:
-        return I - c * (I - X), c * (I - X), _zero(I)
+        return I - c * (I - X), c * (I - X), 0.0 * I
     if row is AlgorithmId.AUG_DGM:
         D = I - X
-        return prod(X, X), prod(D, D), _zero(I)
+        return prod(X, X), prod(D, D), 0.0 * I
     if row is AlgorithmId.ATC_TRACKING:
         D = I - X
         return X, prod(D, D), D
@@ -441,11 +559,25 @@ def _table1_row(row, X, I, prod, c, mu):
     return I, c * mu * X, c * mu * X
 
 
-def _zero(I):
-    # An empty CSR matrix beside a CSR identity; else np.zeros, which
-    # unlike np.zeros_like leaves the pages of a large zero matrix
-    # untouched (calloc), so that a zero C costs no resident memory.
-    return CSRMatrix(I.shape) if sp.issparse(I) else np.zeros(np.shape(I))
+def _poly_product(p, q):
+    """The product of two polynomials' coefficients, truncated to degree
+    2: no row of the table goes higher."""
+    return np.convolve(p, q)[:3]
+
+
+def _member(X, coeffs):
+    """A row's member with coefficients (c0, c1, c2) in (I, X, X^2): a
+    :class:`BasePolynomial` of degree 2 or 0 (or the zero one), else the
+    matrix c0 I + c1 X in X's form, X itself where it is X."""
+    c0, c1, c2 = coeffs
+    if c2 != 0.0 or c1 == 0.0:
+        return BasePolynomial(X, coeffs)
+    if (c0, c1) == (0.0, 1.0):
+        return X
+    sparse = sp.issparse(X)
+    I = sp.identity(X.shape[0], format="csr") if sparse else np.eye(X.shape[0])
+    M = c1 * X if c0 == 0.0 else c0 * I + c1 * X
+    return _engine_form(M) if sparse else M
 
 
 def table1_spectrum(row, eigvals, c=None, mu=None):
@@ -548,8 +680,6 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
         base = L
     else:
         base = A
-    K = base.shape[0]
-
     if eigvals is None:
         eigvals = deciding_eigenvalues(base)
     # DIGing's C = I - A^2 peaks inside a range that straddles 0, at the
@@ -557,11 +687,15 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     if row is AlgorithmId.DIGING and eigvals[1] < 0 < eigvals[2]:
         raise ValueError("DIGing needs a base whose spectrum off the ones "
                          "vector does not straddle 0; shift it to 0.5 (I + A)")
-    I = sp.identity(K, format="csr") if sp.issparse(base) else np.eye(K)
-    matrices = _table1_row(row, base, I, operator.matmul, c, mu)
-    if sp.issparse(base):
-        matrices = map(_engine_form, matrices)
-    return ConsensusTriple(*matrices,
+    coeffs = _table1_row(row, np.array([0.0, 1.0, 0.0]),
+                         np.array([1.0, 0.0, 0.0]), _poly_product, c, mu)
+    # Members with equal coefficients (EXTRA's and DLM's B^2 and C) are
+    # one object.
+    built = {}
+    for cf in map(tuple, coeffs):
+        if cf not in built:
+            built[cf] = _member(base, cf)
+    return ConsensusTriple(*(built[tuple(cf)] for cf in coeffs),
                            spectrum=table1_spectrum(row, eigvals, c, mu))
 
 
@@ -577,10 +711,13 @@ def validate_assumptions(t, psd_tol=PSD_TOL):
     :func:`table1_matrices` gives it: the matrices share one eigenbasis,
     so both conditions hold pair by pair of eigenvalues, and each reported
     scalar is attained at one of the three pairs.  A triple without a
-    spectrum raises ValueError.
+    spectrum raises ValueError.  Each matrix member is checked for
+    symmetry; a :class:`BasePolynomial` is symmetric with its base, which
+    ``deciding_eigenvalues`` checked.
     """
     for name in ("A_bar", "B_sq", "C"):
-        if not _is_symmetric(getattr(t, name)):
+        X = getattr(t, name)
+        if not isinstance(X, BasePolynomial) and not _is_symmetric(X):
             raise ValueError(f"{name} is not symmetric")
     if t.spectrum is None:
         raise ValueError("the triple carries no spectrum; build it with "

@@ -31,7 +31,11 @@ def prox_l1(x, kappa):
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)
+    # The same operations, worked in one new array beside sign(x).
+    out = np.abs(x, out=np.empty_like(x))
+    out -= kappa
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(x), out, out=out)
 
 
 class ProxOperator:

@@ -34,6 +34,7 @@ from decprox.prox import (
 
 import cost_oracle
 from prox_oracle import prox_row
+from test_engine import same_bytes, special_stack
 
 
 class TestTheoreticalRate:
@@ -137,6 +138,19 @@ class TestFixedPointResiduals:
             r_primal / scale, r_dual / scale, 0.0)
         assert np.array_equal(self.prox.apply_stack(triple.A_bar @ Z, mu), W)
         assert r_primal > 0.0 and r_dual > 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lean_matches_expression(self, seed):
+        # One buffer for both residuals: bit for bit the expressions as
+        # first written, on stacks with +-0, NaN and +-inf.
+        W, G, S, Z, B_sq_Z = (special_stack(seed + i) for i in range(5))
+        st = BlockIterate(W=W, W_prev=W, G=G, S=S, Z=Z, B_sq_Z=B_sq_Z)
+        scale = np.sqrt(W.size)
+        with np.errstate(invalid="ignore"):
+            d = Z - (W - self.mu * G - S)
+            ref = (np.sqrt((d * d).sum()) / scale,
+                   np.sqrt((B_sq_Z * B_sq_Z).sum()) / scale, 0.0)
+            assert same_bytes(fixed_point_residuals(st, self.mu), ref)
 
     def test_random_state_not_fixed(self):
         rng = np.random.default_rng(0)

@@ -24,10 +24,11 @@ from test_netgraph import (
     GRAPH_10000,
     assert_reports_agree,
     checked_report,
+    dense,
     loop_laplacian,
     loop_metropolis,
     reference_report,
-    table1_reference,
+    table1_recursion,
 )
 
 
@@ -488,10 +489,16 @@ class TestSparseGraphs:
             row = netgraph.AlgorithmId(r.algorithm.row)
             base = L if row.on_laplacian else (
                 0.5 * (np.eye(g.K) + A) if r.algorithm.shifted else A)
-            expected = table1_reference(row, base, c=cfg.c, mu=r.mu)
+            expected = table1_recursion(row, base, c=cfg.c, mu=r.mu)
             for X, ref in zip((r.triple.A_bar, r.triple.B_sq, r.triple.C),
                               expected):
-                assert isinstance(X, np.ndarray), acfg.name
+                # A matrix member is an ndarray, a polynomial holds the
+                # dense base; either equals the recursion's form bit for bit.
+                if isinstance(X, netgraph.BasePolynomial):
+                    X, base_form = dense(X), X.base
+                else:
+                    base_form = X
+                assert isinstance(base_form, np.ndarray), acfg.name
                 assert np.array_equal(X, ref), acfg.name
 
     def test_separate_prox_methods_on_a_sparse_ring(self, tmp_path,

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from decprox import engine
-from decprox.analysis import fixed_point_residuals
+from decprox.analysis import fixed_point_residuals, step_bound
 from decprox.costs import quadratic_cost, random_quadratic_cost
 from decprox.engine import (
     ALGORITHMS,
@@ -14,18 +14,21 @@ from decprox.engine import (
 )
 from decprox.netgraph import (
     AlgorithmId,
+    BasePolynomial,
     ConsensusTriple,
     build_graph,
     laplacian_matrix,
     metropolis_matrix,
     shift_positive,
     table1_matrices,
+    validate_assumptions,
 )
 from decprox.prox import L1Prox, ZeroProx, prox_l1
 
 import appendix_forms as appendix
 import cost_oracle
 from prox_oracle import prox_row
+from test_netgraph import BENCHMARK_GRAPH, table1_reference
 
 
 def make_network(K=6, seed=3, extra=0.3):
@@ -40,6 +43,23 @@ def trajectory(step, costs, init, iters):
         st = step(st)
         out.append(st.W.copy())
     return out, st
+
+
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+def special_stack(seed, shape=(7, 5)):
+    """A random stack with +-0, NaN and +-inf among its entries."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(shape)
+    mask = rng.random(shape) < 0.3
+    X[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return X
+
+
+def same_bytes(a, b):
+    """Equal bit for bit, NaN payloads and signed zeros included."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def max_dev(a, b):
@@ -91,7 +111,8 @@ class TestPudaStep:
         ("ATCTracking", False), ("DIGing", False), ("EXTRA", False)])
     def test_c_is_zero(self, aid, zero):
         A, _ = make_network()
-        assert table1_matrices(aid, shift_positive(A), c=0.5).C_is_zero is zero
+        t = table1_matrices(aid, shift_positive(A), c=0.5)
+        assert (t.C_product is None) is zero
 
     @pytest.mark.parametrize("aid", ["ExactDiffusion", "ATCTracking"])
     def test_step_matches_recursion_bit_for_bit(self, aid):
@@ -111,11 +132,46 @@ class TestPudaStep:
             assert np.array_equal(st.G, costs.grad_stack(W))
 
 
+class TestLeanBookkeeping:
+    """Each K x M expression builds one array and works in place, with the
+    same operations in the same order: the expressions as first written
+    are the references, on stacks with +-0, NaN and +-inf."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rel_sq_error(self, seed):
+        W = special_stack(seed)
+        for w_star in (special_stack(seed + 10, (5,)),
+                       np.random.default_rng(seed).standard_normal(5),
+                       np.zeros(5)):
+            with np.errstate(invalid="ignore"):
+                diff = W - w_star[None, :]
+                denom = float(w_star @ w_star)
+                total = float((diff * diff).sum())
+                ref = total / denom if denom > 0 else total
+                assert same_bytes(rel_sq_error(W, w_star), ref)
+
+    @pytest.mark.parametrize("zero_C", [True, False])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_puda_step_Z(self, seed, zero_C):
+        K, M, mu = 7, 5, 0.3
+        W, G, S = (special_stack(seed + i) for i in range(3))
+        C = (np.zeros((K, K)) if zero_C
+             else np.random.default_rng(seed).standard_normal((K, K)))
+        t = ConsensusTriple(np.eye(K), np.eye(K), C)
+        state = BlockIterate(W=W, W_prev=W, G=G, S=S)
+        with np.errstate(invalid="ignore"):
+            out = engine.puda_step(state, t, quadratic_cost(1.0, K, M),
+                                   ZeroProx(), mu)
+            ref = (W - mu * G - S) if zero_C else (W - C @ W - mu * G - S)
+        assert same_bytes(out.Z, ref)
+
+
 class TestCsrCombine:
     @pytest.mark.parametrize("aid", list(AlgorithmId))
     def test_csr_and_dense_products_agree(self, aid):
-        # A sparse graph's triple is CSR; the same matrices as ndarrays
-        # take the same steps to rounding.
+        # A sparse graph's triple is CSR, or polynomials in a CSR base; the
+        # same matrices as ndarrays, the squared ones built, take the same
+        # steps to rounding.
         K, M = 300, 5
         A, L = make_network(K=K, seed=3, extra=0.005)
         t = table1_matrices(aid, shift_positive(A), c=0.5, mu=0.05, L=L)
@@ -125,17 +181,76 @@ class TestCsrCombine:
         st = initial_state(costs, seed=1)
         for _ in range(10):
             st = engine.puda_step(st, t, costs, prox, mu)
-        assert all(sp.issparse(X) for X in (t.A_bar, t.B_sq, t.C))
+        members = (t.A_bar, t.B_sq, t.C)
+        assert all(sp.issparse(X.base if isinstance(X, BasePolynomial) else X)
+                   for X in members)
 
-        dense = ConsensusTriple(t.A_bar.toarray(), t.B_sq.toarray(),
-                                t.C.toarray())
-        assert dense.C_is_zero == t.C_is_zero
+        dense = ConsensusTriple(*(X @ np.eye(K) if isinstance(X, BasePolynomial)
+                                  else X.toarray() for X in members))
+        assert (dense.C_product is None) == (t.C_product is None)
         ref = initial_state(costs, seed=1)
         for _ in range(10):
             ref = engine.puda_step(ref, dense, costs, prox, mu)
         for name in ("W", "S", "Z", "G", "B_sq_Z"):
             np.testing.assert_allclose(getattr(st, name), getattr(ref, name),
                                        rtol=0, atol=1e-12, err_msg=name)
+
+
+# The degree-2 rows' tolerance against the matrix form (X^2, (I - X)^2
+# and I - X^2 built): relative error <= REL_TOL on every row whose error is
+# at least FLOOR times the first, and |sqrt(e') - sqrt(e)| <= SQRT_TOL
+# times sqrt of the first on every row, where rounding dominates.
+REL_TOL, FLOOR, SQRT_TOL = 1e-10, 1e-10, 1e-14
+
+# Dense K=20 (the README graph), CSR K=300 and the CSR benchmark graph.
+TOLERANCE_GRAPHS = {
+    "dense20": {"kind": "random_connected", "K": 20, "seed": 7,
+                "extra_edge_prob": 0.2},
+    "csr300": {"kind": "random_connected", "K": 300, "seed": 3,
+               "extra_edge_prob": 0.01},
+    "csr2000": BENCHMARK_GRAPH,
+}
+
+
+def assert_within_tolerance(errors, reference):
+    e, ref = np.asarray(errors), np.asarray(reference)
+    above = ref >= FLOOR * ref[0]
+    rel = np.abs(e[above] - ref[above]) / ref[above]
+    assert rel.max() <= REL_TOL, rel.max()
+    dev = np.abs(np.sqrt(e) - np.sqrt(ref)).max()
+    assert dev <= SQRT_TOL * np.sqrt(ref[0]), dev
+
+
+class TestDegreeTwoRows:
+    @pytest.fixture(scope="class", params=sorted(TOLERANCE_GRAPHS))
+    def network(self, request):
+        g = build_graph(**TOLERANCE_GRAPHS[request.param])
+        A = shift_positive(metropolis_matrix(g))
+        assert sp.issparse(A) == request.param.startswith("csr")
+        return A
+
+    @pytest.mark.parametrize("name", ["AugDGM", "ATCTracking", "DIGing",
+                                      "ProxATC1", "ProxATC2"])
+    def test_matches_matrix_form(self, network, name):
+        # 3000 iterations, at 0.9 of the step bound, of the row applied as
+        # polynomials and of its matrix form, as a hand-built triple.  The
+        # Table I names run smooth (R = 0), the Prox names with l1.
+        A, M, rho = network, 4, 0.05
+        K = A.shape[0]
+        algo = ALGORITHMS[name]
+        targets = np.random.default_rng(K).standard_normal((K, M))
+        costs = quadratic_cost(1.0, K, M, targets=targets)
+        if name.startswith("Prox"):
+            prox, w_star = L1Prox(rho), prox_l1(targets.mean(axis=0), rho)
+        else:
+            prox, w_star = ZeroProx(), targets.mean(axis=0)
+        t = table1_matrices(algo.row, A)
+        mu = 0.9 * step_bound(algo.theorem,
+                              validate_assumptions(t).sigma_max_C, costs.delta)
+        matrix_form = ConsensusTriple(*table1_reference(algo.row, A))
+        errors = [run(algo, engine.primal_dual(costs, prox, mu, triple), costs,
+                      w_star, 3000).errors for triple in (t, matrix_form)]
+        assert_within_tolerance(*errors)
 
 
 class TestEquivalenceWeb:

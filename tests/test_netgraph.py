@@ -98,7 +98,10 @@ def loop_laplacian(g):
 
 
 def dense(X):
-    """X as a dense ndarray, whichever form netgraph built it in."""
+    """X as a dense ndarray, whichever form netgraph built it in; a
+    polynomial member applied to the identity."""
+    if isinstance(X, netgraph.BasePolynomial):
+        return X @ np.eye(X.shape[0])
     return X.toarray() if sp.issparse(X) else X
 
 
@@ -310,7 +313,7 @@ class TestTable1:
         t = table1_matrices("ExactDiffusion", self.A)
         assert np.allclose(t.A_bar, 0.5 * (self.I + self.A))
         assert np.allclose(t.B_sq, 0.5 * (self.I - self.A))
-        assert np.allclose(t.C, 0.0)
+        assert np.allclose(dense(t.C), 0.0)
 
     def test_nids_row(self):
         t = table1_matrices("NIDS", self.A, c=0.3)
@@ -320,16 +323,17 @@ class TestTable1:
     def test_tracking_rows(self):
         IA2 = (self.I - self.A) @ (self.I - self.A)
         t = table1_matrices("AugDGM", self.A)
-        assert np.allclose(t.A_bar, self.A @ self.A)
-        assert np.allclose(t.B_sq, IA2)
-        assert np.allclose(t.C, 0.0)
+        assert np.allclose(dense(t.A_bar), self.A @ self.A)
+        assert np.allclose(dense(t.B_sq), IA2)
+        assert np.allclose(dense(t.C), 0.0)
         t = table1_matrices("ATCTracking", self.A)
         assert np.allclose(t.A_bar, self.A)
-        assert np.allclose(t.B_sq, IA2)
+        assert np.allclose(dense(t.B_sq), IA2)
         assert np.allclose(t.C, self.I - self.A)
         t = table1_matrices("DIGing", self.A)
-        assert np.allclose(t.A_bar, self.I)
-        assert np.allclose(t.C, self.I - self.A @ self.A)
+        assert np.allclose(dense(t.A_bar), self.I)
+        assert np.allclose(dense(t.B_sq), IA2)
+        assert np.allclose(dense(t.C), self.I - self.A @ self.A)
 
     def test_extra_dlm_rows(self):
         t = table1_matrices("EXTRA", self.A)
@@ -352,7 +356,7 @@ class TestTable1:
         ones = np.ones(7) / np.sqrt(7)
         for aid in AlgorithmId:
             t = table1_matrices(aid, self.A, c=0.3, mu=0.1, L=self.L)
-            for X in (t.B_sq, t.C):
+            for X in map(dense, (t.B_sq, t.C)):
                 if np.allclose(X, 0.0):
                     continue
                 assert np.linalg.norm(X @ ones) < 1e-10
@@ -433,11 +437,12 @@ def reference_report(t, psd_tol=netgraph.PSD_TOL):
     eigendecompositions of its matrices, with the smallest nonzero B^2
     eigenvalue taken over the whole spectrum: the check as it read a
     triple before it read three paired eigenvalues."""
-    eig_C = np.linalg.eigvalsh(t.C)
-    eig_Bsq = np.linalg.eigvalsh(t.B_sq)
-    eig_A = np.linalg.eigvalsh(t.A_bar)
-    gap = np.linalg.eigvalsh(np.eye(t.K) - t.B_sq - t.A_bar @ t.A_bar)
-    cb_gap = np.linalg.eigvalsh(t.C - t.B_sq)
+    A_bar, B_sq, C = map(dense, (t.A_bar, t.B_sq, t.C))
+    eig_C = np.linalg.eigvalsh(C)
+    eig_Bsq = np.linalg.eigvalsh(B_sq)
+    eig_A = np.linalg.eigvalsh(A_bar)
+    gap = np.linalg.eigvalsh(np.eye(t.K) - B_sq - A_bar @ A_bar)
+    cb_gap = np.linalg.eigvalsh(C - B_sq)
     nonzero = eig_Bsq[np.abs(eig_Bsq) > netgraph.NULLSPACE_TOL
                       * max(1.0, eig_Bsq[-1])]
     c_psd = eig_C[0] >= -psd_tol
@@ -717,31 +722,65 @@ class TestDecidingEigenvalues:
         assert np.array_equal(netgraph.deciding_eigenvalues(A), dense)
 
 
-def csr_copy_product(P, Q):
-    """P @ Q for dense P and Q, summed as a CSR copy of P times Q sums:
-    in order of P's column index, one row at a time."""
-    return sp.csr_matrix(P) @ Q
-
-
-def table1_reference(row, X, c=None, mu=None, prod=np.matmul):
-    """A row's (A_bar, B^2, C) by the table's formulas on the dense base
-    X, with ``prod`` the matrix product."""
+def table1_reference(row, X, c=None, mu=None):
+    """A row's (A_bar, B^2, C) by the table's formulas on the base X:
+    X^2, (I - X)^2 and I - X^2 built as matrices, CSR-by-CSR products on
+    a CSR base, as netgraph built them before it applied rows as
+    polynomials."""
     row = AlgorithmId(row)
-    I = np.eye(X.shape[0])
-    D, zero = I - X, np.zeros_like(X)
+    if sp.issparse(X):
+        I, zero = sp.identity(X.shape[0], format="csr"), sp.csr_matrix(X.shape)
+    else:
+        I, zero = np.eye(X.shape[0]), np.zeros_like(X)
+    D = I - X
     if row is AlgorithmId.EXACT_DIFFUSION:
         return 0.5 * (I + X), 0.5 * D, zero
     if row is AlgorithmId.NIDS:
         return I - c * D, c * D, zero
     if row is AlgorithmId.AUG_DGM:
-        return prod(X, X), prod(D, D), zero
+        return X @ X, D @ D, zero
     if row is AlgorithmId.ATC_TRACKING:
-        return X, prod(D, D), D
+        return X, D @ D, D
     if row is AlgorithmId.DIGING:
-        return I, prod(D, D), I - prod(X, X)
+        return I, D @ D, I - X @ X
     if row is AlgorithmId.EXTRA:
         return I, 0.5 * D, 0.5 * D
     return I, c * mu * X, c * mu * X
+
+
+def table1_recursion(row, X, c=None, mu=None):
+    """A row's (A_bar, B^2, C) as the program applies them, applied to the
+    identity on the base X (CSR or dense), as dense arrays: c0 I + c1 X for
+    a member of degree 1, and for the others I, P = X I and Q = X P summed
+    in the order of their powers.  Bit for bit the members' products."""
+    row = AlgorithmId(row)
+    I = np.eye(X.shape[0])
+    P = X @ I
+    Q, Xd, zero = X @ P, dense(X), np.zeros_like(I)
+    if row is AlgorithmId.EXACT_DIFFUSION:
+        return 0.5 * I + 0.5 * Xd, 0.5 * I - 0.5 * Xd, zero
+    if row is AlgorithmId.NIDS:
+        return (1.0 - c) * I + c * Xd, c * I - c * Xd, zero
+    if row is AlgorithmId.AUG_DGM:
+        return Q, I - 2.0 * P + Q, zero
+    if row is AlgorithmId.ATC_TRACKING:
+        return Xd, I - 2.0 * P + Q, I - Xd
+    if row is AlgorithmId.DIGING:
+        return I, I - 2.0 * P + Q, I - Q
+    if row is AlgorithmId.EXTRA:
+        return I, 0.5 * I - 0.5 * Xd, 0.5 * I - 0.5 * Xd
+    return I, c * mu * Xd, c * mu * Xd
+
+
+def make_network(K, seed, extra):
+    g = build_graph("random_connected", K, seed=seed, extra_edge_prob=extra)
+    return metropolis_matrix(g), laplacian_matrix(g)
+
+
+def stored_entries(X):
+    """The entries a matrix stores: a CSR matrix's nonzeros, an ndarray's
+    every entry."""
+    return X.nnz if sp.issparse(X) else X.size
 
 
 class TestMatrixForms:
@@ -749,45 +788,97 @@ class TestMatrixForms:
     SHIFTED = (AlgorithmId.AUG_DGM, AlgorithmId.ATC_TRACKING, AlgorithmId.DIGING)
 
     def triples(self, A, L):
-        return {aid: table1_matrices(
-                    aid, shift_positive(A) if aid in self.SHIFTED else A,
-                    c=0.3, mu=0.1, L=L)
-                for aid in AlgorithmId}
+        """Per row: (its base, its triple on that base object)."""
+        bases = {"A": A, "shifted": shift_positive(A), "L": L}
+        out = {}
+        for aid in AlgorithmId:
+            base = bases["L" if aid.on_laplacian else
+                         "shifted" if aid in self.SHIFTED else "A"]
+            out[aid] = base, table1_matrices(aid, base, c=0.3, mu=0.1, L=L)
+        return out
 
     def test_benchmark_graph_builds_csr(self, benchmark_graph):
-        # Every matrix is canonical CSR, and equal bit for bit to the dense
-        # formula with its products through a CSR copy of the left factor.
-        # (A dense graph's matrices: tests/test_cli.py, TestSparseGraphs.)
+        # A member of degree 1 is canonical CSR and a member of degree 2 or
+        # 0 a polynomial holding the base itself, each equal bit for bit
+        # to the recursion's form.  Against the formulas as first written,
+        # with the squares built: NIDS's diagonal, (1 - c) + c x against
+        # 1 - c (1 - x) and c - c x against c (1 - x), within 2.3e-16, and
+        # the squares to rounding.  (A dense graph's members:
+        # tests/test_cli.py, TestSparseGraphs.)
         A, L = metropolis_matrix(benchmark_graph), laplacian_matrix(benchmark_graph)
-        for aid, t in self.triples(A, L).items():
-            base = L if aid.on_laplacian else (
-                shift_positive(A) if aid in self.SHIFTED else A)
-            expected = table1_reference(aid, dense(base), c=0.3, mu=0.1,
-                                        prod=csr_copy_product)
-            for X, ref in zip((t.A_bar, t.B_sq, t.C), expected):
-                assert sp.issparse(X), aid
-                assert_engine_form(X)
-                assert np.array_equal(X.toarray(), ref), aid
-            assert t.C_is_zero == (not expected[2].any())
+        for aid, (base, t) in self.triples(A, L).items():
+            exact = table1_recursion(aid, base, c=0.3, mu=0.1)
+            first = [dense(X) for X in table1_reference(aid, base, c=0.3,
+                                                        mu=0.1)]
+            for X, ref, old in zip((t.A_bar, t.B_sq, t.C), exact, first):
+                if isinstance(X, netgraph.BasePolynomial):
+                    assert X.base is base, aid
+                else:
+                    assert sp.issparse(X), aid
+                    assert_engine_form(X)
+                X = dense(X)
+                assert np.array_equal(X, ref), aid
+                assert np.abs(X - old).max() <= 1e-15, aid
+            assert (t.C_product is None) == (not first[2].any())
 
-    def test_dense_enough_product_densified(self):
-        # A 50-agent ring has 6% nonzeros, so A is CSR, but AugDGM's A^2
-        # and (I - A)^2 have 10% and are ndarrays, as their CSR products'
-        # nonzeros decide.
-        A = metropolis_matrix(build_graph("ring", 50))
-        t = table1_matrices("AugDGM", A)
-        D = np.eye(50) - dense(A)
-        assert sp.issparse(A)
-        assert isinstance(t.A_bar, np.ndarray) and isinstance(t.B_sq, np.ndarray)
-        assert np.array_equal(t.A_bar, csr_copy_product(dense(A), dense(A)))
-        assert np.array_equal(t.B_sq, csr_copy_product(D, D))
+    @pytest.mark.parametrize("form", ["csr", "dense"])
+    def test_no_squared_matrix(self, benchmark_graph, form):
+        # No member holds more stored entries than its base: a polynomial
+        # holds the base itself, and a matrix member is c0 I + c1 X.
+        if form == "csr":
+            g = benchmark_graph
+        else:
+            g = build_graph("random_connected", 20, seed=7, extra_edge_prob=0.2)
+        A, L = metropolis_matrix(g), laplacian_matrix(g)
+        assert sp.issparse(A) == (form == "csr")
+        for aid, (base, t) in self.triples(A, L).items():
+            for X in (t.A_bar, t.B_sq, t.C):
+                if isinstance(X, netgraph.BasePolynomial):
+                    assert X.base is base, aid
+                else:
+                    assert stored_entries(X) <= stored_entries(base), aid
+                assert X.nbytes <= base.nbytes, aid
+
+    @pytest.mark.parametrize("K", [20, 50, 300])
+    @pytest.mark.parametrize("aid", list(AlgorithmId))
+    def test_shared_products_match_members(self, aid, K):
+        # The triple's one call gives each member's own product bit for
+        # bit, and its C product C @ W; K=50 and K=300 give a CSR base,
+        # K=20 a dense one.  A degree-2 member is X (X Z) in its terms: no
+        # squared matrix is built, on a base of any density.
+        A, L = make_network(K=K, seed=3, extra=0.3 if K == 20 else 0.005)
+        base = L if aid.on_laplacian else shift_positive(A)
+        t = table1_matrices(aid, base, c=0.3, mu=0.1, L=L)
+        Z = np.random.default_rng(0).standard_normal((K, 4))
+        A_bar_Z, B_sq_Z = t.combine(Z)
+        assert np.array_equal(A_bar_Z, t.A_bar @ Z)
+        assert np.array_equal(B_sq_Z, t.B_sq @ Z)
+        if t.C_product is not None:
+            assert np.array_equal(t.C_product(Z), t.C @ Z)
+        P = base @ Z
+        Q = base @ P
+        powers = {(1.0, -2.0, 1.0): Z - 2.0 * P + Q, (0.0, 0.0, 1.0): Q,
+                  (1.0, 0.0, -1.0): Z - Q}
+        for X in (t.A_bar, t.B_sq, t.C):
+            if isinstance(X, netgraph.BasePolynomial) and X.degree == 2:
+                assert np.array_equal(X @ Z, powers[X.coeffs]), aid
+
+    def test_identity_member_costs_no_product(self):
+        # DIGing's, EXTRA's and DLM's A_bar = I gives Z itself.
+        A, L = make_network(K=50, seed=3, extra=0.005)
+        Z = np.random.default_rng(0).standard_normal((50, 4))
+        for aid in ("DIGing", "EXTRA", "DLM"):
+            t = table1_matrices(aid, shift_positive(A), c=0.3, mu=0.1, L=L)
+            assert t.A_bar.coeffs == (1.0, 0.0, 0.0)
+            assert t.A_bar @ Z is Z and t.combine(Z)[0] is Z
 
     def test_hand_built_csr_zero_C(self):
-        # C_is_zero reads a CSR matrix's stored values, explicit zeros too.
+        # A matrix C counts as zero by its stored values, explicit zeros
+        # too; the engine then makes no C product.
         K = 50
         I = sp.identity(K, format="csr")
         explicit = sp.csr_matrix((np.zeros(K), np.arange(K), np.arange(K + 1)),
                                  shape=(K, K))
-        assert ConsensusTriple(I, I, sp.csr_matrix((K, K))).C_is_zero
-        assert ConsensusTriple(I, I, explicit).C_is_zero
-        assert not ConsensusTriple(I, I, I).C_is_zero
+        assert ConsensusTriple(I, I, sp.csr_matrix((K, K))).C_product is None
+        assert ConsensusTriple(I, I, explicit).C_product is None
+        assert ConsensusTriple(I, I, I).C_product is not None

@@ -19,6 +19,7 @@ from decprox.prox import (
 )
 from decprox.prox import _chain_from_hint
 from prox_oracle import SparsePair, brute_force_prox, prox_counterexample, prox_row
+from test_engine import same_bytes, special_stack
 
 
 def chain_certificate(x, z, t, tol=1e-10):
@@ -63,6 +64,16 @@ class TestL1:
         X = np.array([[2.0, -0.1], [-3.0, 1.0]])
         assert np.array_equal(op.apply_stack(X, 1.0),
                               np.stack([prox_l1(r, 0.5) for r in X]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lean_matches_expression(self, seed):
+        # One new array, worked in place: bit for bit the expression as
+        # first written, on stacks with +-0, NaN and +-inf.
+        for x in (special_stack(seed), special_stack(seed, (9,))):
+            for kappa in (0.5, 1e-3):
+                with np.errstate(invalid="ignore"):
+                    ref = np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)
+                assert same_bytes(prox_l1(x, kappa), ref)
 
     def test_bad_weight(self):
         with pytest.raises(ValueError):
