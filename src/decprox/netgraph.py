@@ -664,7 +664,8 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
         Graph Laplacian, required by DLM.
     eigvals : ndarray, optional
         The base's (A, or L for DLM) three deciding eigenvalues
-        (:func:`deciding_eigenvalues`); solved if omitted.
+        (:func:`deciding_eigenvalues`); solved if omitted, which checks the
+        base's symmetry.  Handed in, they vouch for it.
 
     The triple carries its ``spectrum``.  Raises ValueError where the
     three eigenvalues cannot give it: a base that is not symmetric or
@@ -713,7 +714,7 @@ def validate_assumptions(t, psd_tol=PSD_TOL):
     scalar is attained at one of the three pairs.  A triple without a
     spectrum raises ValueError.  Each matrix member is checked for
     symmetry; a :class:`BasePolynomial` is symmetric with its base, which
-    ``deciding_eigenvalues`` checked.
+    :func:`table1_matrices` took as symmetric.
     """
     for name in ("A_bar", "B_sq", "C"):
         X = getattr(t, name)
