@@ -772,11 +772,6 @@ def table1_recursion(row, X, c=None, mu=None):
     return I, c * mu * Xd, c * mu * Xd
 
 
-def make_network(K, seed, extra):
-    g = build_graph("random_connected", K, seed=seed, extra_edge_prob=extra)
-    return metropolis_matrix(g), laplacian_matrix(g)
-
-
 def stored_entries(X):
     """The entries a matrix stores: a CSR matrix's nonzeros, an ndarray's
     every entry."""
@@ -846,7 +841,9 @@ class TestMatrixForms:
         # bit, and its C product C @ W; K=50 and K=300 give a CSR base,
         # K=20 a dense one.  A degree-2 member is X (X Z) in its terms: no
         # squared matrix is built, on a base of any density.
-        A, L = make_network(K=K, seed=3, extra=0.3 if K == 20 else 0.005)
+        g = build_graph("random_connected", K, seed=3,
+                        extra_edge_prob=0.3 if K == 20 else 0.005)
+        A, L = metropolis_matrix(g), laplacian_matrix(g)
         base = L if aid.on_laplacian else shift_positive(A)
         t = table1_matrices(aid, base, c=0.3, mu=0.1, L=L)
         Z = np.random.default_rng(0).standard_normal((K, 4))
@@ -865,7 +862,8 @@ class TestMatrixForms:
 
     def test_identity_member_costs_no_product(self):
         # DIGing's, EXTRA's and DLM's A_bar = I gives Z itself.
-        A, L = make_network(K=50, seed=3, extra=0.005)
+        g = build_graph("random_connected", 50, seed=3, extra_edge_prob=0.005)
+        A, L = metropolis_matrix(g), laplacian_matrix(g)
         Z = np.random.default_rng(0).standard_normal((50, 4))
         for aid in ("DIGing", "EXTRA", "DLM"):
             t = table1_matrices(aid, shift_positive(A), c=0.3, mu=0.1, L=L)
