@@ -105,7 +105,7 @@ def fixed_point_residuals(state, mu):
     if state.Z is None or state.B_sq_Z is None:
         raise ValueError("state carries no Z or B^2 Z; run a primal-dual form")
     W = state.W
-    scale = np.sqrt(W.size)
+    scale = math.sqrt(W.size)
     # Z - (W - mu G - S), left to right, in one buffer, reused for r_dual.
     buf = np.multiply(state.G, mu)
     np.subtract(W, buf, out=buf)
@@ -113,14 +113,14 @@ def fixed_point_residuals(state, mu):
     np.subtract(state.Z, buf, out=buf)
     r_primal = _frobenius(buf, buf) / scale
     r_dual = _frobenius(state.B_sq_Z, buf) / scale
-    return float(r_primal), float(r_dual), 0.0
+    return r_primal, r_dual, 0.0
 
 
 def _frobenius(X, out):
     """||X||_F by numpy's pairwise sum, the squares written to ``out``:
     np.linalg.norm reduces through BLAS, whose result depends on its
     thread count."""
-    return math.sqrt(np.multiply(X, X, out=out).sum())
+    return math.sqrt(np.add.reduce(np.multiply(X, X, out=out), axis=None))
 
 
 class NotConvergedError(RuntimeError):

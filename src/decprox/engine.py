@@ -70,9 +70,9 @@ class BlockIterate:
 
     W is the newest iterate, W_prev the one before it, and G and G_prev
     their gradients; S is the dual surrogate B y; Z and X hold the
-    auxiliary buffers used by the specific recursion in play, and B_sq_Z
-    the primal-dual step's product B^2 Z, kept for the fixed-point
-    residuals.
+    auxiliary buffers used by the specific recursion in play (DLADMM's X
+    is c L W, which its next step reuses), and B_sq_Z the primal-dual
+    step's product B^2 Z, kept for the fixed-point residuals.
     """
 
     W: np.ndarray
@@ -165,8 +165,14 @@ def pg_extra(costs, prox, mu, A, **_):
         if state.iter == 0:
             X = A @ W - mu * G
         else:
-            X = (A @ W + state.X - W_tilde @ state.W_prev
-                 - mu * (G - state.G_prev))
+            # A W + X - W~ W_prev - mu (G - G_prev), left to right, in
+            # place.
+            X = A @ W
+            X += state.X
+            X -= W_tilde @ state.W_prev
+            D = np.subtract(G, state.G_prev)
+            D *= mu
+            X -= D
         return _advance(state, prox.apply_stack(X, mu), costs, X=X)
 
     return step
@@ -181,9 +187,14 @@ def dl_admm(costs, prox, mu, c, laplacian, **_):
     cL = c * laplacian
 
     def step(state):
-        W_new = prox.apply_stack(
-            state.W - mu * (state.G + cL @ state.W + state.S), mu)
-        return _advance(state, W_new, costs, S=state.S + cL @ W_new)
+        # c L W, made by the step before (X) but for the first.
+        LW = cL @ state.W if state.X is None else state.X
+        D = state.G + LW
+        D += state.S
+        D *= mu
+        W_new = prox.apply_stack(np.subtract(state.W, D, out=D), mu)
+        LW_new = cL @ W_new
+        return _advance(state, W_new, costs, S=state.S + LW_new, X=LW_new)
 
     return step
 
@@ -220,13 +231,16 @@ ALGORITHMS = {a.name: a for a in (
 )}
 
 
-def rel_sq_error(W, w_star):
-    """sum_k ||w_k - w*||^2 / ||w*||^2 (absolute if w* = 0)."""
-    sq = W - w_star[None, :]
+def rel_sq_error(W, w_star, w_star_sq=None):
+    """sum_k ||w_k - w*||^2 / ||w*||^2 (absolute if w* = 0); ``w_star_sq``
+    is ||w*||^2 if the caller has it."""
+    if w_star_sq is None:
+        w_star_sq = float(w_star @ w_star)
+    sq = np.subtract(W, w_star)
     np.multiply(sq, sq, out=sq)
-    denom = float(w_star @ w_star)
-    total = float(sq.sum())
-    return total / denom if denom > 0 else total
+    # The pairwise sum of ndarray.sum, without its Python wrappers.
+    total = float(np.add.reduce(sq, axis=None))
+    return total / w_star_sq if w_star_sq > 0 else total
 
 
 def run(algorithm, step, costs, w_star, iters, record_every=1, seed=None,
@@ -242,12 +256,15 @@ def run(algorithm, step, costs, w_star, iters, record_every=1, seed=None,
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    w_star_sq = float(w_star @ w_star)
     state = initial_state(costs, seed=seed)
     record = RunRecord()
 
     for i in range(1, iters + 1):
         state = step(state)
-        err = rel_sq_error(state.W, w_star)
+        err = rel_sq_error(state.W, w_star, w_star_sq)
         if not err <= DIVERGENCE_LIMIT:  # a NaN fails it too
             record.diverged = True
             record.note = (f"error {err:.3e} exceeded the divergence limit"

@@ -5,6 +5,7 @@ regularizers with closed-form proxes, and an exact direct prox of their
 sum, solved in closed form from a hinted segmentation when its dual
 certificate holds."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,9 @@ __all__ = [
 
 
 # sqrt(2) |w[0] - _ANCHOR| is the anchor term |sqrt(2) w[0] - 1| of R1.
-_ANCHOR = 1.0 / np.sqrt(2.0)
+# math.sqrt and np.sqrt both round sqrt(2) correctly: the same double.
+_SQRT2 = math.sqrt(2.0)
+_ANCHOR = 1.0 / _SQRT2
 
 
 def prox_l1(x, kappa):
@@ -135,18 +138,22 @@ class CounterexampleProx(ProxOperator):
         # V = mu D x - mu b with b1 = e_0 and b2 = 0: subtracting mu * 0
         # would change no bit, so only V[0, 0] takes it.
         V = np.empty((2, M // 2))
-        V[0, 0] = np.sqrt(2.0) * X[0, 0]
-        V[0, 1:] = X[0, 1:M - 2:2] - X[0, 2:M - 1:2]
-        V[1] = X[1, 0::2] - X[1, 1::2]
+        V[0, 0] = _SQRT2 * X[0, 0]
+        np.subtract(X[0, 1:M - 2:2], X[0, 2:M - 1:2], out=V[0, 1:])
+        np.subtract(X[1, 0::2], X[1, 1::2], out=V[1])
         V *= mu
         V[0, 0] -= mu
-        inner = prox_l1(V, 2.0 * mu * mu) - V
-        out = np.zeros((2, M))
-        out[0, 0] = np.sqrt(2.0) * inner[0, 0]
+        inner = prox_l1(V, 2.0 * mu * mu)
+        inner -= V
+        # D' inner, written slice by slice; row 0's last entry is in no
+        # difference of R1.
+        out = np.empty((2, M))
+        out[0, 0] = _SQRT2 * inner[0, 0]
         out[0, 1:M - 2:2] = inner[0, 1:]
-        out[0, 2:M - 1:2] = -inner[0, 1:]
+        np.negative(inner[0, 1:], out=out[0, 2:M - 1:2])
+        out[0, M - 1] = 0.0
         out[1, 0::2] = inner[1]
-        out[1, 1::2] = -inner[1]
+        np.negative(inner[1], out=out[1, 1::2])
         out /= 2.0 * mu
         out += X
         return out
@@ -258,35 +265,52 @@ def _chain_from_hint(x, hint, t, anchor, anchor_t):
     1e-14 on a short block late in a long chain.
     """
     n = len(x)
-    jumps = np.flatnonzero(hint[1:] != hint[:-1])  # block i ends at jumps[i]
-    s = np.sign(hint[jumps] - hint[jumps + 1])
-    bounds = np.empty(len(jumps) + 2, dtype=np.intp)
-    bounds[0], bounds[1:-1], bounds[-1] = 0, jumps + 1, n
-    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    flow = np.zeros(len(starts))  # s_after - s_before per block
-    flow[:-1] += s
-    flow[1:] -= s
-    rhs = np.add.reduceat(x, starts) - t * flow
+    # The block bounds [0, jumps + 1, n] from one nonzero (block i ends at
+    # jumps[i]), and s padded with a zero at each end: flow is one
+    # difference.
+    edge = np.empty(n + 1, dtype=bool)
+    edge[::n] = True
+    np.not_equal(hint[1:], hint[:-1], out=edge[1:n])
+    bounds = edge.nonzero()[0]
+    after = bounds[1:-1]
+    jumps = after - 1
+    padded = np.zeros(len(bounds))
+    s = padded[1:-1]
+    np.subtract(hint[jumps], hint[after], out=s)
+    np.sign(s, out=s)
+    flow = padded[1:] - padded[:-1]  # s_after - s_before per block
+    flow *= t
+    sizes = bounds[1:] - bounds[:-1]
+    rhs = np.add.reduceat(x, bounds[:-1])
+    rhs -= flow
+    # max |x| is max(max x, -min x), a NaN included, in one reduction.
     tol = _CERT_SLACK * n * _EPS * (
-        max(x.max(), -x.min()) + abs(anchor) + anchor_t + t) / t
+        np.maximum.reduce(np.abs(x)) + abs(anchor) + anchor_t + t) / t
     if hint[0] == anchor:  # block 0 pinned: u_a takes up the slack
         u_a = (rhs[0] - sizes[0] * anchor) / anchor_t
-        v = rhs / sizes
+        v = np.divide(rhs, sizes, out=rhs)
         v[0] = anchor
         anchor_ok = abs(u_a) <= 1.0 + tol
     else:
         u_a = 1.0 if hint[0] > anchor else -1.0
         rhs[0] -= anchor_t * u_a
-        v = rhs / sizes
+        v = np.divide(rhs, sizes, out=rhs)
         anchor_ok = u_a * (v[0] - anchor) > 0
-    if not (anchor_ok and (s * (v[:-1] - v[1:]) > 0).all()):
+    if not anchor_ok:
         return None
-    z = np.repeat(v, sizes)
-    u = np.cumsum(x - z)
+    drop = v[:-1] - v[1:]
+    drop *= s
+    if not np.logical_and.reduce(drop > 0):
+        return None
+    z = v.repeat(sizes)
+    u = np.subtract(x, z)
+    u.cumsum(out=u)
     u -= anchor_t * u_a
     u /= t
-    if (max(u.max(), -u.min()) > 1.0 + tol or abs(u[-1]) > tol
-            or (len(s) and np.abs(u[jumps] - s).max() > tol)):
+    miss = u[jumps]
+    miss -= s
+    if (np.maximum.reduce(np.abs(u)) > 1.0 + tol or abs(u[-1]) > tol
+            or np.maximum.reduce(np.abs(miss, out=miss), initial=0.0) > tol):
         return None
     return z
 
@@ -329,7 +353,7 @@ class ChainSumProx(ProxOperator):
             hint = np.asarray(hint, dtype=float)
             if hint.shape != X.shape:
                 raise ValueError(f"hint has shape {hint.shape}, not {X.shape}")
-        anchor_t = np.sqrt(2.0) * t
+        anchor_t = _SQRT2 * t
         out = np.empty_like(X)
         for k, x in enumerate(X):
             z = None if hint is None else _chain_from_hint(

@@ -1,14 +1,15 @@
 """References the tests compare the prox code against: a brute-force prox
 oracle, which uses no closed form, only the function's values, the
-counterexample's difference operators as sparse matrices, and the closed
-form of R1's or R2's prox on one row."""
+counterexample's difference operators as sparse matrices, the closed
+form of R1's or R2's prox on one row, and the hinted chain prox as first
+written."""
 
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from decprox.prox import prox_l1
+from decprox.prox import _CERT_SLACK, _EPS, prox_l1
 
 
 def prox_row(op, x, mu):
@@ -152,3 +153,42 @@ def brute_force_prox(R, x, mu, iters=4000, polish=True):
                 raise OracleFailure(
                     f"prox oracle not converged: direction {j} still descends")
     return best
+
+
+def chain_from_hint_reference(x, hint, t, anchor, anchor_t):
+    """``prox._chain_from_hint`` as first written, with numpy's wrappers
+    (``max``, ``flatnonzero``, ``repeat``) and a new array per operation:
+    the closed form on hint's segmentation, or None where its certificate
+    fails.  The program's form must match it byte for byte."""
+    n = len(x)
+    jumps = np.flatnonzero(hint[1:] != hint[:-1])  # block i ends at jumps[i]
+    s = np.sign(hint[jumps] - hint[jumps + 1])
+    bounds = np.empty(len(jumps) + 2, dtype=np.intp)
+    bounds[0], bounds[1:-1], bounds[-1] = 0, jumps + 1, n
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    flow = np.zeros(len(starts))  # s_after - s_before per block
+    flow[:-1] += s
+    flow[1:] -= s
+    rhs = np.add.reduceat(x, starts) - t * flow
+    tol = _CERT_SLACK * n * _EPS * (
+        max(x.max(), -x.min()) + abs(anchor) + anchor_t + t) / t
+    if hint[0] == anchor:  # block 0 pinned: u_a takes up the slack
+        u_a = (rhs[0] - sizes[0] * anchor) / anchor_t
+        v = rhs / sizes
+        v[0] = anchor
+        anchor_ok = abs(u_a) <= 1.0 + tol
+    else:
+        u_a = 1.0 if hint[0] > anchor else -1.0
+        rhs[0] -= anchor_t * u_a
+        v = rhs / sizes
+        anchor_ok = u_a * (v[0] - anchor) > 0
+    if not (anchor_ok and (s * (v[:-1] - v[1:]) > 0).all()):
+        return None
+    z = np.repeat(v, sizes)
+    u = np.cumsum(x - z)
+    u -= anchor_t * u_a
+    u /= t
+    if (max(u.max(), -u.min()) > 1.0 + tol or abs(u[-1]) > tol
+            or (len(s) and np.abs(u[jumps] - s).max() > tol)):
+        return None
+    return z

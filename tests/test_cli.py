@@ -580,6 +580,27 @@ class TestSparseGraphs:
         assert np.array_equal(p.w_star,
                               unhinted_reference(p.costs, p.common_prox))
 
+    def test_preset_run_takes_two_dynamic_programmes(self, tmp_path,
+                                                     monkeypatch):
+        # From the zero start both rows' hints (zeros) fail the certificate
+        # at step 1; every later step solves its hint's segmentation in
+        # closed form, so the O(M) dynamic programme stays off the hot path.
+        cfg = cli.config_from_dict({
+            **cli.COUNTEREXAMPLE_PRESET, "M": 200, "iters": 500,
+            "algorithms": [{"name": "ProxED", "mu": 0.005}],
+            "output_dir": str(tmp_path)})
+        p = build_problem(cfg)
+        r = cli.resolve_algorithm(cfg.algorithms[0], cfg, p)
+        steps, calls = [], []
+        dp = prox_mod.prox_anchored_chain
+        monkeypatch.setattr(prox_mod, "prox_anchored_chain",
+                            lambda *a: calls.append(len(steps)) or dp(*a))
+        record = engine.run(r.algorithm,
+                            lambda st: steps.append(1) or r.step(st),
+                            p.costs, p.w_star, cfg.iters)
+        assert not record.diverged and len(steps) == 500
+        assert calls == [1, 1]
+
 
 # One malformed key each, on the valid K=6 lasso config of write_config:
 # (the key, its value, other keys the probe sets validly).

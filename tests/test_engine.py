@@ -149,6 +149,7 @@ class TestLeanBookkeeping:
                 total = float((diff * diff).sum())
                 ref = total / denom if denom > 0 else total
                 assert same_bytes(rel_sq_error(W, w_star), ref)
+                assert same_bytes(rel_sq_error(W, w_star, denom), ref)
 
     @pytest.mark.parametrize("zero_C", [True, False])
     @pytest.mark.parametrize("seed", range(5))
@@ -368,6 +369,66 @@ class TestSeparateProx:
                             self.costs, self.init, 100)
         assert max_dev(ref, dl) <= 1e-10
 
+    @pytest.mark.parametrize("prox", [ZeroProx(), L1Prox(0.05)])
+    def test_pgextra_matches_expression(self, prox):
+        # Built in place, byte for byte the recursion as one expression.
+        A, W_tilde, mu = self.A, shift_positive(self.A), self.mu
+
+        def expression(state):
+            W, G = state.W, state.G
+            if state.iter == 0:
+                X = A @ W - mu * G
+            else:
+                X = (A @ W + state.X - W_tilde @ state.W_prev
+                     - mu * (G - state.G_prev))
+            W_new = prox.apply_stack(X, mu)
+            return BlockIterate(
+                W=W_new, W_prev=W, G=self.costs.grad_stack(W_new), G_prev=G,
+                X=X, iter=state.iter + 1)
+
+        step = engine.pg_extra(self.costs, prox, mu, A)
+        st = ref = appendix.start_at(self.costs, self.init)
+        for _ in range(50):
+            st, ref = step(st), expression(ref)
+            assert same_bytes(st.W, ref.W) and same_bytes(st.X, ref.X)
+
+    @pytest.mark.parametrize("csr", [False, True])
+    @pytest.mark.parametrize("prox", [ZeroProx(), L1Prox(0.05)])
+    def test_dladmm_one_product_per_step(self, prox, csr):
+        # c L W is made once per iterate and carried in X to the next step:
+        # byte for byte the step that multiplied twice, with one product
+        # per step after the first.
+        c, mu = 0.4, self.mu
+        L = sp.csr_matrix(self.L) if csr else self.L
+        products = []
+
+        class Counted:
+            def __init__(self, M):
+                self.M = M
+
+            def __rmul__(self, scalar):
+                return Counted(scalar * self.M)
+
+            def __matmul__(self, Z):
+                products.append(1)
+                return self.M @ Z
+
+        cL = c * L
+
+        def two_products(state):
+            W_new = prox.apply_stack(
+                state.W - mu * (state.G + cL @ state.W + state.S), mu)
+            return BlockIterate(
+                W=W_new, W_prev=state.W, G=self.costs.grad_stack(W_new),
+                G_prev=state.G, S=state.S + cL @ W_new, iter=state.iter + 1)
+
+        step = engine.dl_admm(self.costs, prox, mu, c=c, laplacian=Counted(L))
+        st = ref = appendix.start_at(self.costs, self.init)
+        for _ in range(50):
+            st, ref = step(st), two_products(ref)
+            assert same_bytes(st.W, ref.W) and same_bytes(st.S, ref.S)
+        assert len(products) == 50 + 1
+
     def test_dladmm_requires_laplacian(self):
         with pytest.raises(ValueError):
             engine.dl_admm(self.costs, self.zero, self.mu, c=None,
@@ -408,6 +469,16 @@ class TestRun:
                      costs, np.zeros(2), 100, record_every=10)
         assert len(record.errors) == 100 // 10 + 1  # iteration 1 + multiples
         assert record.iterations[0] == 1 and record.iterations[-1] == 100
+
+    @pytest.mark.parametrize("record_every", [0, -2])
+    def test_record_every_below_one_rejected(self, record_every):
+        # Before the first step, as iters < 1 is.
+        costs = random_quadratic_cost(4, 2, seed=0)
+        steps = []
+        with pytest.raises(ValueError, match="record_every"):
+            run(ALGORITHMS["ProxED"], lambda st: steps.append(st) or st,
+                costs, np.zeros(2), 10, record_every=record_every)
+        assert steps == []
 
     def test_divergence_recorded(self):
         A, _ = make_network(K=4)

@@ -18,7 +18,13 @@ from decprox.prox import (
     prox_l1,
 )
 from decprox.prox import _chain_from_hint
-from prox_oracle import SparsePair, brute_force_prox, prox_counterexample, prox_row
+from prox_oracle import (
+    SparsePair,
+    brute_force_prox,
+    chain_from_hint_reference,
+    prox_counterexample,
+    prox_row,
+)
 from test_engine import same_bytes, special_stack
 
 
@@ -492,6 +498,82 @@ class TestHintedChainProx:
         assert np.abs(dp - exact).max() > 1e-12
         z = prox_row(ChainSumProx(build_counterexample(M)), x, t)
         assert np.abs(z - exact).max() <= 1e-15
+
+
+def hint_of_kind(kind, rng, x, t):
+    """A hint for x of one of the kinds the closed form must handle: the
+    dynamic programme's own answer, one near it, many short blocks, block 0
+    pinned at the anchor, every jump sign flipped, or the zero start."""
+    M = len(x)
+    dp = prox_anchored_chain(x, t, ANCHOR, np.sqrt(2.0) * t)
+    if kind == "dp":
+        return dp
+    if kind == "near":
+        return prox_anchored_chain(x + 1e-6 * rng.standard_normal(M), t,
+                                   ANCHOR, np.sqrt(2.0) * t)
+    if kind == "many":
+        sizes = rng.integers(1, 4, size=M)
+        return np.repeat(rng.choice(x, size=M), sizes)[:M]
+    if kind == "pinned":
+        hint = dp.copy()
+        hint[:1 + int(rng.integers(0, M))] = ANCHOR
+        return hint
+    if kind == "flipped":
+        return 2.0 * dp[0] - dp  # same blocks, every jump reversed
+    return np.zeros(M)
+
+
+HINT_KINDS = ["dp", "near", "many", "pinned", "flipped", "zeros"]
+
+
+def same_closed_form(x, hint, t):
+    """_chain_from_hint and its first form agree byte for byte: both None,
+    or the same output.  Returns whether the closed form was accepted."""
+    a_t = np.sqrt(2.0) * t
+    with np.errstate(all="ignore"):
+        z = _chain_from_hint(x, hint, t, ANCHOR, a_t)
+        ref = chain_from_hint_reference(x, hint, t, ANCHOR, a_t)
+    assert (z is None) == (ref is None)
+    assert z is None or same_bytes(z, ref)
+    return z is not None
+
+
+class TestHintedChainMatchesReference:
+    """The closed form as the engine runs it against its first form in
+    prox_oracle: the output and the None, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+           st.sampled_from(HINT_KINDS))
+    def test_hints(self, half, seed, scale, t, kind):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(2 * half)
+        same_closed_form(x, hint_of_kind(kind, rng, x, t), t)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_engine_hints_accepted(self, seed):
+        # The hints the engine passes, its previous prox outputs, take the
+        # closed form; both forms must accept them.
+        rng = np.random.default_rng(seed)
+        for M, t in ((200, 0.0025), (2000, 0.0025), (40, 0.05)):
+            x = 0.5 + 0.01 * rng.standard_normal(M)
+            for kind in ("dp", "near"):
+                assert same_closed_form(x, hint_of_kind(kind, rng, x, t), t)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_special_values(self, seed):
+        # +-0, NaN and +-inf in x, in the hint, or in both.
+        rng = np.random.default_rng(seed)
+        for M in (2, 8, 40):
+            t = 0.05
+            plain = rng.standard_normal(M)
+            special = special_stack(seed, (M,))
+            for x in (plain, special):
+                for hint in (special, hint_of_kind("dp", rng, plain, t),
+                             np.where(special == 0.0, special, 0.0)):
+                    same_closed_form(x, hint, t)
+                    same_closed_form(x, np.abs(hint), t)
 
 
 class TestNonexpansiveness:
