@@ -23,7 +23,6 @@ from decprox import (
     ALGORITHMS,
     ChainSumProx,
     CounterexampleProx,
-    build_counterexample,
     centralized_reference,
     classify_decay,
     quadratic_cost,
@@ -38,24 +37,16 @@ MU, C = 0.005, 1.0
 
 print(f"dimension M = {M}, step mu = {MU}\n")
 
-pair = build_counterexample(M)
-# D D' applied to each unit vector e_j must give 2 e_j.
-eye = np.eye(M // 2)
-print("difference operators satisfy D D' = 2 I:",
-      all(np.allclose([D(DT(e)) for e in eye], 2 * eye)
-          for D, DT in ((pair.D1_dot, pair.D1T_dot),
-                        (pair.D2_dot, pair.D2T_dot))))
-
 # Two agents with the all-half combination matrix; each holds the unit
 # quadratic (1/2)||w||^2 and one half of the regularizer pair: R1 on
 # agent 0's row, R2 on agent 1's.
 A = np.full((2, 2), 0.5)
 costs = quadratic_cost(1.0, 2, M)
-separate_prox = CounterexampleProx(pair)
+separate_prox = CounterexampleProx(M)
 
 # Reference: minimize the average cost plus (R1 + R2)/2, the fixed
 # point that the separate-prox methods agree on.
-common_half = ChainSumProx(pair, weight=0.5)
+common_half = ChainSumProx(M, weight=0.5)
 w_star = centralized_reference(costs, common_half, tol=1e-13)
 print(f"reference solved; ||w*|| = {np.linalg.norm(w_star):.6f}\n")
 

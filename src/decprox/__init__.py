@@ -34,12 +34,10 @@ from .costs import (
 )
 from .prox import (
     ChainSumProx,
-    CounterexamplePair,
     CounterexampleProx,
     L1Prox,
     ProxOperator,
     ZeroProx,
-    build_counterexample,
     prox_l1,
 )
 from .engine import (

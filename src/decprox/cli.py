@@ -227,7 +227,7 @@ class Problem:
     costs: object
     common_prox: object  # R on every row
     agent_prox: object   # agent k's R_k on row k (PGEXTRA, DLADMM)
-    w_star: np.ndarray
+    w_star: np.ndarray  # None where build_problem must solve it
     A: object          # netgraph's form: CSR on a sparse graph, else ndarray
     laplacian: object
     _eig: dict = field(default_factory=dict, init=False)
@@ -242,13 +242,17 @@ class Problem:
         return 0.5 * (1.0 + self._eig[base]) if shifted else self._eig[base]
 
 
-def build_problem(cfg):
+def setup_problem(cfg):
+    """The graph, its matrices, the costs and the proxes of a config, with
+    w* where it has a closed form (lasso_quadratic) and None otherwise:
+    ``validate`` and ``rates`` need no w*."""
     g = netgraph.build_graph(cfg.graph.kind, cfg.graph.K, seed=cfg.graph.seed,
                              extra_edge_prob=cfg.graph.extra_edge_prob)
     A = netgraph.metropolis_matrix(g)
     L = netgraph.laplacian_matrix(g)
     K = g.K
     common = agent = prox_mod.L1Prox(cfg.rho)
+    w_star = None
 
     if cfg.problem == "lasso_quadratic":
         M = cfg.data.dim
@@ -272,20 +276,27 @@ def build_problem(cfg):
         except (OSError, ValueError) as e:  # unreadable, or too few samples
             raise ConfigError(f"data.path: {e}") from e
         costs = costs_mod.logistic_cost(shards, cfg.lam)
-        w_star = analysis.centralized_reference(costs, common)
 
     else:  # counterexample
-        pair = prox_mod.build_counterexample(cfg.M)
         costs = costs_mod.quadratic_cost(cfg.eta, K, cfg.M)
         # Weight 1/K so the common-regularizer runs target the same
         # minimizer as the separate runs, whose effective non-smooth part
         # is the average (R1 + R2)/K.
-        common = prox_mod.ChainSumProx(pair, weight=1.0 / K)
-        agent = prox_mod.CounterexampleProx(pair)
-        w_star = analysis.centralized_reference(costs, common)
+        common = prox_mod.ChainSumProx(cfg.M, weight=1.0 / K)
+        agent = prox_mod.CounterexampleProx(cfg.M)
 
     return Problem(costs=costs, common_prox=common, agent_prox=agent,
                    w_star=w_star, A=A, laplacian=L)
+
+
+def build_problem(cfg):
+    """:func:`setup_problem` with w*, solved by the centralized reference
+    solver where it has no closed form."""
+    problem = setup_problem(cfg)
+    if problem.w_star is None:
+        problem.w_star = analysis.centralized_reference(problem.costs,
+                                                        problem.common_prox)
+    return problem
 
 
 @dataclass(frozen=True)
@@ -441,7 +452,7 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     cfg = parse_config(args.config)
-    problem = build_problem(cfg)
+    problem = setup_problem(cfg)
     for acfg in cfg.algorithms:
         report = resolve_algorithm(acfg, cfg, problem).report
         if report is None:
@@ -457,7 +468,7 @@ def _cmd_validate(args):
 
 def _cmd_rates(args):
     cfg = parse_config(args.config)
-    problem = build_problem(cfg)
+    problem = setup_problem(cfg)
     for acfg in cfg.algorithms:
         rate = resolve_algorithm(acfg, cfg, problem).rate
         if rate is None:

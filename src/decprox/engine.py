@@ -231,11 +231,9 @@ ALGORITHMS = {a.name: a for a in (
 )}
 
 
-def rel_sq_error(W, w_star, w_star_sq=None):
-    """sum_k ||w_k - w*||^2 / ||w*||^2 (absolute if w* = 0); ``w_star_sq``
-    is ||w*||^2 if the caller has it."""
-    if w_star_sq is None:
-        w_star_sq = float(w_star @ w_star)
+def rel_sq_error(W, w_star, w_star_sq):
+    """sum_k ||w_k - w*||^2 / ||w*||^2 (absolute if w* = 0), given
+    ``w_star_sq`` = ||w*||^2."""
     sq = np.subtract(W, w_star)
     np.multiply(sq, sq, out=sq)
     # The pairwise sum of ndarray.sum, without its Python wrappers.

@@ -6,7 +6,6 @@ sum, solved in closed form from a hinted segmentation when its dual
 certificate holds."""
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,11 +13,9 @@ __all__ = [
     "ProxOperator",
     "ZeroProx",
     "L1Prox",
-    "CounterexamplePair",
     "CounterexampleProx",
     "ChainSumProx",
     "prox_l1",
-    "build_counterexample",
     "prox_anchored_chain",
 ]
 
@@ -71,65 +68,31 @@ class L1Prox(ProxOperator):
         return prox_l1(np.atleast_2d(X), mu * self.weight)
 
 
-@dataclass(frozen=True)
-class CounterexamplePair:
-    """Pairwise-difference operators with D D' = 2I, applied by slicing.
-
-    R1(w) = ||D1 w - b1||_1 anchors sqrt(2) w[0] at 1 and penalizes the
-    differences (w[1]-w[2]), (w[3]-w[4]), ...; R2(w) = ||D2 w||_1
-    penalizes (w[0]-w[1]), (w[2]-w[3]), ....
-    """
-
-    M: int
-    b1: np.ndarray = field(repr=False)
-
-    def D1_dot(self, w):
-        half = self.M // 2
-        out = np.empty(half)
-        out[0] = np.sqrt(2.0) * w[0]
-        out[1:] = w[1 : self.M - 2 : 2] - w[2 : self.M - 1 : 2]
-        return out
-
-    def D1T_dot(self, u):
-        out = np.zeros(self.M)
-        out[0] = np.sqrt(2.0) * u[0]
-        out[1 : self.M - 2 : 2] = u[1:]
-        out[2 : self.M - 1 : 2] = -u[1:]
-        return out
-
-    def D2_dot(self, w):
-        return w[0::2] - w[1::2]
-
-    def D2T_dot(self, u):
-        out = np.empty(self.M)
-        out[0::2] = u
-        out[1::2] = -u
-        return out
-
-
-def build_counterexample(M):
-    """The counterexample pair for even M: b1, with D1 and D2 by slicing."""
+def _check_length(M):
+    """M, once it is even and >= 2: the counterexample pairs its entries."""
     if M < 2 or M % 2 != 0:
         raise ValueError(f"M must be even and >= 2, got {M}")
-    b1 = np.zeros(M // 2)
-    b1[0] = 1.0
-    return CounterexamplePair(M=M, b1=b1)
+    return M
 
 
 class CounterexampleProx(ProxOperator):
-    """The two agents' separate regularizers of a counterexample pair:
-    R1 on row 0 and R2 on row 1, each in closed form through D D' = 2I,
+    """The two agents' separate regularizers on M-vectors, M even.
+
+    R1(w) = ||D1 w - b1||_1 anchors sqrt(2) w[0] at 1 (b1 = e_0) and
+    penalizes the differences (w[1]-w[2]), (w[3]-w[4]), ...; R2(w) =
+    ||D2 w||_1 penalizes (w[0]-w[1]), (w[2]-w[3]), ....  R1 acts on row 0
+    and R2 on row 1, each in closed form through D D' = 2I,
 
         prox(x) = x + (1/(2 mu)) D'[soft(v, 2 mu^2) - v],  v = mu D x - mu b,
 
     both rows in one pass: one soft threshold of the (2, M/2) stack of v."""
 
-    def __init__(self, pair):
-        self.pair = pair
+    def __init__(self, M):
+        self.M = _check_length(M)
 
     def apply_stack(self, X, mu, hint=None):
         X = np.asarray(X, dtype=float)
-        M = self.pair.M
+        M = self.M
         if X.shape != (2, M):
             raise ValueError(f"expected a stack of 2 rows of length {M}, "
                              f"got shape {X.shape}")
@@ -329,26 +292,22 @@ class ChainSumProx(ProxOperator):
     rows with equal hints give bit-equal results.
     """
 
-    def __init__(self, pair, weight=1.0):
+    def __init__(self, M, weight=1.0):
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
-        self.pair = pair
+        self.M = _check_length(M)
         self.weight = float(weight)
-
-    def _step(self, X, mu):
-        """t = mu * weight, once mu > 0 and X is a stack of M-vectors."""
-        if mu <= 0:
-            raise ValueError(f"mu must be positive, got {mu}")
-        if X.ndim != 2 or X.shape[1] != self.pair.M:
-            raise ValueError(f"expected shape ({self.pair.M},) per row, "
-                             f"got {X.shape}")
-        return mu * self.weight
 
     def apply_stack(self, X, mu, hint=None):
         """Rowwise prox; row k tries the segmentation of hint[k] first and
         falls back to the dynamic programme's when its certificate fails."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        t = self._step(X, mu)
+        if mu <= 0:
+            raise ValueError(f"mu must be positive, got {mu}")
+        if X.ndim != 2 or X.shape[1] != self.M:
+            raise ValueError(f"expected shape ({self.M},) per row, "
+                             f"got {X.shape}")
+        t = mu * self.weight
         if hint is not None:
             hint = np.asarray(hint, dtype=float)
             if hint.shape != X.shape:

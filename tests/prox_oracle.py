@@ -1,8 +1,8 @@
 """References the tests compare the prox code against: a brute-force prox
 oracle, which uses no closed form, only the function's values, the
-counterexample's difference operators as sparse matrices, the closed
-form of R1's or R2's prox on one row, and the hinted chain prox as first
-written."""
+counterexample's difference operators by slicing and as sparse matrices,
+the closed form of R1's or R2's prox on one row, and the hinted chain
+prox as first written."""
 
 from functools import cached_property
 
@@ -17,8 +17,46 @@ def prox_row(op, x, mu):
     return op.apply_stack(np.asarray(x, dtype=float)[None], mu)[0]
 
 
+# b1 and the difference operators of R1(w) = ||D1 w - b1||_1 and R2(w) =
+# ||D2 w||_1 (``prox.CounterexampleProx``), D D' = 2I, applied by slicing
+# to an M-vector w or an M/2-vector u.
+
+def b1(M):
+    out = np.zeros(M // 2)
+    out[0] = 1.0
+    return out
+
+
+def D1_dot(w):
+    M = len(w)
+    out = np.empty(M // 2)
+    out[0] = np.sqrt(2.0) * w[0]
+    out[1:] = w[1 : M - 2 : 2] - w[2 : M - 1 : 2]
+    return out
+
+
+def D1T_dot(u):
+    M = 2 * len(u)
+    out = np.zeros(M)
+    out[0] = np.sqrt(2.0) * u[0]
+    out[1 : M - 2 : 2] = u[1:]
+    out[2 : M - 1 : 2] = -u[1:]
+    return out
+
+
+def D2_dot(w):
+    return w[0::2] - w[1::2]
+
+
+def D2T_dot(u):
+    out = np.empty(2 * len(u))
+    out[0::2] = u
+    out[1::2] = -u
+    return out
+
+
 class SparsePair:
-    """D1, D2 and b1 of ``build_counterexample(M)``, D1 and D2 as CSR
+    """D1, D2 and b1 of the counterexample on M-vectors, D1 and D2 as CSR
     matrices built entry by entry, and R1, R2 evaluated through their
     dense copies."""
 
@@ -52,19 +90,19 @@ class SparsePair:
         return float(np.abs(self.dense[1] @ w).sum())
 
 
-def prox_counterexample(which, pair, x, mu):
+def prox_counterexample(which, x, mu):
     """Closed-form prox of R1 or R2 on one row, using D D' = 2I:
 
     prox(x) = x + (1/(2 mu)) D'[soft(mu D x - mu b, 2 mu^2) - mu D x + mu b]
     """
     if which == "R1":
-        v = mu * pair.D1_dot(x) - mu * pair.b1
+        v = mu * D1_dot(x) - mu * b1(len(x))
         inner = prox_l1(v, 2.0 * mu * mu) - v
-        return x + pair.D1T_dot(inner) / (2.0 * mu)
+        return x + D1T_dot(inner) / (2.0 * mu)
     if which == "R2":
-        v = mu * pair.D2_dot(x)
+        v = mu * D2_dot(x)
         inner = prox_l1(v, 2.0 * mu * mu) - v
-        return x + pair.D2T_dot(inner) / (2.0 * mu)
+        return x + D2T_dot(inner) / (2.0 * mu)
     raise ValueError(f"which must be 'R1' or 'R2', got {which!r}")
 
 

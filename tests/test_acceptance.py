@@ -40,11 +40,10 @@ from decprox.prox import (
     CounterexampleProx,
     L1Prox,
     ZeroProx,
-    build_counterexample,
 )
 import appendix_forms as appendix
 import cost_oracle
-from prox_oracle import SparsePair, brute_force_prox, prox_row
+from prox_oracle import D1_dot, D2_dot, SparsePair, brute_force_prox, prox_row
 
 
 def window_ratios_after_burn_in(record, burn_in=20, n_windows=5):
@@ -234,12 +233,11 @@ def test_criterion_3_complete_graph_reduction():
 def test_criterion_5_counterexample():
     t0 = time.time()
     M, K, eta, mu = 2000, 2, 1.0, 0.005
-    pair = build_counterexample(M)
     costs = quadratic_cost(eta, K, M)
     A = 0.5 * np.ones((2, 2))
     L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    separate = CounterexampleProx(pair)  # R1 on agent 0, R2 on agent 1
-    w_star_sep = centralized_reference(costs, ChainSumProx(pair, weight=0.5))
+    separate = CounterexampleProx(M)  # R1 on agent 0, R2 on agent 1
+    w_star_sep = centralized_reference(costs, ChainSumProx(M, weight=0.5))
 
     verdicts = {}
     for name, step in (
@@ -254,10 +252,10 @@ def test_criterion_5_counterexample():
         verdicts[name] = v
 
     # Same problem with the common regularizer R = R1 + R2: linear.
-    w_star_com = centralized_reference(costs, ChainSumProx(pair))
+    w_star_com = centralized_reference(costs, ChainSumProx(M))
     triple = table1_matrices("ExactDiffusion", A)
     record = run(ALGORITHMS["ProxED"],
-                 engine.primal_dual(costs, ChainSumProx(pair), mu, triple),
+                 engine.primal_dual(costs, ChainSumProx(M), mu, triple),
                  costs, w_star_com, 2500)
     v = classify_decay(record)
     assert v.classification == "linear", v
@@ -277,10 +275,10 @@ def test_criterion_5_counterexample():
 def test_criterion_6_prox_correctness():
     worst = 0.0
     for M in (2, 4, 6):
-        pair, ref = build_counterexample(M), SparsePair(M)
-        separate = CounterexampleProx(pair)  # R1 on row 0, R2 on row 1
+        ref = SparsePair(M)
+        separate = CounterexampleProx(M)  # R1 on row 0, R2 on row 1
         half = M // 2
-        for D_dot in (pair.D1_dot, pair.D2_dot):
+        for D_dot in (D1_dot, D2_dot):
             D = np.column_stack([D_dot(e) for e in np.eye(M)])
             assert np.abs(D @ D.T - 2.0 * np.eye(half)).max() <= 1e-15
         rng = np.random.default_rng(M)
@@ -294,7 +292,7 @@ def test_criterion_6_prox_correctness():
                 worst = max(worst, dev)
                 assert dev <= 1e-3, (M, which, dev)
 
-    separate2 = CounterexampleProx(build_counterexample(2))
+    separate2 = CounterexampleProx(2)
     assert np.allclose(separate2.apply_stack(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5)[1],
                        [0.5, 0.5], atol=1e-10)
     assert np.allclose(separate2.apply_stack(np.array([[0.0, 0.0], [5.0, 0.0]]), 1.0)[1],
@@ -338,7 +336,7 @@ def test_criterion_8_property_suites(tmp_path):
 
     # Nonexpansiveness: 1000 random pairs of two-row stacks per operator,
     # row by row.
-    ops = [L1Prox(0.4), ZeroProx(), CounterexampleProx(build_counterexample(6))]
+    ops = [L1Prox(0.4), ZeroProx(), CounterexampleProx(6)]
     rng = np.random.default_rng(0)
     for op in ops:
         for _ in range(1000):

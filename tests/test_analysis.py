@@ -28,7 +28,6 @@ from decprox.prox import (
     ChainSumProx,
     L1Prox,
     ZeroProx,
-    build_counterexample,
     prox_l1,
 )
 
@@ -210,7 +209,7 @@ class TestCentralizedReference:
         # The hint is the previous iterate; the chain prox keeps a hinted
         # closed form only under its certificate, so w* keeps every bit.
         costs = quadratic_cost(1.0, 2, M)
-        prox = ChainSumProx(build_counterexample(M), weight=weight)
+        prox = ChainSumProx(M, weight=weight)
         assert np.array_equal(centralized_reference(costs, prox),
                               unhinted_reference(costs, prox))
 

@@ -713,6 +713,33 @@ class TestMain:
         out = capsys.readouterr().out
         assert "gamma=" in out
 
+    @pytest.mark.parametrize("problem", [
+        {"problem": "logistic_l1", "lambda": 0.01,
+         "data": {"n_samples": 60, "dim": 4}},
+        {"problem": "counterexample", "M": 8,
+         "graph": {"kind": "complete", "K": 2}}])
+    def test_only_run_solves_the_reference(self, tmp_path, monkeypatch,
+                                           problem):
+        # validate and rates print no w*: they solve none, so a reference
+        # that cannot converge leaves them at exit 0.  run solves it once.
+        reference, calls = analysis.centralized_reference, []
+
+        def capped(costs, prox):
+            calls.append(prox)
+            raise analysis.NotConvergedError("capped")
+
+        path = write_config(tmp_path, {**problem, "iters": 50,
+                                       "algorithms": ["ProxED", "PGEXTRA"]})
+        monkeypatch.setattr(analysis, "centralized_reference", capped)
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["rates", path]) == 0
+        assert calls == []
+        monkeypatch.setattr(analysis, "centralized_reference",
+                            lambda costs, prox: (calls.append(prox),
+                                                 reference(costs, prox))[1])
+        assert cli.main(["run", path]) == 0
+        assert len(calls) == 1
+
     def test_counterexample_preset_small(self, tmp_path):
         out = str(tmp_path / "ce")
         code = cli.main(["counterexample", "--M", "8", "--iters", "300",

@@ -13,13 +13,17 @@ from decprox.prox import (
     CounterexampleProx,
     L1Prox,
     ZeroProx,
-    build_counterexample,
     prox_anchored_chain,
     prox_l1,
 )
 from decprox.prox import _chain_from_hint
 from prox_oracle import (
+    D1T_dot,
+    D1_dot,
+    D2T_dot,
+    D2_dot,
     SparsePair,
+    b1,
     brute_force_prox,
     chain_from_hint_reference,
     prox_counterexample,
@@ -91,23 +95,22 @@ class TestL1:
 class TestCounterexampleStructure:
     @pytest.mark.parametrize("M", [2, 4, 6, 10])
     def test_ddt_identity(self, M):
-        pair = build_counterexample(M)
         half = M // 2
-        for D_dot in (pair.D1_dot, pair.D2_dot):
+        for D_dot in (D1_dot, D2_dot):
             D = np.column_stack([D_dot(e) for e in np.eye(M)])
             assert np.abs(D @ D.T - 2.0 * np.eye(half)).max() <= 1e-15
 
     @pytest.mark.parametrize("M", [2, 4, 8])
     def test_fast_products_match_sparse(self, M):
-        pair, ref = build_counterexample(M), SparsePair(M)
+        ref = SparsePair(M)
         rng = np.random.default_rng(M)
         w = rng.standard_normal(M)
         u = rng.standard_normal(M // 2)
-        assert np.array_equal(pair.b1, ref.b1)
-        assert np.allclose(pair.D1_dot(w), ref.D1 @ w)
-        assert np.allclose(pair.D2_dot(w), ref.D2 @ w)
-        assert np.allclose(pair.D1T_dot(u), ref.D1.T @ u)
-        assert np.allclose(pair.D2T_dot(u), ref.D2.T @ u)
+        assert np.array_equal(b1(M), ref.b1)
+        assert np.allclose(D1_dot(w), ref.D1 @ w)
+        assert np.allclose(D2_dot(w), ref.D2 @ w)
+        assert np.allclose(D1T_dot(u), ref.D1.T @ u)
+        assert np.allclose(D2T_dot(u), ref.D2.T @ u)
 
     def test_sum_is_anchored_chain(self):
         # R1 + R2 penalizes every consecutive difference plus the anchor.
@@ -118,39 +121,38 @@ class TestCounterexampleStructure:
         assert ref.R1(w) + ref.R2(w) == pytest.approx(anchor + chain)
 
     def test_odd_m_rejected(self):
-        with pytest.raises(ValueError):
-            build_counterexample(5)
-        with pytest.raises(ValueError):
-            build_counterexample(0)
+        for op in (CounterexampleProx, ChainSumProx):
+            for M in (5, 0):
+                with pytest.raises(ValueError, match="M must be even and >= 2"):
+                    op(M)
 
 
-def separate_prox(pair, x0, x1, mu):
+def separate_prox(x0, x1, mu):
     """The separate regularizers' prox of the stack (x0, x1): R1 on x0, R2
     on x1."""
-    return CounterexampleProx(pair).apply_stack(np.stack([x0, x1]), mu)
+    return CounterexampleProx(len(x0)).apply_stack(np.stack([x0, x1]), mu)
 
 
 class TestClosedFormProx:
     def test_hand_examples(self):
-        pair = build_counterexample(2)
         # Full consensus once mu reaches half the gap.
-        assert np.allclose(separate_prox(pair, np.zeros(2), np.array([1.0, 0.0]), 0.5)[1],
+        assert np.allclose(separate_prox(np.zeros(2), np.array([1.0, 0.0]), 0.5)[1],
                            [0.5, 0.5], atol=1e-10)
         # Partial shrink: each side moves by mu.
-        assert np.allclose(separate_prox(pair, np.zeros(2), np.array([5.0, 0.0]), 1.0)[1],
+        assert np.allclose(separate_prox(np.zeros(2), np.array([5.0, 0.0]), 1.0)[1],
                            [4.0, 1.0], atol=1e-10)
         # R1 anchor pulls w[0] toward 1/sqrt(2) when mu is large.
-        assert np.allclose(separate_prox(pair, np.zeros(2), np.zeros(2), 1.0)[0],
+        assert np.allclose(separate_prox(np.zeros(2), np.zeros(2), 1.0)[0],
                            [np.sqrt(2) / 2, 0.0], atol=1e-10)
 
     @pytest.mark.parametrize("M", [2, 4, 6])
     def test_against_brute_force(self, M):
-        pair, ref = build_counterexample(M), SparsePair(M)
+        ref = SparsePair(M)
         rng = np.random.default_rng(M)
         for _ in range(8):
             x = rng.standard_normal(M)
             mu = float(rng.uniform(0.05, 0.8))
-            cf = separate_prox(pair, x, x, mu)
+            cf = separate_prox(x, x, mu)
             for row, R in enumerate((ref.R1, ref.R2)):
                 bf = brute_force_prox(R, x, mu)
                 assert np.abs(cf[row] - bf).max() <= 1e-3
@@ -161,7 +163,6 @@ class TestClosedFormProx:
         # differences of +-2 mu exactly on the threshold, and row 0's anchor
         # term next to it; signed zeros must come out as they do there.
         for M in (2, 4, 6, 10, 200):
-            pair = build_counterexample(M)
             rng = np.random.default_rng(M)
             for mu in (0.005, 0.125, 0.2, 0.5, 1.0):
                 X = rng.standard_normal((2, M))
@@ -171,20 +172,20 @@ class TestClosedFormProx:
                 if M >= 4:
                     X[0, 1], X[0, 2] = -2.0 * mu, 0.0
                     X[1, 2], X[1, 3] = -0.0, 2.0 * mu
-                out = CounterexampleProx(pair).apply_stack(X, mu)
+                out = CounterexampleProx(M).apply_stack(X, mu)
                 for row, which in enumerate(("R1", "R2")):
-                    ref = prox_counterexample(which, pair, X[row], mu)
+                    ref = prox_counterexample(which, X[row], mu)
                     assert np.array_equal(out[row].view(np.int64),
                                           ref.view(np.int64)), (M, mu, which)
 
     @pytest.mark.parametrize("K", [1, 3])
     def test_operator_needs_two_rows(self, K):
-        op = CounterexampleProx(build_counterexample(4))
+        op = CounterexampleProx(4)
         with pytest.raises(ValueError, match="2 rows"):
             op.apply_stack(np.zeros((K, 4)), 0.2)
 
     def test_bad_inputs(self):
-        op = CounterexampleProx(build_counterexample(4))
+        op = CounterexampleProx(4)
         with pytest.raises(ValueError):
             op.apply_stack(np.zeros((2, 3)), 0.1)
         with pytest.raises(ValueError):
@@ -194,27 +195,24 @@ class TestClosedFormProx:
 class TestChainSum:
     @pytest.mark.parametrize("M", [2, 4, 6])
     def test_against_brute_force(self, M):
-        pair = build_counterexample(M)
-        op = ChainSumProx(pair)
+        op = ChainSumProx(M)
         rng = np.random.default_rng(M + 100)
         for _ in range(5):
             x = rng.standard_normal(M)
             mu = float(rng.uniform(0.05, 0.6))
-            bf = brute_force_prox(chain_sum(pair.M), x, mu)
+            bf = brute_force_prox(chain_sum(M), x, mu)
             assert np.abs(prox_row(op, x, mu) - bf).max() <= 1e-3
 
     def test_weight_scales_regularizer(self):
-        pair = build_counterexample(4)
         x = np.array([2.0, -1.0, 0.5, 0.3])
-        half = prox_row(ChainSumProx(pair, weight=0.5), x, 0.4)
-        full = prox_row(ChainSumProx(pair), x, 0.2)
+        half = prox_row(ChainSumProx(4, weight=0.5), x, 0.4)
+        full = prox_row(ChainSumProx(4), x, 0.2)
         assert np.allclose(half, full, atol=1e-10)
 
     def test_optimality_certificate(self):
         # The exact prox satisfies the optimality condition: no coordinate
         # step improves the objective.
-        pair = build_counterexample(6)
-        op = ChainSumProx(pair)
+        op = ChainSumProx(6)
         x = np.random.default_rng(3).standard_normal(6)
         mu = 0.3
         z = prox_row(op, x, mu)
@@ -232,8 +230,7 @@ class TestChainSum:
 
     def test_repeat_calls_identical(self):
         # A second call at the same point returns the same answer.
-        pair = build_counterexample(4)
-        op = ChainSumProx(pair)
+        op = ChainSumProx(4)
         x = np.array([1.0, 0.2, -0.5, 0.9])
         assert np.array_equal(prox_row(op, x, 0.25), prox_row(op, x, 0.25))
 
@@ -245,9 +242,8 @@ class TestExactChainProx:
     @given(st.integers(1, 200), st.integers(0, 2**32 - 1),
            st.floats(0.01, 10.0), st.floats(0.01, 100.0))
     def test_dual_certificate(self, half, seed, scale, t):
-        pair = build_counterexample(2 * half)
         x = scale * np.random.default_rng(seed).standard_normal(2 * half)
-        z = prox_row(ChainSumProx(pair), x, t)
+        z = prox_row(ChainSumProx(2 * half), x, t)
         excess, off = chain_certificate(x, z, t)
         assert excess <= 1e-10 and off == 0
 
@@ -255,9 +251,8 @@ class TestExactChainProx:
     def test_reference_passes_certificate(self, M):
         # Unit quadratics: one prox-gradient step from 0 lands on w* =
         # prox of 0.5 (R1 + R2) at 0.
-        pair = build_counterexample(M)
         w = centralized_reference(quadratic_cost(1.0, 2, M),
-                                  ChainSumProx(pair, weight=0.5))
+                                  ChainSumProx(M, weight=0.5))
         excess, off = chain_certificate(np.zeros(M), w, 0.5)
         assert excess <= 1e-10 and off == 0
 
@@ -266,24 +261,22 @@ class TestExactChainProx:
         # first message crosses -mu and +mu at one point, which leaves two
         # knots there.  z[0] stays anchored, z[1] is pulled down by both of
         # its edges, and z[2] = z[3] fuse.
-        pair = build_counterexample(4)
         x = np.array([0.57374277, 1.82201136, -1.32043097, -0.66152802])
         mu = 0.48
         expected = [1 / np.sqrt(2), x[1] - 2 * mu,
                     (x[2] + x[3] + mu) / 2, (x[2] + x[3] + mu) / 2]
-        z = prox_row(ChainSumProx(pair), x, mu)
+        z = prox_row(ChainSumProx(4), x, mu)
         assert np.allclose(z, expected, rtol=0, atol=1e-15)
-        bf = brute_force_prox(chain_sum(pair.M), x, mu)
+        bf = brute_force_prox(chain_sum(4), x, mu)
         assert np.abs(z - bf).max() <= 1e-6
 
     def test_against_brute_force_m8(self):
-        pair = build_counterexample(8)
-        op = ChainSumProx(pair)
+        op = ChainSumProx(8)
         rng = np.random.default_rng(0)
         for _ in range(4):
             x = rng.standard_normal(8)
             mu = float(rng.uniform(0.05, 0.6))
-            bf = brute_force_prox(chain_sum(pair.M), x, mu)
+            bf = brute_force_prox(chain_sum(8), x, mu)
             assert np.abs(prox_row(op, x, mu) - bf).max() <= 1e-6
 
     def test_plain_chain_closed_form(self):
@@ -297,8 +290,7 @@ class TestExactChainProx:
     def test_identical_rows_bit_identical(self):
         # Also after the two rows were called at different points, as the
         # two agents' rows are on the iterations before they agree.
-        pair = build_counterexample(200)
-        op = ChainSumProx(pair, weight=0.5)
+        op = ChainSumProx(200, weight=0.5)
         x, y = np.random.default_rng(5).standard_normal((2, 200))
         op.apply_stack(np.stack([x, y]), 0.05)
         x = x + 0.01 * y
@@ -307,8 +299,7 @@ class TestExactChainProx:
 
     def test_identical_hinted_rows_bit_identical(self):
         # Equal rows with equal hints, here the previous output of one.
-        pair = build_counterexample(200)
-        op = ChainSumProx(pair, weight=0.5)
+        op = ChainSumProx(200, weight=0.5)
         x, y = np.random.default_rng(5).standard_normal((2, 200))
         prev = op.apply_stack(np.stack([x, y]), 0.05)
         x = x + 1e-6 * y
@@ -318,7 +309,7 @@ class TestExactChainProx:
         assert np.array_equal(out[0], out[1])
 
     def test_apply_leaves_no_state(self):
-        op = ChainSumProx(build_counterexample(10))
+        op = ChainSumProx(10)
         before = dict(vars(op))
         x = np.random.default_rng(6).standard_normal(10)
         first = prox_row(op, x, 0.3)
@@ -333,16 +324,16 @@ class TestExactChainProx:
             op.apply_stack(np.stack([x, -x]), 0.3, hint=hint), out)
 
     def test_bad_step_rejected(self):
-        op = ChainSumProx(build_counterexample(4))
+        op = ChainSumProx(4)
         with pytest.raises(ValueError):
             prox_row(op, np.zeros(4), 0.0)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expected shape"):
-            prox_row(ChainSumProx(build_counterexample(4)), np.zeros(6), 0.3)
+            prox_row(ChainSumProx(4), np.zeros(6), 0.3)
 
     def test_wrong_hint_shape_rejected(self):
-        op = ChainSumProx(build_counterexample(4))
+        op = ChainSumProx(4)
         with pytest.raises(ValueError, match="hint has shape"):
             op.apply_stack(np.zeros((2, 4)), 0.3, hint=np.zeros((2, 6)))
 
@@ -394,7 +385,7 @@ class TestHintedChainProx:
     def test_hinted_is_dp_or_falls_back(self, half, seed, scale, t, kind):
         M = 2 * half
         rng = np.random.default_rng(seed)
-        op = ChainSumProx(build_counterexample(M))
+        op = ChainSumProx(M)
         x = scale * rng.standard_normal(M)
         if kind == "perturbed":
             hint = prox_row(op, x + 0.05 * scale * rng.standard_normal(M), t)
@@ -496,7 +487,7 @@ class TestHintedChainProx:
         dp = prox_anchored_chain(x, t, ANCHOR, np.sqrt(2.0) * t)
         exact = block_solution(x, dp, t)
         assert np.abs(dp - exact).max() > 1e-12
-        z = prox_row(ChainSumProx(build_counterexample(M)), x, t)
+        z = prox_row(ChainSumProx(M), x, t)
         assert np.abs(z - exact).max() <= 1e-15
 
 
@@ -597,13 +588,11 @@ class TestNonexpansiveness:
         self._check(ZeroProx(), 5, 0.3, 200, 1)
 
     def test_counterexample_ops(self):
-        self._check(CounterexampleProx(build_counterexample(6)), 6, 0.4, 1000,
-                    2, K=2)
+        self._check(CounterexampleProx(6), 6, 0.4, 1000, 2, K=2)
 
     def test_chain_sum(self):
-        pair = build_counterexample(4)
         # An exact prox: allow only rounding as slack.
-        self._check(ChainSumProx(pair), 4, 0.4, 60, 4, slack=1e-14)
+        self._check(ChainSumProx(4), 4, 0.4, 60, 4, slack=1e-14)
 
 
 class TestBruteForce:
