@@ -96,7 +96,9 @@ def fixed_point_residuals(state, mu):
     consensus), r_dual checks B^2 Z = 0, and r_prox checks
     W = prox(A_bar Z).  All are Frobenius norms over the K x M stack,
     normalized by sqrt(KM).  Z, S, grad(W) and B^2 Z are the ones the
-    step carried.  The step set W = prox(A_bar Z), and the prox is
+    step carried, and so is W - mu grad(W) - S where the step built it
+    for the next step (``Z_next``, made at the step's mu, which ``mu``
+    must be).  The step set W = prox(A_bar Z), and the prox is
     deterministic, so r_prox is 0 without a second prox.  That holds
     also where the step's prox took a hint: W is then what the hinted
     prox returned, the closed form being accepted only when it is the
@@ -107,10 +109,13 @@ def fixed_point_residuals(state, mu):
     W = state.W
     scale = math.sqrt(W.size)
     # Z - (W - mu G - S), left to right, in one buffer, reused for r_dual.
-    buf = np.multiply(state.G, mu)
-    np.subtract(W, buf, out=buf)
-    buf -= state.S
-    np.subtract(state.Z, buf, out=buf)
+    if state.Z_next is None:
+        buf = np.multiply(state.G, mu)
+        np.subtract(W, buf, out=buf)
+        buf -= state.S
+        np.subtract(state.Z, buf, out=buf)
+    else:
+        buf = np.subtract(state.Z, state.Z_next)
     r_primal = _frobenius(buf, buf) / scale
     r_dual = _frobenius(state.B_sq_Z, buf) / scale
     return r_primal, r_dual, 0.0

@@ -31,9 +31,11 @@ and every iteration evaluates exactly one more, at the new iterate, and
 carries it in the state.  A step reads grad(W) (and grad(W_prev), where
 its recursion needs it) from the state it is given.  The primal-dual
 step also hands the prox its current iterate W, the previous prox
-output, as a hint (``ProxOperator.apply_stack``): the chain prox solves
-the hint's segmentation in closed form when its certificate holds.  The
-hint is part of the state, so no operator keeps any.
+output, as a hint (``prox.Hint``), with the segmentation the prox found
+of it: the chain prox solves that segmentation in closed form when its
+certificate holds, and hands back its output's.  Where C is zero the
+step also builds the next step's Z, which the fixed-point residuals
+read.  Hint and Z are part of the state, so no operator keeps any.
 
 Divergence has one test, in ``run``: the error of each new iterate to the
 reference must be at most ``DIVERGENCE_LIMIT``, which a NaN fails.  No
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import netgraph
+from . import netgraph, prox as prox_mod
 
 __all__ = [
     "ALGORITHMS",
@@ -72,7 +74,10 @@ class BlockIterate:
     their gradients; S is the dual surrogate B y; Z and X hold the
     auxiliary buffers used by the specific recursion in play (DLADMM's X
     is c L W, which its next step reuses), and B_sq_Z the primal-dual
-    step's product B^2 Z, kept for the fixed-point residuals.
+    step's product B^2 Z, kept for the fixed-point residuals.  The
+    primal-dual step also leaves W_segments, what its prox found of each
+    row of W (``prox.Hint.found``), and, where C is zero, Z_next, the
+    next step's Z: W - mu G - S at the step's mu.
     """
 
     W: np.ndarray
@@ -83,6 +88,8 @@ class BlockIterate:
     Z: np.ndarray = None
     X: np.ndarray = None
     B_sq_Z: np.ndarray = None
+    Z_next: np.ndarray = None
+    W_segments: list = None
     iter: int = 0
 
 
@@ -119,6 +126,14 @@ def _advance(state, W_new, costs, **buffers):
                         G_prev=state.G, iter=state.iter + 1, **buffers)
 
 
+def _z_without_c(W, G, S, mu):
+    """W - mu G - S, left to right, in one new array: Z where C is zero."""
+    Z = np.multiply(G, mu)
+    np.subtract(W, Z, out=Z)
+    Z -= S
+    return Z
+
+
 def puda_step(state, triple, costs, prox, mu):
     """One step of the general proximal primal-dual recursion:
 
@@ -126,23 +141,33 @@ def puda_step(state, triple, costs, prox, mu):
 
     A_bar Z and B^2 Z come from one call (``ConsensusTriple.combine``),
     which shares the products of members that are polynomials in one
-    base.  The prox gets W, its own previous output, as a hint; the hint
-    may change W only by rounding.
+    base.  The prox gets W, its own previous output, as a hint, with the
+    segmentation it found of W; the hint may change W only by rounding.
+    Where C is zero, Z is the one the step before left (``Z_next``), if
+    it left one.
     """
-    W, G = state.W, state.G
+    W, G, S = state.W, state.G, state.S
     C_product = triple.C_product
-    # W - C W - mu G - S, left to right, in one new array.
     if C_product is None:
-        Z = np.multiply(G, mu)
-        np.subtract(W, Z, out=Z)
+        Z = state.Z_next
+        if Z is None:
+            Z = _z_without_c(W, G, S, mu)
     else:
+        # W - C W - mu G - S, left to right, in one new array.
         Z = W - C_product(W)
         Z -= mu * G
-    Z -= state.S
+        Z -= S
     A_bar_Z, B_sq_Z = triple.combine(Z)
-    W_new = prox.apply_stack(A_bar_Z, mu, hint=W)
-    return _advance(state, W_new, costs, S=state.S + B_sq_Z, Z=Z,
-                    B_sq_Z=B_sq_Z)
+    hint = prox_mod.Hint(W, state.W_segments)
+    W_new = prox.apply_stack(A_bar_Z, mu, hint=hint)
+    G_new = costs.grad_stack(W_new)
+    S_new = S + B_sq_Z
+    Z_next = None
+    if C_product is None:
+        Z_next = _z_without_c(W_new, G_new, S_new, mu)
+    return BlockIterate(
+        W=W_new, W_prev=W, G=G_new, G_prev=G, S=S_new, Z=Z, B_sq_Z=B_sq_Z,
+        Z_next=Z_next, W_segments=hint.found, iter=state.iter + 1)
 
 
 # ---------------------------------------------------------------------------

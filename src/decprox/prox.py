@@ -6,11 +6,13 @@ sum, solved in closed form from a hinted segmentation when its dual
 certificate holds."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ProxOperator",
+    "Hint",
     "ZeroProx",
     "L1Prox",
     "CounterexampleProx",
@@ -44,9 +46,28 @@ class ProxOperator:
     def apply_stack(self, X, mu, hint=None):
         """Rowwise prox of a K x M stack.  ``hint`` is a K x M stack
         believed near the result (the engine passes the previous prox
-        output); an operator may use it to go faster, never to change its
-        answer beyond rounding."""
+        output), or a :class:`Hint` holding one; an operator may use it
+        to go faster, never to change its answer beyond rounding."""
         raise NotImplementedError
+
+
+class Hint:
+    """The hint of one ``apply_stack`` call, with what is known of it.
+
+    ``stack`` is the K x M hint.  ``segments`` holds, row by row, what an
+    operator found of that row when the stack was its own output (None,
+    or a None entry, where nothing is known: the operator derives it
+    from the stack).  An operator that knows the same of its output
+    leaves it in ``found``, for the hint of the next call; the engine
+    carries it in its iterate, so that no operator keeps state.
+    """
+
+    __slots__ = ("stack", "segments", "found")
+
+    def __init__(self, stack, segments=None):
+        self.stack = stack
+        self.segments = segments
+        self.found = None
 
 
 class ZeroProx(ProxOperator):
@@ -205,16 +226,52 @@ _CERT_SLACK = 4.0
 _EPS = np.finfo(float).eps
 
 
-def _chain_from_hint(x, hint, t, anchor, anchor_t):
-    """The prox of :func:`prox_anchored_chain` (anchor_t > 0) in closed
-    form, on the segmentation of ``hint``; None when its dual certificate
-    fails.
+class _Segmentation(NamedTuple):
+    """A chain row's fused blocks, as the closed form reads them: block i
+    starts at starts[i] and holds sizes[i] entries; it ends at jumps[i],
+    where the row steps down (s[i] = 1) or up (s[i] = -1) to block i + 1;
+    turn[i] = s[i] - s[i - 1] with s zero beyond both ends; side is 0.0
+    when entry 0 sits at the anchor, else the sign of its offset from it.
+    Its arrays are read, never written, so one may be shared by many
+    calls."""
 
-    The hint's fused blocks (runs of equal entries), the signs s of its
-    jumps, and whether its block 0 sits at the anchor fix every
-    subgradient the optimality condition x - z = anchor_t u_a e_0 + t D'u
-    leaves open (D the difference operator, u_j in the subdifferential of
-    |z[j] - z[j+1]|).  Summed over block B, it gives the block's value
+    starts: np.ndarray
+    jumps: np.ndarray
+    s: np.ndarray
+    turn: np.ndarray
+    sizes: np.ndarray
+    side: float
+
+
+def _segmentation(row, anchor):
+    """The :class:`_Segmentation` of a row: its runs of equal entries."""
+    n = len(row)
+    # The block bounds [0, jumps + 1, n] from one nonzero, and s padded
+    # with a zero at each end: turn is one difference.
+    edge = np.empty(n + 1, dtype=bool)
+    edge[::n] = True
+    np.not_equal(row[1:], row[:-1], out=edge[1:n])
+    bounds = edge.nonzero()[0]
+    after = bounds[1:-1]
+    jumps = after - 1
+    padded = np.zeros(len(bounds))
+    s = padded[1:-1]
+    np.subtract(row[jumps], row[after], out=s)
+    np.sign(s, out=s)
+    side = 0.0 if row[0] == anchor else 1.0 if row[0] > anchor else -1.0
+    return _Segmentation(bounds[:-1], jumps, s, padded[1:] - padded[:-1],
+                         bounds[1:] - bounds[:-1], side)
+
+
+def _chain_on(x, seg, t, anchor, anchor_t):
+    """The prox of :func:`prox_anchored_chain` (anchor_t > 0) in closed
+    form on the segmentation ``seg``; None when its dual certificate fails.
+
+    The blocks, the signs s of their jumps, and whether block 0 sits at
+    the anchor fix every subgradient the optimality condition x - z =
+    anchor_t u_a e_0 + t D'u leaves open (D the difference operator, u_j
+    in the subdifferential of |z[j] - z[j+1]|).  Summed over block B, it
+    gives the block's value
 
         |B| v = sum_B x - [B is block 0] anchor_t u_a - t (s_after - s_before),
 
@@ -226,36 +283,25 @@ def _chain_from_hint(x, hint, t, anchor, anchor_t):
     Ann. Stat. 2011).  The checks allow rounding only.  Each block is
     summed by itself: differences of one global cumsum of x lose about
     1e-14 on a short block late in a long chain.
+
+    An accepted z has exactly the segmentation ``seg``: adjacent blocks
+    differ strictly, each with its jump's sign s, and z[0] is on the
+    anchor, or strictly on the side ``seg`` gives.
     """
+    starts, jumps, s, turn, sizes, side = seg
     n = len(x)
-    # The block bounds [0, jumps + 1, n] from one nonzero (block i ends at
-    # jumps[i]), and s padded with a zero at each end: flow is one
-    # difference.
-    edge = np.empty(n + 1, dtype=bool)
-    edge[::n] = True
-    np.not_equal(hint[1:], hint[:-1], out=edge[1:n])
-    bounds = edge.nonzero()[0]
-    after = bounds[1:-1]
-    jumps = after - 1
-    padded = np.zeros(len(bounds))
-    s = padded[1:-1]
-    np.subtract(hint[jumps], hint[after], out=s)
-    np.sign(s, out=s)
-    flow = padded[1:] - padded[:-1]  # s_after - s_before per block
-    flow *= t
-    sizes = bounds[1:] - bounds[:-1]
-    rhs = np.add.reduceat(x, bounds[:-1])
-    rhs -= flow
+    rhs = np.add.reduceat(x, starts)
+    rhs -= turn * t
     # max |x| is max(max x, -min x), a NaN included, in one reduction.
     tol = _CERT_SLACK * n * _EPS * (
         np.maximum.reduce(np.abs(x)) + abs(anchor) + anchor_t + t) / t
-    if hint[0] == anchor:  # block 0 pinned: u_a takes up the slack
+    if not side:  # block 0 pinned: u_a takes up the slack
         u_a = (rhs[0] - sizes[0] * anchor) / anchor_t
         v = np.divide(rhs, sizes, out=rhs)
         v[0] = anchor
         anchor_ok = abs(u_a) <= 1.0 + tol
     else:
-        u_a = 1.0 if hint[0] > anchor else -1.0
+        u_a = side
         rhs[0] -= anchor_t * u_a
         v = np.divide(rhs, sizes, out=rhs)
         anchor_ok = u_a * (v[0] - anchor) > 0
@@ -286,10 +332,13 @@ class ChainSumProx(ProxOperator):
     total-variation chain whose first node is tied to a virtual node at
     1/sqrt(2); its prox is exact and O(M) (:func:`prox_anchored_chain`).
     Each row is solved in closed form on a segmentation
-    (:func:`_chain_from_hint`): its hint's if given, else the dynamic
+    (:func:`_chain_on`): its hint's if given, else the dynamic
     programme's own, which the closed form makes exact where the
-    programme's sums lose digits.  The operator holds no state, so equal
-    rows with equal hints give bit-equal results.
+    programme's sums lose digits.  Given a :class:`Hint`, it takes a
+    row's segmentation from ``segments`` where known and leaves its
+    output's in ``found``: a row solved in closed form has exactly the
+    segmentation it was solved on.  The operator holds no state, so
+    equal rows with equal hints give bit-equal results.
     """
 
     def __init__(self, M, weight=1.0):
@@ -308,18 +357,31 @@ class ChainSumProx(ProxOperator):
             raise ValueError(f"expected shape ({self.M},) per row, "
                              f"got {X.shape}")
         t = mu * self.weight
+        box = segments = None
+        if isinstance(hint, Hint):
+            box, hint, segments = hint, hint.stack, hint.segments
         if hint is not None:
-            hint = np.asarray(hint, dtype=float)
+            hint = np.atleast_2d(np.asarray(hint, dtype=float))
             if hint.shape != X.shape:
                 raise ValueError(f"hint has shape {hint.shape}, not {X.shape}")
         anchor_t = _SQRT2 * t
         out = np.empty_like(X)
+        found = [None] * len(X)
         for k, x in enumerate(X):
-            z = None if hint is None else _chain_from_hint(
-                x, hint[k], t, _ANCHOR, anchor_t)
+            z = None
+            if hint is not None:
+                seg = None if segments is None else segments[k]
+                if seg is None:
+                    seg = _segmentation(hint[k], _ANCHOR)
+                z = _chain_on(x, seg, t, _ANCHOR, anchor_t)
             if z is None:
                 dp = prox_anchored_chain(x, t, _ANCHOR, anchor_t)
-                z = _chain_from_hint(x, dp, t, _ANCHOR, anchor_t)
-                z = dp if z is None else z
+                seg = _segmentation(dp, _ANCHOR)
+                z = _chain_on(x, seg, t, _ANCHOR, anchor_t)
+                if z is None:
+                    z, seg = dp, None
             out[k] = z
+            found[k] = seg
+        if box is not None:
+            box.found = found
         return out

@@ -194,10 +194,11 @@ def brute_force_prox(R, x, mu, iters=4000, polish=True):
 
 
 def chain_from_hint_reference(x, hint, t, anchor, anchor_t):
-    """``prox._chain_from_hint`` as first written, with numpy's wrappers
-    (``max``, ``flatnonzero``, ``repeat``) and a new array per operation:
-    the closed form on hint's segmentation, or None where its certificate
-    fails.  The program's form must match it byte for byte."""
+    """``prox._chain_on`` hint's ``prox._segmentation`` as first written,
+    with numpy's wrappers (``max``, ``flatnonzero``, ``repeat``) and a new
+    array per operation: the closed form on hint's segmentation, or None
+    where its certificate fails.  The program's form must match it byte
+    for byte."""
     n = len(x)
     jumps = np.flatnonzero(hint[1:] != hint[:-1])  # block i ends at jumps[i]
     s = np.sign(hint[jumps] - hint[jumps + 1])

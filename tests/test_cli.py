@@ -601,6 +601,56 @@ class TestSparseGraphs:
         assert not record.diverged and len(steps) == 500
         assert calls == [1, 1]
 
+    @pytest.mark.parametrize("M, iters, seed", [
+        (200, 500, None), (2000, 3000, None), (200, 500, 1)])
+    def test_carried_segmentation_matches_dropped(self, tmp_path, monkeypatch,
+                                                  M, iters, seed):
+        # The step hands the chain prox the segmentation it found of W; a
+        # run that drops it every step derives it from W again.  Both runs
+        # are the same byte for byte: from the zero start, whose only
+        # dynamic programmes are at step 1, and from a seeded start, whose
+        # rows keep falling back to it after step 1.
+        cfg = cli.config_from_dict({
+            **cli.COUNTEREXAMPLE_PRESET, "M": M, "iters": iters,
+            "algorithms": [{"name": "ProxED", "mu": 0.005}],
+            "output_dir": str(tmp_path)})
+        p = build_problem(cfg)
+        r = cli.resolve_algorithm(cfg.algorithms[0], cfg, p)
+        steps, fallbacks, derived = [], [], []
+        dp, segmentation = prox_mod.prox_anchored_chain, prox_mod._segmentation
+        monkeypatch.setattr(prox_mod, "prox_anchored_chain",
+                            lambda *a: fallbacks.append(len(steps)) or dp(*a))
+        monkeypatch.setattr(prox_mod, "_segmentation",
+                            lambda *a: derived.append(1) or segmentation(*a))
+
+        def run(step):
+            steps.clear(), fallbacks.clear(), derived.clear()
+            record = engine.run(
+                r.algorithm, lambda st: steps.append(1) or step(st), p.costs,
+                p.w_star, iters, seed=seed,
+                residual_fn=lambda st: analysis.fixed_point_residuals(
+                    st, r.mu))
+            assert not record.diverged
+            return record, list(fallbacks), len(derived)
+
+        carried, carried_dp, carried_derived = run(r.step)
+        dropped, dropped_dp, dropped_derived = run(
+            lambda st: r.step(dataclasses.replace(st, W_segments=None)))
+        assert carried_dp == dropped_dp
+        if seed is None:
+            assert carried_dp == [1, 1]
+            # Two rows: each derives its hint's and the programme's
+            # segmentation at step 1, and only its hint's after that.
+            assert carried_derived == 4
+            assert dropped_derived == 4 + 2 * (iters - 1)
+        else:
+            assert max(carried_dp) > 1
+        assert carried.final_state.W_segments is not None
+        assert carried.errors == dropped.errors
+        assert carried.residuals == dropped.residuals
+        assert (carried.final_state.W.tobytes()
+                == dropped.final_state.W.tobytes())
+
 
 # One malformed key each, on the valid K=6 lasso config of write_config:
 # (the key, its value, other keys the probe sets validly).

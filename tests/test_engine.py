@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -251,6 +253,53 @@ class TestDegreeTwoRows:
         errors = [run(algo, engine.primal_dual(costs, prox, mu, triple), costs,
                       w_star, 3000).errors for triple in (t, matrix_form)]
         assert_within_tolerance(*errors)
+
+
+class TestCarriedZ:
+    """Where C is zero, a step leaves the next step's Z in the state, and
+    the step and the residuals read it: byte for byte the run that drops
+    it every step, so that both rebuild W - mu grad(W) - S."""
+
+    @pytest.mark.parametrize("graph", ["dense20", "csr300"])
+    @pytest.mark.parametrize("name", ["ProxED", "ProxATC1"])
+    def test_carried_against_rebuilt(self, graph, name):
+        A = metropolis_matrix(build_graph(**TOLERANCE_GRAPHS[graph]))
+        assert sp.issparse(A) == graph.startswith("csr")
+        algo = ALGORITHMS[name]
+        if algo.shifted:
+            A = shift_positive(A)
+        K, M = A.shape[0], 4
+        targets = np.random.default_rng(K).standard_normal((K, M))
+        costs = quadratic_cost(1.0, K, M, targets=targets)
+        t = table1_matrices(algo.row, A)
+        assert t.C_product is None
+        mu = 0.9 * step_bound(algo.theorem, 0.0, costs.delta)
+        step = engine.primal_dual(costs, L1Prox(0.05), mu, t)
+        w_star = prox_l1(targets.mean(axis=0), 0.05)
+
+        def drop(st):
+            return dataclasses.replace(st, Z_next=None)
+
+        carried = run(algo, step, costs, w_star, 200, seed=1,
+                      residual_fn=lambda st: fixed_point_residuals(st, mu))
+        rebuilt = run(
+            algo, lambda st: step(drop(st)), costs, w_star, 200, seed=1,
+            residual_fn=lambda st: fixed_point_residuals(drop(st), mu))
+        assert carried.final_state.Z_next is not None
+        assert same_bytes(carried.errors, rebuilt.errors)
+        assert same_bytes(carried.residuals, rebuilt.residuals)
+        for field in ("W", "G", "S", "Z", "B_sq_Z", "Z_next"):
+            assert same_bytes(getattr(carried.final_state, field),
+                              getattr(rebuilt.final_state, field)), field
+
+    def test_rows_with_c_leave_none(self):
+        A = shift_positive(make_network()[0])
+        costs = random_quadratic_cost(6, 3, seed=0)
+        t = table1_matrices("ATCTracking", A)
+        assert t.C_product is not None
+        st = engine.puda_step(initial_state(costs), t, costs, L1Prox(0.05),
+                              0.2)
+        assert st.Z_next is None
 
 
 class TestEquivalenceWeb:

@@ -11,12 +11,13 @@ from decprox.costs import quadratic_cost
 from decprox.prox import (
     ChainSumProx,
     CounterexampleProx,
+    Hint,
     L1Prox,
     ZeroProx,
     prox_anchored_chain,
     prox_l1,
 )
-from decprox.prox import _chain_from_hint
+from decprox.prox import _chain_on, _segmentation
 from prox_oracle import (
     D1T_dot,
     D1_dot,
@@ -337,6 +338,18 @@ class TestExactChainProx:
         with pytest.raises(ValueError, match="hint has shape"):
             op.apply_stack(np.zeros((2, 4)), 0.3, hint=np.zeros((2, 6)))
 
+    def test_one_dimensional_hint_promoted(self):
+        # A 1-D hint is one row, as a 1-D X is.
+        op = ChainSumProx(4)
+        x = np.array([1.0, 0.2, -0.5, 0.9])
+        z = op.apply_stack(x, 0.1, hint=x)
+        assert z.shape == (1, 4)
+        assert same_bytes(z, op.apply_stack(x[None], 0.1, hint=x[None]))
+        assert same_bytes(op.apply_stack(x, 0.1, hint=z[0]),
+                          op.apply_stack(x[None], 0.1, hint=z))
+        with pytest.raises(ValueError, match="hint has shape"):
+            op.apply_stack(x, 0.1, hint=np.zeros(6))
+
 
 ANCHOR = 1.0 / np.sqrt(2.0)
 
@@ -344,7 +357,8 @@ ANCHOR = 1.0 / np.sqrt(2.0)
 def hinted(x, hint, t):
     """The closed form of the prox of t (R1 + R2) on hint's segmentation,
     or None where its certificate fails."""
-    return _chain_from_hint(x, hint, t, ANCHOR, np.sqrt(2.0) * t)
+    return _chain_on(x, _segmentation(hint, ANCHOR), t, ANCHOR,
+                     np.sqrt(2.0) * t)
 
 
 def block_solution(x, seg, t):
@@ -518,11 +532,12 @@ HINT_KINDS = ["dp", "near", "many", "pinned", "flipped", "zeros"]
 
 
 def same_closed_form(x, hint, t):
-    """_chain_from_hint and its first form agree byte for byte: both None,
-    or the same output.  Returns whether the closed form was accepted."""
+    """The closed form on hint's segmentation and its first form agree
+    byte for byte: both None, or the same output.  Returns whether the
+    closed form was accepted."""
     a_t = np.sqrt(2.0) * t
     with np.errstate(all="ignore"):
-        z = _chain_from_hint(x, hint, t, ANCHOR, a_t)
+        z = _chain_on(x, _segmentation(hint, ANCHOR), t, ANCHOR, a_t)
         ref = chain_from_hint_reference(x, hint, t, ANCHOR, a_t)
     assert (z is None) == (ref is None)
     assert z is None or same_bytes(z, ref)
@@ -565,6 +580,92 @@ class TestHintedChainMatchesReference:
                              np.where(special == 0.0, special, 0.0)):
                     same_closed_form(x, hint, t)
                     same_closed_form(x, np.abs(hint), t)
+
+
+def same_but_nan_bits(a, b):
+    """Equal bit for bit once every NaN is made the same NaN: on a NaN
+    input the dynamic programme's NaN sign can change between calls."""
+    return same_bytes(np.where(np.isnan(a), np.nan, a),
+                      np.where(np.isnan(b), np.nan, b))
+
+
+def same_segmentation(a, b):
+    """Two _Segmentation tuples equal field by field, dtypes included."""
+    return all(
+        np.asarray(p).dtype == np.asarray(q).dtype and same_bytes(p, q)
+        for p, q in zip(a, b))
+
+
+class TestCarriedSegmentation:
+    """What apply_stack leaves in a Hint (``found``): for each row solved
+    in closed form, its output's segmentation, equal to the one derived
+    from the output array; and a Hint carrying it gives the output of the
+    array hint byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 100), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+           st.sampled_from(HINT_KINDS + ["special"]), st.booleans())
+    def test_found_is_the_output_segmentation(self, half, seed, scale, t,
+                                              kind, special_x):
+        # Row 0 is x, +-0, NaN and +-inf among its entries if special_x,
+        # with a hint of the kind drawn ("special": with +-0, NaN and
+        # +-inf); row 1 is a plain row with the engine's hint.
+        M = 2 * half
+        rng = np.random.default_rng(seed)
+        plain = scale * rng.standard_normal(M)
+        x = special_stack(seed, (M,)) if special_x else plain
+        hint = (special_stack(seed + 1, (M,)) if kind == "special"
+                else hint_of_kind(kind, rng, plain, t))
+        X = np.stack([x, plain])
+        H = np.stack([hint, hint_of_kind("near", rng, plain, t)])
+        op = ChainSumProx(M)
+        box = Hint(H)
+        with np.errstate(all="ignore"):
+            out = op.apply_stack(X, t, hint=box)
+            assert same_but_nan_bits(out, op.apply_stack(X, t, hint=H))
+            for k in range(2):
+                seg = box.found[k]
+                if hinted(X[k], H[k], t) is not None:
+                    assert seg is not None
+                if seg is not None:
+                    assert same_segmentation(
+                        seg, _segmentation(out[k], ANCHOR))
+            # The next call, on a nearby point, with the segmentation
+            # carried and with the output array alone.
+            X_next = X + 1e-7 * scale * rng.standard_normal(X.shape)
+            carried = Hint(out, box.found)
+            again = op.apply_stack(X_next, t, hint=carried)
+            fresh = Hint(out)
+            assert same_but_nan_bits(
+                again, op.apply_stack(X_next, t, hint=fresh))
+        for a, b in zip(carried.found, fresh.found):
+            assert (a is None) == (b is None)
+            assert a is None or same_segmentation(a, b)
+
+    def test_output_on_the_anchor_from_a_hint_off_it(self):
+        # x = anchor + anchor_t / 2 on both entries: solved as one block off
+        # the anchor above it, v[0] lands on the anchor, which the closed
+        # form rejects.  The dynamic programme pins entry 0 there, and what
+        # apply_stack hands back says so.
+        t = 0.1
+        a_t = np.sqrt(2.0) * t
+        x = np.full(2, ANCHOR + a_t / 2)
+        hint = np.full(2, ANCHOR + 1.0)
+        assert hinted(x, hint, t) is None
+        box = Hint(hint[None])
+        z = ChainSumProx(2).apply_stack(x[None], t, hint=box)[0]
+        assert z[0] == ANCHOR
+        assert box.found[0] is not None and box.found[0].side == 0.0
+        assert same_segmentation(box.found[0], _segmentation(z, ANCHOR))
+
+    def test_array_and_no_hint_leave_nothing(self):
+        # Only a Hint is written to; other operators leave it as it was.
+        x = np.array([[1.0, 0.2, -0.5, 0.9]])
+        for op in (L1Prox(0.5), ZeroProx()):
+            box = Hint(x)
+            op.apply_stack(x, 0.1, hint=box)
+            assert box.found is None
 
 
 class TestNonexpansiveness:
