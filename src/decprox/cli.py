@@ -189,6 +189,10 @@ def config_from_dict(raw):
     if cfg.algorithms is None:
         cfg.algorithms = [AlgorithmConfig(name) for name in algorithms]
     cfg.iters = cfg.iters or iters
+    names = [a.name for a in cfg.algorithms]
+    twice = next((n for n in names if names.count(n) > 1), None)
+    if twice:  # each run writes <name>.csv and one summary row
+        raise ConfigError(f"algorithms: {twice} is named more than once")
     if cfg.problem == "counterexample" and cfg.graph.K != 2:
         raise ConfigError("the counterexample is a two-agent problem: "
                           f"graph.K must be 2, got {cfg.graph.K}")

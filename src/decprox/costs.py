@@ -159,18 +159,25 @@ def _stacked_logistic_grad(Xb, XbT, shards, lam):
 
     Each margin and each gradient entry sums the same products in the same
     order as the per-agent gradient X_k' coef_k + lam w, so the two agree
-    bit for bit.
+    bit for bit.  Margins, sigmoids and coefficients share one buffer, the
+    matvec's output: the operations of -y * expit(-y * (X w)) / L in their
+    order, with -y formed once and each product's operands swapped.
     """
     K, M = len(shards), shards[0].M
-    y = np.concatenate([d.labels for d in shards])
+    ny = -np.concatenate([d.labels for d in shards])
     # Each sample's shard size: the per-agent gradient divides by it, and
     # a multiply by its reciprocal would not round the same way.
     L = np.repeat([float(len(d)) for d in shards], [len(d) for d in shards])
 
     def stack_grad(W):
-        margins = -y * (Xb @ W.ravel())
-        coef = -y * expit(margins) / L
-        return (XbT @ coef).reshape(K, M) + lam * W
+        coef = Xb @ W.ravel()
+        coef *= ny
+        expit(coef, out=coef)
+        coef *= ny
+        coef /= L
+        G = (XbT @ coef).reshape(K, M)
+        G += lam * W
+        return G
 
     return stack_grad
 

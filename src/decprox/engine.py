@@ -29,7 +29,8 @@ together.
 Every state is complete: ``initial_state`` evaluates the first gradient,
 and every iteration evaluates exactly one more, at the new iterate, and
 carries it in the state.  A step reads grad(W) (and grad(W_prev), where
-its recursion needs it) from the state it is given.  The primal-dual
+its recursion needs it) from the state it is given, and never writes to
+that state or rebinds its fields: it builds a new one.  The primal-dual
 step also hands the prox its current iterate W, the previous prox
 output, as a hint (``prox.Hint``), with the segmentation the prox found
 of it: the chain prox solves that segmentation in closed form when its
@@ -66,7 +67,7 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockIterate:
     """K x M agent-major stacks of the iteration variables.
 
@@ -78,6 +79,10 @@ class BlockIterate:
     primal-dual step also leaves W_segments, what its prox found of each
     row of W (``prox.Hint.found``), and, where C is zero, Z_next, the
     next step's Z: W - mu G - S at the step's mu.
+
+    No step writes to the arrays or rebinds the fields of a state it is
+    given.  The class is slotted, not frozen: every step builds one, and
+    a frozen build pays a guarded setattr per field.
     """
 
     W: np.ndarray

@@ -99,6 +99,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ADMMX"):
             parse_config(path)
 
+    @pytest.mark.parametrize("algorithms", [
+        [{"name": "ProxED", "mu": 0.1}, {"name": "ProxED", "mu": 0.5}],
+        ["DLM", "ProxED", {"name": "DLM", "mu": 0.2}]])
+    def test_repeated_algorithm_rejected(self, tmp_path, capsys, algorithms):
+        # Each run writes <name>.csv and a summary row named after it, so a
+        # second run of one name would overwrite the first's CSV.
+        name = algorithms[-1]["name"]
+        path = write_config(tmp_path, overrides={"algorithms": algorithms})
+        with pytest.raises(ConfigError,
+                           match=f"algorithms: {name} is named more than once"):
+            parse_config(path)
+        assert cli.main(["run", path]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_odd_counterexample_dim_rejected(self, tmp_path):
         path = write_config(tmp_path, overrides={"problem": "counterexample",
                                                  "M": 11})

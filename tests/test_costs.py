@@ -15,6 +15,7 @@ from decprox.costs import (
 )
 
 import cost_oracle
+from test_engine import same_bytes
 
 
 def finite_diff_grad(f, w, eps=1e-6):
@@ -150,9 +151,9 @@ class TestStackedGradient:
         shards, W = problem
         costs = logistic_cost(shards, lam)
         ref = cost_oracle.logistic_cost(shards, lam)
-        assert np.array_equal(costs.grad_stack(W), ref.grad_stack(W))
+        assert same_bytes(costs.grad_stack(W), ref.grad_stack(W))
         # The reference solver's average gradient, every agent at one point.
-        assert np.array_equal(costs.average_grad(W[0]), ref.average_grad(W[0]))
+        assert same_bytes(costs.average_grad(W[0]), ref.average_grad(W[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1),
@@ -163,8 +164,8 @@ class TestStackedGradient:
         costs = quadratic_cost(eta, K, M, targets=targets)
         ref = cost_oracle.quadratic_cost(eta, K, M, targets=targets)
         W = rng.standard_normal((K, M))
-        assert np.array_equal(costs.grad_stack(W), ref.grad_stack(W))
-        assert np.array_equal(costs.average_grad(W[0]), ref.average_grad(W[0]))
+        assert same_bytes(costs.grad_stack(W), ref.grad_stack(W))
+        assert same_bytes(costs.average_grad(W[0]), ref.average_grad(W[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -176,6 +177,32 @@ class TestStackedGradient:
         assert np.abs(G - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
         assert np.array_equal(costs.average_grad(W[0]),
                               agent_costs.average_grad(W[0]))
+
+    @pytest.mark.parametrize("family", ["quadratic", "random_quadratic",
+                                        "logistic"])
+    def test_new_array_input_untouched(self, family):
+        # A kernel may work in place on its own buffers, never on W: the
+        # engine keeps W and its gradient in one state.  W is taken C- and
+        # Fortran-ordered, as a strided view, and with signed zeros.
+        K, M = 4, 3
+        rng = np.random.default_rng(5)
+        costs = {
+            "quadratic": lambda: quadratic_cost(
+                2.0, K, M, targets=rng.standard_normal((K, M))),
+            "random_quadratic": lambda: random_quadratic_cost(K, M, seed=2),
+            "logistic": lambda: logistic_cost(partition_data(
+                synthetic_classification(40, M, seed=2), K), 0.01),
+        }[family]()
+        W = rng.standard_normal((K, 2 * M))
+        W[rng.random(W.shape) < 0.3] = -0.0
+        for view in (W[:, :M].copy(), np.asfortranarray(W[:, :M]),
+                     W[:, ::2]):
+            before = view.tobytes()
+            G = costs.grad_stack(view)
+            assert G.shape == (K, M)
+            assert not np.shares_memory(G, view)
+            assert not np.shares_memory(G, W)
+            assert view.tobytes() == before
 
     def test_average_grad_is_one_stacked_evaluation(self, monkeypatch):
         costs = random_quadratic_cost(4, 3, seed=1)

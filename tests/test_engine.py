@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from decprox import engine
+from decprox import cli, engine
 from decprox.analysis import fixed_point_residuals, step_bound
 from decprox.costs import quadratic_cost, random_quadratic_cost
 from decprox.engine import (
@@ -300,6 +300,59 @@ class TestCarriedZ:
         st = engine.puda_step(initial_state(costs), t, costs, L1Prox(0.05),
                               0.2)
         assert st.Z_next is None
+
+
+def contents(v):
+    """What a state field holds, all the way down: each array's dtype,
+    shape and bytes, and the identity of every object it reaches."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, (list, tuple)):
+        return type(v), tuple((id(x), contents(x)) for x in v)
+    return v
+
+
+def snapshot(state):
+    return {f.name: (id(getattr(state, f.name)), contents(getattr(state, f.name)))
+            for f in dataclasses.fields(state)}
+
+
+class TestStepsLeaveTheirInput:
+    """No step writes to the state it is given or rebinds its fields: every
+    entry's step, from a mid-run state, leaves each field the same object
+    with the same bytes, the chain prox's carried segmentation included."""
+
+    def _states(self, cfg, name, n):
+        cfg = cli.config_from_dict({**cfg, "algorithms": [name]})
+        p = cli.setup_problem(cfg)
+        step = cli.resolve_algorithm(cfg.algorithms[0], cfg, p).step
+        st = initial_state(p.costs, seed=1)
+        for _ in range(n):
+            st = step(st)
+        return step, st, p
+
+    @pytest.mark.parametrize("graph", ["dense20", "csr300"])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_every_entry(self, graph, name):
+        step, st, p = self._states(
+            {"problem": "lasso_quadratic", "graph": TOLERANCE_GRAPHS[graph],
+             "rho": 0.05, "data": {"dim": 4}}, name, 5)
+        assert sp.issparse(p.A) == (graph == "csr300")
+        before = snapshot(st)
+        nxt = step(st)
+        assert snapshot(st) == before
+        assert nxt is not st and nxt.iter == st.iter + 1
+
+    @pytest.mark.parametrize("name", ["PGEXTRA", "DLADMM", "ProxED"])
+    def test_counterexample(self, name):
+        step, st, _ = self._states({**cli.COUNTEREXAMPLE_PRESET, "M": 8},
+                                   name, 20)
+        if name == "ProxED":
+            assert st.W_segments is not None
+            assert all(seg is not None for seg in st.W_segments)
+        before = snapshot(st)
+        step(st)
+        assert snapshot(st) == before
 
 
 class TestEquivalenceWeb:
