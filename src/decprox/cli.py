@@ -275,9 +275,11 @@ def setup_problem(cfg):
                 dataset = costs_mod.read_libsvm(
                     cfg.data.path, normalize=cfg.data.normalize,
                     label_map=cfg.data.label_map)
+                if dataset.features.shape[1] == 0:
+                    raise ValueError(f"{cfg.data.path} holds no feature")
             shards = costs_mod.partition_data(dataset, K,
                                               seed=cfg.seeds.partition)
-        except (OSError, ValueError) as e:  # unreadable, or too few samples
+        except (OSError, ValueError) as e:  # unreadable, featureless, too few rows
             raise ConfigError(f"data.path: {e}") from e
         costs = costs_mod.logistic_cost(shards, cfg.lam)
 

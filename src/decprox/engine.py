@@ -22,9 +22,9 @@ Every step multiplies the matrices it is given as they are: netgraph
 builds a sparse graph's matrices as CSR (a large sparse graph's combine
 costs O(nnz M) instead of O(K^2 M)) and a dense graph's as ndarrays,
 where a CSR product would be slower; either product is a dense K x M
-stack.  A Table I member of degree 2 is applied as products with its
-base (``netgraph.BasePolynomial``), two per step for A_bar and B^2
-together.
+stack.  A Table I member is a polynomial in its row's base
+(``netgraph.BasePolynomial``), applied as products with the base: at
+most two per step for A_bar and B^2 together.
 
 Every state is complete: ``initial_state`` evaluates the first gradient,
 and every iteration evaluates exactly one more, at the new iterate, and

@@ -7,20 +7,18 @@ Every matrix is built once, in the form the engine multiplies: a
 canonical CSR matrix (:class:`CSRMatrix`: sorted indices, no stored
 zeros) when its share of nonzeros is below ``CSR_DENSITY``, else a dense
 ndarray.  A graph's A, 0.5 (I + A) and L have K + 2E nonzeros each, so
-the edge count decides their form before any is built; a sparse graph's
-matrices are built from its edge list, a dense graph's as dense arrays.
-Either form multiplies a dense K x M stack to an ndarray, and reports its
-memory as ``nbytes``.
+the edge count decides their form (``_sparse_graph``) before any is
+built, from the edge list in either form.  Either form multiplies a
+dense K x M stack to an ndarray, and reports its memory as ``nbytes``.
 
 Every row of the table is a polynomial of degree at most 2 in one
 symmetric base matrix X (A, or the Laplacian for DLM) that has the ones
-vector as an eigenvector.  A member of degree 1 is a matrix, c0 I + c1 X
-in the base's form (X itself where it is X); a member of degree 2, or a
-constant one (the identity, the zero C), is a :class:`BasePolynomial`,
-which holds the base and its coefficients and is applied by products
-with X alone, so that no X^2 is ever built.  A triple's members that are
-polynomials in one base share its products (``ConsensusTriple.combine``):
-a step makes at most two, P = X Z and Q = X P.
+vector as an eigenvector, and each of its three members is a
+:class:`BasePolynomial`, which holds the base and its coefficients and
+is applied by products with X alone, so that no matrix is built for it.
+A triple's A_bar and B^2 share their base's products
+(``ConsensusTriple.combine``): a step makes at most two, P = X Z and
+Q = X P.
 
 Every scalar ``validate_assumptions`` reports is a monotone or concave
 function of the base's eigenvalues, so it is decided by three of them
@@ -74,9 +72,6 @@ EIGENVECTOR_TOL = 1e-12
 # with a K x 30 stack costs 15 us through CSR against 4 us dense at K=20
 # (85% nonzero), and 0.6 ms against 15 ms at K=2000 (0.6% nonzero).
 CSR_DENSITY = 0.1
-# Entries per block of dense rows in which a CSR matrix's row sums are
-# taken (:func:`_dense_row_sums`): 2 MB of float64.
-ROW_SUM_BLOCK = 1 << 18
 # Uniform draws per block in which random_connected samples its non-tree
 # pairs: 2 MB of float64.
 EDGE_DRAW_CHUNK = 1 << 18
@@ -137,12 +132,6 @@ class Graph:
     def degrees(self):
         return np.bincount(self.edge_index.ravel(), minlength=self.K)
 
-    def adjacency(self):
-        adj = np.zeros((self.K, self.K))
-        s, k = self.edge_index.T
-        adj[s, k] = adj[k, s] = 1.0
-        return adj
-
     def is_connected(self):
         return self._connected
 
@@ -159,8 +148,9 @@ class ConsensusTriple:
 
     A_bar is doubly stochastic symmetric; B_sq and C are symmetric PSD
     consensus matrices annihilating the all-ones vector.  Each member is
-    anything with ``@`` and ``shape``: an ndarray, a CSR matrix or, in a
-    triple :func:`table1_matrices` builds, a :class:`BasePolynomial`.
+    anything with ``@`` and ``shape``: in a triple :func:`table1_matrices`
+    builds, a :class:`BasePolynomial` in the row's base; in a hand-built
+    one, an ndarray or a CSR matrix too.
 
     ``spectrum``, set by :func:`table1_matrices`, holds the eigenvalues of
     (A_bar, B_sq, C) as three arrays paired in the matrices' common
@@ -173,7 +163,7 @@ class ConsensusTriple:
     the cached products describe them as built.
     """
 
-    A_bar: object  # ndarray, CSRMatrix or BasePolynomial
+    A_bar: object  # BasePolynomial, ndarray or CSRMatrix
     B_sq: object
     C: object
     spectrum: tuple = None
@@ -186,40 +176,29 @@ class ConsensusTriple:
     def combine(self):
         """The function Z -> (A_bar Z, B^2 Z), worked out once.
 
-        Members that are polynomials in one base X, or X itself, share its
-        products P = X Z and Q = X P, each made only if a member needs it;
-        a constant member (the identity) needs none.  Any other member is
-        multiplied as it is, so a triple of matrices takes the products it
-        always took.
+        Two polynomials in one base X share its products P = X Z and
+        Q = X P, each made only if a member needs it; any other pair, of a
+        hand-built triple, is multiplied member by member.
         """
-        members = (self.A_bar, self.B_sq)
-        X = next((m.base for m in members if isinstance(m, BasePolynomial)
-                  and m.degree > 0), None)
-        degree, parts = 0, []
-        for m in members:
-            if isinstance(m, BasePolynomial) and (m.degree <= 0 or m.base is X):
-                degree = max(degree, m.degree)
-                parts.append(m.from_powers)
-            elif X is not None and m is X:
-                degree = max(degree, 1)
-                parts.append(lambda Z, P, Q: P)
-            else:
-                parts.append(lambda Z, P, Q, m=m: m @ Z)
-        A_bar_part, B_sq_part = parts
+        A_bar, B_sq = self.A_bar, self.B_sq
+        if not (isinstance(A_bar, BasePolynomial)
+                and isinstance(B_sq, BasePolynomial) and A_bar.base is B_sq.base):
+            return lambda Z: (A_bar @ Z, B_sq @ Z)
+        degree = max(A_bar.degree, B_sq.degree)
 
         def combine(Z):
-            powers = _powers(X, Z, degree)
-            return A_bar_part(*powers), B_sq_part(*powers)
+            powers = _powers(A_bar.base, Z, degree)
+            return A_bar.from_powers(*powers), B_sq.from_powers(*powers)
 
         return combine
 
     @cached_property
     def C_product(self):
-        """The function W -> C W, or None where C is zero (of a matrix C,
-        every stored value), so that the engine can skip it."""
+        """The function W -> C W, or None where C is zero (of a hand-built
+        matrix C, every stored value), so that the engine can skip it."""
         C = self.C
         if isinstance(C, BasePolynomial):
-            zero = C.is_zero
+            zero = C.degree < 0
         else:
             zero = not (C.data if sp.issparse(C) else C).any()
         return None if zero else C.__matmul__
@@ -250,10 +229,6 @@ class BasePolynomial:
 
     # It stores no matrix; its base is counted where it was built.
     nbytes = 0
-
-    @property
-    def is_zero(self):
-        return self.degree < 0
 
     def __matmul__(self, Z):
         return self.from_powers(*_powers(self.base, Z, self.degree))
@@ -325,13 +300,10 @@ def _edge(s, k):
 
 
 def _engine_form(X):
-    """A copy of the sparse matrix X as the engine multiplies it:
-    canonical CSR (sorted indices, no stored zeros) if its share of
-    nonzeros is below CSR_DENSITY, else a dense ndarray."""
+    """A copy of the sparse matrix X as canonical CSR: sorted indices, no
+    stored zeros."""
     X = CSRMatrix(X, copy=True)
     X.eliminate_zeros()
-    if X.nnz >= CSR_DENSITY * X.shape[0] * X.shape[1]:
-        return X.toarray()
     X.sort_indices()
     return X
 
@@ -343,26 +315,19 @@ def _sparse_graph(g):
 
 
 def _edge_matrix(g, weights, diagonal):
-    """The symmetric CSR matrix with ``weights`` on g's edges, in
-    ``edge_index`` order, and ``diagonal`` on the diagonal."""
+    """The symmetric matrix with ``weights`` on g's edges, in
+    ``edge_index`` order, and ``diagonal`` on the diagonal, in the form
+    :func:`_sparse_graph` gives g."""
     s, k = g.edge_index.T
+    if not _sparse_graph(g):
+        X = np.diag(diagonal)
+        X[s, k] = X[k, s] = weights
+        return X
     i = np.arange(g.K)
     return _engine_form(sp.csr_matrix(
         (np.concatenate([weights, weights, diagonal]),
          (np.concatenate([s, k, i]), np.concatenate([k, s, i]))),
         shape=(g.K, g.K)))
-
-
-def _dense_row_sums(X):
-    """The sparse X's row sums, each taken as numpy sums the dense row
-    (pairwise, its zeros in place), so that they equal a dense matrix's
-    bit for bit; a block of ROW_SUM_BLOCK entries at a time, in O(K^2)
-    time but never K x K memory.  A sum over the stored entries alone
-    moves 171 of the 2000 Metropolis diagonals of the benchmark graph by
-    an ulp."""
-    rows = max(1, ROW_SUM_BLOCK // X.shape[1])
-    return np.concatenate([X[i:i + rows].toarray().sum(axis=1)
-                           for i in range(0, X.shape[0], rows)])
 
 
 def _is_symmetric(X):
@@ -499,21 +464,17 @@ def build_graph(kind, K, seed=0, extra_edge_prob=0.0):
 def metropolis_matrix(g):
     """Symmetric doubly stochastic combination matrix by the Metropolis rule.
 
-    Edge weight 1/(1 + max(d_s, d_k)); the diagonal absorbs the remainder
-    so that rows sum to one exactly.
+    Edge weight 1/(1 + max(d_s, d_k)); the diagonal is 1 minus the row's
+    edge weights, summed by numpy over a dense row, or over a CSR row's
+    stored weights alone (in column order, O(nnz) in all).
     """
     if not g.is_connected():
         raise ValueError("graph must be connected")
     d = g.degrees()
     s, k = g.edge_index.T
     w = 1.0 / (1.0 + np.maximum(d[s], d[k]))
-    if _sparse_graph(g):
-        off = _edge_matrix(g, w, np.zeros(g.K))
-        return _edge_matrix(g, w, 1.0 - _dense_row_sums(off))
-    A = np.zeros((g.K, g.K))
-    A[s, k] = A[k, s] = w
-    np.fill_diagonal(A, 1.0 - A.sum(axis=1))
-    return A
+    off = _edge_matrix(g, w, np.zeros(g.K))
+    return _edge_matrix(g, w, 1.0 - np.asarray(off.sum(axis=1)).ravel())
 
 
 def shift_positive(A):
@@ -527,19 +488,16 @@ def laplacian_matrix(g):
     """Graph Laplacian D - Adjacency; PSD with L @ ones = 0."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    if _sparse_graph(g):
-        return _edge_matrix(g, np.full(len(g.edges), -1.0),
-                            g.degrees().astype(float))
-    adj = g.adjacency()
-    return np.diag(adj.sum(axis=1)) - adj
+    return _edge_matrix(g, np.full(len(g.edges), -1.0),
+                        g.degrees().astype(float))
 
 
 def _table1_row(row, X, I, prod, c, mu):
     """One row of the table as a polynomial in the base X (A, or the
     Laplacian for DLM): coefficients in (I, X, X^2) for X = (0, 1, 0),
-    I = (1, 0, 0) and ``prod`` = :func:`_poly_product`; eigenvalues for
-    X = the base's eigenvalues, I = ones and ``prod`` = the elementwise
-    product."""
+    I = (1, 0, 0) and ``prod`` = the coefficients' product, truncated to
+    degree 2 (no row goes higher); eigenvalues for X = the base's
+    eigenvalues, I = ones and ``prod`` = the elementwise product."""
     if row is AlgorithmId.EXACT_DIFFUSION:
         return 0.5 * (I + X), 0.5 * (I - X), 0.0 * I
     if row is AlgorithmId.NIDS:
@@ -557,27 +515,6 @@ def _table1_row(row, X, I, prod, c, mu):
         return I, 0.5 * (I - X), 0.5 * (I - X)
     # DLM
     return I, c * mu * X, c * mu * X
-
-
-def _poly_product(p, q):
-    """The product of two polynomials' coefficients, truncated to degree
-    2: no row of the table goes higher."""
-    return np.convolve(p, q)[:3]
-
-
-def _member(X, coeffs):
-    """A row's member with coefficients (c0, c1, c2) in (I, X, X^2): a
-    :class:`BasePolynomial` of degree 2 or 0 (or the zero one), else the
-    matrix c0 I + c1 X in X's form, X itself where it is X."""
-    c0, c1, c2 = coeffs
-    if c2 != 0.0 or c1 == 0.0:
-        return BasePolynomial(X, coeffs)
-    if (c0, c1) == (0.0, 1.0):
-        return X
-    sparse = sp.issparse(X)
-    I = sp.identity(X.shape[0], format="csr") if sparse else np.eye(X.shape[0])
-    M = c1 * X if c0 == 0.0 else c0 * I + c1 * X
-    return _engine_form(M) if sparse else M
 
 
 def table1_spectrum(row, eigvals, c=None, mu=None):
@@ -689,14 +626,9 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
         raise ValueError("DIGing needs a base whose spectrum off the ones "
                          "vector does not straddle 0; shift it to 0.5 (I + A)")
     coeffs = _table1_row(row, np.array([0.0, 1.0, 0.0]),
-                         np.array([1.0, 0.0, 0.0]), _poly_product, c, mu)
-    # Members with equal coefficients (EXTRA's and DLM's B^2 and C) are
-    # one object.
-    built = {}
-    for cf in map(tuple, coeffs):
-        if cf not in built:
-            built[cf] = _member(base, cf)
-    return ConsensusTriple(*(built[tuple(cf)] for cf in coeffs),
+                         np.array([1.0, 0.0, 0.0]),
+                         lambda p, q: np.convolve(p, q)[:3], c, mu)
+    return ConsensusTriple(*(BasePolynomial(base, cf) for cf in coeffs),
                            spectrum=table1_spectrum(row, eigvals, c, mu))
 
 

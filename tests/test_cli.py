@@ -507,14 +507,11 @@ class TestSparseGraphs:
             expected = table1_recursion(row, base, c=cfg.c, mu=r.mu)
             for X, ref in zip((r.triple.A_bar, r.triple.B_sq, r.triple.C),
                               expected):
-                # A matrix member is an ndarray, a polynomial holds the
-                # dense base; either equals the recursion's form bit for bit.
-                if isinstance(X, netgraph.BasePolynomial):
-                    X, base_form = dense(X), X.base
-                else:
-                    base_form = X
-                assert isinstance(base_form, np.ndarray), acfg.name
-                assert np.array_equal(X, ref), acfg.name
+                # Every member is a polynomial holding the dense base, equal
+                # to the recursion's form bit for bit.
+                assert isinstance(X, netgraph.BasePolynomial), acfg.name
+                assert isinstance(X.base, np.ndarray), acfg.name
+                assert np.array_equal(dense(X), ref), acfg.name
 
     def test_separate_prox_methods_on_a_sparse_ring(self, tmp_path,
                                                     monkeypatch):
@@ -707,6 +704,18 @@ class TestMain:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate", "rates"])
+    def test_featureless_libsvm_exit_2(self, tmp_path, capsys, command):
+        # Labels alone give zero columns: no problem to solve or check.
+        data = tmp_path / "labels.svm"
+        data.write_text("1\n-1\n1 # no feature\n-1\n")
+        path = write_config(tmp_path, {
+            "problem": "logistic_l1", "graph": {"kind": "complete", "K": 2},
+            "data": {"source": "libsvm", "path": str(data)}})
+        assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: data.path: {data} holds no feature" in err
 
     def test_reference_cap_exit_2(self, tmp_path, monkeypatch, capsys):
         # A reference solver stopped by its cap gives no w* to measure

@@ -198,10 +198,11 @@ class TestCsrCombine:
                                        rtol=0, atol=1e-12, err_msg=name)
 
 
-# The degree-2 rows' tolerance against the matrix form (X^2, (I - X)^2
-# and I - X^2 built): relative error <= REL_TOL on every row whose error is
-# at least FLOOR times the first, and |sqrt(e') - sqrt(e)| <= SQRT_TOL
-# times sqrt of the first on every row, where rounding dominates.
+# The polynomial rows' tolerance against the matrix form (c0 I + c1 X,
+# X^2, (I - X)^2 and I - X^2 built): relative error <= REL_TOL on every row
+# whose error is at least FLOOR times the first, and
+# |sqrt(e') - sqrt(e)| <= SQRT_TOL times sqrt of the first on every row,
+# where rounding dominates.
 REL_TOL, FLOOR, SQRT_TOL = 1e-10, 1e-10, 1e-14
 
 # Dense K=20 (the README graph), CSR K=300 and the CSR benchmark graph.
@@ -223,33 +224,40 @@ def assert_within_tolerance(errors, reference):
     assert dev <= SQRT_TOL * np.sqrt(ref[0]), dev
 
 
-class TestDegreeTwoRows:
+class TestTable1Rows:
     @pytest.fixture(scope="class", params=sorted(TOLERANCE_GRAPHS))
     def network(self, request):
         g = build_graph(**TOLERANCE_GRAPHS[request.param])
-        A = shift_positive(metropolis_matrix(g))
+        A, L = metropolis_matrix(g), laplacian_matrix(g)
         assert sp.issparse(A) == request.param.startswith("csr")
-        return A
+        return A, L
 
-    @pytest.mark.parametrize("name", ["AugDGM", "ATCTracking", "DIGing",
-                                      "ProxATC1", "ProxATC2"])
+    @pytest.mark.parametrize("name", [n for n, a in ALGORITHMS.items()
+                                      if a.row is not None])
     def test_matches_matrix_form(self, network, name):
         # 3000 iterations, at 0.9 of the step bound, of the row applied as
         # polynomials and of its matrix form, as a hand-built triple.  The
         # Table I names run smooth (R = 0), the Prox names with l1.
-        A, M, rho = network, 4, 0.05
+        (A, L), M, rho, c = network, 4, 0.05, 0.3
         K = A.shape[0]
         algo = ALGORITHMS[name]
+        if algo.shifted:
+            A = shift_positive(A)
         targets = np.random.default_rng(K).standard_normal((K, M))
         costs = quadratic_cost(1.0, K, M, targets=targets)
         if name.startswith("Prox"):
             prox, w_star = L1Prox(rho), prox_l1(targets.mean(axis=0), rho)
         else:
             prox, w_star = ZeroProx(), targets.mean(axis=0)
-        t = table1_matrices(algo.row, A)
-        mu = 0.9 * step_bound(algo.theorem,
-                              validate_assumptions(t).sigma_max_C, costs.delta)
-        matrix_form = ConsensusTriple(*table1_reference(algo.row, A))
+        sigma = validate_assumptions(
+            table1_matrices(algo.row, A, c=c, mu=1.0, L=L)).sigma_max_C
+        if algo.row == "DLM":  # C = c mu L: mu = 0.9 of the bound it sets
+            mu = 1.8 / (costs.delta + 1.8 * sigma)
+        else:
+            mu = 0.9 * step_bound(algo.theorem, sigma, costs.delta)
+        t = table1_matrices(algo.row, A, c=c, mu=mu, L=L)
+        matrix_form = ConsensusTriple(*table1_reference(
+            algo.row, L if algo.row == "DLM" else A, c=c, mu=mu))
         errors = [run(algo, engine.primal_dual(costs, prox, mu, triple), costs,
                       w_star, 3000).errors for triple in (t, matrix_form)]
         assert_within_tolerance(*errors)

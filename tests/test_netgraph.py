@@ -242,21 +242,34 @@ class TestMetropolis:
         ("random_connected", 2000, 0.002), ("random_connected", 2000, 0.0),
         ("random_connected", 40, 0.3)])
     def test_edge_array_matches_edge_loops(self, kind, K, p):
-        # Built from one edge-index array, bit for bit as one edge at a time
-        # into a dense matrix, in the form the edge count decides.
+        # Built from one edge-index array, in the form the edge count
+        # decides, bit for bit as one edge at a time into a dense matrix,
+        # but for a CSR matrix's Metropolis diagonal: 1 minus numpy's
+        # reduction of the row's stored weights in column order (its first
+        # weight plus the others' sum), within an ulp of the dense row's.
         g = build_graph(kind, K, seed=7, extra_edge_prob=p)
         assert np.array_equal(g.degrees(), loop_degrees(g))
         assert g.degrees().dtype == loop_degrees(g).dtype
-        assert np.array_equal(g.adjacency(), loop_adjacency(g))
         A, L = metropolis_matrix(g), laplacian_matrix(g)
         sparse = K + 2 * len(g.edges) < netgraph.CSR_DENSITY * K * K
         for X in (A, L, shift_positive(A)):
             assert sp.issparse(X) == sparse
             assert_engine_form(X)
-        assert np.array_equal(dense(A), loop_metropolis(g))
         assert np.array_equal(dense(L), loop_laplacian(g))
+        ref, Ad = loop_metropolis(g), dense(A)
+        off = ~np.eye(K, dtype=bool)
+        assert np.array_equal(Ad[off], ref[off])
+        assert np.array_equal(Ad[off] != 0, loop_adjacency(g)[off] != 0)
+        if sparse:
+            for i in range(K):
+                row = A[i]
+                weights = row.data[row.indices != i]
+                assert A[i, i] == 1.0 - np.add.reduceat(weights, [0])[0], i
+            assert np.abs(np.diag(Ad) - np.diag(ref)).max() <= 2.3e-16
+        else:
+            assert np.array_equal(Ad, ref)
         assert np.array_equal(dense(shift_positive(A)),
-                              0.5 * (np.eye(K) + loop_metropolis(g)))
+                              0.5 * (np.eye(K) + Ad))
 
     def test_disconnected_graph_rejected(self):
         g = Graph(K=4, edges=frozenset({(0, 1), (2, 3)}))
@@ -277,7 +290,7 @@ class TestMetropolis:
     def test_sparsity_matches_graph(self):
         g = build_graph("ring", 6)
         A = metropolis_matrix(g)
-        adj = g.adjacency()
+        adj = loop_adjacency(g)
         off = ~np.eye(6, dtype=bool)
         assert ((A[off] > 0) == (adj[off] > 0)).all()
 
@@ -311,14 +324,14 @@ class TestTable1:
 
     def test_exact_diffusion_row(self):
         t = table1_matrices("ExactDiffusion", self.A)
-        assert np.allclose(t.A_bar, 0.5 * (self.I + self.A))
-        assert np.allclose(t.B_sq, 0.5 * (self.I - self.A))
+        assert np.allclose(dense(t.A_bar), 0.5 * (self.I + self.A))
+        assert np.allclose(dense(t.B_sq), 0.5 * (self.I - self.A))
         assert np.allclose(dense(t.C), 0.0)
 
     def test_nids_row(self):
         t = table1_matrices("NIDS", self.A, c=0.3)
-        assert np.allclose(t.A_bar, self.I - 0.3 * (self.I - self.A))
-        assert np.allclose(t.B_sq, 0.3 * (self.I - self.A))
+        assert np.allclose(dense(t.A_bar), self.I - 0.3 * (self.I - self.A))
+        assert np.allclose(dense(t.B_sq), 0.3 * (self.I - self.A))
 
     def test_tracking_rows(self):
         IA2 = (self.I - self.A) @ (self.I - self.A)
@@ -327,9 +340,9 @@ class TestTable1:
         assert np.allclose(dense(t.B_sq), IA2)
         assert np.allclose(dense(t.C), 0.0)
         t = table1_matrices("ATCTracking", self.A)
-        assert np.allclose(t.A_bar, self.A)
+        assert np.allclose(dense(t.A_bar), self.A)
         assert np.allclose(dense(t.B_sq), IA2)
-        assert np.allclose(t.C, self.I - self.A)
+        assert np.allclose(dense(t.C), self.I - self.A)
         t = table1_matrices("DIGing", self.A)
         assert np.allclose(dense(t.A_bar), self.I)
         assert np.allclose(dense(t.B_sq), IA2)
@@ -337,11 +350,11 @@ class TestTable1:
 
     def test_extra_dlm_rows(self):
         t = table1_matrices("EXTRA", self.A)
-        assert np.allclose(t.B_sq, 0.5 * (self.I - self.A))
-        assert np.allclose(t.B_sq, t.C)
+        assert np.allclose(dense(t.B_sq), 0.5 * (self.I - self.A))
+        assert np.allclose(dense(t.B_sq), dense(t.C))
         t = table1_matrices("DLM", self.A, c=0.2, mu=0.1, L=self.L)
-        assert np.allclose(t.B_sq, 0.02 * self.L)
-        assert np.allclose(t.B_sq, t.C)
+        assert np.allclose(dense(t.B_sq), 0.02 * self.L)
+        assert np.allclose(dense(t.B_sq), dense(t.C))
 
     def test_missing_parameters(self):
         with pytest.raises(ValueError):
@@ -426,9 +439,9 @@ class TestAssumptions:
     def test_report_fields(self):
         t = table1_matrices("ExactDiffusion", self.A)
         r = validate_assumptions(t)
-        eig_A = np.sort(np.linalg.eigvalsh(t.A_bar))
+        eig_A = np.sort(np.linalg.eigvalsh(dense(t.A_bar)))
         assert r.lambda2_A == pytest.approx(eig_A[-2], abs=1e-12)
-        nonzero = [x for x in np.linalg.eigvalsh(t.B_sq) if x > 1e-10]
+        nonzero = [x for x in np.linalg.eigvalsh(dense(t.B_sq)) if x > 1e-10]
         assert r.sigma_min_Bsq == pytest.approx(min(nonzero), abs=1e-12)
 
 
@@ -750,9 +763,9 @@ def table1_reference(row, X, c=None, mu=None):
 
 def table1_recursion(row, X, c=None, mu=None):
     """A row's (A_bar, B^2, C) as the program applies them, applied to the
-    identity on the base X (CSR or dense), as dense arrays: c0 I + c1 X for
-    a member of degree 1, and for the others I, P = X I and Q = X P summed
-    in the order of their powers.  Bit for bit the members' products."""
+    identity on the base X (CSR or dense), as dense arrays: I, P = X I and
+    Q = X P summed in the order of their powers (P is X bit for bit).  Bit
+    for bit the members' products."""
     row = AlgorithmId(row)
     I = np.eye(X.shape[0])
     P = X @ I
@@ -772,12 +785,6 @@ def table1_recursion(row, X, c=None, mu=None):
     return I, c * mu * Xd, c * mu * Xd
 
 
-def stored_entries(X):
-    """The entries a matrix stores: a CSR matrix's nonzeros, an ndarray's
-    every entry."""
-    return X.nnz if sp.issparse(X) else X.size
-
-
 class TestMatrixForms:
     # The tracking rows run on 0.5 (I + A), the others on A (or L).
     SHIFTED = (AlgorithmId.AUG_DGM, AlgorithmId.ATC_TRACKING, AlgorithmId.DIGING)
@@ -793,24 +800,21 @@ class TestMatrixForms:
         return out
 
     def test_benchmark_graph_builds_csr(self, benchmark_graph):
-        # A member of degree 1 is canonical CSR and a member of degree 2 or
-        # 0 a polynomial holding the base itself, each equal bit for bit
-        # to the recursion's form.  Against the formulas as first written,
-        # with the squares built: NIDS's diagonal, (1 - c) + c x against
-        # 1 - c (1 - x) and c - c x against c (1 - x), within 2.3e-16, and
-        # the squares to rounding.  (A dense graph's members:
-        # tests/test_cli.py, TestSparseGraphs.)
+        # Every member is a polynomial holding the CSR base itself, equal
+        # bit for bit to the recursion's form.  Against the formulas as
+        # first written, with the squares built: NIDS's diagonal,
+        # (1 - c) + c x against 1 - c (1 - x) and c - c x against
+        # c (1 - x), within 2.3e-16, and the squares to rounding.  (A dense
+        # graph's members: tests/test_cli.py, TestSparseGraphs.)
         A, L = metropolis_matrix(benchmark_graph), laplacian_matrix(benchmark_graph)
+        assert sp.issparse(A) and sp.issparse(L)
         for aid, (base, t) in self.triples(A, L).items():
             exact = table1_recursion(aid, base, c=0.3, mu=0.1)
             first = [dense(X) for X in table1_reference(aid, base, c=0.3,
                                                         mu=0.1)]
             for X, ref, old in zip((t.A_bar, t.B_sq, t.C), exact, first):
-                if isinstance(X, netgraph.BasePolynomial):
-                    assert X.base is base, aid
-                else:
-                    assert sp.issparse(X), aid
-                    assert_engine_form(X)
+                assert isinstance(X, netgraph.BasePolynomial), aid
+                assert X.base is base, aid
                 X = dense(X)
                 assert np.array_equal(X, ref), aid
                 assert np.abs(X - old).max() <= 1e-15, aid
@@ -818,8 +822,8 @@ class TestMatrixForms:
 
     @pytest.mark.parametrize("form", ["csr", "dense"])
     def test_no_squared_matrix(self, benchmark_graph, form):
-        # No member holds more stored entries than its base: a polynomial
-        # holds the base itself, and a matrix member is c0 I + c1 X.
+        # No member stores a matrix: each is a polynomial holding the base
+        # itself, dense or CSR.
         if form == "csr":
             g = benchmark_graph
         else:
@@ -828,11 +832,8 @@ class TestMatrixForms:
         assert sp.issparse(A) == (form == "csr")
         for aid, (base, t) in self.triples(A, L).items():
             for X in (t.A_bar, t.B_sq, t.C):
-                if isinstance(X, netgraph.BasePolynomial):
-                    assert X.base is base, aid
-                else:
-                    assert stored_entries(X) <= stored_entries(base), aid
-                assert X.nbytes <= base.nbytes, aid
+                assert isinstance(X, netgraph.BasePolynomial), aid
+                assert X.base is base and X.nbytes == 0, aid
 
     @pytest.mark.parametrize("K", [20, 50, 300])
     @pytest.mark.parametrize("aid", list(AlgorithmId))
