@@ -18,11 +18,10 @@ Table I row runs as the one primal-dual step; the paper's per-agent
 listings and eliminated forms of it (Appendices B and C) are
 equivalences, which the tests check against this step rather than run.
 
-Every step multiplies the matrices it is given as they are: netgraph
-builds a sparse graph's matrices as CSR (a large sparse graph's combine
-costs O(nnz M) instead of O(K^2 M)) and a dense graph's as ndarrays,
-where a CSR product would be slower; either product is a dense K x M
-stack.  A Table I member is a polynomial in its row's base
+netgraph builds a sparse graph's matrices as CSR (a large sparse graph's
+combine costs O(nnz M) instead of O(K^2 M)) and a dense graph's as
+ndarrays, where a CSR product would be slower; either product is a dense
+K x M stack.  A Table I member is a polynomial in its row's base
 (``netgraph.BasePolynomial``), applied as products with the base: at
 most two per step for A_bar and B^2 together.
 
@@ -145,8 +144,8 @@ def puda_step(state, triple, costs, prox, mu):
     Z <- (I - C) W - mu grad(W) - S;  S <- S + B^2 Z;  W <- prox(A_bar Z).
 
     A_bar Z and B^2 Z come from one call (``ConsensusTriple.combine``),
-    which shares the products of members that are polynomials in one
-    base.  The prox gets W, its own previous output, as a hint, with the
+    which shares the base's products and scaled powers between them.  The
+    prox gets W, its own previous output, as a hint, with the
     segmentation it found of W; the hint may change W only by rounding.
     Where C is zero, Z is the one the step before left (``Z_next``), if
     it left one.

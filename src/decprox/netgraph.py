@@ -16,9 +16,10 @@ symmetric base matrix X (A, or the Laplacian for DLM) that has the ones
 vector as an eigenvector, and each of its three members is a
 :class:`BasePolynomial`, which holds the base and its coefficients and
 is applied by products with X alone, so that no matrix is built for it.
-A triple's A_bar and B^2 share their base's products
-(``ConsensusTriple.combine``): a step makes at most two, P = X Z and
-Q = X P.
+A triple's A_bar and B^2 share their base's products and scaled
+powers (``ConsensusTriple.combine``): a step makes at most two
+products, P = X Z and Q = X P, and scales each power by each distinct
+|coefficient| once.
 
 Every scalar ``validate_assumptions`` reports is a monotone or concave
 function of the base's eigenvalues, so it is decided by three of them
@@ -148,71 +149,49 @@ class ConsensusTriple:
 
     A_bar is doubly stochastic symmetric; B_sq and C are symmetric PSD
     consensus matrices annihilating the all-ones vector.  Each member is
-    anything with ``@`` and ``shape``: in a triple :func:`table1_matrices`
-    builds, a :class:`BasePolynomial` in the row's base; in a hand-built
-    one, an ndarray or a CSR matrix too.
+    a :class:`BasePolynomial` in one base, the row's; only
+    :func:`table1_matrices` builds a triple.
 
-    ``spectrum``, set by :func:`table1_matrices`, holds the eigenvalues of
-    (A_bar, B_sq, C) as three arrays paired in the matrices' common
-    eigenbasis, each with three entries: at the consensus eigenvalue of the
-    row's base, then at its lowest and its highest eigenvalue on the
-    complement of the ones vector (:func:`deciding_eigenvalues`).  A
-    hand-built triple, whose matrices need not commute, has none: the
-    engine runs it, and :func:`validate_assumptions` rejects it.  The
-    matrices are not to be modified after construction: ``spectrum`` and
-    the cached products describe them as built.
+    ``spectrum`` holds the eigenvalues of (A_bar, B_sq, C) as three arrays
+    paired in the matrices' common eigenbasis, each with three entries: at
+    the consensus eigenvalue of the base, then at its lowest and its
+    highest eigenvalue on the complement of the ones vector
+    (:func:`deciding_eigenvalues`).  The members are not to be modified
+    after construction: ``spectrum`` and the sum plan describe them as
+    built.
     """
 
-    A_bar: object  # BasePolynomial, ndarray or CSRMatrix
+    A_bar: object
     B_sq: object
     C: object
-    spectrum: tuple = None
+    spectrum: tuple
 
     @property
     def K(self):
         return self.A_bar.shape[0]
 
     @cached_property
-    def combine(self):
-        """The function Z -> (A_bar Z, B^2 Z), worked out once.
+    def _plan(self):
+        return _sum_plan((self.A_bar.coeffs, self.B_sq.coeffs))
 
-        Two polynomials in one base X share its products P = X Z and
-        Q = X P, each made only if a member needs it; any other pair, of a
-        hand-built triple, is multiplied member by member.
-        """
-        A_bar, B_sq = self.A_bar, self.B_sq
-        if not (isinstance(A_bar, BasePolynomial)
-                and isinstance(B_sq, BasePolynomial) and A_bar.base is B_sq.base):
-            return lambda Z: (A_bar @ Z, B_sq @ Z)
-        degree = max(A_bar.degree, B_sq.degree)
-
-        def combine(Z):
-            powers = _powers(A_bar.base, Z, degree)
-            return A_bar.from_powers(*powers), B_sq.from_powers(*powers)
-
-        return combine
+    def combine(self, Z):
+        """(A_bar Z, B^2 Z), both summed from the base's shared scaled
+        powers (:func:`_sum_plan`)."""
+        return _power_sums(self.A_bar.base, Z, self._plan)
 
     @cached_property
     def C_product(self):
-        """The function W -> C W, or None where C is zero (of a hand-built
-        matrix C, every stored value), so that the engine can skip it."""
-        C = self.C
-        if isinstance(C, BasePolynomial):
-            zero = C.degree < 0
-        else:
-            zero = not (C.data if sp.issparse(C) else C).any()
-        return None if zero else C.__matmul__
+        """The function W -> C W, or None where C is zero, so that the
+        engine can skip it."""
+        return None if self.C.degree < 0 else self.C.__matmul__
 
 
 class BasePolynomial:
-    """c0 I + c1 X + c2 X^2 in a base matrix X, applied to a stack Z as
-    c0 Z + c1 P + c2 Q with P = X Z and Q = X P: X^2 is never built.
+    """c0 I + c1 X + c2 X^2 in a base matrix X, applied to a stack Z from
+    its powers Z, P = X Z and Q = X P: X^2 is never built.
 
-    It holds the base, not a copy.  Zero terms are skipped, a unit
-    coefficient multiplies nothing, and the terms are summed in the order
-    of their powers; the sum is worked out once, when it is built.
-    ``from_powers(Z, P, Q)`` takes the sum from powers made elsewhere, so
-    that the members of one triple share them bit for bit.
+    It holds the base, not a copy, and works out its sum plan
+    (:func:`_sum_plan`) once, when it is built.
     """
 
     def __init__(self, base, coeffs):
@@ -221,7 +200,7 @@ class BasePolynomial:
         # -1 for the zero polynomial.
         self.degree = max((p for p, c in enumerate(self.coeffs) if c),
                           default=-1)
-        self.from_powers = _power_sum(self.coeffs)
+        self._plan = _sum_plan((self.coeffs,))
 
     @property
     def shape(self):
@@ -231,48 +210,63 @@ class BasePolynomial:
     nbytes = 0
 
     def __matmul__(self, Z):
-        return self.from_powers(*_powers(self.base, Z, self.degree))
+        return _power_sums(self.base, Z, self._plan)[0]
 
 
-def _powers(X, Z, degree):
-    """(Z, X Z, X (X Z)), each product made only up to ``degree``."""
+def _sum_plan(coeff_rows):
+    """How to sum polynomials in one base from shared terms: (degree,
+    scales, terms per polynomial).
+
+    The powers Z, P, Q sit at 0, 1, 2 of the term list, up to the highest
+    degree; each distinct scaled power |c| V_p with |c| != 1 follows,
+    once, at 3 onwards (``scales`` holds its (p, |c|)).  A polynomial is
+    its nonzero terms in the order of their powers, each an index into
+    that list with np.add or np.subtract for its coefficient's sign.  The
+    sum rounds as c0 Z + c1 P + c2 Q added term by term does, bit for bit:
+    c V is -(|c| V) exactly, a + (-b) is a - b, and the first two terms
+    may swap, since addition commutes, so that a positive one starts it.
+    """
+    rows = [[(p, c) for p, c in enumerate(row) if c] for row in coeff_rows]
+    degree = max((p for row in rows for p, _ in row), default=-1)
+    scales = sorted({(p, abs(c)) for row in rows for p, c in row
+                     if abs(c) != 1.0})
+    index = {s: 3 + i for i, s in enumerate(scales)}
+    plans = []
+    for row in rows:
+        terms = [(index.get((p, abs(c)), p), np.subtract if c < 0 else np.add)
+                 for p, c in row]
+        if len(terms) > 1 and terms[0][1] is np.subtract:
+            terms[:2] = terms[1::-1]
+        plans.append(tuple(terms))
+    return degree, tuple(scales), tuple(plans)
+
+
+def _power_sums(X, Z, plan):
+    """The polynomials of ``plan`` (:func:`_sum_plan`) in the base X,
+    applied to Z: a list of new arrays, but for a single term of unit
+    coefficient, which is its power itself."""
+    degree, scales, plans = plan
     P = X @ Z if degree >= 1 else None
-    Q = X @ P if degree >= 2 else None
-    return Z, P, Q
+    V = [Z, P, X @ P if degree >= 2 else None]
+    V += [np.multiply(V[p], c) for p, c in scales]
+    return [_signed_sum(V, terms) if terms else np.zeros_like(Z)
+            for terms in plans]
 
 
-def _scaled(V, c):
-    return V if c == 1.0 else c * V
-
-
-def _power_sum(coeffs):
-    """The function (Z, P, Q) -> c0 Z + c1 P + c2 Q, summed left to right
-    over the nonzero terms into one new array (a single unit term returns
-    its power itself)."""
-    terms = [(p, c) for p, c in enumerate(coeffs) if c != 0.0]
-    if not terms:
-        return lambda Z, P, Q: np.zeros_like(Z)
-    if len(terms) == 1:
-        (p, c), = terms
-        return lambda *V: _scaled(V[p], c)
-    (pa, ca), (pb, cb), *rest = terms
-
-    def power_sum(*V):
-        # t_a + t_b, started in the array of a scaled term: addition
-        # commutes bit for bit.
-        if cb != 1.0:
-            out = cb * V[pb]
-            out += _scaled(V[pa], ca)
-        elif ca != 1.0:
-            out = ca * V[pa]
-            out += V[pb]
-        else:
-            out = V[pa] + V[pb]
-        for p, c in rest:
-            out += _scaled(V[p], c)
-        return out
-
-    return power_sum
+def _signed_sum(V, terms):
+    """The terms' signed sum, left to right, in one new array (or the one
+    term itself, if it is alone and positive)."""
+    (i, op), *rest = terms
+    if op is np.subtract:  # no term of the first two is positive
+        out = np.negative(V[i])
+    elif not rest:
+        return V[i]
+    else:
+        (j, op), *rest = rest
+        out = op(V[i], V[j])
+    for j, op in rest:
+        op(out, V[j], out=out)
+    return out
 
 
 class CSRMatrix(sp.csr_matrix):
@@ -640,22 +634,12 @@ def validate_assumptions(t, psd_tol=PSD_TOL):
     requires C - B^2 PSD with eigenvalues of C in [0, 1).  Strict upper
     bounds are tested with a margin of ``psd_tol``.
 
-    The check reads the triple's ``spectrum``, which
-    :func:`table1_matrices` gives it: the matrices share one eigenbasis,
-    so both conditions hold pair by pair of eigenvalues, and each reported
-    scalar is attained at one of the three pairs.  A triple without a
-    spectrum raises ValueError.  Each matrix member is checked for
-    symmetry; a :class:`BasePolynomial` is symmetric with its base, which
-    :func:`table1_matrices` took as symmetric.
+    The check reads the triple's ``spectrum`` alone: the members are
+    polynomials in one symmetric base, which :func:`table1_matrices`
+    checked, so they share its eigenbasis, both conditions hold pair by
+    pair of eigenvalues, and each reported scalar is attained at one of
+    the three pairs.
     """
-    for name in ("A_bar", "B_sq", "C"):
-        X = getattr(t, name)
-        if not isinstance(X, BasePolynomial) and not _is_symmetric(X):
-            raise ValueError(f"{name} is not symmetric")
-    if t.spectrum is None:
-        raise ValueError("the triple carries no spectrum; build it with "
-                         "table1_matrices")
-
     eig_A, eig_Bsq, eig_C = t.spectrum
     sigma_max_C = float(eig_C.max())
     # B^2's least value off the consensus vector, unless numerically 0.

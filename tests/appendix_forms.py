@@ -2,7 +2,8 @@
 per-agent Prox-ED and Prox-ATC listings, and the eliminated, two-variable
 and non-ATC recursions, which drop the prox.  The tests run them against
 the primal-dual step (``engine.primal_dual``), the one form the program
-runs.
+runs.  ``MatrixTriple`` is a triple of explicit matrices, which that step
+runs as it runs a table triple.
 
 Each factory returns a step, state -> next state, for ``engine.run``.
 Iteration 0 is the primal-dual step from S = 0, and every iteration
@@ -10,8 +11,24 @@ evaluates one gradient, at the new iterate, as the engine's steps do.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from decprox.engine import BlockIterate
+
+
+class MatrixTriple:
+    """(A_bar, B^2, C) as explicit matrices, ndarray or CSR, multiplied
+    member by member: the two entry points ``engine.puda_step`` reads of a
+    ``netgraph.ConsensusTriple``.  C counts as zero by its stored values,
+    explicit zeros too; the step then makes no C product."""
+
+    def __init__(self, A_bar, B_sq, C):
+        self.A_bar, self.B_sq, self.C = A_bar, B_sq, C
+        zero = not (C.data if sp.issparse(C) else C).any()
+        self.C_product = None if zero else C.__matmul__
+
+    def combine(self, Z):
+        return self.A_bar @ Z, self.B_sq @ Z
 
 
 def start_at(costs, W):

@@ -27,7 +27,6 @@ from decprox.costs import (
 )
 from decprox.engine import ALGORITHMS, run
 from decprox.netgraph import (
-    ConsensusTriple,
     build_graph,
     laplacian_matrix,
     metropolis_matrix,
@@ -212,8 +211,8 @@ def test_criterion_3_complete_graph_reduction():
     costs = quadratic_cost(1.0, K, M, targets=targets)
     prox = L1Prox(0.1)
     ones = np.ones((K, K)) / K
-    triple = ConsensusTriple(A_bar=ones, B_sq=np.eye(K) - ones,
-                             C=np.zeros((K, K)))
+    triple = appendix.MatrixTriple(A_bar=ones, B_sq=np.eye(K) - ones,
+                                   C=np.zeros((K, K)))
     w = rng.standard_normal(M)
     st = appendix.start_at(costs, w)  # consensus start
     worst = 0.0

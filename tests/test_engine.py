@@ -16,8 +16,6 @@ from decprox.engine import (
 )
 from decprox.netgraph import (
     AlgorithmId,
-    BasePolynomial,
-    ConsensusTriple,
     build_graph,
     laplacian_matrix,
     metropolis_matrix,
@@ -73,8 +71,8 @@ class TestPudaStep:
     def test_k1_is_ista(self):
         # K=1, A_bar=1, B^2=0, C=0: one step equals prox(w - mu grad(w)).
         costs = random_quadratic_cost(1, 4, seed=0)
-        t = ConsensusTriple(A_bar=np.eye(1), B_sq=np.zeros((1, 1)),
-                            C=np.zeros((1, 1)))
+        t = appendix.MatrixTriple(A_bar=np.eye(1), B_sq=np.zeros((1, 1)),
+                                  C=np.zeros((1, 1)))
         prox = L1Prox(0.3)
         mu = 0.4
         w = np.array([[1.0, -2.0, 0.5, 3.0]])
@@ -159,7 +157,7 @@ class TestLeanBookkeeping:
         W, G, S = (special_stack(seed + i) for i in range(3))
         C = (np.zeros((K, K)) if zero_C
              else np.random.default_rng(seed).standard_normal((K, K)))
-        t = ConsensusTriple(np.eye(K), np.eye(K), C)
+        t = appendix.MatrixTriple(np.eye(K), np.eye(K), C)
         state = BlockIterate(W=W, W_prev=W, G=G, S=S)
         with np.errstate(invalid="ignore"):
             out = engine.puda_step(state, t, quadratic_cost(1.0, K, M),
@@ -171,9 +169,9 @@ class TestLeanBookkeeping:
 class TestCsrCombine:
     @pytest.mark.parametrize("aid", list(AlgorithmId))
     def test_csr_and_dense_products_agree(self, aid):
-        # A sparse graph's triple is CSR, or polynomials in a CSR base; the
-        # same matrices as ndarrays, the squared ones built, take the same
-        # steps to rounding.
+        # A sparse graph's triple is polynomials in a CSR base; the same
+        # matrices as ndarrays, the squared ones built, take the same steps
+        # to rounding.
         K, M = 300, 5
         A, L = make_network(K=K, seed=3, extra=0.005)
         t = table1_matrices(aid, shift_positive(A), c=0.5, mu=0.05, L=L)
@@ -184,11 +182,9 @@ class TestCsrCombine:
         for _ in range(10):
             st = engine.puda_step(st, t, costs, prox, mu)
         members = (t.A_bar, t.B_sq, t.C)
-        assert all(sp.issparse(X.base if isinstance(X, BasePolynomial) else X)
-                   for X in members)
+        assert all(sp.issparse(X.base) for X in members)
 
-        dense = ConsensusTriple(*(X @ np.eye(K) if isinstance(X, BasePolynomial)
-                                  else X.toarray() for X in members))
+        dense = appendix.MatrixTriple(*(X @ np.eye(K) for X in members))
         assert (dense.C_product is None) == (t.C_product is None)
         ref = initial_state(costs, seed=1)
         for _ in range(10):
@@ -236,7 +232,7 @@ class TestTable1Rows:
                                       if a.row is not None])
     def test_matches_matrix_form(self, network, name):
         # 3000 iterations, at 0.9 of the step bound, of the row applied as
-        # polynomials and of its matrix form, as a hand-built triple.  The
+        # polynomials and of its matrix form, as a MatrixTriple.  The
         # Table I names run smooth (R = 0), the Prox names with l1.
         (A, L), M, rho, c = network, 4, 0.05, 0.3
         K = A.shape[0]
@@ -256,7 +252,7 @@ class TestTable1Rows:
         else:
             mu = 0.9 * step_bound(algo.theorem, sigma, costs.delta)
         t = table1_matrices(algo.row, A, c=c, mu=mu, L=L)
-        matrix_form = ConsensusTriple(*table1_reference(
+        matrix_form = appendix.MatrixTriple(*table1_reference(
             algo.row, L if algo.row == "DLM" else A, c=c, mu=mu))
         errors = [run(algo, engine.primal_dual(costs, prox, mu, triple), costs,
                       w_star, 3000).errors for triple in (t, matrix_form)]
@@ -730,8 +726,8 @@ class TestDivergence:
         K, M = 2, 3
         costs = random_quadratic_cost(K, M, seed=0)
         ones = np.full((K, K), 1.0 / K)
-        t = ConsensusTriple(A_bar=ones, B_sq=1e200 * (np.eye(K) - ones),
-                            C=np.zeros((K, K)))
+        t = appendix.MatrixTriple(A_bar=ones, B_sq=1e200 * (np.eye(K) - ones),
+                                  C=np.zeros((K, K)))
         step = engine.primal_dual(costs, L1Prox(0.05), 0.1, t)
         st = initial_state(costs, seed=3)
         while np.isfinite(st.S).all() and st.iter < 20:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import heapq
 import tracemalloc
@@ -8,9 +7,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
+from appendix_forms import MatrixTriple
 from decprox import netgraph
 from decprox.netgraph import (
     AlgorithmId,
+    BasePolynomial,
     ConsensusTriple,
     Graph,
     build_graph,
@@ -407,23 +408,14 @@ class TestAssumptions:
         if eig.min() < 0:
             assert not validate_assumptions(t).assumption2_ok
         # sigma_max(C) = 2 is out of range of both assumptions
-        K = 7
         zero = np.zeros(3)
-        bad = ConsensusTriple(A_bar=np.zeros((K, K)), B_sq=np.zeros((K, K)),
-                              C=2.0 * np.eye(K),
-                              spectrum=(zero, zero, np.full(3, 2.0)))
+        bad = ConsensusTriple(
+            *(BasePolynomial(np.eye(7), (c0,)) for c0 in (0.0, 0.0, 2.0)),
+            spectrum=(zero, zero, np.full(3, 2.0)))
         r = validate_assumptions(bad)
         assert not r.assumption2_ok and not r.assumption4_ok
         ref = reference_report(bad)
         assert not ref["assumption2_ok"] and not ref["assumption4_ok"]
-
-    def test_triple_without_spectrum_rejected(self):
-        # A hand-built triple's matrices need not commute, so no three
-        # eigenvalues decide it; the check takes none but a table triple's.
-        t = table1_matrices("ExactDiffusion", self.A)
-        hand_built = ConsensusTriple(t.A_bar, t.B_sq, t.C)
-        with pytest.raises(ValueError, match="no spectrum"):
-            validate_assumptions(hand_built)
 
     def test_monotone_in_tolerance(self):
         # Loosening the PSD tolerance never flips a pass into a fail.
@@ -600,13 +592,9 @@ class TestJointSpectrum:
 
     def test_no_triple_on_an_asymmetric_base(self):
         A = metropolis_matrix(build_graph("ring", 5))
-        t = table1_matrices("ExactDiffusion", A)
         A[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not symmetric"):
             table1_matrices("ExactDiffusion", A)
-        # The check still tests each matrix of a triple it is handed.
-        with pytest.raises(ValueError, match="A_bar is not symmetric"):
-            validate_assumptions(dataclasses.replace(t, A_bar=A))
 
     @pytest.mark.parametrize("bump, symmetric", [
         (0.9e-12, True), (1.1e-12, False), (np.nan, False)])
@@ -630,8 +618,8 @@ def straddles_zero(aid, A):
 def spectrum_triple(row, eigvals, c, mu):
     """A triple that carries only a row's three paired eigenvalues, from
     its base's ``eigvals``: a check of the spectrum alone, without K x K
-    matrices (2 x 2 identities stand in for them)."""
-    I = np.eye(2)
+    members (the identity in a 2 x 2 base stands in for each)."""
+    I = BasePolynomial(np.eye(2), (1.0,))
     return netgraph.ConsensusTriple(
         I, I, I, spectrum=table1_spectrum(row, eigvals, c, mu))
 
@@ -785,6 +773,22 @@ def table1_recursion(row, X, c=None, mu=None):
     return I, c * mu * Xd, c * mu * Xd
 
 
+def member_sum(coeffs, Z, P, Q):
+    """c0 Z + c1 P + c2 Q as a member summed it on its own: each nonzero
+    term c V (V itself for c = 1), added left to right into a new array;
+    a lone term is its scaled power, a lone unit term its power itself."""
+    terms = [V if c == 1.0 else c * V
+             for V, c in zip((Z, P, Q), coeffs) if c != 0.0]
+    if not terms:
+        return np.zeros_like(Z)
+    if len(terms) == 1:
+        return terms[0]
+    out = terms[0] + terms[1]
+    for V in terms[2:]:
+        out += V
+    return out
+
+
 class TestMatrixForms:
     # The tracking rows run on 0.5 (I + A), the others on A (or L).
     SHIFTED = (AlgorithmId.AUG_DGM, AlgorithmId.ATC_TRACKING, AlgorithmId.DIGING)
@@ -861,6 +865,54 @@ class TestMatrixForms:
             if isinstance(X, netgraph.BasePolynomial) and X.degree == 2:
                 assert np.array_equal(X @ Z, powers[X.coeffs]), aid
 
+    # Every row on each base it can take: DIGing not on an A whose
+    # spectrum straddles 0, DLM on the Laplacian alone.
+    ROW_BASES = [(aid, shifted) for aid in AlgorithmId for shifted in (False, True)
+                 if not (aid is AlgorithmId.DIGING and not shifted)
+                 and not (aid.on_laplacian and shifted)]
+
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    @pytest.mark.parametrize("c", [0.3, 0.5, 2.0])
+    @pytest.mark.parametrize("aid, shifted", ROW_BASES)
+    def test_combine_matches_member_sums(self, aid, shifted, c, form):
+        # Summed from shared scaled powers, each member is byte for byte
+        # its own sum, on stacks with +-0 and +-inf among their entries
+        # (NaN only as the products make it).  With c = 2, NIDS's A_bar
+        # starts with a negative term.
+        g = (build_graph("random_connected", 20, seed=7, extra_edge_prob=0.3)
+             if form == "dense" else build_graph("ring", 60))
+        A, L = metropolis_matrix(g), laplacian_matrix(g)
+        assert sp.issparse(A) == (form == "csr")
+        base = L if aid.on_laplacian else shift_positive(A) if shifted else A
+        t = table1_matrices(aid, base, c=c, mu=0.1, L=L)
+        if aid is AlgorithmId.NIDS and c == 2.0:
+            assert t.A_bar.coeffs[0] < 0
+        rng = np.random.default_rng(len(aid.value) + int(10 * c))
+        Z = rng.standard_normal((g.K, 5))
+        mask = rng.random(Z.shape) < 0.3
+        Z[mask] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=int(mask.sum()))
+        P = base @ Z
+        Q = base @ P
+        with np.errstate(invalid="ignore"):
+            ref = [member_sum(X.coeffs, Z, P, Q) for X in (t.A_bar, t.B_sq, t.C)]
+            got = [*t.combine(Z), *(X @ Z for X in (t.A_bar, t.B_sq, t.C))]
+            if t.C_product is not None:
+                got.append(t.C_product(Z))
+        for out, expected in zip(got, ref[:2] + ref + ref[2:]):
+            assert out.tobytes() == expected.tobytes(), aid
+
+    @pytest.mark.parametrize("aid, scales", [
+        ("ExactDiffusion", ((0, 0.5), (1, 0.5))),
+        ("NIDS", ((0, 0.3), (0, 0.7), (1, 0.3))),
+        ("AugDGM", ((1, 2.0),)), ("EXTRA", ((0, 0.5), (1, 0.5)))])
+    def test_scaled_powers_formed_once(self, aid, scales):
+        # A_bar and B^2 share each distinct |c| V_p: ExactDiffusion forms
+        # 0.5 Z and 0.5 P once each, four K x M passes with its two sums.
+        A = metropolis_matrix(build_graph("ring", 6))
+        t = table1_matrices(aid, A, c=0.3)
+        _, shared, sums = t._plan
+        assert shared == scales and len(sums) == 2
+
     def test_identity_member_costs_no_product(self):
         # DIGing's, EXTRA's and DLM's A_bar = I gives Z itself.
         g = build_graph("random_connected", 50, seed=3, extra_edge_prob=0.005)
@@ -872,12 +924,12 @@ class TestMatrixForms:
             assert t.A_bar @ Z is Z and t.combine(Z)[0] is Z
 
     def test_hand_built_csr_zero_C(self):
-        # A matrix C counts as zero by its stored values, explicit zeros
-        # too; the engine then makes no C product.
+        # The tests' matrix form counts C as zero by its stored values,
+        # explicit zeros too; the engine then makes no C product.
         K = 50
         I = sp.identity(K, format="csr")
         explicit = sp.csr_matrix((np.zeros(K), np.arange(K), np.arange(K + 1)),
                                  shape=(K, K))
-        assert ConsensusTriple(I, I, sp.csr_matrix((K, K))).C_product is None
-        assert ConsensusTriple(I, I, explicit).C_product is None
-        assert ConsensusTriple(I, I, I).C_product is not None
+        assert MatrixTriple(I, I, sp.csr_matrix((K, K))).C_product is None
+        assert MatrixTriple(I, I, explicit).C_product is None
+        assert MatrixTriple(I, I, I).C_product is not None
