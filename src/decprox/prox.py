@@ -29,15 +29,13 @@ _ANCHOR = 1.0 / _SQRT2
 
 
 def prox_l1(x, kappa):
-    """Componentwise soft threshold sgn(x) * max(|x| - kappa, 0)."""
+    """Componentwise soft threshold x - clip(x, -kappa, kappa): the value
+    of sgn(x) max(|x| - kappa, 0), +0 wherever |x| <= kappa."""
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     x = np.asarray(x, dtype=float)
-    # The same operations, worked in one new array beside sign(x).
-    out = np.abs(x, out=np.empty_like(x))
-    out -= kappa
-    np.maximum(out, 0.0, out=out)
-    return np.multiply(np.sign(x), out, out=out)
+    out = np.clip(x, -kappa, kappa)
+    return np.subtract(x, out, out=out)
 
 
 class ProxOperator:

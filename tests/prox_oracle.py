@@ -1,5 +1,6 @@
-"""References the tests compare the prox code against: a brute-force prox
-oracle, which uses no closed form, only the function's values, the
+"""References the tests compare the prox code against: the soft threshold
+as first written, a brute-force prox oracle, which uses no closed form,
+only the function's values, the
 counterexample's difference operators by slicing and as sparse matrices,
 the closed form of R1's or R2's prox on one row, and the hinted chain
 prox as first written."""
@@ -10,6 +11,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from decprox.prox import _CERT_SLACK, _EPS, prox_l1
+
+
+def sign_max_soft(x, kappa):
+    """The soft threshold as first written, sgn(x) max(|x| - kappa, 0): the
+    reference for prox_l1, which gives +0 where this gives -0."""
+    return np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)
 
 
 def prox_row(op, x, mu):

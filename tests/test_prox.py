@@ -29,6 +29,7 @@ from prox_oracle import (
     chain_from_hint_reference,
     prox_counterexample,
     prox_row,
+    sign_max_soft,
 )
 from test_engine import same_bytes, special_stack
 
@@ -77,14 +78,23 @@ class TestL1:
                               np.stack([prox_l1(r, 0.5) for r in X]))
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_lean_matches_expression(self, seed):
-        # One new array, worked in place: bit for bit the expression as
-        # first written, on stacks with +-0, NaN and +-inf.
+    def test_clip_matches_sign_max(self, seed):
+        # x - clip(x, -kappa, kappa) is sgn(x) max(|x| - kappa, 0) bit for
+        # bit, on stacks with +-0, NaN and +-inf, but for +0 where that
+        # gives -0; and soft(v) - v, the counterexample prox's term, keeps
+        # every bit off the NaNs.
         for x in (special_stack(seed), special_stack(seed, (9,))):
-            for kappa in (0.5, 1e-3):
+            for kappa in (0.5, 1e-3, 2.0):
                 with np.errstate(invalid="ignore"):
-                    ref = np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)
-                assert same_bytes(prox_l1(x, kappa), ref)
+                    ref = sign_max_soft(x, kappa)
+                    got = prox_l1(x, kappa)
+                    moved, ref_moved = got - x, ref - x
+                nan = np.isnan(ref)
+                assert np.array_equal(np.isnan(got), nan)
+                zero = ref == 0.0
+                assert same_bytes(got[zero], np.zeros(zero.sum()))
+                assert same_bytes(got[~zero & ~nan], ref[~zero & ~nan])
+                assert same_bytes(moved[~nan], ref_moved[~nan])
 
     def test_bad_weight(self):
         with pytest.raises(ValueError):
