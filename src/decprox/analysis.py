@@ -151,7 +151,8 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     for _ in range(max_iter):
         x = w - mu * costs.average_grad(w)
         w_next = prox_common.apply_stack(x[None], mu, hint=w[None])[0]
-        mapping = np.linalg.norm(w - w_next) / mu
+        step = np.subtract(w, w_next)
+        mapping = _frobenius(step, step) / mu
         w = w_next
         if mapping <= tol:
             return w

@@ -285,7 +285,8 @@ def run(algorithm, step, costs, w_star, iters, record_every=1, seed=None,
         raise ValueError("iters must be >= 1")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    w_star_sq = float(w_star @ w_star)
+    # A pairwise sum: a BLAS dot product depends on its thread count.
+    w_star_sq = float(np.add.reduce(w_star * w_star))
     state = initial_state(costs, seed=seed)
     record = RunRecord()
 

@@ -302,18 +302,11 @@ class TestRunExperiment:
             "algorithms": ["ProxED", "ProxATC1", "ProxATC2"], "iters": 5})))
         assert alive == [[], [False], [False, False]]
 
-    def test_summary_independent_of_blas_threads(self, tmp_path):
-        # The 2000-agent sparse graph's spectrum comes from Lanczos, which
-        # gives the same bits on one BLAS thread and on two; a dense
-        # eigvalsh of its A gave ProxED's gamma 0.96065450475396 on one
-        # thread and 0.9606545047539601 on two.  The residual columns are
-        # pairwise sums; np.linalg.norm's BLAS reduction gave ProxED's
-        # iteration-3 r_primal 0.69618644298264065 on one thread and
-        # 0.69618644298264076 on two.
-        path = write_config(tmp_path, overrides={
-            "graph": {"kind": "random_connected", "K": 2000, "seed": 7,
-                      "extra_edge_prob": 0.002},
-            "algorithms": ["ProxED", "ProxATC1", "ProxATC2"], "iters": 5})
+    @staticmethod
+    def outputs_by_threads(tmp_path, overrides, names):
+        """The files ``names`` that ``decprox run`` writes on the config
+        with ``overrides``, under one BLAS thread and under two."""
+        path = write_config(tmp_path, overrides=overrides)
         src = str(Path(cli.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
@@ -327,10 +320,36 @@ class TestRunExperiment:
             subprocess.run([sys.executable, "-m", "decprox.cli", "run", path],
                            env=env, check=True, capture_output=True,
                            timeout=300)
-            outputs.append({name: (out / name).read_bytes() for name in (
-                "summary.csv", "ProxED.csv", "ProxATC1.csv", "ProxATC2.csv")})
-        for name, body in outputs[0].items():
-            assert outputs[1][name] == body, name
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        return outputs
+
+    def test_summary_independent_of_blas_threads(self, tmp_path):
+        # The 2000-agent sparse graph's spectrum comes from Lanczos, which
+        # gives the same bits on one BLAS thread and on two; a dense
+        # eigvalsh of its A gave ProxED's gamma 0.96065450475396 on one
+        # thread and 0.9606545047539601 on two.  The residual columns are
+        # pairwise sums; np.linalg.norm's BLAS reduction gave ProxED's
+        # iteration-3 r_primal 0.69618644298264065 on one thread and
+        # 0.69618644298264076 on two.
+        one, two = self.outputs_by_threads(tmp_path, {
+            "graph": {"kind": "random_connected", "K": 2000, "seed": 7,
+                      "extra_edge_prob": 0.002},
+            "algorithms": ["ProxED", "ProxATC1", "ProxATC2"], "iters": 5},
+            ("summary.csv", "ProxED.csv", "ProxATC1.csv", "ProxATC2.csv"))
+        for name, body in one.items():
+            assert two[name] == body, name
+
+    def test_wide_outputs_independent_of_blas_threads(self, tmp_path):
+        # At rcv1's width, 47,236, BLAS threads a dot product: ||w*||^2 as
+        # w* @ w* gave ProxED's iteration-1 rel_sq_error 2.9516688631456036
+        # on one thread and 2.9516688631456041 on two.  It is a pairwise sum.
+        one, two = self.outputs_by_threads(tmp_path, {
+            "graph": {"kind": "complete", "K": 2},
+            "algorithms": ["ProxED", "PGEXTRA"], "iters": 3,
+            "data": {"dim": 47236, "seed": 0}},
+            ("summary.csv", "ProxED.csv", "PGEXTRA.csv"))
+        for name, body in one.items():
+            assert two[name] == body, name
 
     def test_separate_prox_residual_columns_empty(self, tmp_path):
         path = write_config(tmp_path, overrides={"algorithms": ["PGEXTRA"],
