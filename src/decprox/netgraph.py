@@ -215,57 +215,58 @@ class BasePolynomial:
 
 def _sum_plan(coeff_rows):
     """How to sum polynomials in one base from shared terms: (degree,
-    scales, terms per polynomial).
+    scales, one (first, i, j, rest) per polynomial).
 
     The powers Z, P, Q sit at 0, 1, 2 of the term list, up to the highest
     degree; each distinct scaled power |c| V_p with |c| != 1 follows,
-    once, at 3 onwards (``scales`` holds its (p, |c|)).  A polynomial is
-    its nonzero terms in the order of their powers, each an index into
-    that list with np.add or np.subtract for its coefficient's sign.  The
-    sum rounds as c0 Z + c1 P + c2 Q added term by term does, bit for bit:
-    c V is -(|c| V) exactly, a + (-b) is a - b, and the first two terms
-    may swap, since addition commutes, so that a positive one starts it.
+    once, at 3 onwards (``scales`` holds its (p, |c|)).  A polynomial
+    starts from term i alone (``first`` None), first(V_i) (np.negative,
+    or np.zeros_like for the zero polynomial) or first(V_i, V_j) (np.add
+    or np.subtract, for the second term's sign), a new array, and adds or
+    subtracts each later term k of ``rest``, (op, k), in place.  The
+    terms go in the order of their powers, so the sum rounds as c0 Z +
+    c1 P + c2 Q added term by term does, bit for bit: c V is -(|c| V)
+    exactly, a + (-b) is a - b, and the first two terms may swap, since
+    addition commutes, so that a positive one starts it.
     """
     rows = [[(p, c) for p, c in enumerate(row) if c] for row in coeff_rows]
     degree = max((p for row in rows for p, _ in row), default=-1)
     scales = sorted({(p, abs(c)) for row in rows for p, c in row
                      if abs(c) != 1.0})
-    index = {s: 3 + i for i, s in enumerate(scales)}
-    plans = []
+    index = {s: 3 + n for n, s in enumerate(scales)}
+    sums = []
     for row in rows:
-        terms = [(index.get((p, abs(c)), p), np.subtract if c < 0 else np.add)
+        terms = [(np.subtract if c < 0 else np.add, index.get((p, abs(c)), p))
                  for p, c in row]
-        if len(terms) > 1 and terms[0][1] is np.subtract:
+        if len(terms) > 1 and terms[0][0] is np.subtract:
             terms[:2] = terms[1::-1]
-        plans.append(tuple(terms))
-    return degree, tuple(scales), tuple(plans)
+        if not terms:
+            sums.append((np.zeros_like, 0, None, ()))
+        elif terms[0][0] is np.subtract:  # no term of the first two is positive
+            sums.append((np.negative, terms[0][1], None, tuple(terms[1:])))
+        elif len(terms) == 1:
+            sums.append((None, terms[0][1], None, ()))
+        else:
+            sums.append((terms[1][0], terms[0][1], terms[1][1],
+                         tuple(terms[2:])))
+    return degree, tuple(scales), tuple(sums)
 
 
 def _power_sums(X, Z, plan):
     """The polynomials of ``plan`` (:func:`_sum_plan`) in the base X,
-    applied to Z: a list of new arrays, but for a single term of unit
+    applied to Z: a list of new arrays, but for a lone term of unit
     coefficient, which is its power itself."""
-    degree, scales, plans = plan
+    degree, scales, sums = plan
     P = X @ Z if degree >= 1 else None
     V = [Z, P, X @ P if degree >= 2 else None]
-    V += [np.multiply(V[p], c) for p, c in scales]
-    return [_signed_sum(V, terms) if terms else np.zeros_like(Z)
-            for terms in plans]
-
-
-def _signed_sum(V, terms):
-    """The terms' signed sum, left to right, in one new array (or the one
-    term itself, if it is alone and positive)."""
-    (i, op), *rest = terms
-    if op is np.subtract:  # no term of the first two is positive
-        out = np.negative(V[i])
-    elif not rest:
-        return V[i]
-    else:
-        (j, op), *rest = rest
-        out = op(V[i], V[j])
-    for j, op in rest:
-        op(out, V[j], out=out)
+    for p, c in scales:
+        V.append(np.multiply(V[p], c))
+    out = []
+    for first, i, j, rest in sums:
+        S = V[i] if first is None else first(V[i]) if j is None else first(V[i], V[j])
+        for op, k in rest:
+            op(S, V[k], out=S)
+        out.append(S)
     return out
 
 
