@@ -149,8 +149,8 @@ class ConsensusTriple:
 
     A_bar is doubly stochastic symmetric; B_sq and C are symmetric PSD
     consensus matrices annihilating the all-ones vector.  Each member is
-    a :class:`BasePolynomial` in one base, the row's; only
-    :func:`table1_matrices` builds a triple.
+    a :class:`BasePolynomial` in one base, the row's;
+    :func:`table1_matrices` builds every triple the program runs.
 
     ``spectrum`` holds the eigenvalues of (A_bar, B_sq, C) as three arrays
     paired in the matrices' common eigenbasis, each with three entries: at

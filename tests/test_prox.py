@@ -78,7 +78,7 @@ class TestL1:
                               np.stack([prox_l1(r, 0.5) for r in X]))
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_clip_matches_sign_max(self, seed):
+    def test_lean_matches_expression(self, seed):
         # x - clip(x, -kappa, kappa) is sgn(x) max(|x| - kappa, 0) bit for
         # bit, on stacks with +-0, NaN and +-inf, but for +0 where that
         # gives -0; and soft(v) - v, the counterexample prox's term, keeps
