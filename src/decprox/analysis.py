@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .prox import Hint
+
 __all__ = [
     "RateReport",
     "FitVerdict",
@@ -88,34 +90,26 @@ def theoretical_rate(theorem, mu, nu, delta, sigma_max_C, sigma_min_Bsq):
     )
 
 
-def fixed_point_residuals(state, mu):
-    """Residuals of the three fixed-point equations, at a state of the
-    primal-dual step (``engine.puda_step``).
+def fixed_point_residuals(state):
+    """Residuals of the three fixed-point equations, read off a state of
+    the primal-dual step (``engine.puda_step``).
 
     r_primal checks Z = W - mu grad(W) - S (the C term vanishes at
     consensus), r_dual checks B^2 Z = 0, and r_prox checks
     W = prox(A_bar Z).  All are Frobenius norms over the K x M stack,
-    normalized by sqrt(KM).  Z, S, grad(W) and B^2 Z are the ones the
-    step carried, and so is W - mu grad(W) - S where the step built it
-    for the next step (``Z_next``, made at the step's mu, which ``mu``
-    must be).  The step set W = prox(A_bar Z), and the prox is
-    deterministic, so r_prox is 0 without a second prox.  That holds
-    also where the step's prox took a hint: W is then what the hinted
-    prox returned, the closed form being accepted only when it is the
-    prox up to rounding.
+    normalized by sqrt(KM).  The step carried Z, B^2 Z and W - mu
+    grad(W) - S at its new iterate and its own mu (``Z_next``), so no
+    step size is needed here.  The step set W = prox(A_bar Z), and the
+    prox is deterministic, so r_prox is 0 without a second prox.  That
+    holds also where the step's prox took a hint: W is then what the
+    hinted prox returned, the closed form being accepted only when it is
+    the prox up to rounding.
     """
-    if state.Z is None or state.B_sq_Z is None:
-        raise ValueError("state carries no Z or B^2 Z; run a primal-dual form")
-    W = state.W
-    scale = math.sqrt(W.size)
-    # Z - (W - mu G - S), left to right, in one buffer, reused for r_dual.
-    if state.Z_next is None:
-        buf = np.multiply(state.G, mu)
-        np.subtract(W, buf, out=buf)
-        buf -= state.S
-        np.subtract(state.Z, buf, out=buf)
-    else:
-        buf = np.subtract(state.Z, state.Z_next)
+    if state.Z is None or state.Z_next is None or state.B_sq_Z is None:
+        raise ValueError("state carries no Z, Z_next or B^2 Z: not a puda_step")
+    scale = math.sqrt(state.W.size)
+    # Z - Z_next in one buffer, reused for r_dual.
+    buf = np.subtract(state.Z, state.Z_next)
     r_primal = _frobenius(buf, buf) / scale
     r_dual = _frobenius(state.B_sq_Z, buf) / scale
     return r_primal, r_dual, 0.0
@@ -140,7 +134,8 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     so reaching ``max_iter`` first raises :class:`NotConvergedError`
     with the mapping norm reached.  As in the engine's primal-dual step,
     the prox gets the current iterate, its own previous output, as a
-    hint (``ProxOperator.apply_stack``).
+    hint (``prox.Hint``), with what the prox found of it, carried from
+    one iteration to the next.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -148,9 +143,12 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     mu = 1.0 / costs.delta
     w = np.zeros(costs.M)
+    found = None
     for _ in range(max_iter):
         x = w - mu * costs.average_grad(w)
-        w_next = prox_common.apply_stack(x[None], mu, hint=w[None])[0]
+        hint = Hint(w[None], found)
+        w_next = prox_common.apply_stack(x[None], mu, hint=hint)[0]
+        found = hint.found
         step = np.subtract(w, w_next)
         mapping = _frobenius(step, step) / mu
         w = w_next

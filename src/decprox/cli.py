@@ -2,8 +2,8 @@
 
 Commands: ``run`` (full experiment), ``validate`` (spectral/assumption
 report), ``rates`` (theoretical rate reports), ``counterexample`` (the
-two-agent separate-regularizer preset).  Trajectories are written as
-deterministic CSV.
+two-agent separate-regularizer preset), one ``COMMANDS`` entry each.
+Trajectories are written as deterministic CSV.
 
 A config is JSON.  Each field of the config dataclasses below is one key,
 with its default and its allowed values; one loader checks every key's
@@ -196,6 +196,9 @@ def config_from_dict(raw):
     if cfg.problem == "counterexample" and cfg.graph.K != 2:
         raise ConfigError("the counterexample is a two-agent problem: "
                           f"graph.K must be 2, got {cfg.graph.K}")
+    if cfg.data.source == "libsvm" and cfg.problem != "logistic_l1":
+        raise ConfigError(f"data.source 'libsvm' is read only by logistic_l1,"
+                          f" not by {cfg.problem}")
     if cfg.data.source == "libsvm" and cfg.data.path is None:
         raise ConfigError("data.source 'libsvm' requires data.path")
     if (cfg.problem == "logistic_l1" and cfg.data.source == "synthetic"
@@ -385,9 +388,8 @@ def _run_algorithm(acfg, cfg, problem):
     """Resolve and run one configured algorithm and write its CSV; returns
     its summary row.  Its triple and step die on return."""
     r = resolve_algorithm(acfg, cfg, problem)
-    residual_fn = None
-    if r.triple is not None:
-        residual_fn = lambda st, mu=r.mu: analysis.fixed_point_residuals(st, mu)
+    residual_fn = (analysis.fixed_point_residuals if r.triple is not None
+                   else None)
     record = engine.run(r.algorithm, r.step, problem.costs, problem.w_star,
                         cfg.iters, record_every=cfg.record_every,
                         seed=cfg.seeds.init, residual_fn=residual_fn)
@@ -440,61 +442,72 @@ def run_experiment(cfg):
 # ---------------------------------------------------------------------------
 # commands
 
-def _diverged(row):
-    """The marker of a diverged run, with its note; empty otherwise."""
-    return f"  DIVERGED: {row['note']}" if row["diverged"] else ""
-
-
-def _cmd_run(args):
-    cfg = parse_config(args.config)
-    summary, diverged = run_experiment(cfg)
+def _print_summary(summary, diverged, brief=False):
+    """One line per run (its step and gamma unless ``brief``, a diverged
+    run's note); returns the exit code, 3 if any run diverged."""
     for row in summary:
         gamma = _fmt(row["theoretical_gamma"]) or "-"
-        print(f"{row['algorithm']:>14s}  mu={row['mu']:.6g}  gamma={gamma}"
-              f"  final={_fmt(row['final_error'])}  verdict={row['verdict'] or '-'}"
-              f"{_diverged(row)}")
+        step = "" if brief else f"  mu={row['mu']:.6g}  gamma={gamma}"
+        note = f"  DIVERGED: {row['note']}" if row["diverged"] else ""
+        print(f"{row['algorithm']:>14s}{step}  final={_fmt(row['final_error'])}"
+              f"  verdict={row['verdict'] or '-'}{note}")
     return 3 if diverged else 0
 
 
-def _cmd_validate(args):
-    cfg = parse_config(args.config)
-    problem = setup_problem(cfg)
-    for acfg in cfg.algorithms:
-        report = resolve_algorithm(acfg, cfg, problem).report
-        if report is None:
-            print(f"{acfg.name:>14s}  (no consensus triple; separate-prox method)")
-            continue
-        print(f"{acfg.name:>14s}  sigma_max(C)={report.sigma_max_C:.6f}"
-              f"  sigma_min(B^2)={report.sigma_min_Bsq:.6f}"
-              f"  lambda2(A_bar)={report.lambda2_A:.6f}"
-              f"  A2={'ok' if report.assumption2_ok else 'FAIL'}"
-              f"  A4={'ok' if report.assumption4_ok else 'FAIL'}")
-    return 0
-
-
-def _cmd_rates(args):
-    cfg = parse_config(args.config)
-    problem = setup_problem(cfg)
-    for acfg in cfg.algorithms:
-        rate = resolve_algorithm(acfg, cfg, problem).rate
-        if rate is None:
-            print(f"{acfg.name:>14s}  (no applicable rate theorem)")
-        else:
-            print(f"{acfg.name:>14s}  {rate.theorem}  mu={rate.mu:.6g}"
-                  f"  mu_bound={rate.mu_bound:.6g}  gamma={rate.gamma:.8f}"
-                  f"  feasible={rate.feasible}")
-    return 0
+def _cmd_run(args):
+    return _print_summary(*run_experiment(parse_config(args.config)))
 
 
 def _cmd_counterexample(args):
     given = {"M": args.M, "iters": args.iters, "output_dir": args.out}
     cfg = config_from_dict({**COUNTEREXAMPLE_PRESET,
                             **{k: v for k, v in given.items() if v is not None}})
-    summary, diverged = run_experiment(cfg)
-    for row in summary:
-        print(f"{row['algorithm']:>14s}  final={_fmt(row['final_error'])}"
-              f"  verdict={row['verdict'] or '-'}{_diverged(row)}")
-    return 3 if diverged else 0
+    return _print_summary(*run_experiment(cfg), brief=True)
+
+
+# The reports of ``validate`` and ``rates``: the field of ``Resolved`` each
+# prints, its line, and the placeholder where the field is None.
+REPORTS = {
+    "validate": ("report", lambda rep: (
+        f"sigma_max(C)={rep.sigma_max_C:.6f}"
+        f"  sigma_min(B^2)={rep.sigma_min_Bsq:.6f}"
+        f"  lambda2(A_bar)={rep.lambda2_A:.6f}"
+        f"  A2={'ok' if rep.assumption2_ok else 'FAIL'}"
+        f"  A4={'ok' if rep.assumption4_ok else 'FAIL'}"),
+        "(no consensus triple; separate-prox method)"),
+    "rates": ("rate", lambda r: (
+        f"{r.theorem}  mu={r.mu:.6g}  mu_bound={r.mu_bound:.6g}"
+        f"  gamma={r.gamma:.8f}  feasible={r.feasible}"),
+        "(no applicable rate theorem)"),
+}
+
+
+def _cmd_report(args):
+    attr, line, placeholder = REPORTS[args.command]
+    cfg = parse_config(args.config)
+    problem = setup_problem(cfg)
+    for acfg in cfg.algorithms:
+        value = getattr(resolve_algorithm(acfg, cfg, problem), attr)
+        print(f"{acfg.name:>14s}  "
+              f"{placeholder if value is None else line(value)}")
+    return 0
+
+
+# Each command: its help, its handler and its arguments.
+COMMANDS = {
+    "run": ("run a full experiment from a JSON config", _cmd_run,
+            {"config": {}}),
+    "validate": ("spectral/assumption report only", _cmd_report,
+                 {"config": {}}),
+    "rates": ("theoretical rate reports without running", _cmd_report,
+              {"config": {}}),
+    "counterexample": ("two-agent separate-regularizer preset",
+                       _cmd_counterexample, {
+        "--M": {"type": int, "help": f"default {ExperimentConfig.M}"},
+        "--iters": {"type": int,
+                    "help": f"default {PROBLEMS['counterexample'][1]}"},
+        "--out": {"help": f"default {COUNTEREXAMPLE_PRESET['output_dir']}"}}),
+}
 
 
 def main(argv=None):
@@ -502,27 +515,11 @@ def main(argv=None):
         prog="decprox",
         description="Decentralized proximal gradient experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run a full experiment from a JSON config")
-    p.add_argument("config")
-    p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("validate", help="spectral/assumption report only")
-    p.add_argument("config")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("rates", help="theoretical rate reports without running")
-    p.add_argument("config")
-    p.set_defaults(fn=_cmd_rates)
-
-    p = sub.add_parser("counterexample",
-                       help="two-agent separate-regularizer preset")
-    p.add_argument("--M", type=int, help=f"default {ExperimentConfig.M}")
-    p.add_argument("--iters", type=int,
-                   help=f"default {PROBLEMS['counterexample'][1]}")
-    p.add_argument("--out",
-                   help=f"default {COUNTEREXAMPLE_PRESET['output_dir']}")
-    p.set_defaults(fn=_cmd_counterexample)
+    for name, (help_, fn, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for arg, options in arguments.items():
+            p.add_argument(arg, **options)
+        p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     try:

@@ -33,9 +33,10 @@ that state or rebinds its fields: it builds a new one.  The primal-dual
 step also hands the prox its current iterate W, the previous prox
 output, as a hint (``prox.Hint``), with the segmentation the prox found
 of it: the chain prox solves that segmentation in closed form when its
-certificate holds, and hands back its output's.  Where C is zero the
-step also builds the next step's Z, which the fixed-point residuals
-read.  Hint and Z are part of the state, so no operator keeps any.
+certificate holds, and hands back its output's.  The step also builds
+W - mu grad(W) - S at its new iterate (``Z_next``): the next step's Z
+where C is zero, and what the fixed-point residuals compare Z with on
+every row.  Hint and Z are part of the state, so no operator keeps any.
 
 Divergence has one test, in ``run``: the error of each new iterate to the
 reference must be at most ``DIVERGENCE_LIMIT``, which a NaN fails.  No
@@ -76,8 +77,8 @@ class BlockIterate:
     is c L W, which its next step reuses), and B_sq_Z the primal-dual
     step's product B^2 Z, kept for the fixed-point residuals.  The
     primal-dual step also leaves W_segments, what its prox found of each
-    row of W (``prox.Hint.found``), and, where C is zero, Z_next, the
-    next step's Z: W - mu G - S at the step's mu.
+    row of W (``prox.Hint.found``), and Z_next, W - mu G - S at the
+    step's mu: the next step's Z where C is zero.
 
     No step writes to the arrays or rebinds the fields of a state it is
     given.  The class is slotted, not frozen: every step builds one, and
@@ -147,31 +148,30 @@ def puda_step(state, triple, costs, prox, mu):
     which shares the base's products and scaled powers between them.  The
     prox gets W, its own previous output, as a hint, with the
     segmentation it found of W; the hint may change W only by rounding.
-    Where C is zero, Z is the one the step before left (``Z_next``), if
-    it left one.
+    Every step leaves W - mu grad(W) - S at its new iterate
+    (``Z_next``), which is the next step's Z where C is zero.
     """
     W, G, S = state.W, state.G, state.S
     C_product = triple.C_product
-    if C_product is None:
-        Z = state.Z_next
-        if Z is None:
-            Z = _z_without_c(W, G, S, mu)
-    else:
-        # W - C W - mu G - S, left to right, in one new array.
+    if C_product is not None:
+        # W - C W - mu G - S, left to right, in one new array: Z_next -
+        # C W would round differently.
         Z = W - C_product(W)
         Z -= mu * G
         Z -= S
+    elif state.Z_next is not None:
+        Z = state.Z_next
+    else:  # the initial state carries none
+        Z = _z_without_c(W, G, S, mu)
     A_bar_Z, B_sq_Z = triple.combine(Z)
     hint = prox_mod.Hint(W, state.W_segments)
     W_new = prox.apply_stack(A_bar_Z, mu, hint=hint)
     G_new = costs.grad_stack(W_new)
     S_new = S + B_sq_Z
-    Z_next = None
-    if C_product is None:
-        Z_next = _z_without_c(W_new, G_new, S_new, mu)
     return BlockIterate(
         W=W_new, W_prev=W, G=G_new, G_prev=G, S=S_new, Z=Z, B_sq_Z=B_sq_Z,
-        Z_next=Z_next, W_segments=hint.found, iter=state.iter + 1)
+        Z_next=_z_without_c(W_new, G_new, S_new, mu), W_segments=hint.found,
+        iter=state.iter + 1)
 
 
 # ---------------------------------------------------------------------------

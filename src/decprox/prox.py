@@ -42,10 +42,10 @@ class ProxOperator:
     """Evaluates prox of mu * R on a K x M stack, R a sum over its rows."""
 
     def apply_stack(self, X, mu, hint=None):
-        """Rowwise prox of a K x M stack.  ``hint`` is a K x M stack
-        believed near the result (the engine passes the previous prox
-        output), or a :class:`Hint` holding one; an operator may use it
-        to go faster, never to change its answer beyond rounding."""
+        """Rowwise prox of a K x M stack.  ``hint``, a :class:`Hint` or
+        None, holds a K x M stack believed near the result (the engine
+        passes the previous prox output); an operator may use it to go
+        faster, never to change its answer beyond rounding."""
         raise NotImplementedError
 
 
@@ -56,8 +56,9 @@ class Hint:
     operator found of that row when the stack was its own output (None,
     or a None entry, where nothing is known: the operator derives it
     from the stack).  An operator that knows the same of its output
-    leaves it in ``found``, for the hint of the next call; the engine
-    carries it in its iterate, so that no operator keeps state.
+    leaves it in ``found``, for the hint of the next call; the engine and
+    the reference solver carry it from call to call, so that no operator
+    keeps state.
     """
 
     __slots__ = ("stack", "segments", "found")
@@ -72,7 +73,7 @@ class ZeroProx(ProxOperator):
     """R = 0; prox is the identity."""
 
     def apply_stack(self, X, mu, hint=None):
-        return np.atleast_2d(np.asarray(X, dtype=float)).copy()
+        return np.array(X, dtype=float)
 
 
 class L1Prox(ProxOperator):
@@ -84,7 +85,7 @@ class L1Prox(ProxOperator):
         self.weight = float(weight)
 
     def apply_stack(self, X, mu, hint=None):
-        return prox_l1(np.atleast_2d(X), mu * self.weight)
+        return prox_l1(X, mu * self.weight)
 
 
 def _check_length(M):
@@ -334,9 +335,11 @@ class ChainSumProx(ProxOperator):
     programme's own, which the closed form makes exact where the
     programme's sums lose digits.  Given a :class:`Hint`, it takes a
     row's segmentation from ``segments`` where known and leaves its
-    output's in ``found``: a row solved in closed form has exactly the
-    segmentation it was solved on.  The operator holds no state, so
-    equal rows with equal hints give bit-equal results.
+    output's in ``found``, for every row: a row solved in closed form has
+    exactly the segmentation it was solved on, and a row the closed form
+    fails on is the dynamic programme's output, whose segmentation it
+    derived.  The operator holds no state, so equal rows with equal
+    hints give bit-equal results.
     """
 
     def __init__(self, M, weight=1.0):
@@ -346,40 +349,36 @@ class ChainSumProx(ProxOperator):
         self.weight = float(weight)
 
     def apply_stack(self, X, mu, hint=None):
-        """Rowwise prox; row k tries the segmentation of hint[k] first and
-        falls back to the dynamic programme's when its certificate fails."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Rowwise prox; row k tries the segmentation of the hint's row k
+        first and falls back to the dynamic programme's when its
+        certificate fails."""
+        X = np.asarray(X, dtype=float)
         if mu <= 0:
             raise ValueError(f"mu must be positive, got {mu}")
         if X.ndim != 2 or X.shape[1] != self.M:
-            raise ValueError(f"expected shape ({self.M},) per row, "
-                             f"got {X.shape}")
+            raise ValueError(f"expected shape (K, {self.M}), got {X.shape}")
+        if hint is not None and hint.stack.shape != X.shape:
+            raise ValueError(f"hint has shape {hint.stack.shape}, "
+                             f"not {X.shape}")
         t = mu * self.weight
-        box = segments = None
-        if isinstance(hint, Hint):
-            box, hint, segments = hint, hint.stack, hint.segments
-        if hint is not None:
-            hint = np.atleast_2d(np.asarray(hint, dtype=float))
-            if hint.shape != X.shape:
-                raise ValueError(f"hint has shape {hint.shape}, not {X.shape}")
         anchor_t = _SQRT2 * t
         out = np.empty_like(X)
         found = [None] * len(X)
         for k, x in enumerate(X):
             z = None
             if hint is not None:
-                seg = None if segments is None else segments[k]
+                seg = None if hint.segments is None else hint.segments[k]
                 if seg is None:
-                    seg = _segmentation(hint[k], _ANCHOR)
+                    seg = _segmentation(hint.stack[k], _ANCHOR)
                 z = _chain_on(x, seg, t, _ANCHOR, anchor_t)
             if z is None:
                 dp = prox_anchored_chain(x, t, _ANCHOR, anchor_t)
                 seg = _segmentation(dp, _ANCHOR)
                 z = _chain_on(x, seg, t, _ANCHOR, anchor_t)
                 if z is None:
-                    z, seg = dp, None
+                    z = dp
             out[k] = z
             found[k] = seg
-        if box is not None:
-            box.found = found
+        if hint is not None:
+            hint.found = found
         return out

@@ -195,7 +195,7 @@ def test_criterion_4_lemma1_residuals(criterion2_runs):
     worst = 0.0
     for name in ("ProxED", "ProxATC1", "ProxATC2"):
         entry = criterion2_runs[name]
-        r = fixed_point_residuals(entry["record"].final_state, entry["mu"])
+        r = fixed_point_residuals(entry["record"].final_state)
         worst = max(worst, max(r))
         assert max(r) <= 1e-9, (name, r)
     print(f"criterion 4: PASS (Lemma 1 residuals, worst {worst:.2e})")

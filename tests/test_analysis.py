@@ -26,6 +26,7 @@ from decprox.netgraph import (
 )
 from decprox.prox import (
     ChainSumProx,
+    Hint,
     L1Prox,
     ZeroProx,
     prox_l1,
@@ -111,7 +112,7 @@ class TestFixedPointResiduals:
 
     def test_converged_residuals_small(self):
         st = self._converged_state()
-        r = fixed_point_residuals(st, self.mu)
+        r = fixed_point_residuals(st)
         assert max(r) <= 1e-9
 
     @pytest.mark.parametrize("aid", ["ExactDiffusion", "ATCTracking"])
@@ -133,59 +134,67 @@ class TestFixedPointResiduals:
         r_primal = np.sqrt(np.sum(d * d))
         B_sq_Z = triple.B_sq @ Z
         r_dual = np.sqrt(np.sum(B_sq_Z * B_sq_Z))
-        assert fixed_point_residuals(st, mu) == (
+        assert fixed_point_residuals(st) == (
             r_primal / scale, r_dual / scale, 0.0)
         assert np.array_equal(self.prox.apply_stack(triple.A_bar @ Z, mu), W)
         assert r_primal > 0.0 and r_dual > 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lean_matches_expression(self, seed):
-        # One buffer for both residuals: bit for bit the expressions as
-        # first written, on stacks with +-0, NaN and +-inf.
+        # One buffer for both residuals, and the Z_next the step builds:
+        # bit for bit the expressions as first written, on stacks with
+        # +-0, NaN and +-inf.
         W, G, S, Z, B_sq_Z = (special_stack(seed + i) for i in range(5))
-        st = BlockIterate(W=W, W_prev=W, G=G, S=S, Z=Z, B_sq_Z=B_sq_Z)
-        scale = np.sqrt(W.size)
         with np.errstate(invalid="ignore"):
+            st = BlockIterate(W=W, W_prev=W, G=G, S=S, Z=Z, B_sq_Z=B_sq_Z,
+                              Z_next=engine._z_without_c(W, G, S, self.mu))
+            scale = np.sqrt(W.size)
             d = Z - (W - self.mu * G - S)
             ref = (np.sqrt((d * d).sum()) / scale,
                    np.sqrt((B_sq_Z * B_sq_Z).sum()) / scale, 0.0)
-            assert same_bytes(fixed_point_residuals(st, self.mu), ref)
+            assert same_bytes(fixed_point_residuals(st), ref)
 
     def test_random_state_not_fixed(self):
         rng = np.random.default_rng(0)
         W = rng.standard_normal((5, 3))
         S = rng.standard_normal((5, 3))
         Z = rng.standard_normal((5, 3))
-        st = BlockIterate(W=W, W_prev=W, G=self.costs.grad_stack(W), S=S,
-                          Z=Z, B_sq_Z=self.triple.B_sq @ Z)
-        r = fixed_point_residuals(st, self.mu)
+        G = self.costs.grad_stack(W)
+        st = BlockIterate(W=W, W_prev=W, G=G, S=S, Z=Z,
+                          B_sq_Z=self.triple.B_sq @ Z,
+                          Z_next=W - self.mu * G - S)
+        r = fixed_point_residuals(st)
         assert max(r) > 1e-3
 
     def test_unconstrained_minimum_exact_zero(self):
         # K=1, at the minimizer with Z=W, S=0: all residuals vanish.
         costs = quadratic_cost(1.0, 1, 2, targets=np.array([[2.0, -1.0]]))
         W = np.array([[2.0, -1.0]])
-        st = BlockIterate(W=W, W_prev=W, G=costs.grad_stack(W),
-                          S=np.zeros((1, 2)), Z=W.copy(),
-                          B_sq_Z=np.zeros((1, 2)))
-        r = fixed_point_residuals(st, 0.3)
+        G = costs.grad_stack(W)
+        st = BlockIterate(W=W, W_prev=W, G=G, S=np.zeros((1, 2)), Z=W.copy(),
+                          B_sq_Z=np.zeros((1, 2)), Z_next=W - 0.3 * G)
+        r = fixed_point_residuals(st)
         assert max(r) == 0.0
 
     def test_stable_under_extra_iterations(self):
         st1 = self._converged_state(4000)
         st2 = self._converged_state(4050)
-        r1 = fixed_point_residuals(st1, self.mu)
-        r2 = fixed_point_residuals(st2, self.mu)
+        r1 = fixed_point_residuals(st1)
+        r2 = fixed_point_residuals(st2)
         assert max(abs(a - b) for a, b in zip(r1, r2)) <= 1e-10
 
     def test_requires_z_buffer(self):
         w = np.zeros((5, 3))
         st = BlockIterate(W=w, W_prev=w, G=w, S=w)
         with pytest.raises(ValueError):
-            fixed_point_residuals(st, self.mu)
-        # A listing's state carries Z but not B^2 Z.
+            fixed_point_residuals(st)
+        # A listing's state carries Z but not B^2 Z or Z_next.
         with pytest.raises(ValueError):
-            fixed_point_residuals(dataclasses.replace(st, Z=w), self.mu)
+            fixed_point_residuals(dataclasses.replace(st, Z=w))
+        with pytest.raises(ValueError):
+            fixed_point_residuals(dataclasses.replace(st, Z=w, B_sq_Z=w))
+        fixed_point_residuals(dataclasses.replace(st, Z=w, B_sq_Z=w,
+                                                  Z_next=w))
 
 
 def unhinted_reference(costs, prox_common, tol=1e-14):
@@ -202,7 +211,33 @@ def unhinted_reference(costs, prox_common, tol=1e-14):
             return w
 
 
+def array_hinted_reference(costs, prox_common, tol=1e-14):
+    """centralized_reference's loop with a hint that carries no
+    segmentation, as the prox once took a bare array: the prox derives
+    each row's segmentation from the previous output again."""
+    mu = 1.0 / costs.delta
+    w = np.zeros(costs.M)
+    while True:
+        x = w - mu * costs.average_grad(w)
+        w_next = prox_common.apply_stack(x[None], mu, hint=Hint(w[None]))[0]
+        step = np.subtract(w, w_next)
+        mapping = np.sqrt(np.add.reduce(step * step)) / mu
+        w = w_next
+        if mapping <= tol:
+            return w
+
+
 class TestCentralizedReference:
+    @pytest.mark.parametrize("M", [8, 200, 2000])
+    def test_carried_hint_equals_array_hint(self, M):
+        # The reference carries what the prox found from one iteration to
+        # the next: the same w* as the hint rebuilt from the array, byte
+        # for byte.
+        costs = quadratic_cost(1.0, 2, M)
+        prox = ChainSumProx(M, weight=0.5)
+        assert same_bytes(centralized_reference(costs, prox),
+                          array_hinted_reference(costs, prox))
+
     @pytest.mark.parametrize("M", [200, 2000])
     @pytest.mark.parametrize("weight", [0.5, 1.0])
     def test_hinted_chain_solve_equals_unhinted(self, M, weight):

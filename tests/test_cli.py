@@ -659,8 +659,7 @@ class TestSparseGraphs:
             record = engine.run(
                 r.algorithm, lambda st: steps.append(1) or step(st), p.costs,
                 p.w_star, iters, seed=seed,
-                residual_fn=lambda st: analysis.fixed_point_residuals(
-                    st, r.mu))
+                residual_fn=analysis.fixed_point_residuals)
             assert not record.diverged
             return record, list(fallbacks), len(derived)
 
@@ -698,6 +697,12 @@ MALFORMED = [
     ("data.flip_prob", "x", {}),
     ("data.path", "no_such_file.svm",
      {"problem": "logistic_l1", "data": {"source": "libsvm"}}),
+    # Only logistic_l1 reads a file: elsewhere a LIBSVM source would be
+    # ignored, missing file and all.
+    ("data.source", "libsvm",
+     {"problem": "counterexample", "graph": {"kind": "complete", "K": 2},
+      "data": {"path": "/nonexistent.svm"}}),
+    ("data.source", "libsvm", {"data": {"path": "no_such_file.svm"}}),
     ("data.n_samples", 3, {"problem": "logistic_l1"}),
     ("algorithms", "ProxED", {}),
     ("algorithms[0].mu", True, {"algorithms": [{"name": "ProxED"}]}),
@@ -796,15 +801,25 @@ class TestMain:
                              r"limit at iteration 1$", line), line
 
     def test_validate_and_rates(self, tmp_path, capsys):
+        # Both reports in full, as the commands printed them when each had
+        # its own loop.
         path = write_config(tmp_path,
                             overrides={"algorithms": ["ProxED", "EXTRA",
                                                       "PGEXTRA"]})
         assert cli.main(["validate", path]) == 0
-        out = capsys.readouterr().out
-        assert "sigma_max(C)" in out and "separate-prox" in out
+        assert capsys.readouterr().out == (
+            "        ProxED  sigma_max(C)=0.000000  sigma_min(B^2)=0.125000"
+            "  lambda2(A_bar)=0.875000  A2=ok  A4=FAIL\n"
+            "         EXTRA  sigma_max(C)=0.625000  sigma_min(B^2)=0.125000"
+            "  lambda2(A_bar)=1.000000  A2=FAIL  A4=ok\n"
+            "       PGEXTRA  (no consensus triple; separate-prox method)\n")
         assert cli.main(["rates", path]) == 0
-        out = capsys.readouterr().out
-        assert "gamma=" in out
+        assert capsys.readouterr().out == (
+            "        ProxED  Thm1  mu=1.8  mu_bound=2  gamma=0.87500000"
+            "  feasible=True\n"
+            "         EXTRA  Thm4  mu=0.675  mu_bound=0.75  gamma=0.87500000"
+            "  feasible=True\n"
+            "       PGEXTRA  (no applicable rate theorem)\n")
 
     @pytest.mark.parametrize("problem", [
         {"problem": "logistic_l1", "lambda": 0.01,

@@ -259,10 +259,21 @@ class TestTable1Rows:
         assert_within_tolerance(*errors)
 
 
+def rebuilt_residuals(st, mu):
+    """The fixed-point residuals as first written, rebuilding W - mu
+    grad(W) - S from the state at the step's mu: the reference for the
+    ones read off the step's Z_next."""
+    scale = np.sqrt(st.W.size)
+    d = st.Z - (st.W - mu * st.G - st.S)
+    return (np.sqrt((d * d).sum()) / scale,
+            np.sqrt((st.B_sq_Z * st.B_sq_Z).sum()) / scale, 0.0)
+
+
 class TestCarriedZ:
-    """Where C is zero, a step leaves the next step's Z in the state, and
-    the step and the residuals read it: byte for byte the run that drops
-    it every step, so that both rebuild W - mu grad(W) - S."""
+    """Every step leaves W - mu grad(W) - S at its new iterate (Z_next).
+    Where C is zero the next step reads it as its Z: byte for byte the run
+    that drops it every step, so that the step rebuilds it.  The residuals
+    read it on every row: byte for byte the expression they rebuilt."""
 
     @pytest.mark.parametrize("graph", ["dense20", "csr300"])
     @pytest.mark.parametrize("name", ["ProxED", "ProxATC1"])
@@ -285,10 +296,10 @@ class TestCarriedZ:
             return dataclasses.replace(st, Z_next=None)
 
         carried = run(algo, step, costs, w_star, 200, seed=1,
-                      residual_fn=lambda st: fixed_point_residuals(st, mu))
+                      residual_fn=fixed_point_residuals)
         rebuilt = run(
             algo, lambda st: step(drop(st)), costs, w_star, 200, seed=1,
-            residual_fn=lambda st: fixed_point_residuals(drop(st), mu))
+            residual_fn=lambda st: rebuilt_residuals(st, mu))
         assert carried.final_state.Z_next is not None
         assert same_bytes(carried.errors, rebuilt.errors)
         assert same_bytes(carried.residuals, rebuilt.residuals)
@@ -296,14 +307,23 @@ class TestCarriedZ:
             assert same_bytes(getattr(carried.final_state, field),
                               getattr(rebuilt.final_state, field)), field
 
-    def test_rows_with_c_leave_none(self):
-        A = shift_positive(make_network()[0])
-        costs = random_quadratic_cost(6, 3, seed=0)
-        t = table1_matrices("ATCTracking", A)
-        assert t.C_product is not None
-        st = engine.puda_step(initial_state(costs), t, costs, L1Prox(0.05),
-                              0.2)
-        assert st.Z_next is None
+    @pytest.mark.parametrize("graph", ["dense20", "csr300"])
+    @pytest.mark.parametrize("name", [name for name, a in ALGORITHMS.items()
+                                      if a.row is not None])
+    def test_residuals_read_against_rebuilt(self, graph, name):
+        # The ten Table I names, with C zero or not, at their auto step.
+        cfg = cli.config_from_dict({
+            "problem": "lasso_quadratic", "graph": TOLERANCE_GRAPHS[graph],
+            "rho": 0.05, "data": {"dim": 4}, "algorithms": [name]})
+        p = cli.build_problem(cfg)
+        assert sp.issparse(p.A) == (graph == "csr300")
+        r = cli.resolve_algorithm(cfg.algorithms[0], cfg, p)
+        record = run(r.algorithm, r.step, p.costs, p.w_star, 60, seed=1,
+                     residual_fn=lambda st: (fixed_point_residuals(st),
+                                             rebuilt_residuals(st, r.mu)))
+        assert len(record.residuals) == 60
+        for read, rebuilt in record.residuals:
+            assert same_bytes(read, rebuilt)
 
 
 def contents(v):
@@ -652,7 +672,7 @@ class TestRun:
         }[form]()
         residual_fn = None
         if form == "primal_dual":
-            residual_fn = lambda st: fixed_point_residuals(st, mu)
+            residual_fn = fixed_point_residuals
         calls = []
         grad_stack = costs.grad_stack
         monkeypatch.setattr(costs, "grad_stack",
