@@ -7,73 +7,45 @@ apply each agent's prox separately (PGEXTRA, DLADMM) lose their linear
 rate on this problem -- the error decays only sublinearly -- while a
 single-prox method applied to the averaged regularizer stays linear.
 
-Run:  python3 demos/counterexample_rates.py   (about 5 s)
+Run:  python3 demos/counterexample_rates.py   (a few seconds)
 
-It runs M = 2000 with the acceptance suite's iteration counts: 20,000
-for the separate-prox methods, whose stall shows within a few thousand,
-and 2,500 for ProxED.  The script exits 1, naming the run, when a verdict
-contradicts the conclusion it prints.
+It runs the ``decprox counterexample`` preset at M = 2000 as two configs
+through ``decprox.cli``: 20,000 iterations for the separate-prox methods,
+whose stall shows within a few thousand, and 2,500 for ProxED.  The
+script exits 1, naming the run, when a verdict contradicts the conclusion
+it prints.
 """
 
 import sys
+import tempfile
 
-import numpy as np
-
-from decprox import (
-    ALGORITHMS,
-    ChainSumProx,
-    CounterexampleProx,
-    centralized_reference,
-    classify_decay,
-    quadratic_cost,
-    run,
-    table1_matrices,
-)
+from decprox import cli
 
 M = 2000
-SEP_ITERS = 20000  # closed-form per-agent proxes, cheap
-COMMON_ITERS = 2500  # linear rate: enough rows for a verdict
-MU, C = 0.005, 1.0
+PRESET = cli.COUNTEREXAMPLE_PRESET
+# Each config: which prox its algorithms apply, their names, its iterations.
+RUNS = [("separate", ("PGEXTRA", "DLADMM"), 20000),
+        ("averaged", ("ProxED",), 2500)]
+# The paper's claim: the separate-prox runs are sublinear, ProxED linear.
+EXPECTED = {"PGEXTRA": "sublinear", "DLADMM": "sublinear", "ProxED": "linear"}
 
-print(f"dimension M = {M}, step mu = {MU}\n")
-
-# Two agents with the all-half combination matrix; each holds the unit
-# quadratic (1/2)||w||^2 and one half of the regularizer pair: R1 on
-# agent 0's row, R2 on agent 1's.
-A = np.full((2, 2), 0.5)
-costs = quadratic_cost(1.0, 2, M)
-separate_prox = CounterexampleProx(M)
-
-# Reference: minimize the average cost plus (R1 + R2)/2, the fixed
-# point that the separate-prox methods agree on.
-common_half = ChainSumProx(M, weight=0.5)
-w_star = centralized_reference(costs, common_half, tol=1e-13)
-print(f"reference solved; ||w*|| = {np.linalg.norm(w_star):.6f}\n")
-
-L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
+print(f"dimension M = {M}, step mu = {PRESET['algorithms'][0]['mu']}\n")
 print(f"{'algorithm':>10s} {'prox':>9s} {'iters':>6s} {'final error':>12s} "
       f"{'tail ratio':>10s}  verdict")
-# The paper's claim: the separate-prox runs are sublinear, ProxED linear.
-expected = {"PGEXTRA": "sublinear", "DLADMM": "sublinear", "ProxED": "linear"}
 disagree = []
-for name, claim in expected.items():
-    # An entry without a Table I row applies each agent's own regularizer.
-    algo = ALGORITHMS[name]
-    separate = algo.row is None
-    triple = None if separate else table1_matrices(algo.row, A)
-    step = algo.step(costs, separate_prox if separate else common_half, MU,
-                     triple=triple, A=A, c=C, laplacian=L)
-    iters = SEP_ITERS if separate else COMMON_ITERS
-    record = run(algo, step, costs, w_star, iters)
-    verdict = classify_decay(record)
-    tail = verdict.geometric_ratio_windows[-1] \
-        if verdict.geometric_ratio_windows else float("nan")
-    kind = "separate" if separate else "averaged"
-    print(f"{name:>10s} {kind:>9s} {iters:6d} {record.errors[-1]:12.3e} "
-          f"{tail:10.6f}  {verdict.classification}")
-    if verdict.classification != claim:
-        disagree.append(f"{name} is {verdict.classification}, not {claim}")
+with tempfile.TemporaryDirectory() as out:
+    for kind, names, iters in RUNS:
+        cfg = cli.config_from_dict({
+            **PRESET, "M": M, "iters": iters, "output_dir": out,
+            "algorithms": [a for a in PRESET["algorithms"]
+                           if a["name"] in names]})
+        for row in cli.run_experiment(cfg)[0]:
+            name, verdict = row["algorithm"], row["verdict"]
+            tail = float(row["empirical_ratio"] or "nan")
+            print(f"{name:>10s} {kind:>9s} {iters:6d} "
+                  f"{row['final_error']:12.3e} {tail:10.6f}  {verdict}")
+            if verdict != EXPECTED[name]:
+                disagree.append(f"{name} is {verdict}, not {EXPECTED[name]}")
 
 if disagree:
     sys.exit("\nThese runs contradict the claim: " + "; ".join(disagree))

@@ -1,64 +1,62 @@
 """How network topology shapes step-size bounds and contraction factors.
 
-Builds ring, grid, random and complete graphs on sixteen agents,
-checks the spectral assumptions behind the linear-rate theory for a few
-consensus triples, and tabulates the theoretical contraction factor at
-the auto-selected step size.  Denser graphs leave more room in the dual
-spectrum and tighten the overall rate.
+Builds ring, grid, random and complete graphs on sixteen agents, one
+lasso config each, and resolves a few algorithms on each through
+``decprox.cli``: the spectral assumptions behind the linear-rate theory
+and the theoretical contraction factor at the auto-selected step size.
+Denser graphs leave more room in the dual spectrum and tighten the
+overall rate.  The script exits 1, naming the row, unless for every
+algorithm the complete graph has the smallest gamma and the ring the
+smallest sB2.
 
 Run:  python3 demos/topologies_and_rates.py
 """
 
-import numpy as np
+import sys
 
-from decprox import (
-    ALGORITHMS,
-    build_graph,
-    metropolis_matrix,
-    random_quadratic_cost,
-    shift_positive,
-    step_bound,
-    table1_matrices,
-    theoretical_rate,
-    validate_assumptions,
-)
+from decprox import cli
 
 K = 16
-costs = random_quadratic_cost(K, 10, seed=5, nu_min=0.5, delta_max=2.0)
-print(f"{K} agents, random quadratics with nu={costs.nu:.3g}, "
-      f"delta={costs.delta:.3g}\n")
-
+ETA = 1.0  # the lasso costs (eta/2)||w - t_k||^2 have nu = delta = eta
 GRAPHS = [
     ("ring", {}),
     ("grid", {}),
     ("random_connected", {"seed": 1, "extra_edge_prob": 0.25}),
     ("complete", {}),
 ]
-# Each registry entry names its Table I row, whether it runs on the
-# half-shift 0.5 (I + A), and the theorem whose step bound it obeys.
+# The CLI resolves each name's Table I row, whether it runs on the
+# half-shift 0.5 (I + A), and the theorem whose bound sets its auto step.
 ALGOS = ["ExactDiffusion", "NIDS", "EXTRA", "AugDGM", "DIGing"]
 
+print(f"{K} agents, lasso quadratics with nu = delta = {ETA:g}\n")
 print(f"{'graph':>17s} {'algorithm':>15s} {'sC':>6s} {'sB2':>6s} "
       f"{'mu_max':>7s} {'gamma':>7s}  theorem")
+gamma, sB2 = {}, {}  # (graph, algorithm) -> value; gamma None if no rate
 for kind, kw in GRAPHS:
-    A = metropolis_matrix(build_graph(kind, K, **kw))
-    for name in ALGOS:
-        algo = ALGORITHMS[name]
-        Am = shift_positive(A) if algo.shifted else A
-        rep = validate_assumptions(table1_matrices(algo.row, Am, c=0.5))
-        holds = rep.assumption2_ok if algo.theorem == "Thm1" else rep.assumption4_ok
-        if not holds:
-            print(f"{kind:>17s} {name:>15s} {rep.sigma_max_C:6.3f} "
-                  f"{rep.sigma_min_Bsq:6.3f} {'-':>7s} {'-':>7s}  fails")
-            continue
-        bound = step_bound(algo.theorem, rep.sigma_max_C, costs.delta)
-        rate = theoretical_rate(algo.theorem, 0.9 * bound, costs.nu,
-                                costs.delta, rep.sigma_max_C, rep.sigma_min_Bsq)
-        print(f"{kind:>17s} {name:>15s} {rep.sigma_max_C:6.3f} "
-              f"{rep.sigma_min_Bsq:6.3f} {bound:7.3f} {rate.gamma:7.4f}  "
-              f"{algo.theorem}")
+    cfg = cli.config_from_dict({
+        "problem": "lasso_quadratic", "graph": {"kind": kind, "K": K, **kw},
+        "algorithms": ALGOS, "eta": ETA, "data": {"dim": 10}})
+    problem = cli.setup_problem(cfg)
+    for acfg in cfg.algorithms:
+        r = cli.resolve_algorithm(acfg, cfg, problem)
+        rep, rate = r.report, r.rate
+        sB2[kind, acfg.name] = rep.sigma_min_Bsq
+        gamma[kind, acfg.name] = rate.gamma if rate else None
+        bounds = (f"{rate.mu_bound:7.3f} {rate.gamma:7.4f}  {rate.theorem}"
+                  if rate else f"{'-':>7s} {'-':>7s}  fails")
+        print(f"{kind:>17s} {acfg.name:>15s} {rep.sigma_max_C:6.3f} "
+              f"{rep.sigma_min_Bsq:6.3f} {bounds}")
     print()
 
+wrong = []
+for name in ALGOS:
+    rates = [gamma[kind, name] for kind, _ in GRAPHS]
+    if None in rates or gamma["complete", name] > min(rates):
+        wrong.append(f"{name}: the complete graph's gamma is not the smallest")
+    if sB2["ring", name] > min(sB2[kind, name] for kind, _ in GRAPHS):
+        wrong.append(f"{name}: the ring's sB2 is not the smallest")
+if wrong:
+    sys.exit("\nThese rows contradict the conclusion: " + "; ".join(wrong))
 print("sC = sigma_max(C) shrinks the admissible step; sB2 = smallest")
 print("nonzero eigenvalue of B^2 caps the dual rate at 1 - sB2.  The")
 print("complete graph mixes fastest, so its gamma is smallest; the")

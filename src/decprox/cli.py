@@ -32,7 +32,9 @@ import numpy as np
 
 from . import analysis, costs as costs_mod, engine, netgraph, prox as prox_mod
 
-__all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
+__all__ = ["ExperimentConfig", "COUNTEREXAMPLE_PRESET", "config_from_dict",
+           "parse_config", "setup_problem", "resolve_algorithm",
+           "run_experiment", "main"]
 
 
 class ConfigError(ValueError):

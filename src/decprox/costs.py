@@ -18,7 +18,6 @@ __all__ = [
     "SmoothCostSet",
     "Dataset",
     "quadratic_cost",
-    "random_quadratic_cost",
     "logistic_cost",
     "partition_data",
     "synthetic_classification",
@@ -101,28 +100,6 @@ def quadratic_cost(eta, K, M, targets=None):
         raise ValueError(f"targets must have shape ({K},{M})")
     return SmoothCostSet(lambda W: eta * (W - targets),
                          nu=eta, delta=eta, K=K, M=M)
-
-
-def random_quadratic_cost(K, M, seed=0, nu_min=0.5, delta_max=2.0):
-    """Seeded per-agent quadratics (1/2) w'H_k w + b_k'w with spread spectra.
-
-    Every H_k has eigenvalues inside [nu_min, delta_max], so the reported
-    constants are exact curvature bounds for the whole family.
-    """
-    if not (0 < nu_min <= delta_max):
-        raise ValueError("need 0 < nu_min <= delta_max")
-    rng = np.random.default_rng(seed)
-    Hs, bs = [], []
-    for _ in range(K):
-        Q, _ = np.linalg.qr(rng.standard_normal((M, M)))
-        lam = rng.uniform(nu_min, delta_max, size=M)
-        lam[0], lam[-1] = nu_min, delta_max  # pin the extremes
-        Hs.append((Q * lam) @ Q.T)
-        bs.append(rng.standard_normal(M))
-    H_stack, b_stack = np.stack(Hs), np.stack(bs)
-    return SmoothCostSet(
-        lambda W: np.matmul(H_stack, W[:, :, None])[:, :, 0] + b_stack,
-        nu=nu_min, delta=delta_max, K=K, M=M)
 
 
 def logistic_cost(shards, lam):

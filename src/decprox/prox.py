@@ -155,7 +155,8 @@ def prox_anchored_chain(x, t, anchor, anchor_t):
     it at -t and +t records lo[k] and hi[k], the range z[k] takes given
     z[k+1].  The backward pass sets z[k] = clip(z[k+1], lo[k], hi[k]).
     Each step pushes two knots and pops each at most once, so the cost is
-    O(M).
+    O(M).  Every NaN of the output is ``np.nan``: the sign bit a NaN picks
+    up in the scalar loop can change from one call to the next.
     """
     if t <= 0 or anchor_t < 0:
         raise ValueError(f"need t > 0 and anchor_t >= 0, got {t}, {anchor_t}")
@@ -214,7 +215,9 @@ def prox_anchored_chain(x, t, anchor, anchor_t):
     for k in range(n - 2, -1, -1):
         v = z[k + 1]
         z[k] = lo[k] if v < lo[k] else hi[k] if v > hi[k] else v
-    return np.array(z)
+    z = np.array(z)
+    z[np.isnan(z)] = np.nan
+    return z
 
 
 # The certificate's slack, in units of the rounding bound n eps (max|x| +

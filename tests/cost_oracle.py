@@ -3,13 +3,16 @@ the ``decprox.costs`` function of the same name: per-agent costs and
 gradients, one closure pair per agent, that each family's stacked
 gradient (``SmoothCostSet``) and its average gradient are checked
 against; the logistic curvature constants from one Gram matrix per
-shard; and a LIBSVM reader that parses one token at a time."""
+shard; and a LIBSVM reader that parses one token at a time.  Also the
+tests' own stacked family, random quadratics with spread spectra
+(:func:`random_quadratic_set`), with its per-agent form
+(:func:`random_quadratic_cost`)."""
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from decprox.costs import Dataset
+from decprox.costs import Dataset, SmoothCostSet
 
 
 class PerAgentCosts:
@@ -49,20 +52,39 @@ def quadratic_cost(eta, K, M, targets=None):
     return PerAgentCosts([pair(t) for t in targets])
 
 
-def random_quadratic_cost(K, M, seed=0, nu_min=0.5, delta_max=2.0):
-    """(1/2) w'H_k w + b_k'w, with H_k and b_k drawn from ``seed`` as the
-    program draws them."""
+def _random_quadratics(K, M, seed, nu_min, delta_max):
+    """H_k and b_k of agent k, drawn from ``seed``: H_k with eigenvalues
+    inside [nu_min, delta_max], both extremes among them."""
     rng = np.random.default_rng(seed)
-    pairs = []
+    Hs, bs = [], []
     for _ in range(K):
         Q, _ = np.linalg.qr(rng.standard_normal((M, M)))
         lam = rng.uniform(nu_min, delta_max, size=M)
-        lam[0], lam[-1] = nu_min, delta_max
-        H = (Q * lam) @ Q.T
-        b = rng.standard_normal(M)
-        pairs.append((lambda w, H=H, b=b: 0.5 * float(w @ H @ w) + float(b @ w),
-                      lambda w, H=H, b=b: H @ w + b))
+        lam[0], lam[-1] = nu_min, delta_max  # pin the extremes
+        Hs.append((Q * lam) @ Q.T)
+        bs.append(rng.standard_normal(M))
+    return Hs, bs
+
+
+def random_quadratic_cost(K, M, seed=0, nu_min=0.5, delta_max=2.0):
+    """(1/2) w'H_k w + b_k'w, with H_k and b_k drawn from ``seed`` as
+    :func:`random_quadratic_set` draws them."""
+    pairs = [(lambda w, H=H, b=b: 0.5 * float(w @ H @ w) + float(b @ w),
+              lambda w, H=H, b=b: H @ w + b)
+             for H, b in zip(*_random_quadratics(K, M, seed, nu_min,
+                                                 delta_max))]
     return PerAgentCosts(pairs)
+
+
+def random_quadratic_set(K, M, seed=0, nu_min=0.5, delta_max=2.0):
+    """The quadratics of :func:`random_quadratic_cost` as a stacked
+    ``SmoothCostSet``, nu = nu_min and delta = delta_max: a family with
+    spread spectra for the tests, which no experiment config builds."""
+    Hs, bs = _random_quadratics(K, M, seed, nu_min, delta_max)
+    H_stack, b_stack = np.stack(Hs), np.stack(bs)
+    return SmoothCostSet(
+        lambda W: np.matmul(H_stack, W[:, :, None])[:, :, 0] + b_stack,
+        nu=nu_min, delta=delta_max, K=K, M=M)
 
 
 def logistic_cost(shards, lam):

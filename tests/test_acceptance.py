@@ -22,7 +22,6 @@ from decprox.costs import (
     logistic_cost,
     partition_data,
     quadratic_cost,
-    random_quadratic_cost,
     synthetic_classification,
 )
 from decprox.engine import ALGORITHMS, run
@@ -42,6 +41,7 @@ from decprox.prox import (
 )
 import appendix_forms as appendix
 import cost_oracle
+from cost_oracle import random_quadratic_set
 from prox_oracle import D1_dot, D2_dot, SparsePair, brute_force_prox, prox_row
 
 
@@ -79,7 +79,7 @@ def test_criterion_1_equivalence_web():
     A_raw = metropolis_matrix(g)
     A = shift_positive(A_raw)
     L = laplacian_matrix(g)
-    costs = random_quadratic_cost(K, M, seed=21)
+    costs = random_quadratic_set(K, M, seed=21)
     mu = 0.2
     init = np.random.default_rng(5).standard_normal((K, M))
 

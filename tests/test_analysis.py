@@ -15,7 +15,6 @@ from decprox.costs import (
     logistic_cost,
     partition_data,
     quadratic_cost,
-    random_quadratic_cost,
     synthetic_classification,
 )
 from decprox.engine import ALGORITHMS, BlockIterate, RunRecord, run
@@ -33,6 +32,7 @@ from decprox.prox import (
 )
 
 import cost_oracle
+from cost_oracle import random_quadratic_set
 from prox_oracle import prox_row
 from test_engine import same_bytes, special_stack
 
@@ -101,7 +101,7 @@ class TestFixedPointResiduals:
         g = build_graph("random_connected", 5, seed=4, extra_edge_prob=0.4)
         self.A = metropolis_matrix(g)
         self.triple = table1_matrices("ExactDiffusion", self.A)
-        self.costs = random_quadratic_cost(5, 3, seed=1)
+        self.costs = random_quadratic_set(5, 3, seed=1)
         self.prox = L1Prox(0.05)
         self.mu = 0.5
 
@@ -280,7 +280,7 @@ class TestCentralizedReference:
     def test_iteration_cap_raises(self):
         # A point short of its tolerance would skew every error measured
         # against it, so the cap is an error that reports the mapping norm.
-        costs = random_quadratic_cost(2, 3, seed=0, nu_min=0.1, delta_max=2.0)
+        costs = random_quadratic_set(2, 3, seed=0, nu_min=0.1, delta_max=2.0)
         with pytest.raises(NotConvergedError, match="mapping norm"):
             centralized_reference(costs, ZeroProx(), tol=1e-300, max_iter=50)
 
@@ -339,7 +339,7 @@ class TestClassifyDecay:
         # A genuinely linear decentralized run classifies as linear.
         g = build_graph("random_connected", 5, seed=2, extra_edge_prob=0.4)
         A = metropolis_matrix(g)
-        costs = random_quadratic_cost(5, 3, seed=7)
+        costs = random_quadratic_set(5, 3, seed=7)
         agent_costs = cost_oracle.random_quadratic_cost(5, 3, seed=7)
         t = table1_matrices("ExactDiffusion", A)
         w_star = np.linalg.solve(

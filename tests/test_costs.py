@@ -9,12 +9,12 @@ from decprox.costs import (
     logistic_cost,
     partition_data,
     quadratic_cost,
-    random_quadratic_cost,
     read_libsvm,
     synthetic_classification,
 )
 
 import cost_oracle
+from cost_oracle import random_quadratic_set
 from test_engine import same_bytes
 
 
@@ -56,7 +56,7 @@ class TestQuadratic:
         assert costs.nu == costs.delta == 2.0
 
     def test_grad_stack_matches_per_agent(self):
-        costs = random_quadratic_cost(4, 5, seed=2)
+        costs = random_quadratic_set(4, 5, seed=2)
         agent_costs = cost_oracle.random_quadratic_cost(4, 5, seed=2)
         W = np.random.default_rng(0).standard_normal((4, 5))
         G = costs.grad_stack(W)
@@ -64,7 +64,7 @@ class TestQuadratic:
             assert np.allclose(G[k], agent_costs.grad(k, W[k]))
 
     def test_random_quadratic_curvature_is_tight(self):
-        costs = random_quadratic_cost(3, 6, seed=9, nu_min=0.4, delta_max=3.0)
+        costs = random_quadratic_set(3, 6, seed=9, nu_min=0.4, delta_max=3.0)
         # Hessians are exposed through gradients of linear functions.
         for k in range(3):
             H = np.stack([agent_grad(costs, k, e) - agent_grad(costs, k, np.zeros(6))
@@ -74,7 +74,7 @@ class TestQuadratic:
             assert eig.max() <= 3.0 + 1e-10
 
     def test_finite_differences(self):
-        check_gradients(random_quadratic_cost(3, 4, seed=5),
+        check_gradients(random_quadratic_set(3, 4, seed=5),
                         cost_oracle.random_quadratic_cost(3, 4, seed=5))
 
     def test_bad_inputs(self):
@@ -170,7 +170,7 @@ class TestStackedGradient:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_random_quadratic_matches(self, K, M, seed):
-        costs = random_quadratic_cost(K, M, seed=seed)
+        costs = random_quadratic_set(K, M, seed=seed)
         agent_costs = cost_oracle.random_quadratic_cost(K, M, seed=seed)
         W = np.random.default_rng(seed).standard_normal((K, M))
         G, ref = costs.grad_stack(W), agent_costs.grad_stack(W)
@@ -189,7 +189,7 @@ class TestStackedGradient:
         costs = {
             "quadratic": lambda: quadratic_cost(
                 2.0, K, M, targets=rng.standard_normal((K, M))),
-            "random_quadratic": lambda: random_quadratic_cost(K, M, seed=2),
+            "random_quadratic": lambda: random_quadratic_set(K, M, seed=2),
             "logistic": lambda: logistic_cost(partition_data(
                 synthetic_classification(40, M, seed=2), K), 0.01),
         }[family]()
@@ -205,7 +205,7 @@ class TestStackedGradient:
             assert view.tobytes() == before
 
     def test_average_grad_is_one_stacked_evaluation(self, monkeypatch):
-        costs = random_quadratic_cost(4, 3, seed=1)
+        costs = random_quadratic_set(4, 3, seed=1)
         calls = []
         grad_stack = costs.grad_stack
         monkeypatch.setattr(costs, "grad_stack",

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from decprox import cli, engine
 from decprox.analysis import fixed_point_residuals, step_bound
-from decprox.costs import quadratic_cost, random_quadratic_cost
+from decprox.costs import quadratic_cost
 from decprox.engine import (
     ALGORITHMS,
     BlockIterate,
@@ -27,6 +27,7 @@ from decprox.prox import L1Prox, ZeroProx, prox_l1
 
 import appendix_forms as appendix
 import cost_oracle
+from cost_oracle import random_quadratic_set
 from prox_oracle import prox_row
 from test_netgraph import BENCHMARK_GRAPH, table1_reference
 
@@ -70,7 +71,7 @@ def max_dev(a, b):
 class TestPudaStep:
     def test_k1_is_ista(self):
         # K=1, A_bar=1, B^2=0, C=0: one step equals prox(w - mu grad(w)).
-        costs = random_quadratic_cost(1, 4, seed=0)
+        costs = random_quadratic_set(1, 4, seed=0)
         t = appendix.MatrixTriple(A_bar=np.eye(1), B_sq=np.zeros((1, 1)),
                                   C=np.zeros((1, 1)))
         prox = L1Prox(0.3)
@@ -85,7 +86,7 @@ class TestPudaStep:
     def test_fixed_point_invariance(self):
         # Converge, then verify one more step moves nothing.
         A, _ = make_network()
-        costs = random_quadratic_cost(6, 4, seed=1)
+        costs = random_quadratic_set(6, 4, seed=1)
         t = table1_matrices("ExactDiffusion", A)
         prox = L1Prox(0.05)
         mu = 0.5
@@ -99,7 +100,7 @@ class TestPudaStep:
     def test_dual_surrogate_column_average_zero(self):
         # With B^2 1 = 0 and S_0 = 0, S keeps zero column-average forever.
         A, _ = make_network()
-        costs = random_quadratic_cost(6, 3, seed=2)
+        costs = random_quadratic_set(6, 3, seed=2)
         t = table1_matrices("ExactDiffusion", A)
         st = initial_state(costs, seed=8)
         for _ in range(50):
@@ -118,7 +119,7 @@ class TestPudaStep:
     def test_step_matches_recursion_bit_for_bit(self, aid):
         # Skipping the zero C, and computing only grad(W_new), change no bit.
         A, _ = make_network()
-        costs = random_quadratic_cost(6, 4, seed=1)
+        costs = random_quadratic_set(6, 4, seed=1)
         t = table1_matrices(aid, shift_positive(A))
         prox, mu = L1Prox(0.05), 0.3
         st = initial_state(costs, seed=2)
@@ -386,7 +387,7 @@ class TestEquivalenceWeb:
     def setup_method(self):
         self.A_raw, self.L = make_network(K=5, seed=7, extra=0.35)
         self.A = shift_positive(self.A_raw)
-        self.costs = random_quadratic_cost(5, 3, seed=4)
+        self.costs = random_quadratic_set(5, 3, seed=4)
         self.mu = 0.25
         self.init = np.random.default_rng(10).standard_normal((5, 3))
 
@@ -465,7 +466,7 @@ class TestEquivalenceWeb:
 class TestSeparateProx:
     def setup_method(self):
         self.A, self.L = make_network(K=4, seed=9, extra=0.4)
-        self.costs = random_quadratic_cost(4, 3, seed=6)
+        self.costs = random_quadratic_set(4, 3, seed=6)
         self.mu = 0.2
         self.init = np.random.default_rng(11).standard_normal((4, 3))
         self.zero = ZeroProx()
@@ -576,7 +577,7 @@ class TestRun:
 
     def test_comm_round_accounting(self):
         A, _ = make_network(K=4)
-        costs = random_quadratic_cost(4, 2, seed=0)
+        costs = random_quadratic_set(4, 2, seed=0)
         w_star = np.zeros(2)
         one = run(ALGORITHMS["ProxED"],
                   appendix.agent_prox_ed(costs, ZeroProx(), 0.1, A), costs, w_star, 10)
@@ -588,7 +589,7 @@ class TestRun:
 
     def test_record_every(self):
         A, _ = make_network(K=4)
-        costs = random_quadratic_cost(4, 2, seed=0)
+        costs = random_quadratic_set(4, 2, seed=0)
         record = run(ALGORITHMS["ProxED"],
                      appendix.agent_prox_ed(costs, ZeroProx(), 0.1, A),
                      costs, np.zeros(2), 100, record_every=10)
@@ -598,7 +599,7 @@ class TestRun:
     @pytest.mark.parametrize("record_every", [0, -2])
     def test_record_every_below_one_rejected(self, record_every):
         # Before the first step, as iters < 1 is.
-        costs = random_quadratic_cost(4, 2, seed=0)
+        costs = random_quadratic_set(4, 2, seed=0)
         steps = []
         with pytest.raises(ValueError, match="record_every"):
             run(ALGORITHMS["ProxED"], lambda st: steps.append(st) or st,
@@ -607,7 +608,7 @@ class TestRun:
 
     def test_divergence_recorded(self):
         A, _ = make_network(K=4)
-        costs = random_quadratic_cost(4, 2, seed=0)
+        costs = random_quadratic_set(4, 2, seed=0)
         record = run(ALGORITHMS["ProxED"],
                      appendix.agent_prox_ed(costs, ZeroProx(), 50.0, A),
                      costs, np.zeros(2), 500)
@@ -619,7 +620,7 @@ class TestRun:
 
     def test_seeded_init_deterministic(self):
         A, _ = make_network(K=4)
-        costs = random_quadratic_cost(4, 2, seed=0)
+        costs = random_quadratic_set(4, 2, seed=0)
         a = run(ALGORITHMS["ProxED"], appendix.agent_prox_ed(costs, ZeroProx(), 0.2, A),
                 costs, np.zeros(2), 20, seed=5)
         b = run(ALGORITHMS["ProxED"], appendix.agent_prox_ed(costs, ZeroProx(), 0.2, A),
@@ -628,7 +629,7 @@ class TestRun:
 
     def test_consensus_at_convergence(self):
         A, _ = make_network(K=5, seed=6)
-        costs = random_quadratic_cost(5, 3, seed=3)
+        costs = random_quadratic_set(5, 3, seed=3)
         t = table1_matrices("ExactDiffusion", A)
         record = run(ALGORITHMS["ProxED"], engine.primal_dual(costs, ZeroProx(), 0.5, t),
                      costs, np.zeros(3), 3000)
@@ -650,7 +651,7 @@ class TestRun:
     def test_one_gradient_per_iteration(self, form, monkeypatch):
         A, L = make_network(K=5, seed=2)
         A = shift_positive(A)
-        costs = random_quadratic_cost(5, 3, seed=0)
+        costs = random_quadratic_set(5, 3, seed=0)
         nids = table1_matrices("NIDS", A, c=0.5)
         atc = table1_matrices("ATCTracking", A)
         prox, zero, mu = L1Prox(0.05), ZeroProx(), 0.2
@@ -683,14 +684,14 @@ class TestRun:
 
     def test_carried_gradients_match_a_fresh_evaluation(self):
         A, _ = make_network(K=5, seed=2)
-        costs = random_quadratic_cost(5, 3, seed=0)
+        costs = random_quadratic_set(5, 3, seed=0)
         step = appendix.agent_prox_atc2(costs, ZeroProx(), 0.2, shift_positive(A))
         st = run(ALGORITHMS["ProxATC2"], step, costs, np.zeros(3), 10).final_state
         assert np.array_equal(st.G, costs.grad_stack(st.W))
         assert np.array_equal(st.G_prev, costs.grad_stack(st.W_prev))
 
     def test_initial_state_carries_its_gradient(self):
-        costs = random_quadratic_cost(3, 2, seed=0)
+        costs = random_quadratic_set(3, 2, seed=0)
         st = initial_state(costs, seed=4)
         assert np.array_equal(st.G, costs.grad_stack(st.W))
 
@@ -720,7 +721,7 @@ class TestDivergence:
     def test_gradient_turning_nan_ends_the_run(self, name, n, monkeypatch):
         # Call n is the gradient at iteration n - 1's iterate (call 1 is the
         # start's); the first NaN one feeds iteration n's prox input.
-        costs = random_quadratic_cost(5, 3, seed=0)
+        costs = random_quadratic_set(5, 3, seed=0)
         calls = []
         grad_stack = costs.grad_stack
 
@@ -744,7 +745,7 @@ class TestDivergence:
         # A_bar averages and B^2 = 1e200 (I - A_bar): S stays off the
         # average, so when B^2 Z overflows S, A_bar Z and W stay finite.
         K, M = 2, 3
-        costs = random_quadratic_cost(K, M, seed=0)
+        costs = random_quadratic_set(K, M, seed=0)
         ones = np.full((K, K), 1.0 / K)
         t = appendix.MatrixTriple(A_bar=ones, B_sq=1e200 * (np.eye(K) - ones),
                                   C=np.zeros((K, K)))
