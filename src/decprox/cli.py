@@ -135,8 +135,8 @@ class SeedsConfig:
 class ExperimentConfig:
     problem: str = _key(MISSING, _one_of(*PROBLEMS))
     graph: GraphConfig = _key(GraphConfig)
-    algorithms: list = _key(None, (None, "of names or {name, mu} objects"),
-                            item=AlgorithmConfig)
+    algorithms: list = _key(None, (bool, "non-empty, of names or {name, mu} "
+                                         "objects"), item=AlgorithmConfig)
     lam: float = _key(1e-4, _POSITIVE, key="lambda")
     rho: float = _key(2e-3, _POSITIVE)
     eta: float = _key(1.0, _POSITIVE)
@@ -152,7 +152,8 @@ class ExperimentConfig:
 def _load(cls, raw, where):
     """The config dataclass cls from the JSON object raw, every key checked."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object, got {raw!r}")
+        raise ConfigError(f"{where or 'config'} must be an object, "
+                          f"got {raw!r}")
     fields_ = {f.metadata.get("key") or f.name: f for f in fields(cls)}
     unknown = sorted(set(raw) - set(fields_))
     if unknown:
@@ -421,7 +422,10 @@ def _run_algorithm(acfg, cfg, problem):
 def run_experiment(cfg):
     """Run every configured algorithm; write one CSV per algorithm plus a
     summary table and a metadata sidecar.  Returns the summary rows."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output_dir: {e}") from e
     problem = build_problem(cfg)
     summary = [_run_algorithm(acfg, cfg, problem) for acfg in cfg.algorithms]
     any_diverged = any(row["diverged"] for row in summary)

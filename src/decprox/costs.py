@@ -218,53 +218,32 @@ def read_libsvm(path, normalize=False, label_map=None):
     scales every nonzero row to unit 2-norm.
 
     The labels, the indices and the values are each converted in one
-    numpy call.  Bad input raises ValueError ``path:line: ...`` for the
-    first bad line in file order; within it the label comes first, then
-    the tokens in order.
+    numpy call.  If any of it fails, the file is read again a line at a
+    time (:func:`_first_bad_line`), and ValueError ``path:line: ...``
+    names the first bad line in file order; within it the label comes
+    first, then the tokens in order.
     """
-    linenos, heads, counts, rows = [], [], [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            toks = line.split("#", 1)[0].split()
-            if toks:
-                linenos.append(lineno)
-                heads.append(toks[0])
-                counts.append(len(toks) - 1)
-                if len(toks) > 1:
-                    rows.append(" ".join(toks[1:]))
+    heads, counts, rows = [], [], []
+    for _, toks in _data_lines(path):
+        heads.append(toks[0])
+        counts.append(len(toks) - 1)
+        if len(toks) > 1:
+            rows.append(" ".join(toks[1:]))
     indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-    n_tokens = int(indptr[-1])
     text = " ".join(rows)  # every idx:val token, one space apart
     del rows
-
-    # Each check converts only what comes before its first failure.  A
-    # failure is (row, step, message), step 0 the label, 1 its mapping and
-    # 2 a token; the least is raised.
-    failures = []
-    raw, n = _convert(heads, float)
-    if n < len(heads):
-        failures.append((n, 0, f"bad label {heads[n]!r}"))
-    labels, n = _map_labels(raw, label_map)
-    if n < len(raw):
-        need = (f"not in map {label_map}" if label_map is not None
-                else "needs an explicit label_map")
-        failures.append((n, 1, f"label {float(raw[n])} {need}"))
-    n = _first_without_one_colon(text, n_tokens)
-    good = text if n == n_tokens else " ".join(text.split(" ")[:n])
-    parts = good.replace(" ", ":").split(":") if n else []
-    idx, n_idx = _convert(parts[0::2], np.int64)
-    vals, n_val = _convert(parts[1::2], float)
-    del good, parts
-    n = min(n, n_idx, n_val)  # the first n tokens are well formed
-    below = np.flatnonzero(idx[:n] < 1)
-    t = below[0] if below.size else n
-    if t < n_tokens:
-        failures.append((np.searchsorted(indptr, t, side="right") - 1, 2,
-                         f"indices are 1-based, got {idx[t]}" if t < n
-                         else f"bad feature {text.split(' ')[t]!r}"))
-    if failures:
-        row, _, message = min(failures)
-        raise ValueError(f"{path}:{linenos[row]}: {message}")
+    try:
+        labels, mapped = _map_labels(np.array(heads, dtype=float), label_map)
+        parts = text.replace(" ", ":").split(":") if text else []
+        idx = np.array(parts[0::2], dtype=np.int64)
+        vals = np.array(parts[1::2], dtype=float)
+        del parts
+        good = (mapped.all() and _one_colon_each(text, int(indptr[-1]))
+                and (idx >= 1).all())
+    except (ValueError, OverflowError):
+        good = False
+    if not good:
+        raise ValueError(f"{path}:{_first_bad_line(path, label_map)}")
 
     X = sp.csr_matrix((vals, idx - 1, indptr),
                       shape=(len(labels), int(idx.max(initial=0))))
@@ -277,43 +256,56 @@ def read_libsvm(path, normalize=False, label_map=None):
     return Dataset(X, labels)
 
 
-def _convert(strings, dtype):
-    """``strings`` as one array of ``dtype``, cut before the first string
-    that does not convert, and the length it was cut to."""
-    try:
-        return np.array(strings, dtype=dtype), len(strings)
-    except (ValueError, OverflowError):
-        for n, s in enumerate(strings):
+def _data_lines(path):
+    """(line number, tokens) for each line of the LIBSVM file at ``path``
+    that holds a token once its comment is cut."""
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            toks = line.split("#", 1)[0].split()
+            if toks:
+                yield lineno, toks
+
+
+def _first_bad_line(path, label_map):
+    """``line: message`` for the first bad line of the LIBSVM file at
+    ``path``, each label and token converted by :func:`read_libsvm`'s
+    numpy calls, one at a time."""
+    for lineno, toks in _data_lines(path):
+        try:
+            raw = np.array(toks[:1], dtype=float)
+        except (ValueError, OverflowError):
+            return f"{lineno}: bad label {toks[0]!r}"
+        if not _map_labels(raw, label_map)[1][0]:
+            need = (f"not in map {label_map}" if label_map is not None
+                    else "needs an explicit label_map")
+            return f"{lineno}: label {float(raw[0])} {need}"
+        for tok in toks[1:]:
             try:
-                np.array([s], dtype=dtype)
+                i, v = tok.split(":")  # ValueError unless exactly one ":"
+                idx = np.array([i], dtype=np.int64)
+                np.array([v], dtype=float)
             except (ValueError, OverflowError):
-                return np.array(strings[:n], dtype=dtype), n
-        raise
+                return f"{lineno}: bad feature {tok!r}"
+            if idx[0] < 1:
+                return f"{lineno}: indices are 1-based, got {idx[0]}"
 
 
-def _first_without_one_colon(text, n_tokens):
-    """The index of the first of the space-separated tokens of ``text``
-    that does not hold exactly one ``:``, or n_tokens.  Read from the
-    UTF-8 bytes, where neither byte occurs inside a multibyte character."""
+def _one_colon_each(text, n_tokens):
+    """Whether each of the n_tokens space-separated tokens of ``text``
+    holds exactly one ``:``.  Read from the UTF-8 bytes, where neither
+    byte occurs inside a multibyte character."""
     joined = np.frombuffer(text.encode(), dtype=np.uint8)
     colons = np.flatnonzero(joined == ord(":"))
     ends = np.flatnonzero(joined == ord(" "))
-    if (len(colons) == n_tokens and (colons[:-1] < ends).all()
-            and (colons[1:] > ends).all()):
-        return n_tokens
-    return next(t for t, tok in enumerate(text.split(" ")) if tok.count(":") != 1)
+    return bool(len(colons) == n_tokens and (colons[:-1] < ends).all()
+                and (colons[1:] > ends).all())
 
 
 def _map_labels(raw, label_map):
-    """Raw labels as +-1, and the index of the first that does not map
-    (len(raw) when all do)."""
+    """Raw labels as +-1, and a mask of those that map."""
     if label_map is not None:
         pos, neg = label_map
         is_pos = raw == pos
-        ok = is_pos | (raw == neg)
-        labels = np.where(is_pos, 1.0, -1.0)
-    else:
-        ok = (raw == 1.0) | (raw == -1.0) | (raw == 0.0)
-        labels = np.where(raw == 0.0, -1.0, raw)
-    bad = np.flatnonzero(~ok)
-    return labels, (bad[0] if bad.size else len(raw))
+        return np.where(is_pos, 1.0, -1.0), is_pos | (raw == neg)
+    ok = (raw == 1.0) | (raw == -1.0) | (raw == 0.0)
+    return np.where(raw == 0.0, -1.0, raw), ok

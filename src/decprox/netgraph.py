@@ -8,7 +8,7 @@ canonical CSR matrix (:class:`CSRMatrix`: sorted indices, no stored
 zeros) when its share of nonzeros is below ``CSR_DENSITY``, else a dense
 ndarray.  A graph's A, 0.5 (I + A) and L have K + 2E nonzeros each, so
 the edge count decides their form (``_sparse_graph``) before any is
-built, from the edge list in either form.  Either form multiplies a
+built, from the graph's E x 2 edge array.  Either form multiplies a
 dense K x M stack to an ndarray, and reports its memory as ``nbytes``.
 
 Every row of the table is a polynomial of degree at most 2 in one
@@ -102,45 +102,46 @@ class AlgorithmId(str, Enum):
         return self is AlgorithmId.DLM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Static undirected network of K agents.
+    """Static connected undirected network of K agents.
 
-    Edges are stored 0-based, each in one orientation, without
-    self-loops; self-weights arise from the Metropolis rule, not from
-    stored edges.
+    ``edges`` is an E x 2 integer array (any E x 2 array-like is taken in
+    as a read-only copy), one 0-based (s, k) row per edge, each edge
+    stored once, in either orientation, and no self-loop: self-weights
+    arise from the Metropolis rule, not from stored edges.  All of it, and
+    the graph's connectivity, is checked once, when it is built.
     """
 
     K: int
-    edges: frozenset
+    edges: np.ndarray
 
     def __post_init__(self):
-        if self.K < 2:
-            raise ValueError(f"need at least 2 agents, got K={self.K}")
-        for (s, k) in self.edges:
-            if s == k:
-                raise ValueError(f"self-loop stored on agent {s}")
-            if not (0 <= s < self.K and 0 <= k < self.K):
-                raise ValueError(f"edge ({s},{k}) out of range for K={self.K}")
-            if (k, s) in self.edges:
-                raise ValueError(f"edge ({s},{k}) stored in both orientations")
-
-    @cached_property
-    def edge_index(self):
-        """The edges as an E x 2 integer array, one (s, k) row each."""
-        return np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        K = self.K
+        if K < 2:
+            raise ValueError(f"need at least 2 agents, got K={K}")
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        outside = ((edges < 0) | (edges >= K)).any(axis=1)
+        if outside.any():
+            raise ValueError("edge ({},{}) out of range for K={}".format(
+                *edges[outside][0], K))
+        s, k = edges.T
+        if (s == k).any():
+            raise ValueError(f"self-loop stored on agent {s[s == k][0]}")
+        # One code per unordered pair, min K + max: a repeated code is an
+        # edge stored twice.
+        codes = np.sort(np.minimum(s, k) * K + np.maximum(s, k))
+        twice = codes[1:][codes[1:] == codes[:-1]]
+        if twice.size:
+            raise ValueError(f"edge ({twice[0] // K},{twice[0] % K}) stored "
+                             "twice or in both orientations")
+        if not _is_connected(K, edges):
+            raise ValueError("graph must be connected")
 
     def degrees(self):
-        return np.bincount(self.edge_index.ravel(), minlength=self.K)
-
-    def is_connected(self):
-        return self._connected
-
-    @cached_property
-    def _connected(self):
-        # Once per graph: build_graph, metropolis_matrix and
-        # laplacian_matrix each ask.
-        return _is_connected(self.K, self.edges)
+        return np.bincount(self.edges.ravel(), minlength=self.K)
 
 
 @dataclass(frozen=True)
@@ -290,10 +291,6 @@ class SpectralReport:
     assumption4_ok: bool
 
 
-def _edge(s, k):
-    return (s, k) if s < k else (k, s)
-
-
 def _engine_form(X):
     """A copy of the sparse matrix X as canonical CSR: sorted indices, no
     stored zeros."""
@@ -310,10 +307,10 @@ def _sparse_graph(g):
 
 
 def _edge_matrix(g, weights, diagonal):
-    """The symmetric matrix with ``weights`` on g's edges, in
-    ``edge_index`` order, and ``diagonal`` on the diagonal, in the form
+    """The symmetric matrix with ``weights`` on g's edges, in the order of
+    ``g.edges``, and ``diagonal`` on the diagonal, in the form
     :func:`_sparse_graph` gives g."""
-    s, k = g.edge_index.T
+    s, k = g.edges.T
     if not _sparse_graph(g):
         X = np.diag(diagonal)
         X[s, k] = X[k, s] = weights
@@ -342,20 +339,19 @@ def _is_symmetric(X):
 
 
 def _is_connected(K, edges):
+    """Whether the E x 2 ``edges`` join all K agents: a depth-first
+    search from agent 0."""
     nbrs = [[] for _ in range(K)]
-    for (s, k) in edges:
+    for s, k in edges.tolist():
         nbrs[s].append(k)
         nbrs[k].append(s)
-    seen = np.zeros(K, dtype=bool)
-    stack = [0]
-    seen[0] = True
+    seen, stack = {0}, [0]
     while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if not seen[v]:
-                seen[v] = True
+        for v in nbrs[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
                 stack.append(v)
-    return bool(seen.all())
+    return len(seen) == K
 
 
 def _prufer_tree(K, rng):
@@ -364,19 +360,17 @@ def _prufer_tree(K, rng):
     The sequence is the generator's first draw.  Each step joins the
     smallest leaf to the sequence's next vertex; the smallest leaf is the
     vertex the sequence just freed, if it lies below the scan pointer,
-    else the next leaf the pointer finds: O(K) in all.
+    else the next leaf the pointer finds: O(K) in all.  Returns the
+    (K - 1) x 2 edge array, one (min, max) row per edge.
     """
-    if K == 2:
-        return {(0, 1)}
     seq = rng.integers(0, K, size=K - 2).tolist()
     degree = [1] * K
     for v in seq:
         degree[v] += 1
-    edges = set()
-    ptr = degree.index(1)
-    leaf = ptr
+    leaves = []
+    leaf = ptr = degree.index(1)
     for v in seq:
-        edges.add(_edge(leaf, v))
+        leaves.append(leaf)
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
             leaf = v
@@ -387,8 +381,8 @@ def _prufer_tree(K, rng):
             leaf = ptr
     # K - 1 is never the smallest of two or more leaves: it and the last
     # leaf close the tree.
-    edges.add(_edge(leaf, K - 1))
-    return edges
+    leaves.append(leaf)
+    return np.sort(np.array([leaves, seq + [K - 1]]).T, axis=1)
 
 
 def build_graph(kind, K, seed=0, extra_edge_prob=0.0):
@@ -410,24 +404,25 @@ def build_graph(kind, K, seed=0, extra_edge_prob=0.0):
         raise ValueError(f"extra_edge_prob must be in [0,1], got {extra_edge_prob}")
 
     if kind == "complete":
-        edges = {_edge(s, k) for s in range(K) for k in range(s + 1, K)}
+        edges = [(s, k) for s in range(K) for k in range(s + 1, K)]
     elif kind == "ring":
-        edges = {_edge(k, (k + 1) % K) for k in range(K)}
+        # At K = 2 the closing edge is the first.
+        edges = [(k, k + 1) for k in range(K - 1)] + [(0, K - 1)] * (K > 2)
     elif kind == "grid":
         # Row-major partial grid: always connected for any K.
         rows = int(np.floor(np.sqrt(K)))
         cols = int(np.ceil(K / rows))
-        edges = set()
+        edges = []
         for v in range(K):
             r, c = divmod(v, cols)
             if c + 1 < cols and v + 1 < K:
-                edges.add(_edge(v, v + 1))
+                edges.append((v, v + 1))
             if v + cols < K:
-                edges.add(_edge(v, v + cols))
+                edges.append((v, v + cols))
     elif kind == "random_connected":
         rng = np.random.default_rng(seed)
         tree = _prufer_tree(K, rng)
-        edges = set(tree)
+        edges = [tree]
         # Each non-tree pair (s, k), s < k, in row-major order, takes one
         # uniform draw and becomes an edge if it falls below the
         # probability.  The draws come EDGE_DRAW_CHUNK at a time; the
@@ -438,7 +433,7 @@ def build_graph(kind, K, seed=0, extra_edge_prob=0.0):
         # them, in the last row whose offset does not pass it.
         rows = np.arange(K, dtype=np.int64)
         offsets = rows * (K - 1) - rows * (rows - 1) // 2
-        ts, tk = np.array(list(tree), dtype=np.int64).T
+        ts, tk = tree.T
         tree_rank = np.sort(offsets[ts] + tk - ts - 1) - np.arange(K - 1)
         free = K * (K - 1) // 2 - (K - 1)
         for start in range(0, free, EDGE_DRAW_CHUNK):
@@ -447,13 +442,11 @@ def build_graph(kind, K, seed=0, extra_edge_prob=0.0):
             pos = rank + np.searchsorted(tree_rank, rank, side="right")
             s = np.searchsorted(offsets, pos, side="right") - 1
             k = pos - offsets[s] + s + 1
-            edges.update(zip(s.tolist(), k.tolist()))
+            edges.append(np.column_stack([s, k]))
+        edges = np.concatenate(edges)
     else:
         raise ValueError(f"unknown graph kind: {kind!r}")
-
-    g = Graph(K=K, edges=frozenset(edges))
-    assert g.is_connected()
-    return g
+    return Graph(K, edges)
 
 
 def metropolis_matrix(g):
@@ -463,10 +456,8 @@ def metropolis_matrix(g):
     edge weights, summed by numpy over a dense row, or over a CSR row's
     stored weights alone (in column order, O(nnz) in all).
     """
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
     d = g.degrees()
-    s, k = g.edge_index.T
+    s, k = g.edges.T
     w = 1.0 / (1.0 + np.maximum(d[s], d[k]))
     off = _edge_matrix(g, w, np.zeros(g.K))
     return _edge_matrix(g, w, 1.0 - np.asarray(off.sum(axis=1)).ravel())
@@ -481,8 +472,6 @@ def shift_positive(A):
 
 def laplacian_matrix(g):
     """Graph Laplacian D - Adjacency; PSD with L @ ones = 0."""
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
     return _edge_matrix(g, np.full(len(g.edges), -1.0),
                         g.degrees().astype(float))
 

@@ -120,6 +120,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="even"):
             parse_config(path)
 
+    @pytest.mark.parametrize("raw", [[1, 2], "config", None])
+    def test_top_level_not_an_object(self, tmp_path, capsys, raw):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2
+        assert (f"config error: config must be an object, got {raw!r}"
+                in capsys.readouterr().err)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{problem:")
@@ -705,6 +713,8 @@ MALFORMED = [
     ("data.source", "libsvm", {"data": {"path": "no_such_file.svm"}}),
     ("data.n_samples", 3, {"problem": "logistic_l1"}),
     ("algorithms", "ProxED", {}),
+    # No run: nothing to write but a header-only summary.csv.
+    ("algorithms", [], {}),
     ("algorithms[0].mu", True, {"algorithms": [{"name": "ProxED"}]}),
     ("lambda", True, {}),
     ("record_every", 2.5, {}),
@@ -771,6 +781,20 @@ class TestMain:
     def test_run_exit_codes(self, tmp_path):
         path = write_config(tmp_path, overrides={"iters": 50})
         assert cli.main(["run", path]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "counterexample"])
+    def test_output_dir_a_file_exit_2(self, tmp_path, capsys, command):
+        # No directory can be made where a file is: the run stops before
+        # it solves anything, naming the key.
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        argv = (["run", write_config(tmp_path, output_dir=str(out))]
+                if command == "run" else
+                ["counterexample", "--M", "8", "--iters", "30", "--out",
+                 str(out)])
+        assert cli.main(argv) == 2
+        assert "config error: output_dir: " in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
 
     def test_config_error_exit_2(self, tmp_path):
         path = write_config(tmp_path, overrides={"rho": -1.0})

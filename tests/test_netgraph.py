@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
+from scipy.sparse.csgraph import connected_components
 
 from appendix_forms import MatrixTriple
 from decprox import netgraph
@@ -45,12 +46,12 @@ def heap_prufer_tree(K, rng):
     heapq.heapify(leaves)
     for v in seq:
         leaf = heapq.heappop(leaves)
-        edges.add(netgraph._edge(leaf, int(v)))
+        edges.add(tuple(sorted((leaf, int(v)))))
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, int(v))
     # Exactly two leaves remain; they close the tree.
-    edges.add(netgraph._edge(heapq.heappop(leaves), heapq.heappop(leaves)))
+    edges.add(tuple(sorted((heapq.heappop(leaves), heapq.heappop(leaves)))))
     return edges
 
 
@@ -66,9 +67,32 @@ def per_pair_random_connected(K, seed, p):
     return frozenset(edges)
 
 
+def edge_set(edges):
+    """A graph's edges, or an E x 2 edge array, as a set of (s, k) tuples
+    of Python ints, in the orientation stored."""
+    if isinstance(edges, Graph):
+        edges = edges.edges
+    return {(s, k) for s, k in edges.tolist()}
+
+
+def one_component(K, edges):
+    """Whether the (s, k) pairs ``edges`` join all K agents, by scipy's
+    connected components: an oracle independent of netgraph's search."""
+    s, k = np.array(sorted(edges), dtype=int).reshape(-1, 2).T
+    adj = sp.coo_matrix((np.ones(len(s)), (s, k)), shape=(K, K))
+    return connected_components(adj, directed=False)[0] == 1
+
+
+def assert_built(g):
+    """A built graph: connected, each edge stored once as (s, k), s < k."""
+    assert one_component(g.K, edge_set(g))
+    assert (g.edges[:, 0] < g.edges[:, 1]).all()
+    assert len(edge_set(g)) == len(g.edges)
+
+
 def loop_degrees(g):
     d = np.zeros(g.K, dtype=int)
-    for (s, k) in g.edges:
+    for (s, k) in edge_set(g):
         d[s] += 1
         d[k] += 1
     return d
@@ -76,7 +100,7 @@ def loop_degrees(g):
 
 def loop_adjacency(g):
     adj = np.zeros((g.K, g.K))
-    for (s, k) in g.edges:
+    for (s, k) in edge_set(g):
         adj[s, k] = adj[k, s] = 1.0
     return adj
 
@@ -86,7 +110,7 @@ def loop_metropolis(g):
     reference for metropolis_matrix."""
     d = loop_degrees(g)
     A = np.zeros((g.K, g.K))
-    for (s, k) in g.edges:
+    for (s, k) in edge_set(g):
         w = 1.0 / (1.0 + max(d[s], d[k]))
         A[s, k] = A[k, s] = w
     np.fill_diagonal(A, 1.0 - A.sum(axis=1))
@@ -127,7 +151,7 @@ def benchmark_graph():
 
 def edge_checksum(g):
     """The sha256 of g's sorted edge list, one "s k" line per edge."""
-    text = "".join(f"{s} {k}\n" for s, k in sorted(g.edges))
+    text = "".join(f"{s} {k}\n" for s, k in sorted(edge_set(g)))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -142,7 +166,7 @@ class TestGraphs:
             for K in (2, 3, 7, 12):
                 g = build_graph(kind, K)
                 assert g.K == K
-                assert g.is_connected()
+                assert_built(g)
 
     def test_complete_edge_count(self):
         g = build_graph("complete", 6)
@@ -150,12 +174,12 @@ class TestGraphs:
 
     def test_random_connected_is_connected(self):
         for g in random_graphs():
-            assert g.is_connected()
+            assert_built(g)
 
     def test_random_connected_deterministic(self):
         a = build_graph("random_connected", 15, seed=4, extra_edge_prob=0.3)
         b = build_graph("random_connected", 15, seed=4, extra_edge_prob=0.3)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, netgraph.EDGE_DRAW_CHUNK],
                              ids=lambda c: f"chunk{c}")
@@ -168,7 +192,8 @@ class TestGraphs:
         # pairs; the default takes every case here in one chunk.
         monkeypatch.setattr(netgraph, "EDGE_DRAW_CHUNK", chunk)
         g = build_graph("random_connected", K, seed=seed, extra_edge_prob=p)
-        assert g.edges == per_pair_random_connected(K, seed, p)
+        assert edge_set(g) == per_pair_random_connected(K, seed, p)
+        assert_built(g)
 
     def test_benchmark_graph_pinned(self, benchmark_graph):
         # Edge count and checksum of the sorted edge list, as the per-pair
@@ -199,16 +224,15 @@ class TestGraphs:
     @pytest.mark.parametrize("seed", range(20))
     def test_prufer_decode_matches_heap_decode(self, seed):
         for K in range(2, 61):
-            trees = [f(K, np.random.default_rng(seed))
-                     for f in (netgraph._prufer_tree, heap_prufer_tree)]
-            assert trees[0] == trees[1]
-            assert len(trees[0]) == K - 1
+            tree = netgraph._prufer_tree(K, np.random.default_rng(seed))
+            assert edge_set(tree) == heap_prufer_tree(
+                K, np.random.default_rng(seed))
+            assert tree.shape == (K - 1, 2)
 
     @pytest.mark.parametrize("K", [2000, 10000])
     def test_prufer_decode_matches_heap_decode_at_scale(self, K):
-        trees = [f(K, np.random.default_rng(7))
-                 for f in (netgraph._prufer_tree, heap_prufer_tree)]
-        assert trees[0] == trees[1]
+        tree = netgraph._prufer_tree(K, np.random.default_rng(7))
+        assert edge_set(tree) == heap_prufer_tree(K, np.random.default_rng(7))
 
     def test_tree_when_no_extra_edges(self):
         g = build_graph("random_connected", 30, seed=2, extra_edge_prob=0.0)
@@ -221,19 +245,41 @@ class TestGraphs:
             build_graph("torus", 5)
         with pytest.raises(ValueError):
             build_graph("random_connected", 5, extra_edge_prob=1.5)
-        with pytest.raises(ValueError):
-            Graph(K=3, edges=frozenset({(0, 0)}))
-        with pytest.raises(ValueError):
-            Graph(K=3, edges=frozenset({(0, 5)}))
+        with pytest.raises(ValueError, match="at least 2 agents"):
+            Graph(K=1, edges=[])
+
+    @pytest.mark.parametrize("edges, match", [
+        ([(0, 0), (0, 1), (1, 2)], "self-loop stored on agent 0"),
+        ([(0, 1), (1, 2), (2, 2)], "self-loop stored on agent 2"),
+        ([(0, 1), (1, 5)], r"edge \(1,5\) out of range for K=3"),
+        ([(0, 1), (1, 3)], r"edge \(1,3\) out of range for K=3"),
+        ([(-1, 1), (1, 2)], r"edge \(-1,1\) out of range for K=3"),
+        ([(0, 1), (1, 2), (0, 1)], r"edge \(0,1\) stored twice"),
+        ([(0, 1), (1, 0), (1, 2)], r"edge \(0,1\) stored twice or in both"),
+        ([(1, 2), (0, 1), (2, 1)], r"edge \(1,2\) stored twice or in both"),
+    ], ids=["self-loop-first", "self-loop-last", "range-5", "range-K",
+            "negative", "duplicate-row", "both-orientations",
+            "both-orientations-reversed"])
+    def test_bad_edges_rejected(self, edges, match):
+        with pytest.raises(ValueError, match=match):
+            Graph(K=3, edges=edges)
 
     def test_edge_in_both_orientations_rejected(self):
         # Stored twice, the edge would count twice in each end's degree:
         # degrees [2, 3, 1] and Metropolis weights 1/4 where 1/3 is right.
         with pytest.raises(ValueError, match="both orientations"):
-            Graph(K=3, edges=frozenset({(0, 1), (1, 0), (1, 2)}))
-        g = Graph(K=3, edges=frozenset({(1, 0), (1, 2)}))
+            Graph(K=3, edges=[(0, 1), (1, 0), (1, 2)])
+        g = Graph(K=3, edges=[(1, 0), (1, 2)])
         assert g.degrees().tolist() == [1, 2, 1]
         assert metropolis_matrix(g)[0, 1] == 1.0 / 3.0
+
+    def test_edges_stored_as_read_only_array(self):
+        edges = [(1, 0), (1, 2)]
+        g = Graph(K=3, edges=edges)
+        assert g.edges.shape == (2, 2)
+        assert g.edges.tolist() == [[1, 0], [1, 2]]
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 2
 
 
 class TestMetropolis:
@@ -273,11 +319,11 @@ class TestMetropolis:
                               0.5 * (np.eye(K) + Ad))
 
     def test_disconnected_graph_rejected(self):
-        g = Graph(K=4, edges=frozenset({(0, 1), (2, 3)}))
-        assert not g.is_connected()
-        for build in (metropolis_matrix, laplacian_matrix):
-            with pytest.raises(ValueError, match="connected"):
-                build(g)
+        # No Graph is built, so no matrix can be built from one.
+        for edges in ([(0, 1), (2, 3)], [(0, 1), (1, 2)], []):
+            assert not one_component(4, edges)
+            with pytest.raises(ValueError, match="graph must be connected"):
+                Graph(K=4, edges=edges)
 
     def test_doubly_stochastic_symmetric(self):
         # Acceptance-style property: 20 random graphs.
