@@ -133,9 +133,9 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     below ``tol``.  Every error of a run is measured against this point,
     so reaching ``max_iter`` first raises :class:`NotConvergedError`
     with the mapping norm reached.  As in the engine's primal-dual step,
-    the prox gets the current iterate, its own previous output, as a
-    hint (``prox.Hint``), with what the prox found of it, carried from
-    one iteration to the next.
+    the prox gets what it found of the current iterate, its own previous
+    output, as a hint (``prox.Hint``), carried from one iteration to the
+    next; the first iteration has none.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -146,7 +146,7 @@ def centralized_reference(costs, prox_common, tol=1e-14, max_iter=1_000_000):
     found = None
     for _ in range(max_iter):
         x = w - mu * costs.average_grad(w)
-        hint = Hint(w[None], found)
+        hint = Hint(found)
         w_next = prox_common.apply_stack(x[None], mu, hint=hint)[0]
         found = hint.found
         step = np.subtract(w, w_next)

@@ -9,6 +9,7 @@ against live with the tests.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +24,13 @@ __all__ = [
     "synthetic_classification",
     "read_libsvm",
 ]
+
+# Data lines read_libsvm converts per numpy call.  A bad line costs one
+# more conversion of its block, not of the file, and a block's tokens are
+# all of the text held at once: on a 2-vCPU Xeon, 64-line blocks read a
+# 20,000-line file of 75 nonzeros a line as fast as one block does, at a
+# third of its peak memory.
+LIBSVM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -215,37 +223,28 @@ def read_libsvm(path, normalize=False, label_map=None):
     order; the widest index sets the column count.  ``label_map`` is an
     optional (raw_pos, raw_neg) pair mapped to +1/-1; without it, raw
     labels must already be in {-1, +1} (0 maps to -1).  ``normalize``
-    scales every nonzero row to unit 2-norm.
+    scales every nonzero row to unit 2-norm.  A NaN or infinite value
+    raises ValueError ``path holds a non-finite feature value``, checked
+    before any sum or scaling (scaling would zero an infinite row).
 
-    The labels, the indices and the values are each converted in one
-    numpy call.  If any of it fails, the file is read again a line at a
-    time (:func:`_first_bad_line`), and ValueError ``path:line: ...``
-    names the first bad line in file order; within it the label comes
-    first, then the tokens in order.
+    The labels, indices and values of ``LIBSVM_BLOCK`` data lines at a
+    time are each converted in one numpy call (:func:`_convert`).  If a
+    block fails, its lines are converted one at a time
+    (:func:`_first_bad_line`), and ValueError ``path:line: ...`` names
+    the first bad line in file order; within it the label comes first,
+    then the tokens in order.
     """
-    heads, counts, rows = [], [], []
-    for _, toks in _data_lines(path):
-        heads.append(toks[0])
-        counts.append(len(toks) - 1)
-        if len(toks) > 1:
-            rows.append(" ".join(toks[1:]))
-    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-    text = " ".join(rows)  # every idx:val token, one space apart
-    del rows
-    try:
-        labels, mapped = _map_labels(np.array(heads, dtype=float), label_map)
-        parts = text.replace(" ", ":").split(":") if text else []
-        idx = np.array(parts[0::2], dtype=np.int64)
-        vals = np.array(parts[1::2], dtype=float)
-        del parts
-        good = (mapped.all() and _one_colon_each(text, int(indptr[-1]))
-                and (idx >= 1).all())
-    except (ValueError, OverflowError):
-        good = False
-    if not good:
-        raise ValueError(f"{path}:{_first_bad_line(path, label_map)}")
-
-    X = sp.csr_matrix((vals, idx - 1, indptr),
+    lines = _data_lines(path)
+    blocks = [_convert([], label_map)]  # typed and empty, for an empty file
+    while block := list(islice(lines, LIBSVM_BLOCK)):
+        if (converted := _convert(block, label_map)) is None:
+            raise ValueError(f"{path}:{_first_bad_line(block, label_map)}")
+        blocks.append(converted)
+    labels, counts, idx, vals = map(np.concatenate, zip(*blocks))
+    del blocks
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{path} holds a non-finite feature value")
+    X = sp.csr_matrix((vals, idx - 1, np.concatenate([[0], counts.cumsum()])),
                       shape=(len(labels), int(idx.max(initial=0))))
     X.sum_duplicates()
     if normalize:
@@ -266,11 +265,34 @@ def _data_lines(path):
                 yield lineno, toks
 
 
-def _first_bad_line(path, label_map):
-    """``line: message`` for the first bad line of the LIBSVM file at
-    ``path``, each label and token converted by :func:`read_libsvm`'s
-    numpy calls, one at a time."""
-    for lineno, toks in _data_lines(path):
+def _convert(lines, label_map):
+    """(labels as +-1, tokens per line, indices, values) of a list of
+    (line number, tokens) data lines, each field converted in one numpy
+    call; None if one fails, a token holds other than one ``:``, an index
+    is below 1 or a label does not map."""
+    counts = np.array([len(toks) - 1 for _, toks in lines], dtype=np.int64)
+    text = " ".join([" ".join(toks[1:]) for _, toks in lines if len(toks) > 1])
+    try:
+        labels, mapped = _map_labels(
+            np.array([toks[0] for _, toks in lines], dtype=float), label_map)
+        parts = text.replace(" ", ":").split(":") if text else []
+        idx = np.array(parts[0::2], dtype=np.int64)
+        vals = np.array(parts[1::2], dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if (mapped.all() and _one_colon_each(text, int(counts.sum()))
+            and (idx >= 1).all()):
+        return labels, counts, idx, vals
+    return None
+
+
+def _first_bad_line(lines, label_map):
+    """``line: message`` for the first bad one of a list of (line number,
+    tokens) data lines: each line converted by :func:`_convert`, and the
+    label and the tokens of the first that fails one at a time."""
+    for lineno, toks in lines:
+        if _convert([(lineno, toks)], label_map) is not None:
+            continue
         try:
             raw = np.array(toks[:1], dtype=float)
         except (ValueError, OverflowError):

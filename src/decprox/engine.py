@@ -30,13 +30,14 @@ and every iteration evaluates exactly one more, at the new iterate, and
 carries it in the state.  A step reads grad(W) (and grad(W_prev), where
 its recursion needs it) from the state it is given, and never writes to
 that state or rebinds its fields: it builds a new one.  The primal-dual
-step also hands the prox its current iterate W, the previous prox
-output, as a hint (``prox.Hint``), with the segmentation the prox found
-of it: the chain prox solves that segmentation in closed form when its
-certificate holds, and hands back its output's.  The step also builds
-W - mu grad(W) - S at its new iterate (``Z_next``): the next step's Z
-where C is zero, and what the fixed-point residuals compare Z with on
-every row.  Hint and Z are part of the state, so no operator keeps any.
+step also hands the prox, as a hint (``prox.Hint``), the segmentation
+it found of its previous output, the current iterate W (none at the
+first step): the chain prox solves that segmentation in closed form
+when its certificate holds, and hands back its output's.  The step also
+builds W - mu grad(W) - S at its new iterate (``Z_next``): the next
+step's Z where C is zero, and what the fixed-point residuals compare Z
+with on every row.  Hint and Z are part of the state, so no operator
+keeps any.
 
 Divergence has one test, in ``run``: the error of each new iterate to the
 reference must be at most ``DIVERGENCE_LIMIT``, which a NaN fails.  No
@@ -77,8 +78,9 @@ class BlockIterate:
     is c L W, which its next step reuses), and B_sq_Z the primal-dual
     step's product B^2 Z, kept for the fixed-point residuals.  The
     primal-dual step also leaves W_segments, what its prox found of each
-    row of W (``prox.Hint.found``), and Z_next, W - mu G - S at the
-    step's mu: the next step's Z where C is zero.
+    row of W (``prox.Hint.found``), which the next step hands back to
+    the prox, and Z_next, W - mu G - S at the step's mu: the next step's
+    Z where C is zero.
 
     No step writes to the arrays or rebinds the fields of a state it is
     given.  The class is slotted, not frozen: every step builds one, and
@@ -146,8 +148,8 @@ def puda_step(state, triple, costs, prox, mu):
 
     A_bar Z and B^2 Z come from one call (``ConsensusTriple.combine``),
     which shares the base's products and scaled powers between them.  The
-    prox gets W, its own previous output, as a hint, with the
-    segmentation it found of W; the hint may change W only by rounding.
+    prox gets the segmentation it found of W, its own previous output,
+    as a hint; the hint may change W only by rounding.
     Every step leaves W - mu grad(W) - S at its new iterate
     (``Z_next``), which is the next step's Z where C is zero.
     """
@@ -164,7 +166,7 @@ def puda_step(state, triple, costs, prox, mu):
     else:  # the initial state carries none
         Z = _z_without_c(W, G, S, mu)
     A_bar_Z, B_sq_Z = triple.combine(Z)
-    hint = prox_mod.Hint(W, state.W_segments)
+    hint = prox_mod.Hint(state.W_segments)
     W_new = prox.apply_stack(A_bar_Z, mu, hint=hint)
     G_new = costs.grad_stack(W_new)
     S_new = S + B_sq_Z

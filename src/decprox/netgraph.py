@@ -167,10 +167,6 @@ class ConsensusTriple:
     C: object
     spectrum: tuple
 
-    @property
-    def K(self):
-        return self.A_bar.shape[0]
-
     @cached_property
     def _plan(self):
         return _sum_plan((self.A_bar.coeffs, self.B_sq.coeffs))
@@ -202,10 +198,6 @@ class BasePolynomial:
         self.degree = max((p for p, c in enumerate(self.coeffs) if c),
                           default=-1)
         self._plan = _sum_plan((self.coeffs,))
-
-    @property
-    def shape(self):
-        return self.base.shape
 
     # It stores no matrix; its base is counted where it was built.
     nbytes = 0
@@ -323,19 +315,12 @@ def _edge_matrix(g, weights, diagonal):
 
 
 def _is_symmetric(X):
-    """max |X - X^T| <= SYMMETRY_TOL, a NaN failing.  A dense X is compared
-    tile by tile above the diagonal, so that no K x K temporary is built."""
+    """max |X - X^T| <= SYMMETRY_TOL, a NaN failing; where X is CSR, over
+    the stored entries of the difference."""
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         return False
-    if sp.issparse(X):
-        return bool((abs(X - X.T).data <= SYMMETRY_TOL).all())
-    K, tile = X.shape[0], 256
-    for i in range(0, K, tile):
-        for j in range(i, K, tile):
-            diff = X[i:i + tile, j:j + tile] - X[j:j + tile, i:i + tile].T
-            if not (np.abs(diff) <= SYMMETRY_TOL).all():
-                return False
-    return True
+    diff = abs(X - X.T)
+    return bool(((diff.data if sp.issparse(diff) else diff) <= SYMMETRY_TOL).all())
 
 
 def _is_connected(K, edges):

@@ -2,8 +2,9 @@
 agents), and every operator takes its prox row by row through
 ``apply_stack``.  l1 soft-thresholding, the two agents' pairwise-difference
 regularizers with closed-form proxes, and an exact direct prox of their
-sum, solved in closed form from a hinted segmentation when its dual
-certificate holds."""
+sum, solved in closed form on a segmentation when its dual certificate
+holds: the one it found of its previous output, or the dynamic
+programme's."""
 
 import math
 from typing import NamedTuple
@@ -43,28 +44,26 @@ class ProxOperator:
 
     def apply_stack(self, X, mu, hint=None):
         """Rowwise prox of a K x M stack.  ``hint``, a :class:`Hint` or
-        None, holds a K x M stack believed near the result (the engine
-        passes the previous prox output); an operator may use it to go
-        faster, never to change its answer beyond rounding."""
+        None, holds what the operator found of its previous output, which
+        is believed near the result; an operator may use it to go faster,
+        never to change its answer beyond rounding."""
         raise NotImplementedError
 
 
 class Hint:
-    """The hint of one ``apply_stack`` call, with what is known of it.
+    """The hint of one ``apply_stack`` call: what an operator found of its
+    own previous output.
 
-    ``stack`` is the K x M hint.  ``segments`` holds, row by row, what an
-    operator found of that row when the stack was its own output (None,
-    or a None entry, where nothing is known: the operator derives it
-    from the stack).  An operator that knows the same of its output
-    leaves it in ``found``, for the hint of the next call; the engine and
-    the reference solver carry it from call to call, so that no operator
-    keeps state.
+    ``segments`` holds it row by row (None, or a None entry, where nothing
+    is known, as on a first call).  An operator that finds the same of
+    its output leaves it in ``found``, for the hint of the next call; the
+    engine and the reference solver carry it from call to call, so that
+    no operator keeps state.
     """
 
-    __slots__ = ("stack", "segments", "found")
+    __slots__ = ("segments", "found")
 
-    def __init__(self, stack, segments=None):
-        self.stack = stack
+    def __init__(self, segments=None):
         self.segments = segments
         self.found = None
 
@@ -334,14 +333,13 @@ class ChainSumProx(ProxOperator):
     total-variation chain whose first node is tied to a virtual node at
     1/sqrt(2); its prox is exact and O(M) (:func:`prox_anchored_chain`).
     Each row is solved in closed form on a segmentation
-    (:func:`_chain_on`): its hint's if given, else the dynamic
-    programme's own, which the closed form makes exact where the
-    programme's sums lose digits.  Given a :class:`Hint`, it takes a
-    row's segmentation from ``segments`` where known and leaves its
-    output's in ``found``, for every row: a row solved in closed form has
-    exactly the segmentation it was solved on, and a row the closed form
-    fails on is the dynamic programme's output, whose segmentation it
-    derived.  The operator holds no state, so equal rows with equal
+    (:func:`_chain_on`): the one its :class:`Hint` carries, else the
+    dynamic programme's own, which the closed form makes exact where the
+    programme's sums lose digits.  Given a Hint, it leaves its output's
+    segmentation in ``found``, for every row: a row solved in closed form
+    has exactly the segmentation it was solved on, and a row the closed
+    form fails on is the dynamic programme's output, whose segmentation
+    it derived.  The operator holds no state, so equal rows with equal
     hints give bit-equal results.
     """
 
@@ -352,28 +350,24 @@ class ChainSumProx(ProxOperator):
         self.weight = float(weight)
 
     def apply_stack(self, X, mu, hint=None):
-        """Rowwise prox; row k tries the segmentation of the hint's row k
-        first and falls back to the dynamic programme's when its
-        certificate fails."""
+        """Rowwise prox; row k tries the hint's segmentation of row k
+        where it carries one, and runs the dynamic programme where it
+        carries none or its certificate fails."""
         X = np.asarray(X, dtype=float)
         if mu <= 0:
             raise ValueError(f"mu must be positive, got {mu}")
         if X.ndim != 2 or X.shape[1] != self.M:
             raise ValueError(f"expected shape (K, {self.M}), got {X.shape}")
-        if hint is not None and hint.stack.shape != X.shape:
-            raise ValueError(f"hint has shape {hint.stack.shape}, "
-                             f"not {X.shape}")
+        segments = (hint and hint.segments) or [None] * len(X)
+        if len(segments) != len(X):
+            raise ValueError(f"hint has {len(segments)} rows, not {len(X)}")
         t = mu * self.weight
         anchor_t = _SQRT2 * t
         out = np.empty_like(X)
         found = [None] * len(X)
-        for k, x in enumerate(X):
-            z = None
-            if hint is not None:
-                seg = None if hint.segments is None else hint.segments[k]
-                if seg is None:
-                    seg = _segmentation(hint.stack[k], _ANCHOR)
-                z = _chain_on(x, seg, t, _ANCHOR, anchor_t)
+        for k, (x, seg) in enumerate(zip(X, segments)):
+            z = None if seg is None else _chain_on(x, seg, t, _ANCHOR,
+                                                   anchor_t)
             if z is None:
                 dp = prox_anchored_chain(x, t, _ANCHOR, anchor_t)
                 seg = _segmentation(dp, _ANCHOR)

@@ -30,6 +30,7 @@ from decprox.prox import (
     ZeroProx,
     prox_l1,
 )
+from decprox.prox import _ANCHOR, _segmentation
 
 import cost_oracle
 from cost_oracle import random_quadratic_set
@@ -212,14 +213,15 @@ def unhinted_reference(costs, prox_common, tol=1e-14):
 
 
 def array_hinted_reference(costs, prox_common, tol=1e-14):
-    """centralized_reference's loop with a hint that carries no
-    segmentation, as the prox once took a bare array: the prox derives
-    each row's segmentation from the previous output again."""
+    """centralized_reference's loop with a hint that the test derives from
+    the previous output at every iteration, the first included, as the
+    prox once derived it from a bare array."""
     mu = 1.0 / costs.delta
     w = np.zeros(costs.M)
     while True:
         x = w - mu * costs.average_grad(w)
-        w_next = prox_common.apply_stack(x[None], mu, hint=Hint(w[None]))[0]
+        hint = Hint([_segmentation(w, _ANCHOR)])
+        w_next = prox_common.apply_stack(x[None], mu, hint=hint)[0]
         step = np.subtract(w, w_next)
         mapping = np.sqrt(np.add.reduce(step * step)) / mu
         w = w_next
@@ -231,8 +233,9 @@ class TestCentralizedReference:
     @pytest.mark.parametrize("M", [8, 200, 2000])
     def test_carried_hint_equals_array_hint(self, M):
         # The reference carries what the prox found from one iteration to
-        # the next: the same w* as the hint rebuilt from the array, byte
-        # for byte.
+        # the next, and has none to give the first: the same w* as the
+        # hint derived from the previous iterate every time, byte for
+        # byte.
         costs = quadratic_cost(1.0, 2, M)
         prox = ChainSumProx(M, weight=0.5)
         assert same_bytes(centralized_reference(costs, prox),

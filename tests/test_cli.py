@@ -621,9 +621,10 @@ class TestSparseGraphs:
 
     def test_preset_run_takes_two_dynamic_programmes(self, tmp_path,
                                                      monkeypatch):
-        # From the zero start both rows' hints (zeros) fail the certificate
-        # at step 1; every later step solves its hint's segmentation in
-        # closed form, so the O(M) dynamic programme stays off the hot path.
+        # Step 1 has no segmentation to hand the chain prox, so both rows
+        # run the dynamic programme; every later step solves the one
+        # carried in closed form, so the O(M) programme stays off the hot
+        # path.
         cfg = cli.config_from_dict({
             **cli.COUNTEREXAMPLE_PRESET, "M": 200, "iters": 500,
             "algorithms": [{"name": "ProxED", "mu": 0.005}],
@@ -645,10 +646,10 @@ class TestSparseGraphs:
     def test_carried_segmentation_matches_dropped(self, tmp_path, monkeypatch,
                                                   M, iters, seed):
         # The step hands the chain prox the segmentation it found of W; a
-        # run that drops it every step derives it from W again.  Both runs
-        # are the same byte for byte: from the zero start, whose only
-        # dynamic programmes are at step 1, and from a seeded start, whose
-        # rows keep falling back to it after step 1.
+        # run that drops it derives it from W again at every step, the
+        # first included.  Both runs are the same byte for byte: from the
+        # zero start, whose only dynamic programmes are at step 1, and from
+        # a seeded start, whose rows keep falling back to it after step 1.
         cfg = cli.config_from_dict({
             **cli.COUNTEREXAMPLE_PRESET, "M": M, "iters": iters,
             "algorithms": [{"name": "ProxED", "mu": 0.005}],
@@ -673,13 +674,15 @@ class TestSparseGraphs:
 
         carried, carried_dp, carried_derived = run(r.step)
         dropped, dropped_dp, dropped_derived = run(
-            lambda st: r.step(dataclasses.replace(st, W_segments=None)))
+            lambda st: r.step(dataclasses.replace(st, W_segments=[
+                prox_mod._segmentation(w, prox_mod._ANCHOR) for w in st.W])))
         assert carried_dp == dropped_dp
         if seed is None:
             assert carried_dp == [1, 1]
-            # Two rows: each derives its hint's and the programme's
-            # segmentation at step 1, and only its hint's after that.
-            assert carried_derived == 4
+            # Two rows: each carried row derives the programme's
+            # segmentation at step 1 and none after that; each dropped row
+            # also derives W's at every step.
+            assert carried_derived == 2
             assert dropped_derived == 4 + 2 * (iters - 1)
         else:
             assert max(carried_dp) > 1
@@ -750,6 +753,24 @@ class TestMain:
         assert cli.main([command, path]) == 2
         err = capsys.readouterr().err
         assert f"config error: data.path: {data} holds no feature" in err
+
+    @pytest.mark.parametrize("command", ["run", "validate", "rates"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_libsvm_exit_2(self, tmp_path, capsys, command, value,
+                                      normalize):
+        # A NaN or infinite feature leaves no problem to solve or check;
+        # with normalize too, where scaling would zero an infinite row.
+        data = tmp_path / "nonfinite.svm"
+        data.write_text(f"1 1:0.5 2:-1\n-1 1:{value}\n1 2:0.25\n-1 1:2 2:3\n")
+        path = write_config(tmp_path, {
+            "problem": "logistic_l1", "graph": {"kind": "complete", "K": 2},
+            "data": {"source": "libsvm", "path": str(data),
+                     "normalize": normalize}})
+        assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: data.path: {data} holds a non-finite "
+                "feature value") in err
 
     def test_reference_cap_exit_2(self, tmp_path, monkeypatch, capsys):
         # A reference solver stopped by its cap gives no w* to measure

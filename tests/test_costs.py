@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from decprox import costs
 from decprox.costs import (
     Dataset,
     SmoothCostSet,
@@ -342,6 +343,18 @@ class TestLibsvm:
         norms = np.linalg.norm(d.features.toarray(), axis=1)
         assert np.allclose(norms[norms > 0], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("feats", ["1:nan", "2:inf", "1:-inf 2:1",
+                                       "1:inf 1:-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, feats, normalize):
+        # Also where row scaling would turn an infinite row into zeros,
+        # and where repeats of an index would add up to a NaN.
+        p = tmp_path / "d.txt"
+        p.write_text(f"1 1:0.5\n-1 {feats}\n")
+        with pytest.raises(ValueError) as e:
+            read_libsvm(p, normalize=normalize)
+        assert str(e.value) == f"{p} holds a non-finite feature value"
+
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1 1:0.5\n-1 2:oops\n")
@@ -465,3 +478,26 @@ class TestLibsvmAgainstReference:
         got, ref = _read_both(path, normalize, label_map)
         assert isinstance(ref, str)
         assert got == ref
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2).flatmap(lambda n: libsvm_text(corruptions=n)),
+           st.integers(1, 4))
+    def test_any_block_size(self, tmp_path, monkeypatch, text_map, block):
+        # Read a few lines at a time, a file gives the same dataset, or
+        # names the same first bad line, as the reference.
+        monkeypatch.setattr(costs, "LIBSVM_BLOCK", block)
+        text, label_map = text_map
+        path = tmp_path / "d.svm"
+        path.write_bytes(text.encode())
+        got, ref = _read_both(path, False, label_map)
+        if isinstance(ref, str):
+            assert got == ref
+            return
+        A, B = got.features, ref.features
+        assert A.shape == B.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(A, name), getattr(B, name)
+            assert a.dtype == b.dtype and same_bytes(a, b), name
+        assert (got.labels.dtype == ref.labels.dtype
+                and same_bytes(got.labels, ref.labels))

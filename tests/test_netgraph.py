@@ -126,7 +126,7 @@ def dense(X):
     """X as a dense ndarray, whichever form netgraph built it in; a
     polynomial member applied to the identity."""
     if isinstance(X, netgraph.BasePolynomial):
-        return X @ np.eye(X.shape[0])
+        return X @ np.eye(X.base.shape[0])
     return X.toarray() if sp.issparse(X) else X
 
 
@@ -492,7 +492,7 @@ def reference_report(t, psd_tol=netgraph.PSD_TOL):
     eig_C = np.linalg.eigvalsh(C)
     eig_Bsq = np.linalg.eigvalsh(B_sq)
     eig_A = np.linalg.eigvalsh(A_bar)
-    gap = np.linalg.eigvalsh(np.eye(t.K) - B_sq - A_bar @ A_bar)
+    gap = np.linalg.eigvalsh(np.eye(len(A_bar)) - B_sq - A_bar @ A_bar)
     cb_gap = np.linalg.eigvalsh(C - B_sq)
     nonzero = eig_Bsq[np.abs(eig_Bsq) > netgraph.NULLSPACE_TOL
                       * max(1.0, eig_Bsq[-1])]

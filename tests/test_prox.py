@@ -337,8 +337,8 @@ class TestExactChainProx:
         prev = op.apply_stack(np.stack([x, y]), 0.05)
         x = x + 1e-6 * y
         assert hinted(x, prev[0], 0.025) is not None  # the closed form runs
-        out = op.apply_stack(np.stack([x, x]), 0.05,
-                             hint=Hint(np.stack([prev[0], prev[0]])))
+        seg = _segmentation(prev[0], ANCHOR)
+        out = op.apply_stack(np.stack([x, x]), 0.05, hint=Hint([seg, seg]))
         assert np.array_equal(out[0], out[1])
 
     def test_apply_leaves_no_state(self):
@@ -347,14 +347,14 @@ class TestExactChainProx:
         x = np.random.default_rng(6).standard_normal(10)
         first = prox_row(op, x, 0.3)
         op.apply_stack(np.stack([x, -x]), 0.1)
-        hint = op.apply_stack(np.stack([x, -x]), 0.3)
-        out = op.apply_stack(np.stack([x, -x]), 0.3, hint=Hint(hint))
-        op.apply_stack(np.stack([-x, x]), 0.3, hint=Hint(hint))
+        segs = segments_of(op.apply_stack(np.stack([x, -x]), 0.3))
+        out = op.apply_stack(np.stack([x, -x]), 0.3, hint=Hint(segs))
+        op.apply_stack(np.stack([-x, x]), 0.3, hint=Hint(segs))
         assert vars(op).keys() == before.keys()
         assert all(vars(op)[k] is v for k, v in before.items())
         assert np.array_equal(prox_row(op, x, 0.3), first)
         assert np.array_equal(
-            op.apply_stack(np.stack([x, -x]), 0.3, hint=Hint(hint)), out)
+            op.apply_stack(np.stack([x, -x]), 0.3, hint=Hint(segs)), out)
 
     def test_bad_step_rejected(self):
         op = ChainSumProx(4)
@@ -366,11 +366,13 @@ class TestExactChainProx:
             prox_row(ChainSumProx(4), np.zeros(6), 0.3)
 
     def test_wrong_hint_shape_rejected(self):
+        # A hint holds one segmentation, or None, per row of the stack.
         op = ChainSumProx(4)
-        with pytest.raises(ValueError, match="hint has shape"):
-            op.apply_stack(np.zeros((2, 4)), 0.3, hint=Hint(np.zeros((2, 6))))
-        with pytest.raises(ValueError, match="hint has shape"):
-            op.apply_stack(np.zeros((1, 4)), 0.3, hint=Hint(np.zeros(4)))
+        with pytest.raises(ValueError, match="hint has 3 rows, not 2"):
+            op.apply_stack(np.zeros((2, 4)), 0.3,
+                           hint=Hint(segments_of(np.zeros((3, 4)))))
+        with pytest.raises(ValueError, match="hint has 2 rows, not 1"):
+            op.apply_stack(np.zeros((1, 4)), 0.3, hint=Hint([None, None]))
 
     def test_one_dimensional_stack_rejected(self):
         # A stack is K x M: a bare row is not promoted to one.
@@ -382,6 +384,11 @@ class TestExactChainProx:
 
 
 ANCHOR = 1.0 / np.sqrt(2.0)
+
+
+def segments_of(stack):
+    """The segmentation of each row of a stack: what a Hint carries."""
+    return [_segmentation(row, ANCHOR) for row in stack]
 
 
 def hinted(x, hint, t):
@@ -438,7 +445,7 @@ class TestHintedChainProx:
         else:
             hint = np.zeros(M)
         dp = prox_anchored_chain(x, t, ANCHOR, np.sqrt(2.0) * t)
-        z = op.apply_stack(x[None], t, hint=Hint(hint[None]))[0]
+        z = op.apply_stack(x[None], t, hint=Hint(segments_of(hint[None])))[0]
         assert (np.array_equal(z, dp)
                 or np.abs(z - dp).max() <= 1e-12 * np.abs(dp).max())
 
@@ -622,8 +629,8 @@ def same_segmentation(a, b):
 class TestCarriedSegmentation:
     """What apply_stack leaves in a Hint (``found``): for every row, its
     output's segmentation, equal to the one derived from the output
-    array; and a Hint carrying it gives the output of a Hint that carries
-    none byte for byte."""
+    array; and a Hint carrying it gives the output of a Hint of the
+    segmentations derived from that array byte for byte."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 100), st.integers(0, 2**32 - 1),
@@ -643,18 +650,18 @@ class TestCarriedSegmentation:
         X = np.stack([x, plain])
         H = np.stack([hint, hint_of_kind("near", rng, plain, t)])
         op = ChainSumProx(M)
-        box = Hint(H)
+        box = Hint(segments_of(H))
         with np.errstate(all="ignore"):
             out = op.apply_stack(X, t, hint=box)
             for k in range(2):
                 assert same_segmentation(box.found[k],
                                          _segmentation(out[k], ANCHOR))
             # The next call, on a nearby point, with the segmentation
-            # carried and with the output array alone.
+            # carried and with one derived from the output array.
             X_next = X + 1e-7 * scale * rng.standard_normal(X.shape)
-            carried = Hint(out, box.found)
+            carried = Hint(box.found)
             again = op.apply_stack(X_next, t, hint=carried)
-            fresh = Hint(out)
+            fresh = Hint(segments_of(out))
             assert same_bytes(again, op.apply_stack(X_next, t, hint=fresh))
         for a, b in zip(carried.found, fresh.found):
             assert same_segmentation(a, b)
@@ -667,7 +674,7 @@ class TestCarriedSegmentation:
         rng = np.random.default_rng(seed)
         M, t = 40, 0.05
         X = 0.5 + 0.1 * rng.standard_normal((3, M))
-        box = Hint(np.zeros((3, M)))
+        box = Hint(segments_of(np.zeros((3, M))))
         out = ChainSumProx(M).apply_stack(X, t, hint=box)
         for k in range(3):
             dp = prox_anchored_chain(X[k], t, ANCHOR, np.sqrt(2.0) * t)
@@ -678,7 +685,7 @@ class TestCarriedSegmentation:
         # A NaN fails every certificate: the row is the dynamic
         # programme's output, and found is still its segmentation.
         x = np.array([[0.3, np.nan, 1.2, -0.4]])
-        box = Hint(np.zeros((1, 4)))
+        box = Hint(segments_of(np.zeros((1, 4))))
         with np.errstate(all="ignore"):
             out = ChainSumProx(4).apply_stack(x, 0.1, hint=box)
         assert np.isnan(out).any()
@@ -694,18 +701,43 @@ class TestCarriedSegmentation:
         x = np.full(2, ANCHOR + a_t / 2)
         hint = np.full(2, ANCHOR + 1.0)
         assert hinted(x, hint, t) is None
-        box = Hint(hint[None])
+        box = Hint(segments_of(hint[None]))
         z = ChainSumProx(2).apply_stack(x[None], t, hint=box)[0]
         assert z[0] == ANCHOR
         assert box.found[0] is not None and box.found[0].side == 0.0
         assert same_segmentation(box.found[0], _segmentation(z, ANCHOR))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_without_a_segmentation_run_the_programme(self, seed,
+                                                           monkeypatch):
+        # No Hint, a Hint of nothing, and a None entry: each such row runs
+        # the dynamic programme, and is solved on its segmentation.
+        rng = np.random.default_rng(seed)
+        M, t = 40, 0.05
+        X = 0.5 + 0.1 * rng.standard_normal((2, M))
+        op = ChainSumProx(M)
+        near = op.apply_stack(X + 1e-6 * rng.standard_normal((2, M)), t)
+        calls = []
+        dp = prox_mod.prox_anchored_chain
+        monkeypatch.setattr(prox_mod, "prox_anchored_chain",
+                            lambda *a: calls.append(1) or dp(*a))
+        out = op.apply_stack(X, t)
+        assert len(calls) == 2
+        for hint, runs in ((Hint(), 2), (Hint([None, None]), 2),
+                           (Hint([None, _segmentation(near[1], ANCHOR)]), 1)):
+            calls.clear()
+            assert same_bytes(op.apply_stack(X, t, hint=hint), out)
+            assert len(calls) == runs
+            for k in range(2):
+                assert same_segmentation(hint.found[k],
+                                         _segmentation(out[k], ANCHOR))
 
     def test_array_and_no_hint_leave_nothing(self):
         # Only the chain prox writes to a Hint; other operators leave it
         # as it was.
         x = np.array([[1.0, 0.2, -0.5, 0.9]])
         for op in (L1Prox(0.5), ZeroProx()):
-            box = Hint(x)
+            box = Hint(segments_of(x))
             op.apply_stack(x, 0.1, hint=box)
             assert box.found is None
 
