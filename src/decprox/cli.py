@@ -12,10 +12,12 @@ reference solution it cannot reach, exits with code 2.  A diverged run
 prints its note after ``DIVERGED``, and the command exits with code 3.
 
 A config names algorithms of ``engine.ALGORITHMS``; each entry gives the
-row to build and the theorem whose bound sets the ``"auto"`` step (0.9 of
-it).  Every spectral scalar of a row is decided by three eigenvalues of
-its base (``netgraph.deciding_eigenvalues``): the consensus eigenvalue and
-the extremes of the spectrum off the ones vector.  They are solved at most
+Table I row (``netgraph.AlgorithmId``) that states the base, the rounds
+and the theorem whose bound sets the ``"auto"`` step (0.9 of it), and a
+step: a Table I run is one whose step is ``engine.primal_dual``.  Every
+spectral scalar of a row is decided by three eigenvalues of its base
+(``netgraph.deciding_eigenvalues``): the consensus eigenvalue and the
+extremes of the spectrum off the ones vector.  They are solved at most
 once per experiment for A and for the Laplacian, on first need, for every
 row on that base.  Each algorithm is resolved, run and summarized in turn,
 and nothing of one (its triple, step) outlives its summary row.
@@ -242,14 +244,14 @@ class Problem:
     laplacian: object
     _eig: dict = field(default_factory=dict, init=False)
 
-    def eigvals(self, row, shifted):
+    def eigvals(self, row):
         """The deciding eigenvalues of the row's base, L, A or 0.5 (I + A),
         from one solve for L or A per problem, made on first need."""
         base = "L" if row.on_laplacian else "A"
         if base not in self._eig:
             X = self.laplacian if row.on_laplacian else self.A
             self._eig[base] = netgraph.deciding_eigenvalues(X)
-        return 0.5 * (1.0 + self._eig[base]) if shifted else self._eig[base]
+        return 0.5 * (1.0 + self._eig[base]) if row.shifted else self._eig[base]
 
 
 def setup_problem(cfg):
@@ -314,7 +316,7 @@ def build_problem(cfg):
 @dataclass(frozen=True)
 class Resolved:
     """One configured algorithm, ready to run (a triple, report and rate
-    only for a Table I row)."""
+    only for a primal-dual step)."""
 
     algorithm: engine.Algorithm
     mu: float
@@ -324,44 +326,38 @@ class Resolved:
     rate: analysis.RateReport = None
 
 
-def _auto_step(algo, row, problem, c):
-    """0.9 of the step bound of the entry's theorem, with sigma_max(C)
-    from its row (for PGEXTRA and DLADMM, the row each runs when R_k = 0)."""
+def _auto_step(row, problem, c):
+    """0.9 of the step bound of the row's theorem, with sigma_max(C) from
+    the row."""
     delta = problem.costs.delta
-    eig_C = netgraph.table1_spectrum(row, problem.eigvals(row, algo.shifted),
-                                     c=c, mu=1.0)[2]
+    eig_C = netgraph.table1_spectrum(row, problem.eigvals(row), c=c, mu=1.0)[2]
     sigma = float(eig_C.max())
     if row.on_laplacian:  # C = c mu L: mu = 0.9 step_bound(Thm4, mu sigma, delta)
         return 1.8 / (delta + 1.8 * sigma)
     # The bound goes as 1/delta; dividing last rounds as 0.9 (2 - sigma)/delta.
-    return 0.9 * analysis.step_bound(algo.theorem, sigma, 1.0) / delta
+    return 0.9 * analysis.step_bound(row.theorem, sigma, 1.0) / delta
 
 
 def resolve_algorithm(acfg, cfg, problem):
     """Build one algorithm's step, with the spectral/rate context of its row."""
     algo = engine.ALGORITHMS[acfg.name]
-    row = netgraph.AlgorithmId(algo.row or algo.reduces_to)
-    A = netgraph.shift_positive(problem.A) if algo.shifted else problem.A
-    mu = acfg.mu
-    if mu == "auto":
-        mu = _auto_step(algo, row, problem, cfg.c)
+    row = algo.row
+    A = netgraph.shift_positive(problem.A) if row.shifted else problem.A
+    mu = _auto_step(row, problem, cfg.c) if acfg.mu == "auto" else acfg.mu
     triple = report = rate = None
     prox = problem.agent_prox
-    if algo.row is not None:
-        triple = netgraph.table1_matrices(
-            row, A, c=cfg.c, mu=mu, L=problem.laplacian,
-            eigvals=problem.eigvals(row, algo.shifted))
+    if algo.step is engine.primal_dual:
+        triple = netgraph.table1_matrices(row, A, c=cfg.c, mu=mu,
+                                          L=problem.laplacian,
+                                          eigvals=problem.eigvals(row))
         report = netgraph.validate_assumptions(triple)
         # Theorem 1 rests on Assumption 2, Theorem 4 on Assumption 4.
-        holds = (report.assumption2_ok if algo.theorem == "Thm1"
+        holds = (report.assumption2_ok if row.theorem == "Thm1"
                  else report.assumption4_ok)
-        try:
-            if holds and report.sigma_min_Bsq > 0:
-                rate = analysis.theoretical_rate(
-                    algo.theorem, mu, problem.costs.nu, problem.costs.delta,
-                    report.sigma_max_C, report.sigma_min_Bsq)
-        except ValueError:
-            rate = None
+        if holds and report.sigma_min_Bsq > 0:
+            rate = analysis.theoretical_rate(
+                row.theorem, mu, problem.costs.nu, problem.costs.delta,
+                report.sigma_max_C, report.sigma_min_Bsq)
         prox = problem.common_prox
     step = algo.step(problem.costs, prox, mu, triple=triple, A=A, c=cfg.c,
                      laplacian=problem.laplacian)

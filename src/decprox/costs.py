@@ -223,9 +223,11 @@ def read_libsvm(path, normalize=False, label_map=None):
     order; the widest index sets the column count.  ``label_map`` is an
     optional (raw_pos, raw_neg) pair mapped to +1/-1; without it, raw
     labels must already be in {-1, +1} (0 maps to -1).  ``normalize``
-    scales every nonzero row to unit 2-norm.  A NaN or infinite value
-    raises ValueError ``path holds a non-finite feature value``, checked
-    before any sum or scaling (scaling would zero an infinite row).
+    scales every nonzero row to unit 2-norm, dividing a row whose squared
+    norm under- or overflows by its largest |value| first.  A NaN or
+    infinite value, read or summed from repeats, raises ValueError ``path
+    holds a non-finite feature value``, checked before any scaling
+    (scaling would zero an infinite row).
 
     The labels, indices and values of ``LIBSVM_BLOCK`` data lines at a
     time are each converted in one numpy call (:func:`_convert`).  If a
@@ -242,13 +244,22 @@ def read_libsvm(path, normalize=False, label_map=None):
         blocks.append(converted)
     labels, counts, idx, vals = map(np.concatenate, zip(*blocks))
     del blocks
-    if not np.isfinite(vals).all():
-        raise ValueError(f"{path} holds a non-finite feature value")
     X = sp.csr_matrix((vals, idx - 1, np.concatenate([[0], counts.cumsum()])),
                       shape=(len(labels), int(idx.max(initial=0))))
     X.sum_duplicates()
+    if not np.isfinite(X.data).all():
+        raise ValueError(f"{path} holds a non-finite feature value")
     if normalize:
-        norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+        sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+        # A nonzero row whose squared norm under- or overflows is first
+        # divided by its largest |value|; every other row keeps its bits.
+        odd = (sq == 0) | (sq == np.inf)
+        if X.nnz and odd.any():
+            peak = abs(X).max(axis=1).toarray().ravel()
+            peak[~odd | (peak == 0)] = 1.0
+            X.data /= np.repeat(peak, np.diff(X.indptr))
+            sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+        norms = np.sqrt(sq)
         norms[norms == 0] = 1.0
         X = sp.diags(1.0 / norms) @ X
         X = sp.csr_matrix(X)

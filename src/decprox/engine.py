@@ -7,10 +7,11 @@ surrogate S = B y, so only B^2 is ever needed and no matrix square root
 is computed; with y_{-1} = 0 the surrogate starts at S = 0.
 
 ``ALGORITHMS`` is the one table of the algorithms a config may name: an
-entry gives the name's Table I row (none for PGEXTRA and DLADMM, whose
-regularizers differ by agent), whether it runs on 0.5 (I + A), its
-communication rounds per iteration, its rate theorem and its step
-factory.  A step factory does once what is fixed over a run and returns
+entry is a Table I row (``netgraph.AlgorithmId``, which states whether it
+runs on 0.5 (I + A), its communication rounds per iteration and its rate
+theorem) and a step factory.  PGEXTRA and DLADMM, whose regularizers
+differ by agent, have their own steps and the row each runs when every
+R_k = 0.  A step factory does once what is fixed over a run and returns
 the step, state -> next state, which ``run`` iterates.  Each takes one
 prox operator, which maps the K x M stack to its rowwise prox: of the
 common R, or of agent k's R_k on row k for PGEXTRA and DLADMM.  Every
@@ -232,34 +233,22 @@ def dl_admm(costs, prox, mu, c, laplacian, **_):
 
 @dataclass(frozen=True)
 class Algorithm:
-    """What the engine, CLI and rate theory need to know of an algorithm."""
+    """A name a config may give: the Table I row it runs (for PGEXTRA and
+    DLADMM, the row each runs when every R_k = 0), which states its shift,
+    rounds and theorem, and its step factory."""
 
-    name: str
-    row: str        # its Table I row (an AlgorithmId); None: R_k by agent
-    shifted: bool   # runs on 0.5 (I + A), whose eigenvalues lie in [0, 1]
-    rounds: int     # neighbor communication rounds per iteration
-    theorem: str    # "Thm1" or "Thm4": its rate theorem and step bound
-    step: object    # step factory
-    reduces_to: str = None  # R_k by agent: its Table I row when R_k = 0
+    row: netgraph.AlgorithmId
+    step: object = primal_dual
 
 
-ALGORITHMS = {a.name: a for a in (
-    #         name              row               shifted rounds theorem
-    Algorithm("ProxED",         "ExactDiffusion", False, 1, "Thm1", primal_dual),
-    Algorithm("ProxATC1",       "AugDGM",         True,  2, "Thm1", primal_dual),
-    Algorithm("ProxATC2",       "ATCTracking",    True,  2, "Thm1", primal_dual),
-    Algorithm("ExactDiffusion", "ExactDiffusion", False, 1, "Thm1", primal_dual),
-    Algorithm("NIDS",           "NIDS",           False, 1, "Thm1", primal_dual),
-    Algorithm("AugDGM",         "AugDGM",         True,  2, "Thm1", primal_dual),
-    Algorithm("ATCTracking",    "ATCTracking",    True,  2, "Thm1", primal_dual),
-    Algorithm("DIGing",         "DIGing",         True,  2, "Thm4", primal_dual),
-    Algorithm("EXTRA",          "EXTRA",          False, 1, "Thm4", primal_dual),
-    Algorithm("DLM",            "DLM",            False, 1, "Thm4", primal_dual),
-    Algorithm("PGEXTRA",        None,             False, 1, "Thm4", pg_extra,
-              reduces_to="EXTRA"),
-    Algorithm("DLADMM",         None,             False, 1, "Thm4", dl_admm,
-              reduces_to="DLM"),
-)}
+ALGORITHMS = {
+    "ProxED": Algorithm(netgraph.AlgorithmId.EXACT_DIFFUSION),
+    "ProxATC1": Algorithm(netgraph.AlgorithmId.AUG_DGM),
+    "ProxATC2": Algorithm(netgraph.AlgorithmId.ATC_TRACKING),
+    **{row.value: Algorithm(row) for row in netgraph.AlgorithmId},
+    "PGEXTRA": Algorithm(netgraph.AlgorithmId.EXTRA, pg_extra),
+    "DLADMM": Algorithm(netgraph.AlgorithmId.DLM, dl_admm),
+}
 
 
 def rel_sq_error(W, w_star, w_star_sq):
@@ -302,7 +291,7 @@ def run(algorithm, step, costs, w_star, iters, record_every=1, seed=None,
             break
         if i % record_every == 0 or i == 1 or i == iters:
             record.iterations.append(i)
-            record.comm_rounds.append(i * algorithm.rounds)
+            record.comm_rounds.append(i * algorithm.row.rounds)
             record.errors.append(err)
             record.residuals.append(residual_fn(state) if residual_fn else None)
 

@@ -86,15 +86,38 @@ LANCZOS_RESIDUAL_TOL = 1e-13
 
 
 class AlgorithmId(str, Enum):
-    """Named rows of the consensus-matrix table."""
+    """Table I, one row each: its name, whether it runs on 0.5 (I + A)
+    (``shifted``: eigenvalues in [0, 1]), its communication rounds per
+    iteration, its rate theorem ("Thm1", where A_bar != I, or "Thm4") and
+    ``members``, its (A_bar, B^2, C) as one expression in the base X (A,
+    or the Laplacian for DLM), I, a square ``sq``, c and mu.
 
-    EXACT_DIFFUSION = "ExactDiffusion"
-    NIDS = "NIDS"
-    AUG_DGM = "AugDGM"
-    ATC_TRACKING = "ATCTracking"
-    DIGING = "DIGing"
-    EXTRA = "EXTRA"
-    DLM = "DLM"
+    :func:`table1_matrices` evaluates ``members`` on coefficients in (I,
+    X, X^2), :func:`table1_spectrum` on the base's eigenvalues.
+    """
+
+    def __new__(cls, name, shifted, rounds, theorem, members):
+        row = str.__new__(cls, name)
+        row._value_ = name
+        row.shifted, row.rounds, row.theorem = shifted, rounds, theorem
+        row.members = members
+        return row
+
+    # name, shifted, rounds, theorem, then (A_bar, B^2, C)
+    EXACT_DIFFUSION = ("ExactDiffusion", False, 1, "Thm1", lambda X, I, sq, c, mu: (
+        0.5 * (I + X), 0.5 * (I - X), 0.0 * I))
+    NIDS = ("NIDS", False, 1, "Thm1", lambda X, I, sq, c, mu: (
+        I - c * (I - X), c * (I - X), 0.0 * I))
+    AUG_DGM = ("AugDGM", True, 2, "Thm1", lambda X, I, sq, c, mu: (
+        sq(X), sq(I - X), 0.0 * I))
+    ATC_TRACKING = ("ATCTracking", True, 2, "Thm1", lambda X, I, sq, c, mu: (
+        X, sq(I - X), I - X))
+    DIGING = ("DIGing", True, 2, "Thm4", lambda X, I, sq, c, mu: (
+        I, sq(I - X), I - sq(X)))
+    EXTRA = ("EXTRA", False, 1, "Thm4", lambda X, I, sq, c, mu: (
+        I, 0.5 * (I - X), 0.5 * (I - X)))
+    DLM = ("DLM", False, 1, "Thm4", lambda X, I, sq, c, mu: (
+        I, c * mu * X, c * mu * X))
 
     @property
     def on_laplacian(self):
@@ -461,36 +484,12 @@ def laplacian_matrix(g):
                         g.degrees().astype(float))
 
 
-def _table1_row(row, X, I, prod, c, mu):
-    """One row of the table as a polynomial in the base X (A, or the
-    Laplacian for DLM): coefficients in (I, X, X^2) for X = (0, 1, 0),
-    I = (1, 0, 0) and ``prod`` = the coefficients' product, truncated to
-    degree 2 (no row goes higher); eigenvalues for X = the base's
-    eigenvalues, I = ones and ``prod`` = the elementwise product."""
-    if row is AlgorithmId.EXACT_DIFFUSION:
-        return 0.5 * (I + X), 0.5 * (I - X), 0.0 * I
-    if row is AlgorithmId.NIDS:
-        return I - c * (I - X), c * (I - X), 0.0 * I
-    if row is AlgorithmId.AUG_DGM:
-        D = I - X
-        return prod(X, X), prod(D, D), 0.0 * I
-    if row is AlgorithmId.ATC_TRACKING:
-        D = I - X
-        return X, prod(D, D), D
-    if row is AlgorithmId.DIGING:
-        D = I - X
-        return I, prod(D, D), I - prod(X, X)
-    if row is AlgorithmId.EXTRA:
-        return I, 0.5 * (I - X), 0.5 * (I - X)
-    # DLM
-    return I, c * mu * X, c * mu * X
-
-
 def table1_spectrum(row, eigvals, c=None, mu=None):
     """Eigenvalues of a row's (A_bar, B^2, C), paired, from the eigenvalues
-    ``eigvals`` of its base (A, or the Laplacian for DLM)."""
-    return _table1_row(AlgorithmId(row), eigvals,
-                       np.ones(len(eigvals)), np.multiply, c, mu)
+    ``eigvals`` of its base (A, or the Laplacian for DLM): its ``members``
+    with X the eigenvalues, I ones and the elementwise square."""
+    return AlgorithmId(row).members(eigvals, np.ones(len(eigvals)),
+                                    lambda D: D * D, c, mu)
 
 
 def deciding_eigenvalues(X):
@@ -594,9 +593,9 @@ def table1_matrices(row, A, c=None, mu=None, L=None, eigvals=None):
     if row is AlgorithmId.DIGING and eigvals[1] < 0 < eigvals[2]:
         raise ValueError("DIGing needs a base whose spectrum off the ones "
                          "vector does not straddle 0; shift it to 0.5 (I + A)")
-    coeffs = _table1_row(row, np.array([0.0, 1.0, 0.0]),
-                         np.array([1.0, 0.0, 0.0]),
-                         lambda p, q: np.convolve(p, q)[:3], c, mu)
+    # Coefficients in (I, X, X^2); no row goes past degree 2.
+    coeffs = row.members(np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]),
+                         lambda D: np.convolve(D, D)[:3], c, mu)
     return ConsensusTriple(*(BasePolynomial(base, cf) for cf in coeffs),
                            spectrum=table1_spectrum(row, eigvals, c, mu))
 

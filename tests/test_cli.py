@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -172,6 +173,27 @@ def test_readme_config_table_is_the_dataclasses():
              in {f.metadata.get("key") or f.name
                  for f in dataclasses.fields(cli.ExperimentConfig)}]
     assert table == list(config_rows())
+
+
+def algorithm_rows():
+    """The README algorithm table's cells, from ``ALGORITHMS`` and the
+    rows: name, row, matrix, rounds, theorem."""
+    for name, algo in ALGORITHMS.items():
+        row = algo.row
+        yield [f"`{name}`",
+               row.value if algo.step is engine.primal_dual
+               else f"none ({row.value} when R_k = 0)",
+               "Laplacian L" if row.on_laplacian
+               else "0.5(I + A)" if row.shifted else "A",
+               str(row.rounds), row.theorem]
+
+
+def test_readme_algorithm_table_is_the_registry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = [[cell.strip() for cell in line.split("|")[1:-1]]
+             for line in readme.splitlines()
+             if line.startswith("| `") and line.split("`")[1] in ALGORITHMS]
+    assert table == list(algorithm_rows())
 
 
 class TestRunExperiment:
@@ -426,7 +448,7 @@ class TestRegistry:
         for name in names:
             rows = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
             assert ([int(row.split(",")[1]) for row in rows[1:]]
-                    == [i * ALGORITHMS[name].rounds for i in range(1, 21)])
+                    == [i * ALGORITHMS[name].row.rounds for i in range(1, 21)])
         for form in ("PUDA_general", "NonATC", "AugDGM2var"):
             with pytest.raises(ConfigError, match=form):
                 parse_config(write_config(tmp_path,
@@ -444,8 +466,32 @@ class TestRegistry:
         lines = capsys.readouterr().out.splitlines()[-len(ALGORITHMS):]
         for line in lines:
             algo = ALGORITHMS[line.split()[0]]
-            if algo.row is not None:
-                assert f"{algo.theorem}  mu=" in line and "feasible=True" in line
+            if algo.step is engine.primal_dual:
+                assert f"{algo.row.theorem}  mu=" in line and "feasible=True" in line
+
+    def test_every_resolution_gives_a_rate_or_none(self):
+        # A rate is taken only where its theorem's assumption holds and
+        # B^2 has a spectral gap, which keeps theoretical_rate's own
+        # checks from failing: on four kinds of graph of three sizes, at
+        # five c and five steps, every name resolves to a rate or to
+        # None, and both occur.
+        rates = []
+        for kind, K in itertools.product(
+                ("ring", "grid", "complete", "random_connected"), (2, 9, 20)):
+            cfg = cli.config_from_dict({
+                "problem": "lasso_quadratic", "graph": {"kind": kind, "K": K},
+                "algorithms": list(ALGORITHMS), "data": {"dim": 3}})
+            problem = cli.setup_problem(cfg)
+            for c, mu, name in itertools.product(
+                    (0.1, 0.5, 1.0, 2.0, 5.0), ("auto", 0.01, 0.5, 1.9, 50.0),
+                    ALGORITHMS):
+                cfg.c = c
+                r = cli.resolve_algorithm(cli.AlgorithmConfig(name, mu), cfg,
+                                          problem)
+                assert r.rate is None or type(r.rate) is analysis.RateReport
+                rates.append(r.rate)
+        assert len(rates) == 3600
+        assert None in rates and rates.count(None) < len(rates)
 
     @pytest.mark.parametrize("names, decompositions", [
         (["ProxED", "ProxATC1", "ProxATC2", "AugDGM", "DIGing"], 1),
@@ -487,7 +533,7 @@ class TestRegistry:
         assert calls == {"eigsh": solves, "eigvalsh": 0}
 
     @pytest.mark.parametrize(
-        "name", [n for n, a in ALGORITHMS.items() if a.shifted])
+        "name", [n for n, a in ALGORITHMS.items() if a.row.shifted])
     def test_shifted_rows_report_matches_reference(self, tmp_path, name):
         # Eigenvalues (1 + eig(A))/2 stand in for a decomposition of
         # 0.5 (I + A).
@@ -528,9 +574,9 @@ class TestSparseGraphs:
             r = cli.resolve_algorithm(acfg, cfg, p)
             if r.triple is None:
                 continue
-            row = netgraph.AlgorithmId(r.algorithm.row)
+            row = r.algorithm.row
             base = L if row.on_laplacian else (
-                0.5 * (np.eye(g.K) + A) if r.algorithm.shifted else A)
+                0.5 * (np.eye(g.K) + A) if row.shifted else A)
             expected = table1_recursion(row, base, c=cfg.c, mu=r.mu)
             for X, ref in zip((r.triple.A_bar, r.triple.B_sq, r.triple.C),
                               expected):
@@ -755,12 +801,13 @@ class TestMain:
         assert f"config error: data.path: {data} holds no feature" in err
 
     @pytest.mark.parametrize("command", ["run", "validate", "rates"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308 1:1e308"])
     @pytest.mark.parametrize("normalize", [False, True])
     def test_non_finite_libsvm_exit_2(self, tmp_path, capsys, command, value,
                                       normalize):
-        # A NaN or infinite feature leaves no problem to solve or check;
-        # with normalize too, where scaling would zero an infinite row.
+        # A NaN or infinite feature, read or summed from a repeated index,
+        # leaves no problem to solve or check; with normalize too, where
+        # scaling would zero an infinite row.
         data = tmp_path / "nonfinite.svm"
         data.write_text(f"1 1:0.5 2:-1\n-1 1:{value}\n1 2:0.25\n-1 1:2 2:3\n")
         path = write_config(tmp_path, {

@@ -230,7 +230,7 @@ class TestTable1Rows:
         return A, L
 
     @pytest.mark.parametrize("name", [n for n, a in ALGORITHMS.items()
-                                      if a.row is not None])
+                                      if a.step is engine.primal_dual])
     def test_matches_matrix_form(self, network, name):
         # 3000 iterations, at 0.9 of the step bound, of the row applied as
         # polynomials and of its matrix form, as a MatrixTriple.  The
@@ -238,7 +238,7 @@ class TestTable1Rows:
         (A, L), M, rho, c = network, 4, 0.05, 0.3
         K = A.shape[0]
         algo = ALGORITHMS[name]
-        if algo.shifted:
+        if algo.row.shifted:
             A = shift_positive(A)
         targets = np.random.default_rng(K).standard_normal((K, M))
         costs = quadratic_cost(1.0, K, M, targets=targets)
@@ -251,7 +251,7 @@ class TestTable1Rows:
         if algo.row == "DLM":  # C = c mu L: mu = 0.9 of the bound it sets
             mu = 1.8 / (costs.delta + 1.8 * sigma)
         else:
-            mu = 0.9 * step_bound(algo.theorem, sigma, costs.delta)
+            mu = 0.9 * step_bound(algo.row.theorem, sigma, costs.delta)
         t = table1_matrices(algo.row, A, c=c, mu=mu, L=L)
         matrix_form = appendix.MatrixTriple(*table1_reference(
             algo.row, L if algo.row == "DLM" else A, c=c, mu=mu))
@@ -282,14 +282,14 @@ class TestCarriedZ:
         A = metropolis_matrix(build_graph(**TOLERANCE_GRAPHS[graph]))
         assert sp.issparse(A) == graph.startswith("csr")
         algo = ALGORITHMS[name]
-        if algo.shifted:
+        if algo.row.shifted:
             A = shift_positive(A)
         K, M = A.shape[0], 4
         targets = np.random.default_rng(K).standard_normal((K, M))
         costs = quadratic_cost(1.0, K, M, targets=targets)
         t = table1_matrices(algo.row, A)
         assert t.C_product is None
-        mu = 0.9 * step_bound(algo.theorem, 0.0, costs.delta)
+        mu = 0.9 * step_bound(algo.row.theorem, 0.0, costs.delta)
         step = engine.primal_dual(costs, L1Prox(0.05), mu, t)
         w_star = prox_l1(targets.mean(axis=0), 0.05)
 
@@ -310,7 +310,7 @@ class TestCarriedZ:
 
     @pytest.mark.parametrize("graph", ["dense20", "csr300"])
     @pytest.mark.parametrize("name", [name for name, a in ALGORITHMS.items()
-                                      if a.row is not None])
+                                      if a.step is engine.primal_dual])
     def test_residuals_read_against_rebuilt(self, graph, name):
         # The ten Table I names, with C zero or not, at their auto step.
         cfg = cli.config_from_dict({
