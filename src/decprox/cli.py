@@ -354,7 +354,7 @@ def resolve_algorithm(acfg, cfg, problem):
         # Theorem 1 rests on Assumption 2, Theorem 4 on Assumption 4.
         holds = (report.assumption2_ok if row.theorem == "Thm1"
                  else report.assumption4_ok)
-        if holds and report.sigma_min_Bsq > 0:
+        if holds and 0 < report.sigma_min_Bsq <= 1:
             rate = analysis.theoretical_rate(
                 row.theorem, mu, problem.costs.nu, problem.costs.delta,
                 report.sigma_max_C, report.sigma_min_Bsq)

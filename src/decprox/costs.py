@@ -251,9 +251,9 @@ def read_libsvm(path, normalize=False, label_map=None):
         raise ValueError(f"{path} holds a non-finite feature value")
     if normalize:
         sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
-        # A nonzero row whose squared norm under- or overflows is first
+        # A nonzero row whose squared norm is subnormal, 0 or inf is first
         # divided by its largest |value|; every other row keeps its bits.
-        odd = (sq == 0) | (sq == np.inf)
+        odd = (sq < np.finfo(float).tiny) | (sq == np.inf)
         if X.nnz and odd.any():
             peak = abs(X).max(axis=1).toarray().ravel()
             peak[~odd | (peak == 0)] = 1.0

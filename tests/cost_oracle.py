@@ -148,10 +148,10 @@ def read_libsvm(path, normalize=False, label_map=None):
     if not np.isfinite(X.data).all():  # repeats summed, before any scaling
         raise ValueError(f"{path} holds a non-finite feature value")
     if normalize:
-        # A nonzero row whose squared norm is 0 or inf is first divided by
-        # its largest |value|.
+        # A nonzero row whose squared norm is subnormal, 0 or inf is first
+        # divided by its largest |value|.
         sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
-        for i in np.flatnonzero((sq == 0) | (sq == np.inf)):
+        for i in np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf)):
             row = X.data[X.indptr[i]:X.indptr[i + 1]]
             if row.size and np.abs(row).max() > 0:
                 row /= np.abs(row).max()

@@ -471,8 +471,8 @@ class TestRegistry:
 
     def test_every_resolution_gives_a_rate_or_none(self):
         # A rate is taken only where its theorem's assumption holds and
-        # B^2 has a spectral gap, which keeps theoretical_rate's own
-        # checks from failing: on four kinds of graph of three sizes, at
+        # sigma_min(B^2) lies in (0, 1], which keeps theoretical_rate's
+        # own checks from failing: on four kinds of graph of three sizes, at
         # five c and five steps, every name resolves to a rate or to
         # None, and both occur.
         rates = []
@@ -492,6 +492,18 @@ class TestRegistry:
                 rates.append(r.rate)
         assert len(rates) == 3600
         assert None in rates and rates.count(None) < len(rates)
+
+    def test_no_rate_where_bsq_passes_one_within_the_tolerance(self):
+        # On a complete graph NIDS has B^2 = c (I - A) with A's spectrum
+        # off the ones vector at about 0, so c just above 1 passes
+        # Assumption 2 within PSD_TOL while sigma_min(B^2) > 1, outside
+        # theoretical_rate's range: the name resolves without a rate.
+        cfg = cli.config_from_dict({
+            "problem": "lasso_quadratic", "graph": {"kind": "complete", "K": 4},
+            "algorithms": ["NIDS"], "data": {"dim": 3}, "c": 1 + 5e-11})
+        r = cli.resolve_algorithm(cfg.algorithms[0], cfg, cli.setup_problem(cfg))
+        assert r.report.assumption2_ok and r.report.sigma_min_Bsq > 1
+        assert r.rate is None
 
     @pytest.mark.parametrize("names, decompositions", [
         (["ProxED", "ProxATC1", "ProxATC2", "AugDGM", "DIGing"], 1),

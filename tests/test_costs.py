@@ -357,18 +357,20 @@ class TestLibsvm:
         assert str(e.value) == f"{p} holds a non-finite feature value"
 
     def test_normalize_under_or_overflowing_rows(self, tmp_path):
-        # A nonzero row whose squared norm is inf or 0 is divided by its
-        # largest |value| first; the other rows keep their bits.
+        # A nonzero row whose squared norm is inf, 0 or subnormal is
+        # divided by its largest |value| first; the other rows keep their
+        # bits.
         plain = ["-1 1:3 2:4", "1 1:0.1 3:-7e-3", "1", "-1 2:0"]
-        odd = ["1 1:1e200 2:1", "1 1:1e-200 2:1e-200", "-1 3:-5e-324"]
+        odd = ["1 1:1e200 2:1", "1 1:1e-200 2:1e-200", "-1 3:-5e-324",
+               "1 1:3e-162 2:3e-162"]
         p, q = tmp_path / "d.txt", tmp_path / "plain.txt"
         p.write_text("\n".join(plain[:2] + odd + plain[2:]) + "\n")
         q.write_text("\n".join(plain) + "\n")
         X = read_libsvm(p, normalize=True).features.toarray()
         h = 1.0 / np.sqrt(2.0)
-        assert np.array_equal(X[2:5], [[1.0, 1.0 / 1e200, 0.0], [h, h, 0.0],
-                                       [0.0, 0.0, -1.0]])
-        assert same_bytes(np.delete(X, [2, 3, 4], axis=0),
+        assert np.array_equal(X[2:6], [[1.0, 1.0 / 1e200, 0.0], [h, h, 0.0],
+                                       [0.0, 0.0, -1.0], [h, h, 0.0]])
+        assert same_bytes(np.delete(X, [2, 3, 4, 5], axis=0),
                           read_libsvm(q, normalize=True).features.toarray())
 
     def test_malformed_line_reports_number(self, tmp_path):
