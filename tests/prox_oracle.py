@@ -1,14 +1,15 @@
 """References the tests compare the prox code against: the soft threshold
-as first written, a brute-force prox oracle, which uses no closed form,
-only the function's values, the
-counterexample's difference operators by slicing and as sparse matrices,
-the closed form of R1's or R2's prox on one row, and the hinted chain
-prox as first written."""
+as first written, the optimality certificate of any prox of t ||D w - b||_1,
+which every prox here is, a brute-force prox oracle, which uses no closed
+form, only the function's values, the counterexample's difference operators
+by slicing and as sparse matrices, the closed form of R1's or R2's prox on
+one row, and the hinted chain prox as first written."""
 
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from decprox.prox import _CERT_SLACK, _EPS, prox_l1
 
@@ -95,6 +96,28 @@ class SparsePair:
 
     def R2(self, w):
         return float(np.abs(self.dense[1] @ w).sum())
+
+    def terms(self, which):
+        """(D, b) of "R1", "R2" or "R1+R2" as ||D w - b||_1."""
+        zero = np.zeros(len(self.b1))
+        return {"R1": (self.D1, self.b1), "R2": (self.D2, zero),
+                "R1+R2": (sp.vstack([self.D1, self.D2]),
+                          np.concatenate([self.b1, zero]))}[which]
+
+
+def l1_certificate(D, b, x, z, t, tol=1e-12):
+    """The largest violation of z = prox of t ||D w - b||_1 at x by its
+    optimality conditions (Tibshirani and Taylor, Ann. Stat. 2011): x - z =
+    t D'u, |u|_inf <= 1, and u_i = sign(r_i) wherever r = D z - b is
+    nonzero (|r_i| > tol).  u solves D'u = (x - z)/t for a square,
+    invertible D, and is D (x - z)/(2t) where D D' = 2I."""
+    g = (x - z) / t
+    u = (spsolve(sp.csc_matrix(D.T), g) if D.shape[0] == D.shape[1]
+         else 0.5 * (D @ g))
+    r = D @ z - b
+    active = np.abs(r) > tol
+    return max(np.abs(u).max() - 1.0, np.abs(g - D.T @ u).max(),
+               np.abs(u[active] - np.sign(r[active])).max(initial=0.0))
 
 
 def prox_counterexample(which, x, mu):

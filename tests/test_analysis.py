@@ -287,6 +287,12 @@ class TestCentralizedReference:
         with pytest.raises(NotConvergedError, match="mapping norm"):
             centralized_reference(costs, ZeroProx(), tol=1e-300, max_iter=50)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-14])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            centralized_reference(quadratic_cost(1.0, 2, 3), ZeroProx(),
+                                  tol=tol)
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_no_iterations_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
@@ -331,6 +337,20 @@ class TestClassifyDecay:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             classify_decay(synthetic_record(0.9 ** np.arange(1, 50)))
+
+    @pytest.mark.parametrize("kept, windows", [(1, 0), (9, 0), (10, 4),
+                                               (11, 5)])
+    def test_few_rows_above_the_floor(self, kept, windows):
+        # 200 rows whose error halves `kept` times, then sits on the
+        # numerical floor: fewer than 10 rows left are inconclusive, with
+        # no window.  Ten rows leave a tail of 5, too few for 5 windows:
+        # the first is empty and skipped.  Eleven leave 6, one window each.
+        e = np.full(200, 1e-30)
+        e[:kept] = 0.5 ** np.arange(kept)
+        v = classify_decay(synthetic_record(e))
+        assert v.truncated
+        assert v.geometric_ratio_windows == pytest.approx([0.5] * windows)
+        assert v.classification == ("linear" if windows else "inconclusive")
 
     def test_flat_curve_inconclusive(self):
         rng = np.random.default_rng(0)

@@ -142,6 +142,19 @@ class TestParseConfig:
             parse_config(path)
         assert cli.main(["run", path]) == 2
 
+    @pytest.mark.parametrize("problem", list(cli.PROBLEMS))
+    def test_null_algorithms_and_iters_take_the_problem_defaults(self,
+                                                                 problem):
+        # Left out or set to null, algorithms and iters are the problem's
+        # own, each algorithm on its auto step.
+        names, iters = cli.PROBLEMS[problem]
+        raw = {"problem": problem, "graph": {"kind": "complete", "K": 2}}
+        for cfg in (cli.config_from_dict(raw), cli.config_from_dict(
+                {**raw, "algorithms": None, "iters": None})):
+            assert [(a.name, a.mu) for a in cfg.algorithms] == [
+                (name, "auto") for name in names]
+            assert cfg.iters == iters
+
     def test_counterexample_runs_on_two_agents(self, tmp_path):
         path = write_config(tmp_path, overrides={
             "problem": "counterexample", "M": 8, "iters": 50,
@@ -398,6 +411,21 @@ class TestRunExperiment:
         assert diverged
         assert summary[0]["diverged"] and not summary[1]["diverged"]
         assert (tmp_path / "out" / "ProxATC2.csv").exists()
+
+    def test_seeded_start_changes_the_csvs_and_repeats(self, tmp_path):
+        # seeds.init starts every run from a seeded random stack, not from
+        # zeros: other CSVs than the zero start's, the same bytes twice.
+        def csvs(out, **seeds):
+            cfg = parse_config(write_config(
+                tmp_path, iters=50, output_dir=str(tmp_path / out),
+                **({"seeds": seeds} if seeds else {})))
+            run_experiment(cfg)
+            return [(tmp_path / out / f).read_bytes()
+                    for f in ("ProxED.csv", "summary.csv")]
+
+        zero, seeded = csvs("zero"), csvs("seeded", init=5)
+        assert seeded == csvs("again", init=5)
+        assert seeded[0] != zero[0] and seeded[1] != zero[1]
 
     def test_metadata_sidecar_resolves_config(self, tmp_path):
         path = write_config(tmp_path)
@@ -772,6 +800,8 @@ MALFORMED = [
      {"problem": "counterexample", "graph": {"kind": "complete", "K": 2},
       "data": {"path": "/nonexistent.svm"}}),
     ("data.source", "libsvm", {"data": {"path": "no_such_file.svm"}}),
+    # logistic_l1 reads a LIBSVM source from data.path alone.
+    ("data.source", "libsvm", {"problem": "logistic_l1"}),
     ("data.n_samples", 3, {"problem": "logistic_l1"}),
     ("algorithms", "ProxED", {}),
     # No run: nothing to write but a header-only summary.csv.
@@ -830,6 +860,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert (f"config error: data.path: {data} holds a non-finite "
                 "feature value") in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_libsvm_label_map(self, tmp_path, capsys, command):
+        # A file labelled {2, 1} runs with label_map [2, 1], 2 the positive
+        # label, and is a config error naming data.path without it.
+        data = tmp_path / "labels21.svm"
+        data.write_text("2 1:0.5 2:-1\n1 1:-0.3\n2 2:0.25\n1 1:2 2:3\n")
+        source = {"source": "libsvm", "path": str(data)}
+        common = {"problem": "logistic_l1", "iters": 20,
+                  "graph": {"kind": "complete", "K": 2}}
+        mapped = write_config(tmp_path, common,
+                              data={**source, "label_map": [2, 1]})
+        assert cli.main([command, mapped]) == 0
+        assert cli.main([command, write_config(tmp_path, common,
+                                               data=source)]) == 2
+        assert (f"config error: data.path: {data}:1: label 2.0 needs an "
+                "explicit label_map") in capsys.readouterr().err
 
     def test_reference_cap_exit_2(self, tmp_path, monkeypatch, capsys):
         # A reference solver stopped by its cap gives no w* to measure

@@ -232,6 +232,11 @@ class TestStackedGradient:
         assert np.array_equal(costs.average_grad(np.zeros(M)).view(np.int64),
                               expected.view(np.int64))
 
+    @pytest.mark.parametrize("nu, delta", [(2.0, 1.0), (0.0, 1.0)])
+    def test_curvature_out_of_order_rejected(self, nu, delta):
+        with pytest.raises(ValueError, match="0 < nu <= delta"):
+            SmoothCostSet(lambda W: W, nu=nu, delta=delta, K=2, M=3)
+
     def test_average_grad_keeps_signed_zeros(self):
         # Every agent's gradient is -0.0; the per-agent loop, started at
         # 0.0, returns +0.0.

@@ -606,6 +606,15 @@ class TestRun:
                 costs, np.zeros(2), 10, record_every=record_every)
         assert steps == []
 
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_iters_below_one_rejected(self, iters):
+        costs = random_quadratic_set(4, 2, seed=0)
+        steps = []
+        with pytest.raises(ValueError, match="iters"):
+            run(ALGORITHMS["ProxED"], lambda st: steps.append(st) or st,
+                costs, np.zeros(2), iters)
+        assert steps == []
+
     def test_divergence_recorded(self):
         A, _ = make_network(K=4)
         costs = random_quadratic_set(4, 2, seed=0)

@@ -642,6 +642,13 @@ class TestJointSpectrum:
         with pytest.raises(ValueError, match="not symmetric"):
             table1_matrices("ExactDiffusion", A)
 
+    def test_no_eigenvalues_of_a_non_square_base(self):
+        for X in (np.ones((2, 3)), sp.csr_matrix(np.ones((3, 2))),
+                  np.ones(3)):
+            assert netgraph._is_symmetric(X) is False
+            with pytest.raises(ValueError, match="not symmetric"):
+                netgraph.deciding_eigenvalues(X)
+
     @pytest.mark.parametrize("bump, symmetric", [
         (0.9e-12, True), (1.1e-12, False), (np.nan, False)])
     def test_symmetry_tolerance(self, bump, symmetric):
@@ -946,6 +953,33 @@ class TestMatrixForms:
                 got.append(t.C_product(Z))
         for out, expected in zip(got, ref[:2] + ref + ref[2:]):
             assert out.tobytes() == expected.tobytes(), aid
+
+    @pytest.mark.parametrize("coeffs", [
+        (-0.5, -0.3, 0.2), (-1.0, -1.0, 0.0), (-0.5, -2.0, -1.0),
+        (0.0, -0.7, -0.7), (0.0, 0.0, -2.0), (-1.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_negative_leading_terms(self, coeffs, form):
+        # No Table I member starts with two negative terms or a lone
+        # negative one; a hand-built polynomial that does starts from
+        # np.negative, and is still byte for byte the member's own sum off
+        # the NaNs the products make of +-inf.  A NaN's sign may differ
+        # there: np.negative flips it, where c V keeps it.
+        g = (build_graph("random_connected", 20, seed=7, extra_edge_prob=0.3)
+             if form == "dense" else build_graph("ring", 60))
+        A = metropolis_matrix(g)
+        X = netgraph.BasePolynomial(A, coeffs)
+        assert X._plan[2][0][0] is np.negative
+        rng = np.random.default_rng(1)
+        Z = rng.standard_normal((g.K, 5))
+        mask = rng.random(Z.shape) < 0.3
+        Z[mask] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=int(mask.sum()))
+        with np.errstate(invalid="ignore"):
+            P = A @ Z
+            Q = A @ P
+            out, ref = X @ Z, member_sum(coeffs, Z, P, Q)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == ref[~nan].tobytes()
 
     @pytest.mark.parametrize("aid, scales", [
         ("ExactDiffusion", ((0, 0.5), (1, 0.5))),

@@ -6,11 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import spsolve
 
-from decprox import prox as prox_mod
+from decprox import cli, engine, prox as prox_mod
 from decprox.analysis import centralized_reference
 from decprox.costs import quadratic_cost
 from decprox.prox import (
@@ -32,6 +30,7 @@ from prox_oracle import (
     b1,
     brute_force_prox,
     chain_from_hint_reference,
+    l1_certificate,
     prox_counterexample,
     prox_row,
     sign_max_soft,
@@ -40,19 +39,8 @@ from test_engine import same_bytes, special_stack
 
 
 def chain_certificate(x, z, t, tol=1e-10):
-    """Check z = prox of t (R1 + R2) at x through the dual, apart from the
-    prox code: with D = [D1; D2] square and invertible, the multiplier u
-    solving D'u = (x - z)/t must have |u|_inf <= 1 and u_j = sign(r_j)
-    wherever r = D z - b is nonzero.  Returns (excess of |u|_inf over 1,
-    number of multipliers off sign(r))."""
-    ref = SparsePair(len(x))
-    D = sp.vstack([ref.D1, ref.D2]).tocsc()
-    b = np.concatenate([ref.b1, np.zeros(len(x) // 2)])
-    u = spsolve(D.T.tocsc(), (x - z) / t)
-    r = D @ z - b
-    active = np.abs(r) > tol
-    off = np.abs(u[active] - np.sign(r[active])) > tol
-    return np.abs(u).max() - 1.0, int(off.sum())
+    """:func:`l1_certificate` of z as the prox of t (R1 + R2) at x."""
+    return l1_certificate(*SparsePair(len(x)).terms("R1+R2"), x, z, t, tol)
 
 
 def chain_sum(M):
@@ -143,36 +131,31 @@ class TestCounterexampleStructure:
                     op(M)
 
 
-def separate_prox(x0, x1, mu):
-    """The separate regularizers' prox of the stack (x0, x1): R1 on x0, R2
-    on x1."""
-    return CounterexampleProx(len(x0)).apply_stack(np.stack([x0, x1]), mu)
+class TestCertificate:
+    @pytest.mark.parametrize("M", [2, 6, 200])
+    @pytest.mark.parametrize("which", ["R1", "R2", "R1+R2"])
+    def test_rejects_a_moved_output(self, which, M):
+        # Each prox passes its certificate to rounding; the same output
+        # with any one entry moved by 1e-6, either way, fails it.
+        D, b = SparsePair(M).terms(which)
+        rng = np.random.default_rng(M)
+        for _ in range(5):
+            x = rng.standard_normal(M)
+            mu = float(rng.uniform(0.05, 0.8))
+            if which == "R1+R2":
+                z = prox_row(ChainSumProx(M), x, mu)
+            else:
+                row = ("R1", "R2").index(which)
+                z = CounterexampleProx(M).apply_stack(np.stack([x, x]), mu)[row]
+            assert l1_certificate(D, b, x, z, mu) <= 1e-12
+            for j in rng.choice(M, size=min(M, 6), replace=False):
+                for step in (1e-6, -1e-6):
+                    moved = z.copy()
+                    moved[j] += step
+                    assert l1_certificate(D, b, x, moved, mu) > 1e-12, (j, step)
 
 
 class TestClosedFormProx:
-    def test_hand_examples(self):
-        # Full consensus once mu reaches half the gap.
-        assert np.allclose(separate_prox(np.zeros(2), np.array([1.0, 0.0]), 0.5)[1],
-                           [0.5, 0.5], atol=1e-10)
-        # Partial shrink: each side moves by mu.
-        assert np.allclose(separate_prox(np.zeros(2), np.array([5.0, 0.0]), 1.0)[1],
-                           [4.0, 1.0], atol=1e-10)
-        # R1 anchor pulls w[0] toward 1/sqrt(2) when mu is large.
-        assert np.allclose(separate_prox(np.zeros(2), np.zeros(2), 1.0)[0],
-                           [np.sqrt(2) / 2, 0.0], atol=1e-10)
-
-    @pytest.mark.parametrize("M", [2, 4, 6])
-    def test_against_brute_force(self, M):
-        ref = SparsePair(M)
-        rng = np.random.default_rng(M)
-        for _ in range(8):
-            x = rng.standard_normal(M)
-            mu = float(rng.uniform(0.05, 0.8))
-            cf = separate_prox(x, x, mu)
-            for row, R in enumerate((ref.R1, ref.R2)):
-                bf = brute_force_prox(R, x, mu)
-                assert np.abs(cf[row] - bf).max() <= 1e-3
-
     def test_operator_is_r1_then_r2(self):
         # Agent 0 holds R1, agent 1 holds R2, each bit for bit the one-row
         # closed form of prox_oracle.  Power-of-two steps put pairs with
@@ -216,8 +199,10 @@ class TestChainSum:
         for _ in range(5):
             x = rng.standard_normal(M)
             mu = float(rng.uniform(0.05, 0.6))
+            z = prox_row(op, x, mu)
+            assert chain_certificate(x, z, mu, tol=1e-12) <= 1e-12
             bf = brute_force_prox(chain_sum(M), x, mu)
-            assert np.abs(prox_row(op, x, mu) - bf).max() <= 1e-3
+            assert np.abs(z - bf).max() <= 1e-3
 
     def test_weight_scales_regularizer(self):
         x = np.array([2.0, -1.0, 0.5, 0.3])
@@ -260,8 +245,7 @@ class TestExactChainProx:
     def test_dual_certificate(self, half, seed, scale, t):
         x = scale * np.random.default_rng(seed).standard_normal(2 * half)
         z = prox_row(ChainSumProx(2 * half), x, t)
-        excess, off = chain_certificate(x, z, t)
-        assert excess <= 1e-10 and off == 0
+        assert chain_certificate(x, z, t) <= 1e-10
 
     @pytest.mark.parametrize("M", [200, 2000])
     def test_reference_passes_certificate(self, M):
@@ -269,8 +253,7 @@ class TestExactChainProx:
         # prox of 0.5 (R1 + R2) at 0.
         w = centralized_reference(quadratic_cost(1.0, 2, M),
                                   ChainSumProx(M, weight=0.5))
-        excess, off = chain_certificate(np.zeros(M), w, 0.5)
-        assert excess <= 1e-10 and off == 0
+        assert chain_certificate(np.zeros(M), w, 0.5) <= 1e-10
 
     def test_anchor_jump_spans_both_clips(self):
         # |x[0] - 1/sqrt(2)| < (sqrt(2) - 1) mu: the anchor's jump in the
@@ -292,8 +275,10 @@ class TestExactChainProx:
         for _ in range(4):
             x = rng.standard_normal(8)
             mu = float(rng.uniform(0.05, 0.6))
+            z = prox_row(op, x, mu)
+            assert chain_certificate(x, z, mu, tol=1e-12) <= 1e-12
             bf = brute_force_prox(chain_sum(8), x, mu)
-            assert np.abs(prox_row(op, x, mu) - bf).max() <= 1e-6
+            assert np.abs(z - bf).max() <= 1e-6
 
     def test_nan_bits_same_on_every_call(self):
         # In a fresh interpreter the scalar loop's first call and the later
@@ -360,6 +345,17 @@ class TestExactChainProx:
         op = ChainSumProx(4)
         with pytest.raises(ValueError):
             prox_row(op, np.zeros(4), 0.0)
+
+    @pytest.mark.parametrize("t, anchor_t", [(0.0, 0.1), (-0.1, 0.1),
+                                             (0.1, -0.1)])
+    def test_bad_chain_weights_rejected(self, t, anchor_t):
+        with pytest.raises(ValueError, match="t > 0 and anchor_t >= 0"):
+            prox_anchored_chain(np.zeros(4), t, ANCHOR, anchor_t)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_bad_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="weight must be positive"):
+            ChainSumProx(4, weight=weight)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expected shape"):
@@ -500,8 +496,7 @@ class TestHintedChainProx:
         z = hinted(x, dp, t)
         assert z is not None and z[0] == ANCHOR
         assert np.abs(z - dp).max() <= 1e-15
-        excess, off = chain_certificate(x, z, t)
-        assert excess <= 1e-10 and off == 0
+        assert chain_certificate(x, z, t) <= 1e-10
         # A hint off the anchor is the wrong segmentation here.
         assert hinted(x, np.where(dp == ANCHOR, ANCHOR + 0.1, dp), t) is None
 
@@ -731,6 +726,38 @@ class TestCarriedSegmentation:
             for k in range(2):
                 assert same_segmentation(hint.found[k],
                                          _segmentation(out[k], ANCHOR))
+
+    @pytest.mark.parametrize("seed, tol", [(None, 1e-12), (1, 1e-10)])
+    def test_every_step_of_a_run_certified(self, seed, tol, monkeypatch):
+        # ProxED on the M=200 counterexample, each step's prox solved on
+        # the segmentation carried from the step before: every output row
+        # of every step passes the chain's certificate.  From the zero
+        # start to 1e-12; from a seeded start, whose rows keep falling
+        # back to the dynamic programme, to the 1e-10 of the chain's other
+        # certificates.
+        cfg = cli.config_from_dict({
+            **cli.COUNTEREXAMPLE_PRESET, "M": 200, "iters": 300,
+            "algorithms": [{"name": "ProxED", "mu": 0.005}]})
+        p = cli.build_problem(cfg)
+        r = cli.resolve_algorithm(cfg.algorithms[0], cfg, p)
+        calls = []
+        apply_stack = ChainSumProx.apply_stack
+
+        def recorded(op, X, mu, hint=None):
+            carried = hint.segments is not None
+            out = apply_stack(op, X, mu, hint=hint)
+            calls.append((X.copy(), mu * op.weight, out.copy(), carried))
+            return out
+
+        monkeypatch.setattr(ChainSumProx, "apply_stack", recorded)
+        record = engine.run(r.algorithm, r.step, p.costs, p.w_star, 300,
+                            seed=seed)
+        assert not record.diverged and len(calls) == 300
+        assert sum(carried for *_, carried in calls) == 299
+        D, b = SparsePair(200).terms("R1+R2")
+        for i, (X, t, out, _) in enumerate(calls):
+            for k in range(2):
+                assert l1_certificate(D, b, X[k], out[k], t, tol) <= tol, (i, k)
 
     def test_array_and_no_hint_leave_nothing(self):
         # Only the chain prox writes to a Hint; other operators leave it
